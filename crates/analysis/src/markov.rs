@@ -173,12 +173,12 @@ impl MarkovCounts {
         }
         // Upper-confidence initial distribution from state occupancy.
         let mut value = vec![f64::NEG_INFINITY; states];
-        for s in 0..states {
+        for (s, v) in value.iter_mut().enumerate() {
             let n = self.counts[s << 1] + self.counts[(s << 1) | 1];
             if n > 0 {
                 let f = n as f64 / self.total as f64;
                 let up = (f + z * (f * (1.0 - f) / self.total as f64).sqrt()).min(1.0);
-                value[s] = up.log2().min(0.0);
+                *v = up.log2().min(0.0);
             }
         }
         // Most likely path of PATH_LENGTH emitted bits, in log2 domain.

@@ -1,8 +1,7 @@
-//! Simulation-engine ablations:
+//! Simulation-engine benches:
 //!
-//! * pending-event set: timing wheel vs binary heap vs calendar queue,
-//!   across small/medium/large IRO and STR workloads;
-//! * ring family cost: IRO vs STR event processing;
+//! * kernel dispatch cost across small/medium/large IRO and STR
+//!   workloads (ring family and pending-set size);
 //! * event-driven simulation vs the closed-form analytic model.
 //!
 //! `docs/engine_perf.md` explains how these workloads relate to the
@@ -13,7 +12,7 @@ use std::hint::black_box;
 
 use strent_device::{Board, Technology};
 use strent_rings::{analytic, iro, str_ring, IroConfig, StrConfig};
-use strent_sim::{BinaryHeapQueue, CalendarQueue, EventQueue, Simulator, Time, WheelQueue};
+use strent_sim::{Simulator, Time};
 
 /// IRO lengths for the size sweep (inverting rings must be odd, so
 /// "3/32/96-stage" maps to 3/33/95).
@@ -26,7 +25,8 @@ fn board() -> Board {
     Board::new(Technology::cyclone_iii(), 0, 7)
 }
 
-fn run_iro_on<Q: EventQueue>(mut sim: Simulator<Q>, board: &Board, stages: usize) -> u64 {
+fn run_iro(seed: u64, board: &Board, stages: usize) -> u64 {
+    let mut sim = Simulator::new(seed);
     let config = IroConfig::new(stages).expect("valid length");
     let handle = iro::build(&config, board, &mut sim).expect("wires");
     sim.watch(handle.output()).expect("net exists");
@@ -34,7 +34,8 @@ fn run_iro_on<Q: EventQueue>(mut sim: Simulator<Q>, board: &Board, stages: usize
     sim.stats().events_processed
 }
 
-fn run_str_on<Q: EventQueue>(mut sim: Simulator<Q>, board: &Board, stages: usize) -> u64 {
+fn run_str(seed: u64, board: &Board, stages: usize) -> u64 {
+    let mut sim = Simulator::new(seed);
     let config = StrConfig::new(stages, stages / 2).expect("valid counts");
     let handle = str_ring::build(&config, board, &mut sim).expect("wires");
     sim.watch(handle.output()).expect("net exists");
@@ -42,79 +43,19 @@ fn run_str_on<Q: EventQueue>(mut sim: Simulator<Q>, board: &Board, stages: usize
     sim.stats().events_processed
 }
 
-fn bench_queues(c: &mut Criterion) {
+fn bench_ring_sizes(c: &mut Criterion) {
     let board = board();
-    let mut group = c.benchmark_group("engine/queue");
+    let mut group = c.benchmark_group("engine/rings");
     for stages in IRO_STAGES {
-        group.bench_function(&format!("wheel_iro{stages}_1us"), |b| {
-            b.iter(|| {
-                run_iro_on(
-                    Simulator::with_queue(black_box(7), WheelQueue::new()),
-                    &board,
-                    stages,
-                )
-            });
-        });
-        group.bench_function(&format!("binary_heap_iro{stages}_1us"), |b| {
-            b.iter(|| {
-                run_iro_on(
-                    Simulator::with_queue(black_box(7), BinaryHeapQueue::new()),
-                    &board,
-                    stages,
-                )
-            });
-        });
-        group.bench_function(&format!("calendar_iro{stages}_1us"), |b| {
-            b.iter(|| {
-                run_iro_on(
-                    Simulator::with_queue(black_box(7), CalendarQueue::new(200.0)),
-                    &board,
-                    stages,
-                )
-            });
+        group.bench_function(&format!("iro{stages}_1us"), |b| {
+            b.iter(|| run_iro(black_box(7), &board, stages));
         });
     }
     for stages in STR_STAGES {
-        group.bench_function(&format!("wheel_str{stages}_1us"), |b| {
-            b.iter(|| {
-                run_str_on(
-                    Simulator::with_queue(black_box(7), WheelQueue::new()),
-                    &board,
-                    stages,
-                )
-            });
-        });
-        group.bench_function(&format!("binary_heap_str{stages}_1us"), |b| {
-            b.iter(|| {
-                run_str_on(
-                    Simulator::with_queue(black_box(7), BinaryHeapQueue::new()),
-                    &board,
-                    stages,
-                )
-            });
-        });
-        group.bench_function(&format!("calendar_str{stages}_1us"), |b| {
-            b.iter(|| {
-                run_str_on(
-                    Simulator::with_queue(black_box(7), CalendarQueue::new(200.0)),
-                    &board,
-                    stages,
-                )
-            });
+        group.bench_function(&format!("str{stages}_1us"), |b| {
+            b.iter(|| run_str(black_box(7), &board, stages));
         });
     }
-    group.finish();
-}
-
-fn bench_ring_families(c: &mut Criterion) {
-    let board = board();
-    let mut group = c.benchmark_group("engine/rings");
-    group.bench_function("iro25_1us", |b| {
-        b.iter(|| run_iro_on(Simulator::new(black_box(7)), &board, 25));
-    });
-    group.bench_function("str24_1us", |b| {
-        b.iter(|| run_str_on(Simulator::new(black_box(7)), &board, 24));
-    });
     group.finish();
 }
 
@@ -135,10 +76,5 @@ fn bench_analytic_vs_event(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_queues,
-    bench_ring_families,
-    bench_analytic_vs_event
-);
+criterion_group!(benches, bench_ring_sizes, bench_analytic_vs_event);
 criterion_main!(benches);

@@ -2,8 +2,8 @@
 //! parallel experiment runner: wall clock, per-shard busy time and
 //! dispatched simulator events, plus a fig8 thread-scaling probe) and
 //! `BENCH_engine.json` (per-experiment dispatch throughput plus a
-//! three-queue 32-stage STR dispatch microbench — the kernel evidence
-//! described in `docs/engine_perf.md`).
+//! 32-stage STR dispatch microbench — the kernel evidence described in
+//! `docs/engine_perf.md`).
 //!
 //! The JSON is hand-formatted — the workspace builds offline against
 //! stub crates, so no serializer is assumed.
@@ -18,7 +18,7 @@ use std::time::Instant;
 
 use strent_device::{Board, Technology};
 use strent_rings::{str_ring, StrConfig};
-use strent_sim::{BinaryHeapQueue, CalendarQueue, EventQueue, Simulator, Time, WheelQueue};
+use strent_sim::{Simulator, Time};
 use strentropy::experiments::runner::{ExperimentRunner, StageReport};
 use strentropy::experiments::{
     ext_charlie, ext_coherent, ext_det, ext_flicker, ext_method, ext_mode, ext_multi,
@@ -65,14 +65,13 @@ fn parse(args: impl Iterator<Item = String>) -> Result<Options, String> {
     Ok(options)
 }
 
-/// One measured queue implementation in the dispatch microbench.
-struct QueueProbe {
-    name: &'static str,
+/// The dispatch microbench result.
+struct DispatchProbe {
     events: u64,
     wall_ns: u128,
 }
 
-impl QueueProbe {
+impl DispatchProbe {
     fn events_per_sec(&self) -> f64 {
         if self.wall_ns == 0 {
             return 0.0;
@@ -81,22 +80,22 @@ impl QueueProbe {
     }
 }
 
-/// Dispatches a 32-stage STR for `horizon_us` simulated microseconds on
-/// the given queue and reports events + wall time (best of three runs,
-/// which suppresses allocator warm-up noise).
-fn probe_queue<Q: EventQueue, F: Fn() -> Q>(name: &'static str, make: F) -> QueueProbe {
+/// Dispatches a 32-stage STR for 4 simulated microseconds and reports
+/// events + wall time (best of three runs, which suppresses allocator
+/// warm-up noise). The board and simulator seeds are fixed, so the
+/// event count does not depend on `--seed` or the effort.
+fn probe_dispatch() -> DispatchProbe {
     let board = Board::new(Technology::cyclone_iii(), 0, 7);
     let config = StrConfig::new(32, 16).expect("valid counts");
-    let mut best: Option<QueueProbe> = None;
+    let mut best: Option<DispatchProbe> = None;
     for _ in 0..3 {
-        let mut sim = Simulator::with_queue(7, make());
+        let mut sim = Simulator::new(7);
         let handle = str_ring::build(&config, &board, &mut sim).expect("wires");
         sim.watch(handle.output()).expect("net exists");
         let started = Instant::now();
         sim.run_until(Time::from_us(4.0)).expect("no limit");
         let wall_ns = started.elapsed().as_nanos();
-        let probe = QueueProbe {
-            name,
+        let probe = DispatchProbe {
             events: sim.stats().events_processed,
             wall_ns,
         };
@@ -108,23 +107,13 @@ fn probe_queue<Q: EventQueue, F: Fn() -> Q>(name: &'static str, make: F) -> Queu
 }
 
 /// Emits `BENCH_engine.json`: per-experiment dispatch throughput from
-/// the stage log plus the three-queue STR-32 dispatch microbench.
+/// the stage log plus the STR-32 dispatch microbench.
 fn engine_json(options: &Options, threads: usize, stages: &[StageReport]) -> String {
-    let probes = [
-        probe_queue("wheel", WheelQueue::new),
-        probe_queue("binary_heap", BinaryHeapQueue::new),
-        probe_queue("calendar", || CalendarQueue::new(200.0)),
-    ];
-    let heap_eps = probes[1].events_per_sec();
-    let speedup = if heap_eps > 0.0 {
-        probes[0].events_per_sec() / heap_eps
-    } else {
-        0.0
-    };
+    let probe = probe_dispatch();
 
     let mut json = String::new();
     json.push_str("{\n");
-    let _ = writeln!(json, "  \"schema\": \"strentropy-bench-engine/1\",");
+    let _ = writeln!(json, "  \"schema\": \"strentropy-bench-engine/2\",");
     let _ = writeln!(
         json,
         "  \"effort\": \"{}\",",
@@ -135,26 +124,17 @@ fn engine_json(options: &Options, threads: usize, stages: &[StageReport]) -> Str
     );
     let _ = writeln!(json, "  \"seed\": {},", options.seed);
     let _ = writeln!(json, "  \"threads\": {threads},");
-    let _ = writeln!(json, "  \"default_queue\": \"wheel\",");
     json.push_str("  \"str32_dispatch_microbench\": {\n");
     let _ = writeln!(json, "    \"workload\": \"str32_16tok_4us_single_thread\",");
-    json.push_str("    \"queues\": [");
-    for (i, probe) in probes.iter().enumerate() {
-        let _ = write!(
-            json,
-            "{}{{\"name\": \"{}\", \"events\": {}, \"wall_ns\": {}, \
-             \"events_per_sec\": {:.0}}}",
-            if i == 0 { "" } else { ", " },
-            probe.name,
-            probe.events,
-            probe.wall_ns,
-            probe.events_per_sec()
-        );
-    }
-    json.push_str("],\n");
-    let _ = writeln!(json, "    \"wheel_speedup_vs_heap\": {speedup:.3},");
+    let _ = writeln!(
+        json,
+        "    \"events\": {}, \"wall_ns\": {}, \"events_per_sec\": {:.0},",
+        probe.events,
+        probe.wall_ns,
+        probe.events_per_sec()
+    );
     // Recorded pre-PR reference: the same workload on the old kernel
-    // (BinaryHeapQueue default, per-drive listener clone, HashSet
+    // (binary-heap event queue, per-drive listener clone, HashSet
     // cancellation, per-event alpha-power evaluation), measured with
     // the identical best-of-N in-process methodology at commit a4a414d.
     // This is a calibration constant, not re-measured per run — see
@@ -168,7 +148,7 @@ fn engine_json(options: &Options, threads: usize, stages: &[StageReport]) -> Str
     let _ = writeln!(
         json,
         "    \"wheel_speedup_vs_pre_pr\": {:.3}",
-        probes[0].events_per_sec() / PRE_PR_EVENTS_PER_SEC
+        probe.events_per_sec() / PRE_PR_EVENTS_PER_SEC
     );
     json.push_str("  },\n");
     json.push_str("  \"experiments\": [\n");

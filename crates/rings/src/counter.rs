@@ -7,7 +7,7 @@
 //! count history converts directly to frequency estimates with a
 //! ±1-count quantization.
 
-use strent_sim::{Bit, Component, ComponentId, Context, Event, EventQueue, NetId, Simulator};
+use strent_sim::{Bit, Component, ComponentId, Context, Event, NetId, Simulator};
 
 use crate::error::RingError;
 
@@ -83,7 +83,7 @@ impl CounterHandle {
     ///
     /// Returns an empty vector if the handle does not belong to `sim`.
     #[must_use]
-    pub fn frequencies_mhz<Q: EventQueue>(&self, sim: &Simulator<Q>) -> Vec<f64> {
+    pub fn frequencies_mhz(&self, sim: &Simulator) -> Vec<f64> {
         sim.component::<FrequencyCounter>(self.component)
             .map(FrequencyCounter::frequencies_mhz)
             .unwrap_or_default()
@@ -97,8 +97,8 @@ impl CounterHandle {
 ///
 /// Returns [`RingError::InvalidConfig`] for a non-positive gate length,
 /// or propagates simulator wiring errors.
-pub fn build<Q: EventQueue>(
-    sim: &mut Simulator<Q>,
+pub fn build(
+    sim: &mut Simulator,
     input: NetId,
     gate_ps: f64,
 ) -> Result<CounterHandle, RingError> {

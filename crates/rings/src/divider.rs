@@ -10,7 +10,7 @@
 //! counter, scope statistics — runs inside the simulator exactly as it
 //! ran on the authors' bench.
 
-use strent_sim::{Bit, Component, ComponentId, Context, Event, EventQueue, NetId, Simulator};
+use strent_sim::{Bit, Component, ComponentId, Context, Event, NetId, Simulator};
 
 use crate::error::RingError;
 
@@ -84,8 +84,8 @@ impl DividerHandle {
 ///
 /// Returns [`RingError::InvalidConfig`] if `n == 0`, or propagates
 /// simulator wiring errors.
-pub fn build<Q: EventQueue>(
-    sim: &mut Simulator<Q>,
+pub fn build(
+    sim: &mut Simulator,
     input: NetId,
     n: u64,
 ) -> Result<DividerHandle, RingError> {

@@ -7,7 +7,7 @@
 
 use strent_device::noise::FlickerProcess;
 use strent_device::{Board, LutCell, Supply};
-use strent_sim::{Bit, Component, ComponentId, Context, Event, EventQueue, NetId, Simulator};
+use strent_sim::{Bit, Component, ComponentId, Context, Event, NetId, Simulator};
 
 use crate::error::RingError;
 
@@ -199,10 +199,10 @@ impl IroHandle {
 /// # Errors
 ///
 /// Propagates simulator wiring errors.
-pub fn build<Q: EventQueue>(
+pub fn build(
     config: &IroConfig,
     board: &Board,
-    sim: &mut Simulator<Q>,
+    sim: &mut Simulator,
 ) -> Result<IroHandle, RingError> {
     let cells = config.cells(board);
     let nets: Vec<NetId> = (0..config.length)

@@ -17,7 +17,7 @@
 use std::sync::atomic::{AtomicU8, Ordering};
 
 use strent_device::Board;
-use strent_sim::{Diagnostic, EventQueue, LintCode, LintReport, NetId, Simulator, INLINE_FANOUT};
+use strent_sim::{Diagnostic, LintCode, LintReport, NetId, Simulator, INLINE_FANOUT};
 
 use crate::analytic;
 use crate::divider::DividerHandle;
@@ -230,8 +230,8 @@ pub fn verify_str_config(config: &StrConfig, board: &Board) -> LintReport {
 
 /// Checks one expected listener edge of a built ring, recording `SL013`
 /// if it is missing.
-fn expect_listener<Q: EventQueue>(
-    sim: &Simulator<Q>,
+fn expect_listener(
+    sim: &Simulator,
     net: NetId,
     component: strent_sim::ComponentId,
     role: &str,
@@ -256,8 +256,8 @@ fn expect_listener<Q: EventQueue>(
 /// Records `SL015` for ring nets whose fan-out spilled the inline
 /// listener storage, costing the uncancellable fast path its
 /// zero-allocation property.
-fn check_fast_path<Q: EventQueue>(
-    sim: &Simulator<Q>,
+fn check_fast_path(
+    sim: &Simulator,
     nets: &[NetId],
     family: &str,
     report: &mut LintReport,
@@ -284,7 +284,7 @@ fn check_fast_path<Q: EventQueue>(
 /// own output `C[i]` — the closed ring of Fig. 2. Also audits the
 /// fast-path fan-out budget (`SL015`).
 #[must_use]
-pub fn verify_built_str<Q: EventQueue>(sim: &Simulator<Q>, handle: &StrHandle) -> LintReport {
+pub fn verify_built_str(sim: &Simulator, handle: &StrHandle) -> LintReport {
     let mut report = LintReport::new();
     let nets = handle.nets();
     let components = handle.components();
@@ -311,8 +311,8 @@ pub fn verify_built_str<Q: EventQueue>(sim: &Simulator<Q>, handle: &StrHandle) -
 /// subscribe to the previous stage's output — the single loop of
 /// Fig. 1. Also audits the fast-path fan-out budget (`SL015`).
 #[must_use]
-pub fn verify_built_iro<Q: EventQueue>(
-    sim: &Simulator<Q>,
+pub fn verify_built_iro(
+    sim: &Simulator,
     handle: &IroHandle,
     config: &IroConfig,
 ) -> LintReport {
@@ -344,8 +344,8 @@ pub fn verify_built_iro<Q: EventQueue>(
 /// the ring's nets, the counter must be subscribed to it, and the
 /// `osc_mes` output must be watched — otherwise Eq. 6 measures nothing.
 #[must_use]
-pub fn verify_divider<Q: EventQueue>(
-    sim: &Simulator<Q>,
+pub fn verify_divider(
+    sim: &Simulator,
     divider: &DividerHandle,
     ring_nets: &[NetId],
 ) -> LintReport {

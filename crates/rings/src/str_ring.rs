@@ -10,7 +10,7 @@
 
 use strent_device::noise::FlickerProcess;
 use strent_device::{Board, LutCell, Supply};
-use strent_sim::{Bit, Component, ComponentId, Context, Event, EventQueue, NetId, Simulator};
+use strent_sim::{Bit, Component, ComponentId, Context, Event, NetId, Simulator};
 
 use crate::error::RingError;
 use crate::iro::INIT_TAG;
@@ -348,10 +348,10 @@ impl StrHandle {
 /// # Errors
 ///
 /// Propagates simulator wiring errors.
-pub fn build<Q: EventQueue>(
+pub fn build(
     config: &StrConfig,
     board: &Board,
-    sim: &mut Simulator<Q>,
+    sim: &mut Simulator,
 ) -> Result<StrHandle, RingError> {
     let state = config.initial_state();
     let cells = config.cells(board);

@@ -2,7 +2,7 @@
 //!
 //! The dispatch hot path is allocation-free in steady state: the
 //! pending-event set is a timing wheel whose buckets retain capacity
-//! ([`WheelQueue`]), event liveness lives in a generation-stamped slab
+//! (`queue::WheelQueue`), event liveness lives in a generation-stamped slab
 //! ([`CancelSlab`](crate::slab)), net fan-out is stored inline for the
 //! common small case, and trace recording is a dense indexed lookup.
 //! `docs/engine_perf.md` documents the design and the measured effect.
@@ -13,7 +13,7 @@ use crate::error::SimError;
 use crate::event::{Event, EventId, Occurrence, TimerTag};
 use crate::fault::{self, DriftState, FaultAction, FaultKind, FaultPlan, FaultRuntime, FaultTarget, ForceState};
 use crate::lint::{Diagnostic, LintCode, LintReport};
-use crate::queue::{EventQueue, ScheduledEvent, WheelQueue};
+use crate::queue::{ScheduledEvent, WheelQueue};
 use crate::rng::{RngTree, SimRng};
 use crate::signal::{Bit, NetId};
 use crate::slab::{CancelSlab, NO_SLOT};
@@ -164,8 +164,8 @@ struct NetState {
 /// `arm_timer`) and [`Context`] (`schedule_net`, `schedule_timer`), so
 /// sequence numbering and slab accounting cannot drift apart.
 #[inline]
-fn push_event<Q: EventQueue + ?Sized>(
-    queue: &mut Q,
+fn push_event(
+    queue: &mut WheelQueue,
     next_seq: &mut u64,
     slab: &mut CancelSlab,
     time: Time,
@@ -189,8 +189,8 @@ fn push_event<Q: EventQueue + ?Sized>(
 /// the ring-oscillator hot path (stages never cancel their own
 /// firings).
 #[inline]
-fn push_event_uncancellable<Q: EventQueue + ?Sized>(
-    queue: &mut Q,
+fn push_event_uncancellable(
+    queue: &mut WheelQueue,
     next_seq: &mut u64,
     time: Time,
     occurrence: Occurrence,
@@ -213,7 +213,7 @@ pub struct Context<'a> {
     now: Time,
     component: usize,
     nets: &'a [NetState],
-    queue: &'a mut dyn EventQueue,
+    queue: &'a mut WheelQueue,
     next_seq: &'a mut u64,
     slab: &'a mut CancelSlab,
     rngs: &'a mut [SimRng],
@@ -372,13 +372,12 @@ impl SimStats {
 
 /// The discrete-event simulator.
 ///
-/// Owns the nets, components, pending-event set, waveform traces and the
-/// random-number tree. Generic over the [`EventQueue`] implementation
-/// (timing wheel by default).
+/// Owns the nets, components, pending-event set (a timing wheel),
+/// waveform traces and the random-number tree.
 ///
 /// See the [crate-level documentation](crate) for a complete example.
-pub struct Simulator<Q: EventQueue = WheelQueue> {
-    queue: Q,
+pub struct Simulator {
+    queue: WheelQueue,
     now: Time,
     next_seq: u64,
     nets: Vec<NetState>,
@@ -399,20 +398,13 @@ pub struct Simulator<Q: EventQueue = WheelQueue> {
     faults: Option<Box<FaultRuntime>>,
 }
 
-impl Simulator<WheelQueue> {
-    /// Creates a simulator with the default timing-wheel event queue.
+impl Simulator {
+    /// Creates an empty simulator whose random streams derive from
+    /// `master_seed`.
     #[must_use]
     pub fn new(master_seed: u64) -> Self {
-        Simulator::with_queue(master_seed, WheelQueue::new())
-    }
-}
-
-impl<Q: EventQueue> Simulator<Q> {
-    /// Creates a simulator with an explicit event-queue implementation.
-    #[must_use]
-    pub fn with_queue(master_seed: u64, queue: Q) -> Self {
         Simulator {
-            queue,
+            queue: WheelQueue::new(),
             now: Time::ZERO,
             next_seq: 0,
             nets: Vec::new(),
@@ -728,18 +720,15 @@ impl<Q: EventQueue> Simulator<Q> {
     /// Handles one popped event: retires its liveness slot, then either
     /// skips it (cancelled) or advances time and dispatches it.
     ///
-    /// Returns `Ok(true)` if the event was dispatched, `Ok(false)` if it
-    /// had been cancelled.
-    ///
     /// # Errors
     ///
     /// Returns [`SimError::StepLimitExceeded`] if the step limit was
     /// reached.
     #[inline]
-    fn process(&mut self, event: ScheduledEvent) -> Result<bool, SimError> {
+    fn process(&mut self, event: ScheduledEvent) -> Result<(), SimError> {
         if event.slot != NO_SLOT && self.slab.finish(event.slot) {
             self.stats.events_cancelled += 1;
-            return Ok(false);
+            return Ok(());
         }
         if self.stats.events_processed >= self.step_limit {
             return Err(SimError::StepLimitExceeded {
@@ -756,34 +745,15 @@ impl<Q: EventQueue> Simulator<Q> {
             }
             Occurrence::FaultEdge { action } => self.apply_fault_edge(action),
         }
-        Ok(true)
-    }
-
-    /// Dispatches the next pending event.
-    ///
-    /// Returns `Ok(false)` when the queue is empty.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::StepLimitExceeded`] if the step limit was
-    /// reached.
-    #[inline]
-    pub fn step(&mut self) -> Result<bool, SimError> {
-        while let Some(event) = self.queue.pop() {
-            if self.process(event)? {
-                return Ok(true);
-            }
-        }
-        Ok(false)
+        Ok(())
     }
 
     /// Runs until the pending-event set is empty or the next event lies
     /// beyond `horizon`; simulation time is left at `min(horizon, last
     /// event time)`.
     ///
-    /// The loop issues one bounded pop per event
-    /// ([`EventQueue::pop_at_or_before`]) instead of a `peek_time` +
-    /// `pop` pair, so queue implementations locate the minimum once.
+    /// The loop issues one bounded pop per event instead of a peek +
+    /// pop pair, so the wheel locates the minimum once.
     ///
     /// # Errors
     ///
@@ -797,23 +767,6 @@ impl<Q: EventQueue> Simulator<Q> {
             self.now = horizon;
         }
         Ok(())
-    }
-
-    /// Dispatches at most `n` events.
-    ///
-    /// Returns the number actually dispatched (less than `n` only if the
-    /// queue drained).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::StepLimitExceeded`] if the step limit was
-    /// reached first.
-    pub fn run_events(&mut self, n: u64) -> Result<u64, SimError> {
-        let mut done = 0;
-        while done < n && self.step()? {
-            done += 1;
-        }
-        Ok(done)
     }
 
     /// Applies a net transition and notifies the fan-out, honoring any
@@ -1072,7 +1025,7 @@ impl<Q: EventQueue> Simulator<Q> {
     }
 }
 
-impl<Q: EventQueue + std::fmt::Debug> std::fmt::Debug for Simulator<Q> {
+impl std::fmt::Debug for Simulator {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Simulator")
             .field("now", &self.now)
@@ -1087,7 +1040,6 @@ impl<Q: EventQueue + std::fmt::Debug> std::fmt::Debug for Simulator<Q> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::queue::{BinaryHeapQueue, CalendarQueue};
 
     /// Inverting delay stage used across engine tests.
     struct Inverter {
@@ -1127,7 +1079,7 @@ mod tests {
 
     /// Builds an odd-length all-inverting ring with alternating initial
     /// levels so that injecting `High` on net 0 starts the oscillation.
-    fn ring<Q: EventQueue>(sim: &mut Simulator<Q>, stages: usize, delay: f64) -> Vec<NetId> {
+    fn ring(sim: &mut Simulator, stages: usize, delay: f64) -> Vec<NetId> {
         assert!(stages % 2 == 1, "inverting ring must have odd length");
         let nets: Vec<NetId> = (0..stages)
             .map(|i| {
@@ -1192,9 +1144,9 @@ mod tests {
         assert_eq!(sim.stats().events_cancelled, 1);
     }
 
-    /// Exercises every cancellation edge case on one queue
-    /// implementation and returns the final statistics.
-    fn cancellation_semantics_on<Q: EventQueue>(mut sim: Simulator<Q>) -> SimStats {
+    #[test]
+    fn cancellation_edge_cases_count_exactly() {
+        let mut sim = Simulator::new(3);
         let net = sim.add_net("n");
         sim.watch(net).expect("net exists");
 
@@ -1218,18 +1170,8 @@ mod tests {
         // The stale handle aimed at the (long fired) first event must
         // not have cancelled anything that reused its slot.
         assert_eq!(sim.trace(net).expect("watched").len(), 2);
-        sim.stats()
-    }
-
-    #[test]
-    fn cancellation_semantics_are_identical_across_queues() {
-        let wheel = cancellation_semantics_on(Simulator::new(3));
-        let heap = cancellation_semantics_on(Simulator::with_queue(3, BinaryHeapQueue::new()));
-        let cal = cancellation_semantics_on(Simulator::with_queue(3, CalendarQueue::new(50.0)));
-        assert_eq!(wheel.events_cancelled, 1, "cancel-twice counts once");
-        assert_eq!(wheel.events_processed, 2);
-        assert_eq!(wheel, heap);
-        assert_eq!(wheel, cal);
+        assert_eq!(sim.stats().events_cancelled, 1, "cancel-twice counts once");
+        assert_eq!(sim.stats().events_processed, 2);
     }
 
     #[test]
@@ -1386,27 +1328,6 @@ mod tests {
                 .collect()
         }
         assert_eq!(run(42), run(42));
-    }
-
-    #[test]
-    fn all_queue_engines_match() {
-        fn run<Q: EventQueue>(mut sim: Simulator<Q>) -> Vec<f64> {
-            let nets = ring(&mut sim, 7, 93.0);
-            sim.watch(nets[0]).expect("net exists");
-            sim.inject(nets[0], Bit::High, 0.0).expect("valid");
-            sim.run_until(Time::from_ns(50.0)).expect("no limit");
-            sim.trace(nets[0])
-                .expect("watched")
-                .rising_edges()
-                .iter()
-                .map(|t| t.as_ps())
-                .collect()
-        }
-        let wheel = run(Simulator::new(9));
-        let heap = run(Simulator::with_queue(9, BinaryHeapQueue::new()));
-        let cal = run(Simulator::with_queue(9, CalendarQueue::new(50.0)));
-        assert_eq!(wheel, heap);
-        assert_eq!(wheel, cal);
     }
 
     #[test]

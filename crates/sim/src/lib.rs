@@ -66,7 +66,7 @@ pub mod event;
 pub mod fault;
 pub mod lint;
 pub mod process;
-pub mod queue;
+mod queue;
 pub mod rng;
 pub mod signal;
 mod slab;
@@ -81,7 +81,6 @@ pub use event::{Event, EventId, TimerTag};
 pub use fault::{FaultKind, FaultPlan, FaultSpec, FaultTarget};
 pub use lint::{Diagnostic, LintCode, LintReport, Severity};
 pub use process::Ar1Process;
-pub use queue::{BinaryHeapQueue, CalendarQueue, EventQueue, ScheduledEvent, WheelQueue};
 pub use rng::{Normal, RngTree, SimRng};
 pub use signal::{Bit, Edge, NetId};
 pub use sweep::{

@@ -1,32 +1,19 @@
-//! Pending-event set implementations.
+//! The pending-event set: a two-level timing wheel.
 //!
-//! The simulator is generic over its pending-event set through the
-//! [`EventQueue`] trait. Three implementations are provided:
-//!
-//! * [`WheelQueue`] — the default; a two-level timing wheel with
-//!   lazily sorted buckets, giving O(1) amortized push/pop on the
-//!   clustered workloads ring simulations produce.
-//! * [`BinaryHeapQueue`] — a binary heap keyed by `(time, sequence)`;
-//!   the classic O(log n) baseline.
-//! * [`CalendarQueue`] — a bucketed (calendar) queue over a `BTreeMap`
-//!   of lazily sorted buckets, included as the classic
-//!   discrete-event-simulation alternative.
-//!
-//! All orderings are **deterministic and identical**: events pop in
-//! `(time, sequence)` order, where ties in time are broken by the
-//! monotonically increasing insertion sequence number. The equivalence
-//! is pinned by unit tests here and by the property suite in
-//! `crates/sim/tests/properties.rs`.
+//! Events pop in `(time, sequence)` order, where ties in time are broken
+//! by the monotonically increasing insertion sequence number. The order
+//! is pinned by unit tests here against a sorted-`Vec` oracle and by the
+//! property suite in `crates/sim/tests/properties.rs`.
 
 use std::cmp::Ordering;
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::BTreeMap;
 
 use crate::event::Occurrence;
 use crate::Time;
 
 /// A queued occurrence with its scheduled time and tie-breaking sequence.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ScheduledEvent {
+pub(crate) struct ScheduledEvent {
     /// When the event fires.
     pub(crate) time: Time,
     /// Insertion sequence number — the deterministic tie-break.
@@ -38,18 +25,6 @@ pub struct ScheduledEvent {
 }
 
 impl ScheduledEvent {
-    /// The instant at which the event fires.
-    #[must_use]
-    pub fn time(&self) -> Time {
-        self.time
-    }
-
-    /// The deterministic tie-break sequence number.
-    #[must_use]
-    pub fn sequence(&self) -> u64 {
-        self.seq
-    }
-
     #[inline]
     fn key(&self) -> (Time, u64) {
         (self.time, self.seq)
@@ -68,100 +43,12 @@ impl PartialOrd for ScheduledEvent {
     }
 }
 
-/// A deterministic pending-event set.
+/// A lazily sorted event bucket of the [`WheelQueue`].
 ///
-/// Implementors must pop events in `(time, sequence)` order.
-///
-/// `peek_time` takes `&mut self` so implementations may organize their
-/// storage lazily (the wheel and calendar queues sort buckets on
-/// demand); it must not change the observable pop sequence.
-pub trait EventQueue {
-    /// Inserts an event. The event's time is never earlier than the
-    /// time of the most recently popped event (simulation time is
-    /// monotone).
-    fn push(&mut self, event: ScheduledEvent);
-
-    /// Removes and returns the earliest event, or `None` when empty.
-    fn pop(&mut self) -> Option<ScheduledEvent>;
-
-    /// Removes and returns the earliest event **only if** it fires at
-    /// or before `horizon`; otherwise leaves the queue untouched and
-    /// returns `None`.
-    ///
-    /// This is the hot-path primitive behind
-    /// [`Simulator::run_until`](crate::Simulator::run_until): one call
-    /// per event instead of a `peek_time` + `pop` pair. The default
-    /// implementation is exactly that pair; implementations override it
-    /// to locate the minimum once.
-    fn pop_at_or_before(&mut self, horizon: Time) -> Option<ScheduledEvent> {
-        if self.peek_time()? > horizon {
-            return None;
-        }
-        self.pop()
-    }
-
-    /// Returns the time of the earliest event without removing it.
-    fn peek_time(&mut self) -> Option<Time>;
-
-    /// Number of pending events.
-    fn len(&self) -> usize;
-
-    /// Whether no events are pending.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-/// Binary-heap pending-event set (the O(log n) baseline).
-#[derive(Debug, Default)]
-pub struct BinaryHeapQueue {
-    heap: BinaryHeap<std::cmp::Reverse<ScheduledEvent>>,
-}
-
-impl BinaryHeapQueue {
-    /// Creates an empty queue.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl EventQueue for BinaryHeapQueue {
-    #[inline]
-    fn push(&mut self, event: ScheduledEvent) {
-        self.heap.push(std::cmp::Reverse(event));
-    }
-
-    #[inline]
-    fn pop(&mut self) -> Option<ScheduledEvent> {
-        self.heap.pop().map(|r| r.0)
-    }
-
-    #[inline]
-    fn pop_at_or_before(&mut self, horizon: Time) -> Option<ScheduledEvent> {
-        if self.heap.peek()?.0.time > horizon {
-            return None;
-        }
-        self.heap.pop().map(|r| r.0)
-    }
-
-    fn peek_time(&mut self) -> Option<Time> {
-        self.heap.peek().map(|r| r.0.time)
-    }
-
-    fn len(&self) -> usize {
-        self.heap.len()
-    }
-}
-
-/// A lazily sorted event bucket shared by [`WheelQueue`] and
-/// [`CalendarQueue`].
-///
-/// Events accumulate unsorted; the first pop (or peek) after a push
-/// sorts the bucket **descending** by `(time, seq)` so the minimum sits
-/// at the tail and `Vec::pop` drains it in O(1). Keys are unique
-/// (sequence numbers never repeat), so the unstable sort is
-/// deterministic.
+/// Events accumulate unsorted; the first pop after a push sorts the
+/// bucket **descending** by `(time, seq)` so the minimum sits at the
+/// tail and `Vec::pop` drains it in O(1). Keys are unique (sequence
+/// numbers never repeat), so the unstable sort is deterministic.
 #[derive(Debug, Default)]
 struct LazyBucket {
     events: Vec<ScheduledEvent>,
@@ -217,10 +104,17 @@ impl LazyBucket {
 /// Number of near-window buckets in a [`WheelQueue`] (power of two).
 const WHEEL_SLOTS: usize = 256;
 
-/// Two-level timing wheel — the default pending-event set.
+/// Width of one wheel bucket: 64 ps, a fraction of one gate delay, so
+/// consecutive ring events land a few buckets ahead of the cursor and
+/// rarely force a re-sort of the bucket being drained. A power of two,
+/// so its reciprocal is exact and bucket indices are bit-identical to
+/// dividing by the width.
+const BUCKET_WIDTH_PS: f64 = 64.0;
+
+/// Two-level timing wheel — the simulator's pending-event set.
 ///
 /// The **near window** is a ring of [`WHEEL_SLOTS`] buckets of
-/// `bucket_width_ps` picoseconds each, covering the time span right
+/// [`BUCKET_WIDTH_PS`] picoseconds each, covering the time span right
 /// ahead of the cursor; events beyond it overflow into a **far** map of
 /// coarse buckets keyed by absolute bucket index. Ring-oscillator
 /// workloads schedule every event at most a few gate delays ahead, so
@@ -228,9 +122,9 @@ const WHEEL_SLOTS: usize = 256;
 ///
 /// * `push` is a multiply, a mask and a `Vec::push` — O(1), and after
 ///   warm-up allocation-free (bucket vectors retain their capacity);
-/// * `pop` pops the tail of the current bucket — O(1) amortized, with
-///   one O(k log k) lazy sort per bucket generation (k = events that
-///   landed in the bucket);
+/// * `pop_at_or_before` pops the tail of the current bucket — O(1)
+///   amortized, with one O(k log k) lazy sort per bucket generation
+///   (k = events that landed in the bucket);
 /// * far-window events (long timers) pay one `BTreeMap` operation each,
 ///   amortized into the window advance.
 ///
@@ -245,7 +139,7 @@ const WHEEL_SLOTS: usize = 256;
 /// cursor bucket, which preserves the pop order — see the proof sketch
 /// in `docs/engine_perf.md`.
 #[derive(Debug)]
-pub struct WheelQueue {
+pub(crate) struct WheelQueue {
     /// The near ring; bucket for absolute index `b` lives at
     /// `b % WHEEL_SLOTS`.
     slots: Box<[LazyBucket]>,
@@ -255,9 +149,6 @@ pub struct WheelQueue {
     /// Overflow: absolute bucket index -> events, for buckets at or
     /// beyond `cur + WHEEL_SLOTS`.
     far: BTreeMap<u64, Vec<ScheduledEvent>>,
-    /// Reciprocal of the bucket width (multiplication beats division on
-    /// the push hot path; monotonicity in time is all that matters).
-    inv_width: f64,
     /// Events in the near ring.
     near_len: usize,
     /// Total pending events (near + far).
@@ -265,47 +156,31 @@ pub struct WheelQueue {
 }
 
 impl WheelQueue {
-    /// Default bucket width: 64 ps, a fraction of one gate delay, so
-    /// consecutive ring events land a few buckets ahead of the cursor
-    /// and rarely force a re-sort of the bucket being drained.
-    pub const DEFAULT_BUCKET_WIDTH_PS: f64 = 64.0;
-
-    /// Creates an empty wheel with the default bucket width.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::with_bucket_width(Self::DEFAULT_BUCKET_WIDTH_PS)
-    }
-
-    /// Creates an empty wheel with an explicit bucket width in
-    /// picoseconds.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bucket_width_ps` is not finite and positive.
-    #[must_use]
-    pub fn with_bucket_width(bucket_width_ps: f64) -> Self {
-        assert!(
-            bucket_width_ps.is_finite() && bucket_width_ps > 0.0,
-            "bucket width must be positive, got {bucket_width_ps}"
-        );
+    /// Creates an empty wheel.
+    pub(crate) fn new() -> Self {
         let mut slots = Vec::with_capacity(WHEEL_SLOTS);
         slots.resize_with(WHEEL_SLOTS, LazyBucket::default);
         WheelQueue {
             slots: slots.into_boxed_slice(),
             cur: 0,
             far: BTreeMap::new(),
-            inv_width: bucket_width_ps.recip(),
             near_len: 0,
             len: 0,
         }
     }
 
+    /// Number of pending events.
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+
     /// Absolute bucket index of an instant. Monotone in `time`;
     /// saturates at 0 for (theoretical) negative instants.
     #[inline]
-    fn bucket_of(&self, time: Time) -> u64 {
-        // `as` saturates: negatives -> 0, huge -> u64::MAX.
-        (time.as_ps() * self.inv_width) as u64
+    fn bucket_of(time: Time) -> u64 {
+        // Multiplying by the exact reciprocal beats a division on the
+        // push hot path. `as` saturates: negatives -> 0, huge -> u64::MAX.
+        (time.as_ps() * BUCKET_WIDTH_PS.recip()) as u64
     }
 
     #[inline]
@@ -369,23 +244,18 @@ impl WheelQueue {
         bucket.ensure_sorted();
         Some(bucket)
     }
-}
 
-impl Default for WheelQueue {
-    fn default() -> Self {
-        WheelQueue::new()
-    }
-}
-
-impl EventQueue for WheelQueue {
+    /// Inserts an event. The event's time is never earlier than the
+    /// time of the most recently popped event (simulation time is
+    /// monotone).
     #[inline]
-    fn push(&mut self, event: ScheduledEvent) {
+    pub(crate) fn push(&mut self, event: ScheduledEvent) {
         // Clamping to the cursor bucket keeps the order invariant even
         // if quantization places the event behind the cursor (event
         // times are never earlier than the last popped time, so the
         // clamp can only be triggered by float rounding at a bucket
         // boundary or by a cursor parked ahead after a bounded pop).
-        let bucket = self.bucket_of(event.time).max(self.cur);
+        let bucket = Self::bucket_of(event.time).max(self.cur);
         if bucket < self.cur + WHEEL_SLOTS as u64 {
             self.slots[Self::slot_of(bucket)].push(event);
             self.near_len += 1;
@@ -395,16 +265,15 @@ impl EventQueue for WheelQueue {
         self.len += 1;
     }
 
+    /// Removes and returns the earliest event **only if** it fires at
+    /// or before `horizon`; otherwise removes nothing and returns
+    /// `None` (the cursor may still park on the earliest bucket).
+    ///
+    /// This is the hot-path primitive behind
+    /// [`Simulator::run_until`](crate::Simulator::run_until): one call
+    /// per event locates the minimum once, instead of a peek + pop pair.
     #[inline]
-    fn pop(&mut self) -> Option<ScheduledEvent> {
-        let event = self.min_bucket()?.pop_min();
-        self.near_len -= 1;
-        self.len -= 1;
-        Some(event)
-    }
-
-    #[inline]
-    fn pop_at_or_before(&mut self, horizon: Time) -> Option<ScheduledEvent> {
+    pub(crate) fn pop_at_or_before(&mut self, horizon: Time) -> Option<ScheduledEvent> {
         let bucket = self.min_bucket()?;
         if bucket.ensure_min().expect("bucket is non-empty").time > horizon {
             return None;
@@ -415,122 +284,16 @@ impl EventQueue for WheelQueue {
         Some(event)
     }
 
-    fn peek_time(&mut self) -> Option<Time> {
-        self.min_bucket()
-            .map(|b| b.ensure_min().expect("bucket is non-empty").time)
-    }
-
-    fn len(&self) -> usize {
-        self.len
-    }
-}
-
-/// Calendar (bucketed) pending-event set.
-///
-/// Events are grouped into fixed-width time buckets held in a
-/// `BTreeMap`; the earliest bucket is sorted lazily (descending) so its
-/// minimum pops from the tail in O(1). For workloads whose pending
-/// events cluster in a narrow time window (like ring oscillators, where
-/// every stage fires within one period) this trades heap reshuffling
-/// for one amortized sort per bucket generation.
-#[derive(Debug)]
-pub struct CalendarQueue {
-    /// Bucket index -> lazily sorted events in that bucket.
-    buckets: BTreeMap<u64, LazyBucket>,
-    /// Width of one bucket, picoseconds.
-    bucket_width: f64,
-    len: usize,
-}
-
-impl CalendarQueue {
-    /// Creates an empty calendar queue with the given bucket width in
-    /// picoseconds.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bucket_width_ps` is not finite and positive.
-    #[must_use]
-    pub fn new(bucket_width_ps: f64) -> Self {
-        assert!(
-            bucket_width_ps.is_finite() && bucket_width_ps > 0.0,
-            "bucket width must be positive, got {bucket_width_ps}"
-        );
-        CalendarQueue {
-            buckets: BTreeMap::new(),
-            bucket_width: bucket_width_ps,
-            len: 0,
-        }
-    }
-
-    fn bucket_of(&self, time: Time) -> u64 {
-        let idx = (time.as_ps() / self.bucket_width).floor();
-        if idx <= 0.0 {
-            0
-        } else {
-            idx as u64
-        }
-    }
-
-    /// Sorts the earliest bucket if needed and returns a handle to it.
-    #[inline]
-    fn first_bucket(&mut self) -> Option<(u64, &mut LazyBucket)> {
-        let (&index, bucket) = self.buckets.iter_mut().next()?;
-        let _ = bucket.ensure_min();
-        Some((index, bucket))
-    }
-}
-
-impl Default for CalendarQueue {
-    /// A calendar queue with 100 ps buckets (roughly one gate delay).
-    fn default() -> Self {
-        CalendarQueue::new(100.0)
-    }
-}
-
-impl EventQueue for CalendarQueue {
-    fn push(&mut self, event: ScheduledEvent) {
-        let bucket = self.bucket_of(event.time);
-        self.buckets.entry(bucket).or_default().push(event);
-        self.len += 1;
-    }
-
+    /// Removes and returns the earliest event, or `None` when empty.
+    #[cfg(test)]
     fn pop(&mut self) -> Option<ScheduledEvent> {
-        let (index, bucket) = self.first_bucket()?;
-        let event = bucket.pop_min();
-        if bucket.is_empty() {
-            self.buckets.remove(&index);
-        }
-        self.len -= 1;
-        Some(event)
-    }
-
-    fn pop_at_or_before(&mut self, horizon: Time) -> Option<ScheduledEvent> {
-        let (index, bucket) = self.first_bucket()?;
-        if bucket.ensure_min()?.time > horizon {
-            return None;
-        }
-        let event = bucket.pop_min();
-        if bucket.is_empty() {
-            self.buckets.remove(&index);
-        }
-        self.len -= 1;
-        Some(event)
-    }
-
-    fn peek_time(&mut self) -> Option<Time> {
-        self.first_bucket()
-            .and_then(|(_, bucket)| bucket.ensure_min().map(|e| e.time))
-    }
-
-    fn len(&self) -> usize {
-        self.len
+        self.pop_at_or_before(Time::from_ps(f64::MAX))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::Occurrence;
     use crate::signal::{Bit, NetId};
 
     fn ev(time: f64, seq: u64) -> ScheduledEvent {
@@ -545,44 +308,12 @@ mod tests {
         }
     }
 
-    fn drain(queue: &mut dyn EventQueue) -> Vec<(f64, u64)> {
+    fn drain(queue: &mut WheelQueue) -> Vec<(f64, u64)> {
         let mut out = Vec::new();
         while let Some(e) = queue.pop() {
             out.push((e.time.as_ps(), e.seq));
         }
         out
-    }
-
-    #[test]
-    fn heap_orders_by_time_then_sequence() {
-        let mut q = BinaryHeapQueue::new();
-        q.push(ev(5.0, 1));
-        q.push(ev(1.0, 2));
-        q.push(ev(5.0, 0));
-        q.push(ev(3.0, 3));
-        assert_eq!(q.len(), 4);
-        assert_eq!(q.peek_time(), Some(Time::from_ps(1.0)));
-        assert_eq!(
-            drain(&mut q),
-            vec![(1.0, 2), (3.0, 3), (5.0, 0), (5.0, 1)]
-        );
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn calendar_orders_by_time_then_sequence() {
-        let mut q = CalendarQueue::new(2.0);
-        q.push(ev(5.0, 1));
-        q.push(ev(1.0, 2));
-        q.push(ev(5.0, 0));
-        q.push(ev(3.0, 3));
-        q.push(ev(0.0, 9));
-        assert_eq!(q.len(), 5);
-        assert_eq!(q.peek_time(), Some(Time::from_ps(0.0)));
-        assert_eq!(
-            drain(&mut q),
-            vec![(0.0, 9), (1.0, 2), (3.0, 3), (5.0, 0), (5.0, 1)]
-        );
     }
 
     #[test]
@@ -594,12 +325,11 @@ mod tests {
         q.push(ev(3.0, 3));
         q.push(ev(0.0, 9));
         assert_eq!(q.len(), 5);
-        assert_eq!(q.peek_time(), Some(Time::from_ps(0.0)));
         assert_eq!(
             drain(&mut q),
             vec![(0.0, 9), (1.0, 2), (3.0, 3), (5.0, 0), (5.0, 1)]
         );
-        assert!(q.is_empty());
+        assert_eq!(q.len(), 0);
     }
 
     #[test]
@@ -625,7 +355,7 @@ mod tests {
     fn wheel_interleaves_push_and_pop() {
         // Popping then pushing events near the cursor (including into
         // the bucket currently being drained) keeps the order exact.
-        let mut q = WheelQueue::with_bucket_width(10.0);
+        let mut q = WheelQueue::new();
         q.push(ev(5.0, 0));
         q.push(ev(6.0, 1));
         assert_eq!(q.pop().map(|e| e.seq), Some(0));
@@ -648,24 +378,20 @@ mod tests {
     /// the cursor or pop out of order.
     #[test]
     fn wheel_clamps_push_behind_parked_cursor() {
-        let mut q = WheelQueue::with_bucket_width(10.0);
-        // Park the cursor deep into the ring: pop an event at t=2005
-        // (bucket 200), leaving `cur` = 200 with an empty queue.
-        q.push(ev(2_005.0, 0));
+        let mut q = WheelQueue::new();
+        // Park the cursor deep into the ring: pop an event at
+        // t=12805 (bucket 200), leaving `cur` = 200 with an empty queue.
+        q.push(ev(12_805.0, 0));
         assert_eq!(q.pop().map(|e| e.seq), Some(0));
-        assert!(q.is_empty());
+        assert_eq!(q.len(), 0);
         // These quantize to buckets 0 and 1 — far behind the cursor —
         // and must clamp into bucket 200 while keeping (time, seq)
         // order among themselves and against an in-window push.
-        q.push(ev(15.0, 3));
+        q.push(ev(100.0, 3));
         q.push(ev(5.0, 2));
-        q.push(ev(2_010.0, 1));
+        q.push(ev(12_870.0, 1));
         assert_eq!(q.len(), 3);
-        assert_eq!(q.peek_time(), Some(Time::from_ps(5.0)));
-        assert_eq!(
-            drain(&mut q),
-            vec![(5.0, 2), (15.0, 3), (2_010.0, 1)]
-        );
+        assert_eq!(drain(&mut q), vec![(5.0, 2), (100.0, 3), (12_870.0, 1)]);
     }
 
     /// Invariant test: the clamp also holds when the cursor was parked
@@ -673,70 +399,53 @@ mod tests {
     /// bucket without consuming it) rather than by draining the queue.
     #[test]
     fn wheel_clamp_after_bounded_pop_keeps_order() {
-        let mut q = WheelQueue::with_bucket_width(10.0);
-        q.push(ev(500.0, 0));
+        let mut q = WheelQueue::new();
+        q.push(ev(3_200.0, 0));
         // The bounded pop repositions the cursor onto bucket 50 (the
         // earliest non-empty one) and returns nothing.
-        assert!(q.pop_at_or_before(Time::from_ps(100.0)).is_none());
+        assert!(q.pop_at_or_before(Time::from_ps(640.0)).is_none());
         // Bucket 3 quantization — behind the parked cursor.
-        q.push(ev(30.0, 1));
+        q.push(ev(192.0, 1));
         assert_eq!(
             drain(&mut q),
-            vec![(30.0, 1), (500.0, 0)],
+            vec![(192.0, 1), (3_200.0, 0)],
             "clamped event still pops before the later in-window event"
         );
     }
 
     #[test]
     fn pop_at_or_before_respects_horizon() {
-        for q in [
-            &mut BinaryHeapQueue::new() as &mut dyn EventQueue,
-            &mut CalendarQueue::new(3.0),
-            &mut WheelQueue::with_bucket_width(3.0),
-        ] {
-            q.push(ev(10.0, 0));
-            q.push(ev(20.0, 1));
-            assert!(q.pop_at_or_before(Time::from_ps(9.0)).is_none());
-            assert_eq!(q.len(), 2, "bounded pop must not consume");
-            assert_eq!(
-                q.pop_at_or_before(Time::from_ps(10.0)).map(|e| e.seq),
-                Some(0)
-            );
-            assert!(q.pop_at_or_before(Time::from_ps(15.0)).is_none());
-            assert_eq!(
-                q.pop_at_or_before(Time::from_ps(1e9)).map(|e| e.seq),
-                Some(1)
-            );
-            assert!(q.is_empty());
-        }
+        let mut q = WheelQueue::new();
+        q.push(ev(10.0, 0));
+        q.push(ev(20.0, 1));
+        assert!(q.pop_at_or_before(Time::from_ps(9.0)).is_none());
+        assert_eq!(q.len(), 2, "bounded pop must not consume");
+        assert_eq!(
+            q.pop_at_or_before(Time::from_ps(10.0)).map(|e| e.seq),
+            Some(0)
+        );
+        assert!(q.pop_at_or_before(Time::from_ps(15.0)).is_none());
+        assert_eq!(
+            q.pop_at_or_before(Time::from_ps(1e9)).map(|e| e.seq),
+            Some(1)
+        );
+        assert_eq!(q.len(), 0);
     }
 
     #[test]
-    fn calendar_handles_same_bucket_collisions() {
-        let mut q = CalendarQueue::new(1000.0);
-        for seq in (0..50).rev() {
-            q.push(ev(seq as f64, seq));
-        }
-        let drained = drain(&mut q);
-        let times: Vec<f64> = drained.iter().map(|&(t, _)| t).collect();
-        let mut sorted = times.clone();
-        sorted.sort_by(f64::total_cmp);
-        assert_eq!(times, sorted);
-    }
-
-    #[test]
-    fn calendar_single_bucket_drains_in_loglinear_time() {
-        // Regression guard for the old O(k^2) bucket pop (a linear
-        // min-scan per pop, re-scanned after every swap_remove): 30_000
-        // events in ONE bucket used to cost ~4.5e8 key comparisons to
-        // drain; the lazily sorted bucket needs one O(k log k) sort.
-        // The generous wall-clock bound only trips on a quadratic
-        // regression, not on machine noise.
+    fn wheel_single_bucket_drains_in_loglinear_time() {
+        // Regression guard for an O(k^2) bucket pop (a linear min-scan
+        // per pop): 30_000 events in ONE 64 ps bucket would cost ~4.5e8
+        // key comparisons to drain; the lazily sorted bucket needs one
+        // O(k log k) sort. The generous wall-clock bound only trips on
+        // a quadratic regression, not on machine noise.
         const EVENTS: u64 = 30_000;
-        let mut q = CalendarQueue::new(1e9);
+        let mut q = WheelQueue::new();
         for seq in (0..EVENTS).rev() {
-            q.push(ev(seq as f64, seq));
+            q.push(ev(seq as f64 * (BUCKET_WIDTH_PS / EVENTS as f64), seq));
         }
+        assert_eq!(q.near_len, EVENTS as usize);
+        assert_eq!(q.slots[0].events.len(), EVENTS as usize, "one bucket");
         let started = std::time::Instant::now();
         let drained = drain(&mut q);
         assert_eq!(drained.len(), EVENTS as usize);
@@ -751,54 +460,63 @@ mod tests {
         );
     }
 
-    #[test]
-    #[should_panic(expected = "positive")]
-    fn calendar_rejects_bad_width() {
-        let _ = CalendarQueue::new(0.0);
+    /// One step of a 64-bit LCG, returning the well-mixed high bits.
+    fn lcg(state: &mut u64) -> u64 {
+        *state = state
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        *state >> 33
     }
 
     #[test]
-    #[should_panic(expected = "positive")]
-    fn wheel_rejects_bad_width() {
-        let _ = WheelQueue::with_bucket_width(-1.0);
-    }
-
-    #[test]
-    fn queues_agree_on_random_workload() {
-        // Deterministic pseudo-random insert/pop interleaving across
-        // all three implementations.
-        let mut heap = BinaryHeapQueue::new();
-        let mut cal = CalendarQueue::new(7.0);
-        let mut wheel = WheelQueue::with_bucket_width(13.0);
-        let mut state = 0x9e3779b97f4a7c15u64;
-
-        let mut heap_out = Vec::new();
-        let mut cal_out = Vec::new();
-        let mut wheel_out = Vec::new();
-        for seq in 0..500 {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-            let t = (state >> 40) as f64 / 16.0;
-            let e = ev(t, seq);
-            heap.push(e);
-            cal.push(e);
-            wheel.push(e);
-            if state.is_multiple_of(3) {
-                heap_out.push(heap.pop().map(|e| e.key()));
-                cal_out.push(cal.pop().map(|e| e.key()));
-                wheel_out.push(wheel.pop().map(|e| e.key()));
+    fn wheel_matches_sorted_vec_oracle() {
+        // Deterministic pseudo-random interleaving of pushes, pops and
+        // bounded pops, driven the way the simulator drives the wheel:
+        // pushes land at `now + delay`, a pop advances `now` to the
+        // event, a bounded pop that returns nothing advances `now` to
+        // its horizon (parking the cursor ahead). Delays are mostly a
+        // few buckets, with some past the 16,384 ps near window.
+        let mut wheel = WheelQueue::new();
+        // Ascending by (time, seq): the oracle's minimum is its head.
+        let mut oracle: Vec<(f64, u64)> = Vec::new();
+        let mut now = 0.0_f64;
+        let mut state = 0x9e37_79b9_7f4a_7c15_u64;
+        for seq in 0..20_000 {
+            let roll = lcg(&mut state);
+            match roll % 8 {
+                0..=3 => {
+                    let delay = match lcg(&mut state) % 16 {
+                        0 => (lcg(&mut state) % 100_000) as f64,
+                        1 => 0.0,
+                        _ => (lcg(&mut state) % 512) as f64 / 4.0,
+                    };
+                    let key = (now + delay, seq);
+                    wheel.push(ev(key.0, key.1));
+                    let at = oracle.partition_point(|&entry| entry < key);
+                    oracle.insert(at, key);
+                }
+                4 | 5 => {
+                    let want = (!oracle.is_empty()).then(|| oracle.remove(0));
+                    let got = wheel.pop().map(|e| (e.time.as_ps(), e.seq));
+                    assert_eq!(got, want, "pop #{seq}");
+                    if let Some((t, _)) = got {
+                        now = t;
+                    }
+                }
+                _ => {
+                    let horizon = now + (lcg(&mut state) % 1_024) as f64;
+                    let due = oracle.first().is_some_and(|&(t, _)| t <= horizon);
+                    let want = due.then(|| oracle.remove(0));
+                    let got = wheel
+                        .pop_at_or_before(Time::from_ps(horizon))
+                        .map(|e| (e.time.as_ps(), e.seq));
+                    assert_eq!(got, want, "bounded pop #{seq}");
+                    now = got.map_or(horizon, |(t, _)| t);
+                }
             }
+            assert_eq!(wheel.len(), oracle.len());
         }
-        while let Some(e) = heap.pop() {
-            heap_out.push(Some(e.key()));
-        }
-        while let Some(e) = cal.pop() {
-            cal_out.push(Some(e.key()));
-        }
-        while let Some(e) = wheel.pop() {
-            wheel_out.push(Some(e.key()));
-        }
-        assert_eq!(heap_out, cal_out);
-        assert_eq!(heap_out, wheel_out);
+        assert_eq!(drain(&mut wheel), oracle);
     }
 
     #[test]
@@ -806,7 +524,7 @@ mod tests {
         // Steady-state pushes into the near window must not reallocate:
         // drain a bucket, push into it again, and the capacity is
         // retained (zero-allocation dispatch hot path).
-        let mut q = WheelQueue::with_bucket_width(10.0);
+        let mut q = WheelQueue::new();
         for i in 0..8 {
             q.push(ev(5.0, i));
         }

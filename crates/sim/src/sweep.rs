@@ -667,7 +667,7 @@ impl JobBudget {
     /// Applies the event ceiling to a simulator's step limit (no-op for
     /// an unlimited budget). The wall-clock half stays with the job —
     /// poll [`JobBudget::check`] between `run_until` segments.
-    pub fn apply_to<Q: crate::queue::EventQueue>(&self, sim: &mut crate::Simulator<Q>) {
+    pub fn apply_to(&self, sim: &mut crate::Simulator) {
         if let Some(limit) = self.max_events {
             sim.set_step_limit(limit);
         }

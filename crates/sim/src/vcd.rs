@@ -7,7 +7,6 @@
 use std::io::{self, Write};
 
 use crate::engine::Simulator;
-use crate::queue::EventQueue;
 use crate::signal::{Bit, NetId};
 use crate::trace::TraceSet;
 
@@ -88,7 +87,7 @@ pub fn write_vcd<W: Write>(
     Ok(())
 }
 
-impl<Q: EventQueue> Simulator<Q> {
+impl Simulator {
     /// Dumps all watched traces of this simulator as a VCD document.
     ///
     /// # Errors

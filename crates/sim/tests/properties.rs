@@ -2,32 +2,119 @@
 
 use proptest::prelude::*;
 
-use strent_sim::{
-    Bit, BinaryHeapQueue, CalendarQueue, Edge, EventQueue, SimStats, Simulator, Time, Trace,
-    WheelQueue,
-};
+use strent_sim::{Bit, Edge, EventId, NetId, SimStats, Simulator, Time, Trace};
 
-/// Strategy producing a list of (time, seq-order irrelevant) event times.
+/// Event times (or delays) that reach the timing wheel's edge cases:
+/// exact ties on a 16 ps grid across 64 ps bucket boundaries, both at
+/// the origin and at the 16,384 ps edge of the near window; a dense
+/// cluster inside four 64 ps buckets; and a spread far past the window.
 fn times() -> impl Strategy<Value = Vec<f64>> {
-    prop::collection::vec(0.0_f64..1e6, 1..200)
+    let time = (0_u8..4, 0_u32..16, 0.0_f64..256.0, 0.0_f64..1e6).prop_map(
+        |(kind, step, cluster, spread)| match kind {
+            0 => f64::from(step) * 16.0,
+            1 => 16_256.0 + f64::from(step) * 16.0,
+            2 => cluster,
+            _ => spread,
+        },
+    );
+    prop::collection::vec(time, 1..200)
 }
 
-/// Runs one injection workload and returns its observable outcome:
-/// every recorded transition plus the exact kernel statistics.
-fn run_workload<Q: EventQueue>(
-    mut sim: Simulator<Q>,
-    ts: &[f64],
-) -> (Vec<(Time, Bit)>, SimStats) {
-    let net = sim.add_net("n");
-    sim.watch(net).expect("net exists");
-    let mut level = Bit::Low;
-    for &t in ts {
-        level = !level;
-        sim.inject(net, level, t).expect("valid");
+/// A sorted-`Vec` model of the kernel for drives on one net: pending
+/// `(time, seq, level, cancelled)` entries, drained in `(time, seq)`
+/// order. It predicts every trace transition and the exact `SimStats`.
+#[derive(Default)]
+struct Oracle {
+    now: Time,
+    next_seq: u64,
+    pending: Vec<(Time, u64, Bit, bool)>,
+    level: Bit,
+    transitions: Vec<(Time, Bit)>,
+    stats: SimStats,
+}
+
+impl Oracle {
+    /// Schedules a drive `delay_ps` from now; the handle is its sequence
+    /// number.
+    fn inject(&mut self, level: Bit, delay_ps: f64) -> u64 {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.pending.push((self.now + delay_ps, seq, level, false));
+        seq
     }
-    sim.run_until(Time::from_ps(2e6)).expect("no limit");
-    let transitions = sim.trace(net).expect("watched").transitions().to_vec();
-    (transitions, sim.stats())
+
+    /// Marks a pending drive cancelled; a fired handle is a no-op.
+    fn cancel(&mut self, seq: u64) {
+        if let Some(entry) = self.pending.iter_mut().find(|e| e.1 == seq) {
+            entry.3 = true;
+        }
+    }
+
+    fn run_until(&mut self, horizon: Time) {
+        self.pending.sort_by_key(|e| (e.0, e.1));
+        let due = self.pending.partition_point(|e| e.0 <= horizon);
+        for (time, _, level, cancelled) in self.pending.drain(..due) {
+            if cancelled {
+                self.stats.events_cancelled += 1;
+                continue;
+            }
+            self.now = time;
+            self.stats.events_processed += 1;
+            if level == self.level {
+                self.stats.drives_suppressed += 1;
+            } else {
+                self.level = level;
+                self.transitions.push((time, level));
+            }
+        }
+        self.now = self.now.max(horizon);
+    }
+}
+
+/// The kernel and its oracle, driven call for call by one workload.
+struct Lockstep {
+    sim: Simulator,
+    net: NetId,
+    oracle: Oracle,
+}
+
+impl Lockstep {
+    fn new() -> Self {
+        let mut sim = Simulator::new(7);
+        let net = sim.add_net("n");
+        sim.watch(net).expect("net exists");
+        Lockstep {
+            sim,
+            net,
+            oracle: Oracle::default(),
+        }
+    }
+
+    fn inject(&mut self, level: Bit, delay_ps: f64) -> (EventId, u64) {
+        let id = self.sim.inject(self.net, level, delay_ps).expect("valid");
+        (id, self.oracle.inject(level, delay_ps))
+    }
+
+    fn cancel(&mut self, (id, seq): (EventId, u64)) {
+        self.sim.cancel(id);
+        self.oracle.cancel(seq);
+    }
+
+    fn run_until(&mut self, horizon_ps: f64) {
+        let horizon = Time::from_ps(horizon_ps);
+        self.sim.run_until(horizon).expect("no limit");
+        self.oracle.run_until(horizon);
+    }
+
+    /// The kernel's and the oracle's observable outcome: every recorded
+    /// transition plus the exact statistics.
+    fn outcomes(&self) -> [(Vec<(Time, Bit)>, SimStats); 2] {
+        let trace = self.sim.trace(self.net).expect("watched");
+        [
+            (trace.transitions().to_vec(), self.sim.stats()),
+            (self.oracle.transitions.clone(), self.oracle.stats),
+        ]
+    }
 }
 
 /// Runs a workload with interleaved cancellations and partial horizons:
@@ -35,87 +122,72 @@ fn run_workload<Q: EventQueue>(
 /// (some before any run, some after a partial run when their siblings
 /// already fired), and the sim runs to an intermediate horizon between
 /// the batches.
-fn run_cancelling_workload<Q: EventQueue>(
-    mut sim: Simulator<Q>,
-    ts: &[f64],
-    mask: &[bool],
-    split: usize,
-) -> (Vec<(Time, Bit)>, SimStats) {
-    let net = sim.add_net("n");
-    sim.watch(net).expect("net exists");
+fn run_cancelling_workload(ts: &[f64], mask: &[bool], split: usize) -> Lockstep {
+    let mut run = Lockstep::new();
     let split = split.min(ts.len());
     let mut level = Bit::Low;
     let mut first_ids = Vec::new();
     for &t in &ts[..split] {
         level = !level;
-        first_ids.push(sim.inject(net, level, t).expect("valid"));
+        first_ids.push(run.inject(level, t));
     }
     // Cancel the masked half of the first batch up front...
     for (i, &id) in first_ids.iter().enumerate() {
         if mask[i % mask.len()] {
-            sim.cancel(id);
+            run.cancel(id);
         }
     }
     // ...run half the horizon, so the rest of the batch fires...
-    sim.run_until(Time::from_ps(5e5)).expect("no limit");
+    run.run_until(5e5);
     // ...then cancel everything in the first batch again: pending
     // events get cancelled once (idempotent), fired ones are stale
     // handles that must hit nothing, even where slots were recycled.
     for &id in &first_ids {
-        sim.cancel(id);
+        run.cancel(id);
     }
     // Second batch scheduled relative to the advanced current time.
     let mut second_ids = Vec::new();
     for &t in &ts[split..] {
         level = !level;
-        second_ids.push(sim.inject(net, level, t).expect("valid"));
+        second_ids.push(run.inject(level, t));
     }
     for (i, &id) in second_ids.iter().enumerate() {
         if mask[(i + 1) % mask.len()] {
-            sim.cancel(id);
+            run.cancel(id);
         }
     }
-    sim.run_until(Time::from_ps(2e6)).expect("no limit");
-    let transitions = sim.trace(net).expect("watched").transitions().to_vec();
-    (transitions, sim.stats())
+    run.run_until(2e6);
+    run
 }
 
 proptest! {
-    /// All three queue implementations pop any workload in identical
-    /// order.
+    /// The kernel pops any injection workload in exactly the order the
+    /// sorted-`Vec` oracle predicts.
     #[test]
-    fn queues_are_equivalent(ts in times(), width in 1.0_f64..10_000.0) {
-        let heap = run_workload(Simulator::with_queue(7, BinaryHeapQueue::new()), &ts);
-        let cal = run_workload(Simulator::with_queue(7, CalendarQueue::new(width)), &ts);
-        let wheel = run_workload(Simulator::with_queue(7, WheelQueue::new()), &ts);
-        let narrow = run_workload(
-            Simulator::with_queue(7, WheelQueue::with_bucket_width(width)),
-            &ts,
-        );
-        prop_assert_eq!(&heap, &cal);
-        prop_assert_eq!(&heap, &wheel);
-        prop_assert_eq!(&heap, &narrow);
+    fn kernel_matches_sorted_oracle(ts in times()) {
+        let mut run = Lockstep::new();
+        let mut level = Bit::Low;
+        for &t in &ts {
+            level = !level;
+            run.inject(level, t);
+        }
+        run.run_until(2e6);
+        let [kernel, oracle] = run.outcomes();
+        prop_assert_eq!(kernel, oracle);
     }
 
     /// Interleaving cancellations (fresh, duplicate and stale handles)
-    /// with partial runs leaves all three queues in agreement, down to
-    /// the exact cancellation counters.
+    /// with partial runs keeps the kernel and the oracle in agreement,
+    /// down to the exact cancellation counters.
     #[test]
-    fn queues_are_equivalent_under_cancellation(
+    fn kernel_matches_sorted_oracle_under_cancellation(
         ts in times(),
         mask in prop::collection::vec(any::<bool>(), 1..32),
         split_num in 0_usize..=100,
-        width in 1.0_f64..10_000.0,
     ) {
         let split = ts.len() * split_num / 100;
-        let heap = run_cancelling_workload(
-            Simulator::with_queue(7, BinaryHeapQueue::new()), &ts, &mask, split);
-        let cal = run_cancelling_workload(
-            Simulator::with_queue(7, CalendarQueue::new(width)), &ts, &mask, split);
-        let wheel = run_cancelling_workload(
-            Simulator::with_queue(7, WheelQueue::new()), &ts, &mask, split);
-        prop_assert_eq!(&heap, &cal);
-        prop_assert_eq!(&heap, &wheel);
+        let [kernel, oracle] = run_cancelling_workload(&ts, &mask, split).outcomes();
+        prop_assert_eq!(kernel, oracle);
     }
 
     /// Trace transitions are always strictly alternating in level and

@@ -132,25 +132,6 @@ pub fn autocorrelation(bits: &BitString, lag: usize) -> Result<f64, TrngError> {
     Ok(cov / var)
 }
 
-/// The theoretical lower bound on per-bit Shannon entropy of an
-/// elementary RO-TRNG as a function of the quality factor
-/// `q = sigma_acc / T` (from the Gaussian phase-diffusion model used in
-/// the paper's ref \[2\] lineage): for large `q` the entropy tends to 1
-/// exponentially; for small `q` it collapses.
-///
-/// This closed form uses the dominant harmonic of the phase-diffusion
-/// Fourier series: `H ~ 1 - (4 / (pi^2 ln 2)) exp(-2 pi^2 q^2)`.
-#[must_use]
-pub fn elementary_entropy_bound(quality_factor: f64) -> f64 {
-    if quality_factor <= 0.0 {
-        return 0.0;
-    }
-    let h = 1.0
-        - (4.0 / (std::f64::consts::PI.powi(2) * std::f64::consts::LN_2))
-            * (-2.0 * std::f64::consts::PI.powi(2) * quality_factor * quality_factor).exp();
-    h.clamp(0.0, 1.0)
-}
-
 /// Order-`k` Markov *min*-entropy estimate of a delivered bitstream,
 /// delegating to [`strent_analysis::markov`]: upper-confidence
 /// transition probabilities (small-sample haircut), most-likely-path
@@ -256,21 +237,6 @@ mod tests {
         let fair = random_bits(10_000, 3);
         assert!((collision_entropy(&fair).expect("enough") - 1.0).abs() < 0.01);
         assert!(collision_entropy(&random_bits(10, 3)).is_err());
-    }
-
-    #[test]
-    fn entropy_bound_shape() {
-        assert_eq!(elementary_entropy_bound(0.0), 0.0);
-        // Monotone increasing.
-        let qs = [0.05, 0.1, 0.2, 0.4, 0.8];
-        for w in qs.windows(2) {
-            assert!(
-                elementary_entropy_bound(w[0]) <= elementary_entropy_bound(w[1]),
-                "bound must be monotone"
-            );
-        }
-        // Near 1 for high quality.
-        assert!(elementary_entropy_bound(1.0) > 0.999);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Chaos drill for `strent-serve`: injects a seed-deterministic fault
 //! plan into a live service and asserts the self-healing contract,
-//! emitting `BENCH_chaos.json` (schema `strentropy-bench-chaos/1`) with
+//! emitting `BENCH_chaos.json` (schema `strentropy-bench-chaos/2`) with
 //! five sections:
 //!
 //! * `determinism` — deterministic round-barrier runs at 1, 2 and 8
@@ -9,12 +9,12 @@
 //!   served byte stream must be bit-identical in every run, proving
 //!   recovery is byte-transparent;
 //! * `recovery` — a fair-mode run with the plan's scheduler panic and
-//!   stall armed, every grant latency measured: the service must
+//!   stall injected, every grant latency measured: the service must
 //!   restart, serve every request, and keep the worst grant under the
 //!   recovery bound (no unbounded outage, no silent drop);
-//! * `quarantine_storm` — a shard driven through its restart budget by
-//!   a panic-on-every-poll storm must escalate, be quarantined, and
-//!   have new clients rerouted to its healthy sibling;
+//! * `quarantine_storm` — a shard sent one panic more than its restart
+//!   budget must escalate, be quarantined, and have new clients
+//!   rerouted to its healthy sibling;
 //! * `uds` — misbehaving socket clients against the poll frontend:
 //!   slowloris (reaped by the idle timeout), poison frames (typed `ERR`
 //!   under the error budget, closed past it, with a valid request still
@@ -26,6 +26,9 @@
 //!
 //! Every injection parameter derives from `--seed` (see
 //! `strent_serve::chaos::ChaosPlan`); the drill replays identically.
+//! Scheduler faults are messages (`EntropyService::inject`) that a
+//! drill client queues right before a given request index, so they
+//! fire between two grants.
 //! The JSON is hand-formatted — the workspace builds offline against
 //! stub crates, so no serializer is assumed.
 //!
@@ -41,7 +44,7 @@ use std::time::{Duration, Instant};
 
 use strent_serve::wire::{self, OP_ERR, OP_HELLO, OP_HELLO_OK, OP_OK, OP_REQ};
 use strent_serve::{
-    ChaosInjector, ChaosPlan, EntropyService, RestartPolicy, SchedulerMode, ServeConfig,
+    ChaosAction, ChaosPlan, EntropyService, RestartPolicy, SchedulerMode, ServeConfig,
     ServerOptions, UdsClient, UdsServer,
 };
 use strent_trng::postprocess::ConditionerKind;
@@ -119,6 +122,35 @@ fn arm_worker_panic(config: &mut PoolConfig, plan: &ChaosPlan) {
             .with_panic_after(plan.worker_panic_after_batches);
 }
 
+/// The plan's scheduler faults as `(request index, fault)` pairs: a
+/// drill client queues each fault right before that request. An index
+/// past a short trace lands before its last request, so every chaos-on
+/// run injects both.
+fn scheduler_faults(plan: &ChaosPlan, requests: usize) -> [(usize, ChaosAction); 2] {
+    let at = |after: u64| usize::try_from(after).map_or(requests - 1, |k| k.min(requests - 1));
+    [
+        (at(plan.scheduler_panic_after_request), ChaosAction::Panic),
+        (
+            at(plan.scheduler_stall_after_request),
+            ChaosAction::Stall(Duration::from_millis(plan.stall_ms)),
+        ),
+    ]
+}
+
+/// Queues into scheduler unit 0 every fault due before request `round`.
+fn inject_due(
+    service: &EntropyService,
+    faults: &[(usize, ChaosAction)],
+    round: usize,
+) -> Result<(), String> {
+    for &(_, fault) in faults.iter().filter(|&&(at, _)| at == round) {
+        service
+            .inject(0, fault)
+            .map_err(|e| format!("inject failed: {e}"))?;
+    }
+    Ok(())
+}
+
 /// FNV-1a 64-bit — a stable stream digest with no dependencies.
 fn fnv1a(bytes: &[u8]) -> u64 {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
@@ -141,19 +173,20 @@ fn request_size(options: &Options, client: usize, round: usize) -> usize {
 // ---------------------------------------------------------------------
 
 /// One deterministic-mode run, optionally with the full chaos plan
-/// injected. Returns the concatenated served stream (client order) and
-/// the number of injected-fault incidents recorded.
+/// injected (client 0 queues the scheduler faults). Returns the
+/// concatenated served stream (client order) and the number of
+/// injected-fault incidents recorded.
 fn deterministic_run(
     options: &Options,
     shards: usize,
     chaos_seed: Option<u64>,
 ) -> Result<(Vec<u8>, usize), String> {
     let mut pool = chaos_pool(options.clients.max(2), options.seed);
-    let mut chaos = None;
+    let mut faults = Vec::new();
     if let Some(seed) = chaos_seed {
         let plan = ChaosPlan::derive(seed);
         arm_worker_panic(&mut pool, &plan);
-        chaos = Some(ChaosInjector::from_plan(&plan, 1));
+        faults.extend(scheduler_faults(&plan, options.requests));
     }
     let mut config = ServeConfig::new(
         pool,
@@ -163,32 +196,41 @@ fn deterministic_run(
     );
     config.workers = 2;
     config.shards = shards;
-    config.chaos = chaos;
     let service =
         EntropyService::start(&config).map_err(|e| format!("service start failed: {e}"))?;
-    let mut handles = Vec::new();
+    let mut clients = Vec::new();
     for client_id in 0..options.clients {
         let client = service
             .connect(u32::try_from(client_id).expect("small id"))
             .map_err(|e| format!("client {client_id} failed to register: {e}"))?;
-        let sizes: Vec<usize> = (0..options.requests)
-            .map(|round| request_size(options, client_id, round))
-            .collect();
-        handles.push(thread::spawn(move || {
-            let mut stream = Vec::new();
-            for nbytes in sizes {
-                match client.request(nbytes) {
-                    Ok(grant) => stream.extend(grant),
-                    Err(e) => return Err(format!("grant failed: {e}")),
-                }
-            }
-            client.close();
-            Ok(stream)
-        }));
+        clients.push(client);
     }
+    let streams = thread::scope(|scope| {
+        let handles: Vec<_> = clients
+            .into_iter()
+            .enumerate()
+            .map(|(client_id, client)| {
+                let service = &service;
+                let faults = if client_id == 0 { &faults[..] } else { &[] };
+                scope.spawn(move || {
+                    let mut stream = Vec::new();
+                    for round in 0..options.requests {
+                        inject_due(service, faults, round)?;
+                        match client.request(request_size(options, client_id, round)) {
+                            Ok(grant) => stream.extend(grant),
+                            Err(e) => return Err(format!("grant failed: {e}")),
+                        }
+                    }
+                    client.close();
+                    Ok(stream)
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join()).collect::<Vec<_>>()
+    });
     let mut concat = Vec::new();
-    for (client_id, handle) in handles.into_iter().enumerate() {
-        match handle.join() {
+    for (client_id, joined) in streams.into_iter().enumerate() {
+        match joined {
             Ok(Ok(stream)) => concat.extend(stream),
             Ok(Err(e)) => return Err(format!("client {client_id}: {e}")),
             Err(_) => return Err(format!("client {client_id} panicked")),
@@ -264,28 +306,28 @@ struct RecoverySection {
     bound_ms: f64,
     restarts: usize,
     panics: usize,
-    stalls: u64,
     bounded: bool,
 }
 
-/// Fair-mode service with the plan's scheduler panic and stall armed on
-/// its one shard; every grant is timed through the outage.
+/// Fair-mode service whose one shard gets the plan's scheduler panic
+/// and stall at their request indices; every grant is timed through
+/// the outage.
 fn recovery(options: &Options) -> Result<RecoverySection, String> {
     let plan = ChaosPlan::derive(options.seed);
-    let injector = ChaosInjector::from_plan(&plan, 1);
     let mut config = ServeConfig::new(
         chaos_pool(2, options.seed),
         SchedulerMode::Fair { max_in_flight: 8 },
     );
     config.shards = 1;
-    config.chaos = Some(injector.clone());
     let service =
         EntropyService::start(&config).map_err(|e| format!("service start failed: {e}"))?;
     let client = service.connect(0).map_err(|e| format!("register: {e}"))?;
     let requests = (options.requests * 4).max(16);
+    let faults = scheduler_faults(&plan, requests);
     let mut grants = 0usize;
     let mut max_grant_ms = 0f64;
     for round in 0..requests {
+        inject_due(&service, &faults, round)?;
         let nbytes = request_size(options, 0, round);
         let begin = Instant::now();
         let grant = client
@@ -300,7 +342,6 @@ fn recovery(options: &Options) -> Result<RecoverySection, String> {
     client.close();
     let restarts = service.incidents().count_of("restarted");
     let panics = service.incidents().count_of("panic");
-    let stalls = injector.stalls_fired();
     service
         .shutdown()
         .map_err(|e| format!("shutdown failed: {e}"))?;
@@ -314,7 +355,6 @@ fn recovery(options: &Options) -> Result<RecoverySection, String> {
         bound_ms: RECOVERY_BOUND_MS,
         restarts,
         panics,
-        stalls,
         bounded: grants == requests && max_grant_ms < RECOVERY_BOUND_MS,
     })
 }
@@ -330,15 +370,15 @@ struct QuarantineSection {
     wait_ms: f64,
 }
 
-/// Drives fair shard 0 through its restart budget with a
-/// panic-on-every-poll storm; shard 1 must absorb the rerouted client.
+/// Drives fair shard 0 through its restart budget with one queued
+/// panic more than the budget allows; shard 1 must absorb the
+/// rerouted client.
 fn quarantine_storm(options: &Options) -> Result<QuarantineSection, String> {
     let mut config = ServeConfig::new(
         chaos_pool(2, options.seed),
         SchedulerMode::Fair { max_in_flight: 8 },
     );
     config.shards = 2;
-    config.chaos = Some(ChaosInjector::escalation_storm(0, 2));
     // A tight budget so the storm escalates in milliseconds.
     config.restart = RestartPolicy {
         initial_backoff: Duration::from_micros(50),
@@ -350,6 +390,11 @@ fn quarantine_storm(options: &Options) -> Result<QuarantineSection, String> {
     let service =
         EntropyService::start(&config).map_err(|e| format!("service start failed: {e}"))?;
     let begin = Instant::now();
+    for _ in 0..=config.restart.max_restarts {
+        service
+            .inject(0, ChaosAction::Panic)
+            .map_err(|e| format!("inject failed: {e}"))?;
+    }
     let deadline = begin + Duration::from_secs(30);
     while !service.quarantined()[0] && Instant::now() < deadline {
         thread::sleep(Duration::from_millis(2));
@@ -673,7 +718,7 @@ fn emit_json(
     let plan = ChaosPlan::derive(options.seed);
     let mut json = String::new();
     json.push_str("{\n");
-    let _ = writeln!(json, "  \"schema\": \"strentropy-bench-chaos/1\",");
+    let _ = writeln!(json, "  \"schema\": \"strentropy-bench-chaos/2\",");
     let _ = writeln!(
         json,
         "  \"effort\": \"{}\",",
@@ -683,13 +728,13 @@ fn emit_json(
     let _ = writeln!(
         json,
         "  \"plan\": {{\"worker_panic_source\": {}, \"worker_panic_after_batches\": {}, \
-         \"scheduler_panic_at_tick\": {}, \"scheduler_stall_at_tick\": {}, \
+         \"scheduler_panic_after_request\": {}, \"scheduler_stall_after_request\": {}, \
          \"stall_ms\": {}, \"malformed_opcode\": \"0x{:02x}\", \
          \"partial_write_len\": {}, \"disconnect_after_requests\": {}}},",
         plan.worker_panic_source,
         plan.worker_panic_after_batches,
-        plan.scheduler_panic_at_tick,
-        plan.scheduler_stall_at_tick,
+        plan.scheduler_panic_after_request,
+        plan.scheduler_stall_after_request,
         plan.stall_ms,
         plan.malformed_opcode,
         plan.partial_write_len,
@@ -726,7 +771,6 @@ fn emit_json(
     let _ = writeln!(json, "    \"bound_ms\": {:.1},", recovery.bound_ms);
     let _ = writeln!(json, "    \"panics\": {},", recovery.panics);
     let _ = writeln!(json, "    \"restarts\": {},", recovery.restarts);
-    let _ = writeln!(json, "    \"stalls\": {},", recovery.stalls);
     let _ = writeln!(json, "    \"bounded\": {}", recovery.bounded);
     json.push_str("  },\n");
 
@@ -804,8 +848,8 @@ fn main() -> ExitCode {
         }
     };
     eprintln!(
-        "# recovery: {}/{} grants, worst {:.1}ms (bound {:.0}ms), {} restarts, {} stalls",
-        rec.grants, rec.requests, rec.max_grant_ms, rec.bound_ms, rec.restarts, rec.stalls
+        "# recovery: {}/{} grants, worst {:.1}ms (bound {:.0}ms), {} restarts",
+        rec.grants, rec.requests, rec.max_grant_ms, rec.bound_ms, rec.restarts
     );
     let storm = match quarantine_storm(&options) {
         Ok(s) => s,

@@ -38,14 +38,17 @@
 //! (default `--quick`, `BENCH_serve.json` in the current directory).
 
 use std::fmt::Write as _;
+use std::io::Read;
+use std::os::unix::net::UnixStream;
 use std::process::ExitCode;
-use std::sync::mpsc;
+use std::sync::{mpsc, Arc};
 use std::thread;
 use std::time::{Duration, Instant};
 
 use strent_serve::mux::{self, LoadMode, MuxConfig, MuxReport};
 use strent_serve::{
-    EntropyService, RateLimit, SchedulerMode, ServeConfig, SourcePool, UdsClient, UdsServer,
+    ChaosAction, CompletionQueue, EntropyService, RateLimit, SchedulerMode, ServeConfig,
+    ServeError, SourcePool, UdsClient, UdsServer,
 };
 use strent_sim::{Bit, FaultPlan};
 use strent_trng::bits::BitString;
@@ -318,8 +321,10 @@ impl LoadPoint {
 }
 
 /// Starts a fair-mode service + UDS server on a fresh temp socket, runs
-/// one mux session against it, and tears both down.
-fn socket_run(
+/// one mux session against it, then `then` against the live service
+/// and socket, and tears both down.
+#[allow(clippy::too_many_arguments)]
+fn socket_run<T>(
     pool: PoolConfig,
     shards: usize,
     max_in_flight: usize,
@@ -327,7 +332,8 @@ fn socket_run(
     shed_limit: Option<usize>,
     mux_config: &MuxConfig,
     tag: &str,
-) -> Result<(MuxReport, u64, u64), String> {
+    then: impl FnOnce(&EntropyService, &str) -> Result<T, String>,
+) -> Result<(MuxReport, u64, u64, T), String> {
     let mut config = ServeConfig::new(pool, SchedulerMode::Fair { max_in_flight });
     config.shards = shards;
     config.rate_limit = rate_limit;
@@ -342,6 +348,7 @@ fn socket_run(
         .map_err(|e| format!("{tag}: server start: {e}"))?;
     let stats = server.stats();
     let report = mux::run(&socket, mux_config).map_err(|e| format!("{tag}: mux: {e}"))?;
+    let after = then(&service, &socket).map_err(|e| format!("{tag}: {e}"))?;
     let accepted = stats.accepted();
     let accept_errors = stats.accept_errors();
     server
@@ -350,7 +357,7 @@ fn socket_run(
     service
         .shutdown()
         .map_err(|e| format!("{tag}: service shutdown: {e}"))?;
-    Ok((report, accepted, accept_errors))
+    Ok((report, accepted, accept_errors, after))
 }
 
 fn point_from(label: f64, mut report: MuxReport) -> LoadPoint {
@@ -391,7 +398,7 @@ fn closed_loop(options: &Options) -> Result<ClosedLoopSection, String> {
             retry_backpressure: true,
             deadline: Duration::from_secs(120),
         };
-        let (report, _, accept_errors) = socket_run(
+        let (report, _, accept_errors, ()) = socket_run(
             surrogate_pool(8, options.seed),
             4,
             64,
@@ -399,6 +406,7 @@ fn closed_loop(options: &Options) -> Result<ClosedLoopSection, String> {
             None,
             &mux_config,
             &format!("closed-{clients}"),
+            |_, _| Ok(()),
         )?;
         if accept_errors > 0 {
             return Err(format!("closed loop at {clients} clients: accept errors"));
@@ -446,7 +454,7 @@ fn open_loop(options: &Options, saturation_rps: f64) -> Result<OpenLoopSection, 
             retry_backpressure: false,
             deadline: Duration::from_secs(120),
         };
-        let (report, _, accept_errors) = socket_run(
+        let (report, _, accept_errors, ()) = socket_run(
             surrogate_pool(8, options.seed),
             4,
             64,
@@ -454,6 +462,7 @@ fn open_loop(options: &Options, saturation_rps: f64) -> Result<OpenLoopSection, 
             None,
             &mux_config,
             &format!("open-{}", (fraction * 100.0) as u32),
+            |_, _| Ok(()),
         )?;
         if accept_errors > 0 {
             return Err(format!("open loop at {fraction}x: accept errors"));
@@ -613,7 +622,11 @@ struct BackpressureSection {
 
 /// Starves every budget at once — a per-shard in-flight budget of 1, a
 /// trickle token bucket and a global shed watermark of 2 — and proves
-/// each typed class actually reaches clients over the wire.
+/// each typed class actually reaches clients over the wire. Under the
+/// mux load, `SHEDDING` needs both shards to hold admitted work at the
+/// same instant, which depends on how long grants take; [`held_shed`]
+/// then makes that overlap certain on the same service, and its reply
+/// counts with the mux's.
 fn backpressure_drill(options: &Options) -> Result<BackpressureSection, String> {
     let mux_config = MuxConfig {
         connections: 16,
@@ -628,7 +641,7 @@ fn backpressure_drill(options: &Options) -> Result<BackpressureSection, String> 
         bytes_per_sec: 4096.0,
         burst_bytes: 32.0,
     };
-    let (report, _, accept_errors) = socket_run(
+    let (report, _, accept_errors, held) = socket_run(
         surrogate_pool(4, options.seed),
         2,
         1,
@@ -636,17 +649,61 @@ fn backpressure_drill(options: &Options) -> Result<BackpressureSection, String> 
         Some(2),
         &mux_config,
         "backpressure",
+        held_shed,
     )?;
     if accept_errors > 0 {
         return Err("backpressure drill: accept errors".to_owned());
     }
+    let shed = report.shed + held;
     Ok(BackpressureSection {
         busy: report.busy,
         rate_limited: report.rate_limited,
-        shed: report.shed,
+        shed,
         grants: report.grants,
-        all_classes_observed: report.busy > 0 && report.rate_limited > 0 && report.shed > 0,
+        all_classes_observed: report.busy > 0 && report.rate_limited > 0 && shed > 0,
     })
+}
+
+/// Makes both shards hold admitted work at once, then sends one socket
+/// request into that overlap. Each shard is sent a stall, an in-process
+/// holder's request and a second stall; the first stall keeps the
+/// shard from serving until the other two are queued behind it, so the
+/// shard admits the request (its in-flight budget of 1) and stalls
+/// again with it queued. Shard 1 holds longest. A socket client homed
+/// on shard 0 then meets a service-wide queued count of 2, the
+/// watermark. Returns 1 if it was told `SHEDDING`, else 0.
+fn held_shed(service: &EntropyService, socket: &str) -> Result<u64, String> {
+    let held = || -> Result<u64, ServeError> {
+        // Registered before any stall: registration blocks the event
+        // loop until the home shard answers.
+        let mut probe = UdsClient::connect(socket, 100)?;
+        let (wake, mut wake_rx) = UnixStream::pair()?;
+        wake.set_nonblocking(true)?;
+        let grants = Arc::new(CompletionQueue::new(wake));
+        let mut holders = Vec::new();
+        for (shard, hold_ms) in [(0, 50), (1, 300)] {
+            let holder = service.connect(200 + shard)?;
+            let unit = shard as usize;
+            service.inject(unit, ChaosAction::Stall(Duration::from_millis(50)))?;
+            holder.request_queued(16, &grants, 0)?;
+            service.inject(unit, ChaosAction::Stall(Duration::from_millis(hold_ms)))?;
+            holders.push(holder);
+        }
+        let shed = match probe.request(16) {
+            Err(ServeError::Shedding { .. }) => 1,
+            Err(e) if e.backpressure().is_none() => return Err(e),
+            _ => 0,
+        };
+        // Both holders are granted once the stalls end.
+        wake_rx.set_read_timeout(Some(Duration::from_secs(30)))?;
+        let mut granted = 0;
+        while granted < holders.len() {
+            wake_rx.read_exact(&mut [0u8; 1])?;
+            granted += grants.drain().len();
+        }
+        Ok(shed)
+    };
+    held().map_err(|e| format!("held-work probe: {e}"))
 }
 
 // ---------------------------------------------------------------------

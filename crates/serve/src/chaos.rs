@@ -1,24 +1,24 @@
 //! Seed-deterministic chaos injection for the supervision drills.
 //!
 //! A [`ChaosPlan`] derives every injection parameter — which pool slot's
-//! worker panics and after how many delivered batches, which scheduler
-//! tick panics or stalls, how a misbehaving socket client misbehaves —
-//! from one seed with splitmix64 steps. No wall-clock or OS randomness
-//! is consulted, so a drill replays identically run after run, and the
-//! `serve_chaos` bench can assert that deterministic-mode served bytes
-//! are byte-identical with chaos on and off.
+//! worker panics and after how many delivered batches, after which
+//! request the scheduler panics or stalls, how a misbehaving socket
+//! client misbehaves — from one seed with splitmix64 steps. No
+//! wall-clock or OS randomness is consulted, so a drill replays
+//! identically run after run, and the `serve_chaos` bench can assert
+//! that deterministic-mode served bytes are byte-identical with chaos
+//! on and off.
 //!
-//! Server-side injection points are *clean loop boundaries only*: a
-//! [`ChaosInjector`] is polled at the top of a scheduler (or shard)
-//! loop iteration, before any message is taken or grant issued, and the
+//! Server-side faults land only at clean boundaries. A scheduler fault
+//! is a [`ChaosAction`] message queued by
+//! [`EntropyService::inject`](crate::EntropyService::inject): it fires
+//! when the unit handles it, between messages, never mid-grant. The
 //! worker-panic hook (`SourceSpec::panic_after_batches`) fires between
 //! batches, after the previous batch was delivered. Combined with
 //! survivor state held outside the unwind boundary
 //! ([`crate::supervisor::supervise`]) this is what makes recovery
 //! byte-transparent.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::Duration;
 
 /// One splitmix64 step (the workspace's standard seed mixer).
@@ -30,9 +30,9 @@ fn splitmix64(mut z: u64) -> u64 {
 }
 
 /// Every parameter of one chaos drill, derived deterministically from
-/// the seed. The server-side fields feed a [`ChaosInjector`] and the
-/// pool's worker-panic hook; the client-side fields script the
-/// misbehaving socket clients the `serve_chaos` bench runs.
+/// the seed. The server-side fields say which faults a drill injects
+/// and when; the client-side fields script the misbehaving socket
+/// clients the `serve_chaos` bench runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChaosPlan {
     /// The seed everything below is derived from.
@@ -41,10 +41,12 @@ pub struct ChaosPlan {
     pub worker_panic_source: usize,
     /// Batches that slot delivers before its worker panics once.
     pub worker_panic_after_batches: u64,
-    /// Scheduler loop tick (unit 0) at which a one-shot panic fires.
-    pub scheduler_panic_at_tick: u64,
-    /// Scheduler loop tick at which a one-shot stall fires.
-    pub scheduler_stall_at_tick: u64,
+    /// Requests a drill client completes before it queues one
+    /// scheduler panic.
+    pub scheduler_panic_after_request: u64,
+    /// Requests a drill client completes before it queues one
+    /// scheduler stall.
+    pub scheduler_stall_after_request: u64,
     /// Length of the injected stall, milliseconds.
     pub stall_ms: u64,
     /// An opcode no frame handler knows (poison-frame drill).
@@ -69,8 +71,8 @@ impl ChaosPlan {
         };
         let worker_panic_source = (next() % 4) as usize;
         let worker_panic_after_batches = 1 + next() % 3;
-        let scheduler_panic_at_tick = 2 + next() % 5;
-        let scheduler_stall_at_tick = scheduler_panic_at_tick + 3 + next() % 5;
+        let scheduler_panic_after_request = 2 + next() % 5;
+        let scheduler_stall_after_request = scheduler_panic_after_request + 3 + next() % 5;
         let stall_ms = 10 + next() % 25;
         // 0x40..0x5F: disjoint from every request (0x0x) and reply
         // (0x8x) opcode the protocol defines.
@@ -82,8 +84,8 @@ impl ChaosPlan {
             seed,
             worker_panic_source,
             worker_panic_after_batches,
-            scheduler_panic_at_tick,
-            scheduler_stall_at_tick,
+            scheduler_panic_after_request,
+            scheduler_stall_after_request,
             stall_ms,
             malformed_opcode,
             partial_write_len,
@@ -92,105 +94,14 @@ impl ChaosPlan {
     }
 }
 
-/// What an injection point is told to do.
+/// A scheduler fault, queued by
+/// [`EntropyService::inject`](crate::EntropyService::inject).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ChaosAction {
     /// Panic with an "injected" payload — the supervised restart path.
     Panic,
     /// Sleep for the given duration — the wedged-unit/liveness path.
     Stall(Duration),
-}
-
-/// Per-unit trigger state.
-#[derive(Debug, Default)]
-struct UnitChaos {
-    panic_at_tick: Option<u64>,
-    stall_at_tick: Option<u64>,
-    stall_ms: u64,
-    /// Fire a panic on *every* poll — the escalation-storm drill that
-    /// drives a unit through its restart budget into quarantine.
-    panic_always: bool,
-    panics_fired: AtomicU64,
-    stalls_fired: AtomicU64,
-}
-
-/// Tick-addressed chaos triggers for supervised scheduler units,
-/// polled at the top of each loop iteration. Unit 0 is the
-/// deterministic-mode scheduler or fair shard 0; unit `k` is fair
-/// shard `k`.
-#[derive(Debug)]
-pub struct ChaosInjector {
-    units: Vec<UnitChaos>,
-}
-
-impl ChaosInjector {
-    /// Arms the plan's scheduler panic and stall on unit 0 of `units`
-    /// supervised units (the other units run untouched).
-    #[must_use]
-    pub fn from_plan(plan: &ChaosPlan, units: usize) -> Arc<Self> {
-        let mut all: Vec<UnitChaos> = (0..units.max(1)).map(|_| UnitChaos::default()).collect();
-        all[0].panic_at_tick = Some(plan.scheduler_panic_at_tick);
-        all[0].stall_at_tick = Some(plan.scheduler_stall_at_tick);
-        all[0].stall_ms = plan.stall_ms;
-        Arc::new(ChaosInjector { units: all })
-    }
-
-    /// Arms a panic on every poll of `unit` — restarts burn through the
-    /// policy window until the unit escalates and is quarantined.
-    #[must_use]
-    pub fn escalation_storm(unit: usize, units: usize) -> Arc<Self> {
-        let mut all: Vec<UnitChaos> = (0..units.max(1)).map(|_| UnitChaos::default()).collect();
-        all[unit.min(units.saturating_sub(1))].panic_always = true;
-        Arc::new(ChaosInjector { units: all })
-    }
-
-    /// Consulted at a clean loop boundary: returns the action `unit`
-    /// must take at `tick`, if any. One-shot triggers fire exactly once
-    /// (on the first tick at or past their arming tick).
-    #[must_use]
-    pub fn poll(&self, unit: usize, tick: u64) -> Option<ChaosAction> {
-        let slot = self.units.get(unit)?;
-        if slot.panic_always {
-            slot.panics_fired.fetch_add(1, Ordering::Relaxed);
-            return Some(ChaosAction::Panic);
-        }
-        if let Some(at) = slot.stall_at_tick {
-            if tick >= at && fire_once(&slot.stalls_fired) {
-                return Some(ChaosAction::Stall(Duration::from_millis(slot.stall_ms)));
-            }
-        }
-        if let Some(at) = slot.panic_at_tick {
-            if tick >= at && fire_once(&slot.panics_fired) {
-                return Some(ChaosAction::Panic);
-            }
-        }
-        None
-    }
-
-    /// Total panics this injector has triggered.
-    #[must_use]
-    pub fn panics_fired(&self) -> u64 {
-        self.units
-            .iter()
-            .map(|u| u.panics_fired.load(Ordering::Relaxed))
-            .sum()
-    }
-
-    /// Total stalls this injector has triggered.
-    #[must_use]
-    pub fn stalls_fired(&self) -> u64 {
-        self.units
-            .iter()
-            .map(|u| u.stalls_fired.load(Ordering::Relaxed))
-            .sum()
-    }
-}
-
-/// True exactly once per counter.
-fn fire_once(counter: &AtomicU64) -> bool {
-    counter
-        .compare_exchange(0, 1, Ordering::SeqCst, Ordering::SeqCst)
-        .is_ok()
 }
 
 #[cfg(test)]
@@ -207,46 +118,11 @@ mod tests {
         // Structural invariants every plan must satisfy.
         for seed in 0..64u64 {
             let plan = ChaosPlan::derive(seed);
-            assert!(plan.scheduler_stall_at_tick > plan.scheduler_panic_at_tick);
+            assert!(plan.scheduler_stall_after_request > plan.scheduler_panic_after_request);
             assert!((0x40..0x60).contains(&plan.malformed_opcode));
             assert!((1..5).contains(&plan.partial_write_len), "inside the header");
             assert!(plan.worker_panic_after_batches >= 1);
             assert!(plan.disconnect_after_requests >= 1);
         }
-    }
-
-    #[test]
-    fn one_shot_triggers_fire_exactly_once() {
-        let plan = ChaosPlan::derive(3);
-        let injector = ChaosInjector::from_plan(&plan, 2);
-        // Ticks before the arming tick do nothing.
-        assert_eq!(injector.poll(0, 0), None);
-        // The stall is armed later than the panic, so the panic tick
-        // yields the panic; a tick past both yields the stall once.
-        assert_eq!(
-            injector.poll(0, plan.scheduler_panic_at_tick),
-            Some(ChaosAction::Panic)
-        );
-        let late = plan.scheduler_stall_at_tick + 10;
-        assert!(matches!(
-            injector.poll(0, late),
-            Some(ChaosAction::Stall(_))
-        ));
-        assert_eq!(injector.poll(0, late + 1), None, "both triggers spent");
-        // Unit 1 is untouched, as is an out-of-range unit.
-        assert_eq!(injector.poll(1, late), None);
-        assert_eq!(injector.poll(9, late), None);
-        assert_eq!(injector.panics_fired(), 1);
-        assert_eq!(injector.stalls_fired(), 1);
-    }
-
-    #[test]
-    fn escalation_storm_panics_on_every_poll() {
-        let injector = ChaosInjector::escalation_storm(1, 2);
-        for tick in 0..5 {
-            assert_eq!(injector.poll(1, tick), Some(ChaosAction::Panic));
-            assert_eq!(injector.poll(0, tick), None, "sibling untouched");
-        }
-        assert_eq!(injector.panics_fired(), 5);
     }
 }

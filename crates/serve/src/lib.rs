@@ -36,8 +36,9 @@
 //!   backoff, typed incident records, and the `supervise` loop every
 //!   long-lived service thread runs under (panic → restart → escalate
 //!   → quarantine);
-//! * [`chaos`] — seed-deterministic chaos plans and the loop-boundary
-//!   injector the `serve_chaos` drill arms against a live service.
+//! * [`chaos`] — seed-deterministic chaos plans and the scheduler
+//!   faults the `serve_chaos` drill queues into a live service as
+//!   messages ([`EntropyService::inject`]).
 //!
 //! See `docs/serving.md` for the architecture and the determinism
 //! contract, and `BENCH_serve.json` (emitted by the `serve_load` bench)
@@ -64,7 +65,7 @@ pub mod supervisor;
 pub mod sys;
 pub mod wire;
 
-pub use chaos::{ChaosAction, ChaosInjector, ChaosPlan};
+pub use chaos::{ChaosAction, ChaosPlan};
 pub use error::{BackpressureClass, ServeError};
 pub use estimator::RateEstimator;
 pub use pool::{ConsumptionPolicy, PoolChunk, SourcePool, SourceStatus};

@@ -12,10 +12,15 @@
 //! experiment layer's `SweepRunner` pins for thread-count invariance,
 //! applied to a long-running service.
 //!
-//! Backpressure inside the pool is structural: each source feeds a
-//! bounded channel, so workers stall (cheaply, in simulated-time work
-//! not yet done) when the consumer falls behind, and memory stays
-//! bounded.
+//! Backpressure inside the pool is a credit handshake. Each slot has a
+//! room count of `CHANNEL_DEPTH` batches, shared with its worker. A
+//! worker produces only for slots with room, takes a room once the
+//! batch exists, and parks when no slot has room; `next_chunk` gives
+//! the room back. The wake that goes with it waits for
+//! [`SourcePool::wake_workers`], which a scheduler calls once its reply
+//! is sent, or for the consumer to find a slot empty. Memory stays
+//! bounded, a slot drained slowly never holds up the worker's other
+//! slots, and an idle pool burns no CPU.
 //!
 //! ## Sharding
 //!
@@ -42,8 +47,8 @@
 //! consumer sees a typed `SourceFailed`, never a silent stall.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{Receiver, RecvTimeoutError, SyncSender, TrySendError};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::mpsc::{Receiver, RecvTimeoutError, SyncSender};
 use std::sync::{mpsc, Arc};
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
@@ -54,15 +59,14 @@ use crate::error::ServeError;
 use crate::source::PooledSource;
 use crate::supervisor::{supervise, IncidentLog, RestartPolicy};
 
-/// Batches a source may run ahead of the consumer.
-const CHANNEL_DEPTH: usize = 2;
+/// Batches a source may run ahead of the consumer: a slot's room count
+/// starts here and its channel holds this many, so a send made with a
+/// room in hand never blocks.
+const CHANNEL_DEPTH: usize = 3;
 
 /// How long the consumer waits for one batch before declaring a source
 /// stuck (a healthy batch takes milliseconds of host time).
 const PRODUCE_TIMEOUT: Duration = Duration::from_secs(60);
-
-/// Producer backoff while its bounded channel is full.
-const SEND_BACKOFF: Duration = Duration::from_micros(200);
 
 /// Chunks a healthy slot receives per weighted-consumption cycle.
 pub const HEALTHY_WEIGHT: u64 = 4;
@@ -146,9 +150,17 @@ impl Default for SourceStatus {
 #[derive(Debug)]
 pub struct SourcePool {
     receivers: Vec<Receiver<PoolChunk>>,
+    /// Free read-ahead of each slot, shared with its worker: the worker
+    /// takes a room per batch it sends, `next_chunk` gives it back. The
+    /// give-back is `Release`, paired with the worker's `Acquire` check;
+    /// the batch itself travels through the channel.
+    rooms: Vec<Arc<AtomicUsize>>,
     /// Global slot index of each receiver, ascending.
     slots: Vec<usize>,
     workers: Vec<JoinHandle<()>>,
+    /// Workers `next_chunk` gave a room back to since the last
+    /// [`SourcePool::wake_workers`], indexed like `workers`.
+    owed: Vec<bool>,
     shutdown: Arc<AtomicBool>,
     cursor: usize,
     policy: ConsumptionPolicy,
@@ -241,28 +253,25 @@ impl SourcePool {
         let worker_count = workers.clamp(1, sources.len());
         let shutdown = Arc::new(AtomicBool::new(false));
 
-        let mut receivers = Vec::with_capacity(sources.len());
-        let mut senders = Vec::with_capacity(sources.len());
-        for _ in 0..sources.len() {
-            let (tx, rx) = mpsc::sync_channel(CHANNEL_DEPTH);
-            senders.push(Some(tx));
-            receivers.push(rx);
-        }
-
         let status = vec![SourceStatus::default(); sources.len()];
+        let mut receivers = Vec::with_capacity(sources.len());
+        let mut rooms = Vec::with_capacity(sources.len());
         let mut groups: Vec<Vec<WorkerSlot>> = (0..worker_count).map(|_| Vec::new()).collect();
         for (i, source) in sources.into_iter().enumerate() {
-            let tx = senders[i].take().expect("one sender per source");
+            let (tx, rx) = mpsc::sync_channel(CHANNEL_DEPTH);
+            let room = Arc::new(AtomicUsize::new(CHANNEL_DEPTH));
+            receivers.push(rx);
+            rooms.push(Arc::clone(&room));
             let global = slots[i];
             let spec = config.sources[global].clone();
             groups[i % worker_count].push(WorkerSlot {
                 panic_pending: spec.panic_after_batches.is_some(),
                 source,
                 tx,
+                room,
                 global,
                 spec,
                 delivered: 0,
-                pending: None,
             });
         }
 
@@ -298,7 +307,9 @@ impl SourcePool {
 
         Ok(SourcePool {
             receivers,
+            rooms,
             slots,
+            owed: vec![false; handles.len()],
             workers: handles,
             shutdown,
             cursor: 0,
@@ -420,6 +431,14 @@ impl SourcePool {
             return Err(ServeError::Shutdown);
         }
         let i = self.next_slot();
+        // Local slot `i` belongs to worker `i % workers`.
+        let w = i % self.workers.len();
+        if self.rooms[i].load(Ordering::Acquire) == CHANNEL_DEPTH {
+            // Nothing queued or in hand for the slot, so the wait below
+            // would block: the worker may be parked on rooms given back
+            // since the last wake, so wake it first.
+            self.workers[w].thread().unpark();
+        }
         let chunk = self.receivers[i]
             .recv_timeout(PRODUCE_TIMEOUT)
             .map_err(|e| match e {
@@ -428,6 +447,10 @@ impl SourcePool {
                     source: self.slots[i],
                 },
             })?;
+        // The consumer credit: give the room back. The worker is woken
+        // later, by `wake_workers` or by the wait above.
+        self.rooms[i].fetch_add(1, Ordering::Release);
+        self.owed[w] = true;
         self.status[i] = SourceStatus {
             state: chunk.state,
             stats: chunk.stats,
@@ -466,6 +489,20 @@ impl SourcePool {
         Ok(self.buffer.drain(..n).collect())
     }
 
+    /// Unparks every worker `next_chunk` gave a room back to since the
+    /// last call, so it refills the read-ahead. A scheduler calls this
+    /// once its reply is sent: a worker woken mid-grant takes the CPU
+    /// the reply is waiting for. Callers that never call it still get
+    /// every byte, because `next_chunk` wakes a worker before it waits
+    /// on one of its drained slots.
+    pub fn wake_workers(&mut self) {
+        for (handle, owed) in self.workers.iter().zip(&mut self.owed) {
+            if std::mem::take(owed) {
+                handle.thread().unpark();
+            }
+        }
+    }
+
     /// Stops the workers and joins them. Idempotent; also run on drop.
     pub fn shutdown(&mut self) {
         if self.finished {
@@ -473,9 +510,10 @@ impl SourcePool {
         }
         self.finished = true;
         self.shutdown.store(true, Ordering::SeqCst);
-        // Dropping the receivers disconnects every channel, so workers
-        // blocked on a full send exit immediately.
-        self.receivers.clear();
+        // A parked worker sees the flag once woken.
+        for handle in &self.workers {
+            handle.thread().unpark();
+        }
         for handle in self.workers.drain(..) {
             // A panicked worker already printed its message; the pool
             // is going away either way.
@@ -493,11 +531,13 @@ impl Drop for SourcePool {
 }
 
 /// One pool slot as a worker sees it: the live source, its outbound
-/// channel, and the bookkeeping the repair path needs to rebuild the
-/// source after a panic.
+/// channel and room count, and the bookkeeping the repair path needs
+/// to rebuild the source after a panic.
 struct WorkerSlot {
     source: PooledSource,
     tx: SyncSender<PoolChunk>,
+    /// Batches the consumer has room for (see [`SourcePool`]'s rooms).
+    room: Arc<AtomicUsize>,
     /// Global pool slot index (streams are keyed by it).
     global: usize,
     /// The spec the slot was built from — rebuilt verbatim on repair.
@@ -505,12 +545,6 @@ struct WorkerSlot {
     /// Batches already handed to the consumer channel; the repair path
     /// fast-forwards a rebuilt source by exactly this count.
     delivered: u64,
-    /// A produced batch whose channel was full — retried before the
-    /// slot produces again, so per-slot order is preserved while the
-    /// worker keeps its *other* slots flowing (weighted consumption
-    /// drains slots at different rates; head-of-line blocking here
-    /// would stall every slot behind the slowest-drained one).
-    pending: Option<PoolChunk>,
     /// One-shot chaos trigger state (`SourceSpec::panic_after_batches`):
     /// cleared *before* the panic fires so a restarted body does not
     /// re-panic forever.
@@ -527,43 +561,22 @@ struct WorkerState {
     active: Option<usize>,
 }
 
-/// Supervised producer body: round-robin over the worker's sources,
-/// pushing each batch into that source's bounded channel. Returning
-/// normally (shutdown, consumer gone, unrecoverable source) completes
-/// the supervision loop.
+/// Supervised producer body: round-robin over the worker's slots that
+/// have room, pushing each batch into that slot's channel, and parking
+/// when no slot has room. Returning normally (shutdown, consumer gone,
+/// unrecoverable source) completes the supervision loop.
 fn produce_loop(state: &mut WorkerState, shutdown: &AtomicBool) {
-    'outer: loop {
-        if shutdown.load(Ordering::Relaxed) || state.slots.is_empty() {
-            break;
-        }
-        // Whether any send landed this pass; an all-full pass sleeps
-        // instead of spinning.
-        let mut sent_any = false;
+    while !shutdown.load(Ordering::Relaxed) && !state.slots.is_empty() {
+        let mut produced = false;
         for k in 0..state.slots.len() {
             if shutdown.load(Ordering::Relaxed) {
-                break 'outer;
+                return;
+            }
+            if state.slots[k].room.load(Ordering::Acquire) == 0 {
+                continue;
             }
             state.active = Some(k);
             let slot = &mut state.slots[k];
-            // Retry a batch stashed while this slot's channel was full
-            // before producing anything new, preserving per-slot order.
-            if let Some(chunk) = slot.pending.take() {
-                match slot.tx.try_send(chunk) {
-                    Ok(()) => {
-                        slot.delivered += 1;
-                        sent_any = true;
-                    }
-                    Err(TrySendError::Full(back)) => {
-                        // Still full: park it again and keep the
-                        // worker's other slots flowing — no
-                        // head-of-line blocking across slots.
-                        slot.pending = Some(back);
-                        state.active = None;
-                        continue;
-                    }
-                    Err(TrySendError::Disconnected(_)) => break 'outer,
-                }
-            }
             let trigger = slot.spec.panic_after_batches.unwrap_or(u64::MAX);
             if slot.panic_pending && slot.delivered >= trigger {
                 // Chaos drill: fire once, at the clean between-batches
@@ -579,7 +592,7 @@ fn produce_loop(state: &mut WorkerState, shutdown: &AtomicBool) {
                 // Unrecoverable simulator error: drop every sender so
                 // the consumer sees the disconnect as SourceFailed.
                 state.active = None;
-                break 'outer;
+                return;
             };
             let chunk = PoolChunk {
                 round: slot.delivered,
@@ -590,18 +603,20 @@ fn produce_loop(state: &mut WorkerState, shutdown: &AtomicBool) {
                 generation: slot.source.generation(),
                 entropy: slot.source.entropy(),
             };
-            match slot.tx.try_send(chunk) {
-                Ok(()) => {
-                    slot.delivered += 1;
-                    sent_any = true;
-                }
-                Err(TrySendError::Full(back)) => slot.pending = Some(back),
-                Err(TrySendError::Disconnected(_)) => break 'outer,
+            // The batch exists: take its room. The room guarantees the
+            // channel has space, so this send cannot block.
+            slot.room.fetch_sub(1, Ordering::AcqRel);
+            if slot.tx.send(chunk).is_err() {
+                return;
             }
+            slot.delivered += 1;
             state.active = None;
+            produced = true;
         }
-        if !sent_any {
-            thread::sleep(SEND_BACKOFF);
+        if !produced {
+            // No slot has room: sleep until the consumer wakes us with
+            // rooms given back, or shutdown unparks the worker.
+            thread::park();
         }
     }
 }
@@ -636,10 +651,6 @@ fn repair_worker(state: &mut WorkerState, shutdown: &AtomicBool) {
                 replayed += 1;
             }
             state.slots[k].source = fresh;
-            // The rebuilt source reproduces every batch from
-            // `delivered` onward; a stashed unsent chunk (also batch
-            // `delivered`) would be served twice if kept.
-            state.slots[k].pending = None;
         }
         Err(_) => {
             state.slots.remove(k);

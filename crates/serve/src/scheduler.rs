@@ -24,6 +24,18 @@
 //!   shard **steals** the oldest queued request from a loaded sibling,
 //!   so one hot shard cannot leave the others' sources idle.
 //!
+//! ## Wakeups
+//!
+//! No scheduler thread polls. Both loops block in `recv()` whenever
+//! they have nothing to serve, and only a message wakes them. A fair
+//! shard marks itself idle before its last look for stealable work; a
+//! sibling whose serving pass leaves requests queued swaps that flag
+//! and sends the idle shard one `Steal` message. After each reply a
+//! scheduler calls [`SourcePool::wake_workers`], so the pool refills
+//! its read-ahead once the reply is out, not mid-grant. Chaos faults
+//! ([`EntropyService::inject`]) are messages too: they fire when the
+//! unit handles them, between messages, never mid-grant.
+//!
 //! ## Backpressure classes (fair mode)
 //!
 //! Admission is checked in severity order and every rejection is a
@@ -45,14 +57,14 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::io::{ErrorKind, Write};
 use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender, SyncSender, TryRecvError};
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender, SyncSender};
 use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 use strentropy::pool::PoolConfig;
 
-use crate::chaos::{ChaosAction, ChaosInjector};
+use crate::chaos::ChaosAction;
 use crate::error::ServeError;
 use crate::pool::{ConsumptionPolicy, SourcePool, SourceStatus};
 use crate::supervisor::{supervise, IncidentKind, IncidentLog, RestartPolicy, SupervisionOutcome};
@@ -60,10 +72,6 @@ use crate::supervisor::{supervise, IncidentKind, IncidentLog, RestartPolicy, Sup
 /// How long a client waits for its grant. Generous: a pool rebuilding a
 /// dead ring mid-request stays well under this.
 const REPLY_TIMEOUT: Duration = Duration::from_secs(120);
-
-/// Scheduler idle tick — a scheduler (or shard) blocked with no local
-/// work re-checks for stealable work and shutdown at least this often.
-const IDLE_TICK: Duration = Duration::from_millis(1);
 
 /// How requests are admitted and ordered.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -124,15 +132,12 @@ pub struct ServeConfig {
     /// Restart policy every supervised unit (scheduler shards, pool
     /// workers) runs under.
     pub restart: RestartPolicy,
-    /// Chaos triggers polled at scheduler loop boundaries; `None` (the
-    /// default) injects nothing. Drills arm this.
-    pub chaos: Option<Arc<ChaosInjector>>,
 }
 
 impl ServeConfig {
     /// A configuration with one worker, one shard, no rate limiting or
-    /// shedding, the default restart policy and no chaos — override
-    /// fields as needed.
+    /// shedding and the default restart policy — override fields as
+    /// needed.
     #[must_use]
     pub fn new(pool: PoolConfig, mode: SchedulerMode) -> Self {
         ServeConfig {
@@ -144,7 +149,6 @@ impl ServeConfig {
             shed_limit: None,
             entropy_weighting: false,
             restart: RestartPolicy::default(),
-            chaos: None,
         }
     }
 }
@@ -283,6 +287,10 @@ enum Msg {
         deadline: Instant,
         reply: SyncSender<bool>,
     },
+    /// A chaos fault queued by [`EntropyService::inject`].
+    Chaos(ChaosAction),
+    /// A sibling left requests queued while this fair shard was idle.
+    Steal,
     Shutdown,
 }
 
@@ -308,7 +316,7 @@ impl EntropyService {
         let slots = config.pool.sources.len();
         let incidents = IncidentLog::new();
         match config.mode {
-            SchedulerMode::Deterministic { .. } => {
+            SchedulerMode::Deterministic { expected_clients } => {
                 // One global consumer keeps the round-robin interleave
                 // and the round barrier identical at every shard count;
                 // shards only widen the producer side.
@@ -321,14 +329,12 @@ impl EntropyService {
                     &config.restart,
                     &incidents,
                 )?;
-                let mode = config.mode;
                 let quarantined = Arc::new(vec![AtomicBool::new(false)]);
                 let (tx, rx) = mpsc::channel();
                 let policy = config.restart.clone();
                 let log = incidents.clone();
-                let chaos = config.chaos.clone();
                 let flags = Arc::clone(&quarantined);
-                let mut sched = BarrierScheduler::new(pool, mode, chaos, log.clone());
+                let mut sched = BarrierScheduler::new(pool, expected_clients, log.clone());
                 // Startup spawn: one scheduler thread per service.
                 let handle = thread::Builder::new()
                     .name("strent-serve-scheduler".to_owned())
@@ -388,21 +394,28 @@ impl EntropyService {
                 let quarantined: Arc<Vec<AtomicBool>> = Arc::new(
                     (0..shard_count).map(|_| AtomicBool::new(false)).collect(),
                 );
-                let mut senders = Vec::with_capacity(shard_count);
-                let mut handles = Vec::with_capacity(shard_count);
-                for (k, pool) in pools.into_iter().enumerate() {
-                    let (tx, rx) = mpsc::channel();
+                let (senders, receivers): (Vec<_>, Vec<_>) =
+                    (0..shard_count).map(|_| mpsc::channel()).unzip();
+                // Built before the first spawn: if a later spawn fails,
+                // dropping the service sends the shutdown message to
+                // the shards already running and joins them.
+                let mut service = EntropyService {
+                    shards: senders,
+                    handles: Vec::with_capacity(shard_count),
+                    incidents: incidents.clone(),
+                    quarantined: Arc::clone(&quarantined),
+                };
+                for (k, (pool, rx)) in pools.into_iter().zip(receivers).enumerate() {
                     let mut shard = FairShard {
                         pool,
                         shard_id: k,
                         shared: shared.clone(),
+                        peers: service.shards.clone(),
                         max_in_flight,
                         shed_limit: config.shed_limit,
                         rate: config.rate_limit,
                         buckets: BTreeMap::new(),
                         registered: BTreeSet::new(),
-                        ticks: 0,
-                        chaos: config.chaos.clone(),
                         draining: false,
                         log: incidents.clone(),
                     };
@@ -437,15 +450,9 @@ impl EntropyService {
                             }
                         })
                         .map_err(ServeError::Io)?;
-                    senders.push(tx);
-                    handles.push(handle);
+                    service.handles.push(handle);
                 }
-                Ok(EntropyService {
-                    shards: senders,
-                    handles,
-                    incidents,
-                    quarantined,
-                })
+                Ok(service)
             }
         }
     }
@@ -495,6 +502,23 @@ impl EntropyService {
     /// cannot answer.
     pub fn status(&self) -> Result<Vec<SourceStatus>, ServeError> {
         self.connector().status()
+    }
+
+    /// Queues a chaos fault for scheduler unit `unit`: unit 0 is the
+    /// deterministic scheduler, unit `k` is fair shard `k`. It fires
+    /// when the unit handles the message — between messages, never
+    /// mid-grant — so a supervised restart resumes byte-transparently.
+    ///
+    /// # Errors
+    ///
+    /// [`ServeError::Protocol`] for a unit the service does not have,
+    /// [`ServeError::Shutdown`] if the unit is gone.
+    pub fn inject(&self, unit: usize, action: ChaosAction) -> Result<(), ServeError> {
+        let tx = self
+            .shards
+            .get(unit)
+            .ok_or_else(|| ServeError::Protocol(format!("no scheduler unit {unit}")))?;
+        tx.send(Msg::Chaos(action)).map_err(|_| ServeError::Shutdown)
     }
 
     /// Graceful-drain phase: every shard stops admitting new requests
@@ -736,31 +760,21 @@ struct ClientSlot {
 
 struct BarrierScheduler {
     pool: SourcePool,
-    mode: SchedulerMode,
+    /// Clients that must register before any request is served.
+    expected_clients: usize,
     clients: BTreeMap<u32, ClientSlot>,
     registered: usize,
-    /// Loop-boundary counter the chaos injector is keyed on. Persists
-    /// across supervised restarts so one-shot triggers stay one-shot.
-    ticks: u64,
-    chaos: Option<Arc<ChaosInjector>>,
     draining: bool,
     log: IncidentLog,
 }
 
 impl BarrierScheduler {
-    fn new(
-        pool: SourcePool,
-        mode: SchedulerMode,
-        chaos: Option<Arc<ChaosInjector>>,
-        log: IncidentLog,
-    ) -> Self {
+    fn new(pool: SourcePool, expected_clients: usize, log: IncidentLog) -> Self {
         BarrierScheduler {
             pool,
-            mode,
+            expected_clients,
             clients: BTreeMap::new(),
             registered: 0,
-            ticks: 0,
-            chaos,
             draining: false,
             log,
         }
@@ -779,57 +793,23 @@ impl BarrierScheduler {
 
     fn run(&mut self, rx: &Receiver<Msg>) {
         loop {
-            // Chaos triggers fire only here, at the clean top-of-loop
-            // boundary — no message half-applied, no grant half-issued
-            // — so a supervised restart resumes byte-transparently.
-            self.ticks += 1;
-            if let Some(chaos) = &self.chaos {
-                match chaos.poll(0, self.ticks) {
-                    Some(ChaosAction::Panic) => {
-                        panic!("injected scheduler panic at tick {}", self.ticks)
-                    }
-                    Some(ChaosAction::Stall(pause)) => thread::sleep(pause),
-                    None => {}
-                }
-            }
-            // Drain every queued message first so registrations and
-            // closes are visible before the next round, then serve.
-            loop {
-                match rx.try_recv() {
-                    Ok(msg) => {
-                        if !self.handle(msg) {
-                            self.pool.shutdown();
-                            return;
-                        }
-                    }
-                    Err(TryRecvError::Empty) => break,
-                    Err(TryRecvError::Disconnected) => {
-                        self.pool.shutdown();
-                        return;
-                    }
-                }
-            }
-            if self.barrier_ready() {
+            // Every queued message is applied before the next round, so
+            // registrations and closes are visible to the barrier.
+            let msg = if let Ok(msg) = rx.try_recv() {
+                msg
+            } else if self.barrier_ready() {
                 self.serve_one_pass();
+                continue;
             } else {
-                // Idle (or barred): block for the next message. The
-                // idle tick bounds the wait so a shutdown is never
-                // missed for long.
-                match rx.recv_timeout(IDLE_TICK) {
-                    Ok(msg) => {
-                        if !self.handle(msg) {
-                            self.pool.shutdown();
-                            return;
-                        }
-                    }
-                    Err(RecvTimeoutError::Timeout) => {}
-                    Err(RecvTimeoutError::Disconnected) => {
-                        self.pool.shutdown();
-                        return;
-                    }
-                }
+                // Barred: only a message can lift the barrier, so block
+                // for one; the shutdown message ends the wait.
+                rx.recv().unwrap_or(Msg::Shutdown)
+            };
+            if !self.handle(msg) {
+                break;
             }
         }
+        self.pool.shutdown();
     }
 
     /// Applies one message; `false` means shut down.
@@ -891,6 +871,9 @@ impl BarrierScheduler {
                 }
                 let _ = reply.send(drained);
             }
+            Msg::Chaos(action) => fire("scheduler", action),
+            // Fair mode only.
+            Msg::Steal => {}
             Msg::Shutdown => return false,
         }
         true
@@ -919,10 +902,7 @@ impl BarrierScheduler {
     /// The round barrier: everyone expected has registered, at least
     /// one client is still open, and every open client has a request.
     fn barrier_ready(&self) -> bool {
-        let SchedulerMode::Deterministic { expected_clients } = self.mode else {
-            return false;
-        };
-        self.registered >= expected_clients
+        self.registered >= self.expected_clients
             && !self.clients.is_empty()
             && self.clients.values().all(|s| !s.pending.is_empty())
     }
@@ -940,6 +920,7 @@ impl BarrierScheduler {
             };
             let grant = self.pool.read_bytes(nbytes);
             sink.send(grant);
+            self.pool.wake_workers();
         }
     }
 }
@@ -958,12 +939,14 @@ struct Job {
     home: usize,
 }
 
-/// The cross-shard state work stealing needs: the stealable queue and
-/// the admitted-but-unreplied count.
+/// The cross-shard state work stealing needs: the stealable queue, the
+/// admitted-but-unreplied count, and whether the shard is blocked idle
+/// (a sibling that leaves work queued swaps the flag and wakes it).
 #[derive(Default)]
 struct ShardShared {
     injector: Mutex<VecDeque<Job>>,
     in_flight: AtomicUsize,
+    idle: AtomicBool,
 }
 
 /// Per-client token bucket.
@@ -1002,70 +985,50 @@ struct FairShard {
     pool: SourcePool,
     shard_id: usize,
     shared: Vec<Arc<ShardShared>>,
+    /// Every shard's message channel (this one's included), indexed
+    /// like `shared` — how an idle sibling is sent `Steal`.
+    peers: Vec<Sender<Msg>>,
     max_in_flight: usize,
     shed_limit: Option<usize>,
     rate: Option<RateLimit>,
     buckets: BTreeMap<u32, TokenBucket>,
     registered: BTreeSet<u32>,
-    /// Loop-boundary counter the chaos injector is keyed on. Persists
-    /// across supervised restarts so one-shot triggers stay one-shot.
-    ticks: u64,
-    chaos: Option<Arc<ChaosInjector>>,
     draining: bool,
     log: IncidentLog,
 }
 
 impl FairShard {
+    /// The shard's loop. The shard holds a sender to its own channel
+    /// (in `peers`), so the channel never disconnects: the shutdown
+    /// message is the only way a fair shard exits.
     fn run(&mut self, rx: &Receiver<Msg>) {
         loop {
-            // Chaos triggers fire only here, at the clean top-of-loop
-            // boundary — between serving passes, never mid-grant — so
-            // a supervised restart resumes without losing a job.
-            self.ticks += 1;
-            if let Some(chaos) = &self.chaos {
-                match chaos.poll(self.shard_id, self.ticks) {
-                    Some(ChaosAction::Panic) => panic!(
-                        "injected shard {} panic at tick {}",
-                        self.shard_id, self.ticks
-                    ),
-                    Some(ChaosAction::Stall(pause)) => thread::sleep(pause),
-                    None => {}
+            // Messages first, then one serving pass per empty inbox.
+            let msg = if let Ok(msg) = rx.try_recv() {
+                msg
+            } else if self.serve_pass() {
+                continue;
+            } else {
+                // Nothing local: steal. Mark this shard idle before the
+                // look, so a sibling that leaves work queued after it
+                // finds the flag set and wakes us.
+                self.shared[self.shard_id].idle.store(true, Ordering::SeqCst);
+                if let Some(job) = self.steal() {
+                    self.shared[self.shard_id].idle.store(false, Ordering::SeqCst);
+                    self.grant(job);
+                    continue;
                 }
-            }
-            loop {
-                match rx.try_recv() {
-                    Ok(msg) => {
-                        if !self.handle(msg) {
-                            self.shutdown();
-                            return;
-                        }
-                    }
-                    Err(TryRecvError::Empty) => break,
-                    Err(TryRecvError::Disconnected) => {
-                        self.shutdown();
-                        return;
-                    }
-                }
-            }
-            let worked = self.serve_pass();
-            if !worked {
-                // Idle: block for the next message; the tick bounds the
-                // wait so stealable work on a sibling is found quickly.
-                match rx.recv_timeout(IDLE_TICK) {
-                    Ok(msg) => {
-                        if !self.handle(msg) {
-                            self.shutdown();
-                            return;
-                        }
-                    }
-                    Err(RecvTimeoutError::Timeout) => {}
-                    Err(RecvTimeoutError::Disconnected) => {
-                        self.shutdown();
-                        return;
-                    }
-                }
+                // Block for the next message (a request, a Steal or the
+                // shutdown message that ends the wait).
+                let next = rx.recv();
+                self.shared[self.shard_id].idle.store(false, Ordering::SeqCst);
+                next.unwrap_or(Msg::Shutdown)
+            };
+            if !self.handle(msg) {
+                break;
             }
         }
+        self.shutdown();
     }
 
     fn shutdown(&mut self) {
@@ -1146,6 +1109,9 @@ impl FairShard {
                 }
                 let _ = reply.send(drained);
             }
+            Msg::Chaos(action) => fire(&format!("shard-{}", self.shard_id), action),
+            // Only wakes the loop; its idle path then steals.
+            Msg::Steal => {}
             Msg::Shutdown => return false,
         }
         true
@@ -1224,22 +1190,22 @@ impl FairShard {
     }
 
     /// One serving pass: a DRR pass over the local queue (at most one
-    /// job per client, oldest first), or — when the local queue is
-    /// empty — one job stolen from the most loaded sibling. Returns
-    /// whether any grant was issued.
+    /// job per client, oldest first). Returns whether any grant was
+    /// issued; an empty queue sends `run` down its stealing path.
     fn serve_pass(&mut self) -> bool {
         let batch = self.pop_local_pass();
-        if !batch.is_empty() {
-            for job in batch {
-                self.grant(job);
-            }
-            return true;
+        if batch.is_empty() {
+            return false;
         }
-        if let Some(job) = self.steal() {
+        // Jobs this pass leaves queued wait behind the whole batch:
+        // offer them to an idle sibling.
+        if !self.own_queue().is_empty() {
+            self.wake_idle_sibling();
+        }
+        for job in batch {
             self.grant(job);
-            return true;
         }
-        false
+        true
     }
 
     /// Takes at most one queued job per client, preserving arrival
@@ -1260,8 +1226,20 @@ impl FairShard {
         taken
     }
 
+    /// Swaps the first idle sibling's flag and sends it one `Steal`.
+    fn wake_idle_sibling(&self) {
+        for (k, shard) in self.shared.iter().enumerate() {
+            if k != self.shard_id
+                && shard.idle.swap(false, Ordering::SeqCst)
+                && self.peers[k].send(Msg::Steal).is_ok()
+            {
+                return;
+            }
+        }
+    }
+
     /// Steals the oldest job from the deepest sibling queue.
-    fn steal(&mut self) -> Option<Job> {
+    fn steal(&self) -> Option<Job> {
         let mut victim: Option<usize> = None;
         let mut depth = 0usize;
         for (k, shard) in self.shared.iter().enumerate() {
@@ -1296,12 +1274,23 @@ impl FairShard {
         let _guard = InFlightGuard(&self.shared[job.home].in_flight);
         let result = self.pool.read_bytes(job.nbytes);
         job.sink.send(result);
+        self.pool.wake_workers();
+    }
+}
+
+/// Fires a chaos fault the unit just dequeued: a panic for the
+/// supervised-restart path, or a stall for the liveness path.
+fn fire(unit: &str, action: ChaosAction) {
+    match action {
+        ChaosAction::Panic => panic!("injected {unit} panic"),
+        ChaosAction::Stall(pause) => thread::sleep(pause),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io::Read;
     use strent_trng::postprocess::ConditionerKind;
 
     fn small_serve_config(sources: usize, mode: SchedulerMode) -> ServeConfig {
@@ -1441,18 +1430,22 @@ mod tests {
         let config = small_serve_config(2, SchedulerMode::Fair { max_in_flight: 4 });
         let service = EntropyService::start(&config).expect("starts");
         let client = service.connect(7).expect("registers");
-        let (wake_tx, wake_rx) = UnixStream::pair().expect("socketpair");
+        let (wake_tx, mut wake_rx) = UnixStream::pair().expect("socketpair");
         wake_tx.set_nonblocking(true).expect("nonblocking");
-        wake_rx.set_nonblocking(true).expect("nonblocking");
+        wake_rx
+            .set_read_timeout(Some(Duration::from_secs(30)))
+            .expect("read timeout");
         let queue = Arc::new(CompletionQueue::new(wake_tx));
         client.request_queued(12, &queue, 0xA1).expect("queued");
         client.request_queued(0, &queue, 0xA2).expect("trivial");
-        let deadline = Instant::now() + Duration::from_secs(30);
         let mut done = Vec::new();
         while done.len() < 2 {
-            assert!(Instant::now() < deadline, "completions never arrived");
+            // Every push writes one wake byte; block on it, the way the
+            // event loop does, with the read timeout as the guard.
+            wake_rx
+                .read_exact(&mut [0u8; 1])
+                .expect("completions never arrived");
             done.extend(queue.drain());
-            thread::sleep(Duration::from_millis(1));
         }
         done.sort_by_key(|c| c.token);
         assert_eq!(done[0].token, 0xA1);
@@ -1500,26 +1493,29 @@ mod tests {
         let mode = SchedulerMode::Deterministic {
             expected_clients: 1,
         };
-        let serve = |chaos: Option<Arc<ChaosInjector>>| {
+        let serve = |chaos: bool| {
             let mut config = small_serve_config(2, mode);
             config.restart.initial_backoff = Duration::from_micros(100);
-            config.chaos = chaos;
             let service = EntropyService::start(&config).expect("starts");
             let client = service.connect(0).expect("registers");
             let mut served = Vec::new();
-            for n in [8usize, 16, 8] {
+            for (k, n) in [8usize, 16, 8].into_iter().enumerate() {
+                if chaos && k == 1 {
+                    // Queued ahead of the next request, so it fires
+                    // between the two grants.
+                    service.inject(0, ChaosAction::Panic).expect("queued");
+                }
                 served.extend(client.request(n).expect("granted"));
             }
             client.close();
-            let incidents = service.incidents().snapshot().len();
+            let log = service.incidents().clone();
             service.shutdown().expect("clean shutdown");
-            (served, incidents)
+            (served, log.count_of("panic"), log.count_of("restarted"))
         };
-        let (clean, _) = serve(None);
-        let plan = crate::chaos::ChaosPlan::derive(11);
-        let (chaotic, incidents) = serve(Some(ChaosInjector::from_plan(&plan, 1)));
+        let (clean, _, _) = serve(false);
+        let (chaotic, panics, restarts) = serve(true);
         assert_eq!(chaotic, clean, "supervised restart perturbed served bytes");
-        assert!(incidents >= 2, "panic and restart were recorded");
+        assert_eq!((panics, restarts), (1, 1), "one panic, one restart");
     }
 
     #[test]
@@ -1533,8 +1529,11 @@ mod tests {
             window: Duration::from_secs(60),
             jitter_seed: 5,
         };
-        config.chaos = Some(ChaosInjector::escalation_storm(0, 2));
         let service = EntropyService::start(&config).expect("starts");
+        // One panic more than the restart budget escalates shard 0.
+        for _ in 0..=config.restart.max_restarts {
+            service.inject(0, ChaosAction::Panic).expect("queued");
+        }
         let deadline = Instant::now() + Duration::from_secs(30);
         while !service.quarantined()[0] {
             assert!(Instant::now() < deadline, "shard 0 never escalated");

@@ -3,8 +3,12 @@
 //! exercised through the public `EntropyService` API end to end.
 
 use std::collections::BTreeMap;
+use std::io::Read;
+use std::os::unix::net::UnixStream;
+use std::sync::Arc;
+use std::time::Duration;
 
-use strent_serve::{SchedulerMode, ServeConfig, SourcePool};
+use strent_serve::{ChaosAction, CompletionQueue, SchedulerMode, ServeConfig, SourcePool};
 use strentropy::pool::PoolConfig;
 
 /// FNV-1a 64-bit — the same dependency-free stream digest the
@@ -151,4 +155,55 @@ fn fair_mode_serves_across_shards() {
     service.shutdown().expect("clean shutdown");
     assert_eq!(per_client.len(), CLIENTS as usize);
     assert!(per_client.values().all(|&got| got == 72));
+}
+
+/// Work stealing needs no polling. Shard 0 admits a large and a small
+/// request from one client in the same pass, but serves one request
+/// per client per pass, so the small one waits in its queue while the
+/// large grant runs. The idle shard 1 is woken by a `Steal` message,
+/// steals it and serves it from its own partition: its bytes are the
+/// head of partition 1's stream.
+#[test]
+fn idle_shard_steals_what_a_busy_sibling_leaves_queued() {
+    const LARGE: usize = 1024;
+    const SMALL: usize = 24;
+    let mut config = ServeConfig::new(
+        small_pool(4),
+        SchedulerMode::Fair { max_in_flight: 4 },
+    );
+    config.shards = 2;
+    let service = strent_serve::EntropyService::start(&config).expect("service starts");
+    let client = service.connect(0).expect("registers on shard 0");
+    let (wake_tx, mut wake_rx) = UnixStream::pair().expect("socketpair");
+    wake_tx.set_nonblocking(true).expect("nonblocking");
+    wake_rx
+        .set_read_timeout(Some(Duration::from_secs(60)))
+        .expect("read timeout");
+    let queue = Arc::new(CompletionQueue::new(wake_tx));
+    // The stall holds shard 0 while both requests queue up behind it,
+    // so one drain admits them both.
+    service
+        .inject(0, ChaosAction::Stall(Duration::from_millis(200)))
+        .expect("queued");
+    client.request_queued(LARGE, &queue, 1).expect("queued");
+    client.request_queued(SMALL, &queue, 2).expect("queued");
+    let mut done = Vec::new();
+    while done.len() < 2 {
+        wake_rx
+            .read_exact(&mut [0u8; 1])
+            .expect("both grants arrive before the read timeout");
+        done.extend(queue.drain());
+    }
+    drop(client);
+    service.shutdown().expect("clean shutdown");
+    let small = done
+        .into_iter()
+        .find(|c| c.token == 2)
+        .expect("small completion")
+        .result
+        .expect("small grant");
+    let mut partition = SourcePool::start_partition(&config.pool, 2, 1, 1).expect("starts");
+    let head = partition.read_bytes(SMALL).expect("replays");
+    partition.shutdown();
+    assert_eq!(small, head, "shard 1 did not steal the queued request");
 }

@@ -53,7 +53,7 @@ pub struct SemanticScan {
 /// Blocking calls SL202 refuses to see under a held mutex guard
 /// (matched as whole method/function identifiers, so `recv_timeout`
 /// is its own entry and never a substring accident).
-const SL202_BLOCKING: [&str; 10] = [
+const SL202_BLOCKING: [&str; 11] = [
     "recv",
     "recv_timeout",
     "accept",
@@ -63,6 +63,7 @@ const SL202_BLOCKING: [&str; 10] = [
     "poll",
     "sleep",
     "wait",
+    "park",
     "join",
 ];
 
@@ -673,6 +674,10 @@ mod tests {
             "fn f(q: &M, rx: &Rx) {\n    let g = q.lock().unwrap();\n    drop(g);\n    let msg = rx.recv_timeout(TICK);\n}\n",
         );
         assert!(codes(&dropped).is_empty(), "{:?}", dropped.diagnostics);
+        let parked = serve_scan(
+            "fn f(q: &M) {\n    let g = q.lock().unwrap();\n    thread::park();\n}\n",
+        );
+        assert_eq!(codes(&parked), ["SL202"], "{:?}", parked.diagnostics);
     }
 
     #[test]

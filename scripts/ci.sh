@@ -265,7 +265,8 @@ python3 "$serve_check" BENCH_serve.json "committed BENCH_serve.json"
 
 echo "== chaos drill smoke (supervision, drain, resilient clients) =="
 chaos_out="$(mktemp -t BENCH_chaos.XXXXXX.json)"
-trap 'rm -f "$out" "$engine_out" "$surrogate_out" "$entropy_out" "$manifest" "$serve_out" "$serve_sock" "$serve_check" "$chaos_out"' EXIT
+chaos_check="$(mktemp -t check_chaos.XXXXXX.py)"
+trap 'rm -f "$out" "$engine_out" "$surrogate_out" "$entropy_out" "$manifest" "$serve_out" "$serve_sock" "$serve_check" "$chaos_out" "$chaos_check"' EXIT
 # serve_chaos derives every injection (worker panics, shard stalls,
 # slowloris, poison frames, partial writes, mid-stream disconnects, a
 # quarantine storm) from one seed, then asserts bounded recovery,
@@ -274,10 +275,14 @@ trap 'rm -f "$out" "$engine_out" "$surrogate_out" "$entropy_out" "$manifest" "$s
 STRENT_LINT=deny cargo run -q --release -p strent-bench --bin serve_chaos --offline -- \
     --quick --out "$chaos_out"
 [ -s "$chaos_out" ] || { echo "BENCH_chaos.json was not emitted"; exit 1; }
-python3 - "$chaos_out" <<'PY'
+# One validator for both the fresh smoke output and the committed
+# artifact at the repo root.
+cat > "$chaos_check" <<'PY'
 import json, sys
 report = json.load(open(sys.argv[1]))
-assert report["schema"] == "strentropy-bench-chaos/1", report["schema"]
+assert report["schema"] == "strentropy-bench-chaos/2", report["schema"]
+plan = report["plan"]
+assert plan["scheduler_stall_after_request"] > plan["scheduler_panic_after_request"] >= 0, plan
 det = report["determinism"]
 assert det["identical"], det
 assert det["injected_panics"] >= 1, "chaos-on runs injected nothing"
@@ -296,17 +301,22 @@ assert acct["issued"] == (acct["granted"] + acct["typed_rejections"]
 assert uds["slowloris_reaped"] >= 1 and uds["poison_survived"], uds
 drain = report["drain"]
 assert drain["server_drained"] and drain["service_drained"], drain
-print(f"BENCH_chaos.json: valid, {det['injected_panics']} panics injected, "
+print(f"{sys.argv[2]}: valid, {det['injected_panics']} panics injected, "
       f"recovery worst {rec['max_grant_ms']:.1f}ms of {rec['bound_ms']:.0f}ms, "
       f"ledger {acct['issued']} issued = {acct['granted']} granted "
       f"+ {acct['typed_rejections']} rejected + {acct['abandoned']} abandoned")
 PY
+python3 "$chaos_check" "$chaos_out" "chaos drill output"
+
+echo "== committed BENCH_chaos.json (schema + invariants) =="
+[ -s BENCH_chaos.json ] || { echo "committed BENCH_chaos.json missing"; exit 1; }
+python3 "$chaos_check" BENCH_chaos.json "committed BENCH_chaos.json"
 
 echo "== degradation campaign smoke (quick, netlist lints denied) =="
 # Every fault class must alarm the online health tests on both ring
 # families: 8 scenario rows, all marked detected, zero marked NO.
 degradation="$(mktemp -t degradation.XXXXXX.txt)"
-trap 'rm -f "$out" "$engine_out" "$surrogate_out" "$entropy_out" "$manifest" "$serve_out" "$serve_sock" "$serve_check" "$chaos_out" "$degradation"' EXIT
+trap 'rm -f "$out" "$engine_out" "$surrogate_out" "$entropy_out" "$manifest" "$serve_out" "$serve_sock" "$serve_check" "$chaos_out" "$chaos_check" "$degradation"' EXIT
 STRENT_LINT=deny cargo run -q --release -p strent-bench \
     --bin repro_degradation --offline -- --quick --deny-lints > "$degradation"
 detected=$(grep -c ' yes$' "$degradation" || true)

@@ -21,13 +21,7 @@
 
 use std::time::Duration;
 
-/// One splitmix64 step (the workspace's standard seed mixer).
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
+use strent_sim::rng::splitmix64;
 
 /// Every parameter of one chaos drill, derived deterministically from
 /// the seed. The server-side fields say which faults a drill injects

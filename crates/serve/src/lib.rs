@@ -19,9 +19,10 @@
 //!   to a service); a pool can also run as one shard's partition of the
 //!   global slot set, and fair mode may weight its consumption by the
 //!   online entropy estimates ([`ConsumptionPolicy`]);
-//! * [`scheduler`] — the request scheduler: deterministic round-barrier
-//!   mode (reproducible byte allocation across clients, bit-identical
-//!   at every shard count) and sharded fair mode (per-shard deficit
+//! * [`scheduler`] — the request scheduler: one shard type serving
+//!   both modes. Deterministic mode is one shard behind a round barrier
+//!   (reproducible byte allocation across clients, bit-identical at
+//!   every shard count); fair mode is one shard per core (deficit
 //!   round-robin with work stealing, per-client token-bucket rate
 //!   limiting and the typed backpressure classes [`ServeError::Busy`] /
 //!   [`ServeError::RateLimited`] / [`ServeError::Shedding`]);

@@ -80,7 +80,7 @@ pub const DEMOTED_WEIGHT: u64 = 1;
 /// Both policies are pure functions of the delivered chunks (the
 /// entropy estimates they weight by ride *on* the chunks), so either
 /// way the served stream stays worker-count and shard-count invariant.
-/// The deterministic scheduler always runs [`ConsumptionPolicy::Strict`]
+/// A deterministic-mode shard always runs [`ConsumptionPolicy::Strict`]
 /// — its byte-allocation contract is pinned by digest tests — while
 /// fair mode may opt into weighting via `ServeConfig::entropy_weighting`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]

@@ -1,13 +1,20 @@
-//! The request scheduler — sharded in fair mode, round-barriered in
-//! deterministic mode — and the in-process client API.
+//! The request scheduler — one shard type serving both modes — and the
+//! in-process client API.
 //!
 //! ## Modes
 //!
-//! * **Deterministic** ([`SchedulerMode::Deterministic`]) — one global
-//!   scheduler thread owns the whole [`SourcePool`] and waits until
-//!   `expected_clients` clients have registered, then serves in
-//!   *rounds*: a round runs only when every open client has a request
-//!   pending, and grants are issued in ascending client id. Which bytes
+//! Both modes run the same shard loop: apply every queued message, then
+//! serve one *pass* — at most one queued request per client, granted in
+//! ascending client id — then block for the next message. A request
+//! from a client that has not registered is a typed
+//! [`ServeError::Protocol`] in both modes. The modes differ only in the
+//! values [`EntropyService::start`] gives the shards:
+//!
+//! * **Deterministic** ([`SchedulerMode::Deterministic`]) — one shard
+//!   owns the whole [`SourcePool`] and gates its passes with the
+//!   *round barrier*: no pass runs before `expected_clients` clients
+//!   have registered, and after that a pass runs only when every
+//!   registered, still-open client has a request queued. Which bytes
 //!   each client receives is then a pure function of the pool config
 //!   and the per-client request traces — independent of thread timing,
 //!   connection order, worker count **and shard count**: in this mode
@@ -15,26 +22,26 @@
 //!   (`workers.max(shards)`), never the consumption order, so the
 //!   served allocation is byte-identical at shards 1, 2 and 8 (pinned
 //!   by `tests/sharding.rs` and the `serve_load` determinism section).
-//! * **Fair** ([`SchedulerMode::Fair`]) — one scheduler shard per
-//!   configured core. Shard `k` of `S` owns the pool partition
+//! * **Fair** ([`SchedulerMode::Fair`]) — one shard per configured
+//!   core. Shard `k` of `S` owns the pool partition
 //!   `{ slot | slot % S == k }` ([`SourcePool::start_partition`]) and
 //!   the clients `{ id | id % S == k }`. Serving is deficit
-//!   round-robin: each pass grants at most one queued request per
-//!   client, so a greedy client cannot starve its neighbours. An idle
+//!   round-robin: because a pass grants at most one request per
+//!   client, a greedy client cannot starve its neighbours. An idle
 //!   shard **steals** the oldest queued request from a loaded sibling,
 //!   so one hot shard cannot leave the others' sources idle.
 //!
 //! ## Wakeups
 //!
-//! No scheduler thread polls. Both loops block in `recv()` whenever
-//! they have nothing to serve, and only a message wakes them. A fair
-//! shard marks itself idle before its last look for stealable work; a
-//! sibling whose serving pass leaves requests queued swaps that flag
-//! and sends the idle shard one `Steal` message. After each reply a
-//! scheduler calls [`SourcePool::wake_workers`], so the pool refills
-//! its read-ahead once the reply is out, not mid-grant. Chaos faults
+//! No shard polls. A shard blocks in `recv()` whenever it has nothing
+//! to serve or its round barrier is closed, and only a message wakes
+//! it. A shard marks itself idle before its last look for stealable
+//! work; a sibling whose serving pass leaves requests queued swaps that
+//! flag and sends the idle shard one `Steal` message. After each reply
+//! a shard calls [`SourcePool::wake_workers`], so the pool refills its
+//! read-ahead once the reply is out, not mid-grant. Chaos faults
 //! ([`EntropyService::inject`]) are messages too: they fire when the
-//! unit handles them, between messages, never mid-grant.
+//! shard handles them, between messages, never mid-grant.
 //!
 //! ## Backpressure classes (fair mode)
 //!
@@ -289,7 +296,7 @@ enum Msg {
     },
     /// A chaos fault queued by [`EntropyService::inject`].
     Chaos(ChaosAction),
-    /// A sibling left requests queued while this fair shard was idle.
+    /// A sibling left requests queued while this shard was idle.
     Steal,
     Shutdown,
 }
@@ -315,146 +322,105 @@ impl EntropyService {
         config.pool.validate()?;
         let slots = config.pool.sources.len();
         let incidents = IncidentLog::new();
-        match config.mode {
-            SchedulerMode::Deterministic { expected_clients } => {
-                // One global consumer keeps the round-robin interleave
-                // and the round barrier identical at every shard count;
-                // shards only widen the producer side.
-                let workers = config.workers.max(config.shards).clamp(1, slots.max(1));
-                let pool = SourcePool::start_partition_supervised(
-                    &config.pool,
-                    1,
-                    0,
-                    workers,
-                    &config.restart,
-                    &incidents,
-                )?;
-                let quarantined = Arc::new(vec![AtomicBool::new(false)]);
-                let (tx, rx) = mpsc::channel();
-                let policy = config.restart.clone();
-                let log = incidents.clone();
-                let flags = Arc::clone(&quarantined);
-                let mut sched = BarrierScheduler::new(pool, expected_clients, log.clone());
-                // Startup spawn: one scheduler thread per service.
-                let handle = thread::Builder::new()
-                    .name("strent-serve-scheduler".to_owned())
-                    .spawn(move || {
-                        let outcome = supervise(
-                            "scheduler",
-                            &policy,
-                            &log,
-                            &mut sched,
-                            |_| {},
-                            |s| s.run(&rx),
-                        );
-                        if let SupervisionOutcome::Escalated { .. } = outcome {
-                            flags[0].store(true, Ordering::SeqCst);
-                            log.record(
-                                "scheduler",
-                                IncidentKind::Quarantined,
-                                "restart budget exhausted; pending requests refused",
-                            );
-                            sched.abandon();
-                        }
-                    })
-                    .map_err(ServeError::Io)?;
-                Ok(EntropyService {
-                    shards: vec![tx],
-                    handles: vec![handle],
-                    incidents,
-                    quarantined,
-                })
+        // Deterministic mode is one shard over the whole pool behind the
+        // round barrier: a single consumer keeps the interleave and the
+        // allocation identical at every shard count, so `shards` only
+        // widens the producer side, and consumption stays strict.
+        let (shard_count, workers, max_in_flight, barrier) = match config.mode {
+            SchedulerMode::Deterministic { expected_clients } => (
+                1,
+                config.workers.max(config.shards),
+                usize::MAX,
+                Some(expected_clients),
+            ),
+            SchedulerMode::Fair { max_in_flight } => (
+                config.shards.clamp(1, slots.max(1)),
+                config.workers,
+                max_in_flight,
+                None,
+            ),
+        };
+        let fair = barrier.is_none();
+        let mut pools = Vec::with_capacity(shard_count);
+        for k in 0..shard_count {
+            let mut pool = SourcePool::start_partition_supervised(
+                &config.pool,
+                shard_count,
+                k,
+                workers,
+                &config.restart,
+                &incidents,
+            )?;
+            if fair && config.entropy_weighting {
+                // Each shard weights its own partition by the estimates
+                // riding on its delivered chunks — a pure function of
+                // those chunks, so still worker-count invariant per
+                // shard.
+                pool.set_consumption_policy(ConsumptionPolicy::Weighted {
+                    threshold: config.pool.demotion_threshold(),
+                });
             }
-            SchedulerMode::Fair { max_in_flight } => {
-                let shard_count = config.shards.clamp(1, slots.max(1));
-                let mut pools = Vec::with_capacity(shard_count);
-                for k in 0..shard_count {
-                    let mut pool = SourcePool::start_partition_supervised(
-                        &config.pool,
-                        shard_count,
-                        k,
-                        config.workers,
-                        &config.restart,
-                        &incidents,
-                    )?;
-                    if config.entropy_weighting {
-                        // Each shard weights its own partition by the
-                        // estimates riding on its delivered chunks — a
-                        // pure function of those chunks, so still
-                        // worker-count invariant per shard.
-                        pool.set_consumption_policy(ConsumptionPolicy::Weighted {
-                            threshold: config.pool.demotion_threshold(),
-                        });
-                    }
-                    pools.push(pool);
-                }
-                let shared: Vec<Arc<ShardShared>> = (0..shard_count)
-                    .map(|_| Arc::new(ShardShared::default()))
-                    .collect();
-                let quarantined: Arc<Vec<AtomicBool>> = Arc::new(
-                    (0..shard_count).map(|_| AtomicBool::new(false)).collect(),
-                );
-                let (senders, receivers): (Vec<_>, Vec<_>) =
-                    (0..shard_count).map(|_| mpsc::channel()).unzip();
-                // Built before the first spawn: if a later spawn fails,
-                // dropping the service sends the shutdown message to
-                // the shards already running and joins them.
-                let mut service = EntropyService {
-                    shards: senders,
-                    handles: Vec::with_capacity(shard_count),
-                    incidents: incidents.clone(),
-                    quarantined: Arc::clone(&quarantined),
-                };
-                for (k, (pool, rx)) in pools.into_iter().zip(receivers).enumerate() {
-                    let mut shard = FairShard {
-                        pool,
-                        shard_id: k,
-                        shared: shared.clone(),
-                        peers: service.shards.clone(),
-                        max_in_flight,
-                        shed_limit: config.shed_limit,
-                        rate: config.rate_limit,
-                        buckets: BTreeMap::new(),
-                        registered: BTreeSet::new(),
-                        draining: false,
-                        log: incidents.clone(),
-                    };
-                    let policy = config.restart.clone();
-                    let log = incidents.clone();
-                    let flags = Arc::clone(&quarantined);
-                    // Startup spawn: one thread per scheduler shard.
-                    let handle = thread::Builder::new()
-                        .name(format!("strent-serve-shard-{k}"))
-                        .spawn(move || {
-                            let unit = format!("shard-{k}");
-                            let outcome = supervise(
-                                &unit,
-                                &policy,
-                                &log,
-                                &mut shard,
-                                |_| {},
-                                |s| s.run(&rx),
-                            );
-                            if let SupervisionOutcome::Escalated { .. } = outcome {
-                                // Quarantine: new registrations reroute
-                                // to the next healthy sibling; what was
-                                // already queued is refused typed (or
-                                // was stolen by siblings first).
-                                flags[k].store(true, Ordering::SeqCst);
-                                log.record(
-                                    &unit,
-                                    IncidentKind::Quarantined,
-                                    "restart budget exhausted; clients rerouted to siblings",
-                                );
-                                shard.shutdown();
-                            }
-                        })
-                        .map_err(ServeError::Io)?;
-                    service.handles.push(handle);
-                }
-                Ok(service)
-            }
+            pools.push(pool);
         }
+        let shared: Vec<Arc<ShardShared>> = (0..shard_count)
+            .map(|_| Arc::new(ShardShared::default()))
+            .collect();
+        let quarantined: Arc<Vec<AtomicBool>> =
+            Arc::new((0..shard_count).map(|_| AtomicBool::new(false)).collect());
+        let (senders, receivers): (Vec<_>, Vec<_>) =
+            (0..shard_count).map(|_| mpsc::channel()).unzip();
+        // Built before the first spawn: if a later spawn fails, dropping
+        // the service sends the shutdown message to the shards already
+        // running and joins them.
+        let mut service = EntropyService {
+            shards: senders,
+            handles: Vec::with_capacity(shard_count),
+            incidents: incidents.clone(),
+            quarantined: Arc::clone(&quarantined),
+        };
+        for (k, (pool, rx)) in pools.into_iter().zip(receivers).enumerate() {
+            let mut shard = Shard {
+                pool,
+                shard_id: k,
+                shared: shared.clone(),
+                peers: service.shards.clone(),
+                max_in_flight,
+                shed_limit: config.shed_limit.filter(|_| fair),
+                rate: config.rate_limit.filter(|_| fair),
+                barrier,
+                buckets: BTreeMap::new(),
+                registered: BTreeSet::new(),
+                draining: false,
+                log: incidents.clone(),
+            };
+            let policy = config.restart.clone();
+            let log = incidents.clone();
+            let flags = Arc::clone(&quarantined);
+            // Startup spawn: one thread per scheduler shard.
+            let handle = thread::Builder::new()
+                .name(format!("strent-serve-shard-{k}"))
+                .spawn(move || {
+                    let unit = format!("shard-{k}");
+                    let outcome =
+                        supervise(&unit, &policy, &log, &mut shard, |_| {}, |s| s.run(&rx));
+                    if let SupervisionOutcome::Escalated { .. } = outcome {
+                        // Quarantine: new registrations reroute to the
+                        // next healthy sibling; what was already queued
+                        // is refused typed (or was stolen by siblings
+                        // first).
+                        flags[k].store(true, Ordering::SeqCst);
+                        log.record(
+                            &unit,
+                            IncidentKind::Quarantined,
+                            "restart budget exhausted; queued requests refused, clients rerouted",
+                        );
+                        shard.shutdown();
+                    }
+                })
+                .map_err(ServeError::Io)?;
+            service.handles.push(handle);
+        }
+        Ok(service)
     }
 
     /// The incident log every supervised unit of this service (shards,
@@ -504,20 +470,20 @@ impl EntropyService {
         self.connector().status()
     }
 
-    /// Queues a chaos fault for scheduler unit `unit`: unit 0 is the
-    /// deterministic scheduler, unit `k` is fair shard `k`. It fires
-    /// when the unit handles the message — between messages, never
-    /// mid-grant — so a supervised restart resumes byte-transparently.
+    /// Queues a chaos fault for scheduler shard `unit` (deterministic
+    /// mode has the one shard 0). It fires when the shard handles the
+    /// message — between messages, never mid-grant — so a supervised
+    /// restart resumes byte-transparently.
     ///
     /// # Errors
     ///
-    /// [`ServeError::Protocol`] for a unit the service does not have,
-    /// [`ServeError::Shutdown`] if the unit is gone.
+    /// [`ServeError::Protocol`] for a shard the service does not have,
+    /// [`ServeError::Shutdown`] if the shard is gone.
     pub fn inject(&self, unit: usize, action: ChaosAction) -> Result<(), ServeError> {
         let tx = self
             .shards
             .get(unit)
-            .ok_or_else(|| ServeError::Protocol(format!("no scheduler unit {unit}")))?;
+            .ok_or_else(|| ServeError::Protocol(format!("no scheduler shard {unit}")))?;
         tx.send(Msg::Chaos(action)).map_err(|_| ServeError::Shutdown)
     }
 
@@ -751,182 +717,7 @@ impl Drop for EntropyClient {
 }
 
 // ---------------------------------------------------------------------
-// Deterministic mode: the global round-barrier scheduler.
-// ---------------------------------------------------------------------
-
-struct ClientSlot {
-    pending: VecDeque<(usize, Sink)>,
-}
-
-struct BarrierScheduler {
-    pool: SourcePool,
-    /// Clients that must register before any request is served.
-    expected_clients: usize,
-    clients: BTreeMap<u32, ClientSlot>,
-    registered: usize,
-    draining: bool,
-    log: IncidentLog,
-}
-
-impl BarrierScheduler {
-    fn new(pool: SourcePool, expected_clients: usize, log: IncidentLog) -> Self {
-        BarrierScheduler {
-            pool,
-            expected_clients,
-            clients: BTreeMap::new(),
-            registered: 0,
-            draining: false,
-            log,
-        }
-    }
-
-    /// Escalation path: refuse everything still pending (typed, never
-    /// silent) and stop the pool.
-    fn abandon(&mut self) {
-        for (_, slot) in std::mem::take(&mut self.clients) {
-            for (_, sink) in slot.pending {
-                sink.send(Err(ServeError::Shutdown));
-            }
-        }
-        self.pool.shutdown();
-    }
-
-    fn run(&mut self, rx: &Receiver<Msg>) {
-        loop {
-            // Every queued message is applied before the next round, so
-            // registrations and closes are visible to the barrier.
-            let msg = if let Ok(msg) = rx.try_recv() {
-                msg
-            } else if self.barrier_ready() {
-                self.serve_one_pass();
-                continue;
-            } else {
-                // Barred: only a message can lift the barrier, so block
-                // for one; the shutdown message ends the wait.
-                rx.recv().unwrap_or(Msg::Shutdown)
-            };
-            if !self.handle(msg) {
-                break;
-            }
-        }
-        self.pool.shutdown();
-    }
-
-    /// Applies one message; `false` means shut down.
-    fn handle(&mut self, msg: Msg) -> bool {
-        match msg {
-            Msg::Register { client_id, reply } => {
-                let result = if self.draining {
-                    Err(ServeError::Draining)
-                } else {
-                    match self.clients.entry(client_id) {
-                        Entry::Occupied(_) => Err(ServeError::Protocol(format!(
-                            "client id {client_id} is already registered"
-                        ))),
-                        Entry::Vacant(slot) => {
-                            slot.insert(ClientSlot {
-                                pending: VecDeque::new(),
-                            });
-                            self.registered += 1;
-                            Ok(())
-                        }
-                    }
-                };
-                let _ = reply.send(result);
-            }
-            Msg::Request {
-                client_id,
-                nbytes,
-                sink,
-            } => {
-                if self.draining {
-                    sink.send(Err(ServeError::Draining));
-                } else if self.clients.contains_key(&client_id) {
-                    let slot = self.clients.get_mut(&client_id).expect("checked");
-                    slot.pending.push_back((nbytes, sink));
-                } else {
-                    sink.send(Err(ServeError::Protocol(format!(
-                        "client {client_id} sent a request before registering"
-                    ))));
-                }
-            }
-            Msg::Close { client_id } => {
-                // Dropping the slot drops any pending sync senders
-                // (their clients observe Shutdown) and orphans queued
-                // tokens (the event loop ignores stale generations).
-                self.clients.remove(&client_id);
-            }
-            Msg::Status { reply } => {
-                let _ = reply.send(self.pool.slot_status());
-            }
-            Msg::Drain { deadline, reply } => {
-                self.draining = true;
-                let drained = self.drain_until(deadline);
-                if !drained {
-                    self.log.record(
-                        "scheduler",
-                        IncidentKind::DrainTimedOut,
-                        "deterministic drain deadline hit; remainder refused",
-                    );
-                }
-                let _ = reply.send(drained);
-            }
-            Msg::Chaos(action) => fire("scheduler", action),
-            // Fair mode only.
-            Msg::Steal => {}
-            Msg::Shutdown => return false,
-        }
-        true
-    }
-
-    /// Serves the already-pending requests until the queues are empty
-    /// or the deadline passes; no new request can arrive (admission is
-    /// closed), so repeated passes over the pending set are still
-    /// deterministic. Anything left at the deadline is refused with
-    /// [`ServeError::Draining`].
-    fn drain_until(&mut self, deadline: Instant) -> bool {
-        while self.clients.values().any(|s| !s.pending.is_empty()) {
-            if Instant::now() >= deadline {
-                for slot in self.clients.values_mut() {
-                    while let Some((_, sink)) = slot.pending.pop_front() {
-                        sink.send(Err(ServeError::Draining));
-                    }
-                }
-                return false;
-            }
-            self.serve_one_pass();
-        }
-        true
-    }
-
-    /// The round barrier: everyone expected has registered, at least
-    /// one client is still open, and every open client has a request.
-    fn barrier_ready(&self) -> bool {
-        self.registered >= self.expected_clients
-            && !self.clients.is_empty()
-            && self.clients.values().all(|s| !s.pending.is_empty())
-    }
-
-    /// Grants one pending request per client, in ascending client-id
-    /// order.
-    fn serve_one_pass(&mut self) {
-        let ids: Vec<u32> = self.clients.keys().copied().collect();
-        for id in ids {
-            let Some(slot) = self.clients.get_mut(&id) else {
-                continue;
-            };
-            let Some((nbytes, sink)) = slot.pending.pop_front() else {
-                continue;
-            };
-            let grant = self.pool.read_bytes(nbytes);
-            sink.send(grant);
-            self.pool.wake_workers();
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Fair mode: per-core shards with work stealing.
+// The shard: one loop for both modes.
 // ---------------------------------------------------------------------
 
 /// A queued, admitted request. `home` is the shard whose budget it
@@ -981,7 +772,9 @@ impl TokenBucket {
     }
 }
 
-struct FairShard {
+/// One scheduler shard, in either mode; [`EntropyService::start`]
+/// picks the per-mode values.
+struct Shard {
     pool: SourcePool,
     shard_id: usize,
     shared: Vec<Arc<ShardShared>>,
@@ -991,22 +784,28 @@ struct FairShard {
     max_in_flight: usize,
     shed_limit: Option<usize>,
     rate: Option<RateLimit>,
+    /// The round barrier: in deterministic mode, the registrations
+    /// still awaited before the first pass; `None` in fair mode.
+    barrier: Option<usize>,
     buckets: BTreeMap<u32, TokenBucket>,
+    /// The registered clients that are still open.
     registered: BTreeSet<u32>,
     draining: bool,
     log: IncidentLog,
 }
 
-impl FairShard {
+impl Shard {
     /// The shard's loop. The shard holds a sender to its own channel
     /// (in `peers`), so the channel never disconnects: the shutdown
-    /// message is the only way a fair shard exits.
+    /// message is the only way a shard exits.
     fn run(&mut self, rx: &Receiver<Msg>) {
         loop {
-            // Messages first, then one serving pass per empty inbox.
+            // Messages first, so every registration and close is
+            // visible to the barrier; then one serving pass per empty
+            // inbox.
             let msg = if let Ok(msg) = rx.try_recv() {
                 msg
-            } else if self.serve_pass() {
+            } else if self.barrier_open() && self.serve_pass() {
                 continue;
             } else {
                 // Nothing local: steal. Mark this shard idle before the
@@ -1056,6 +855,11 @@ impl FairShard {
                 let result = if self.draining {
                     Err(ServeError::Draining)
                 } else if self.registered.insert(client_id) {
+                    // Each registration counts the barrier down; nothing
+                    // counts it back up.
+                    if let Some(awaited) = &mut self.barrier {
+                        *awaited = awaited.saturating_sub(1);
+                    }
                     Ok(())
                 } else {
                     Err(ServeError::Protocol(format!(
@@ -1150,6 +954,12 @@ impl FairShard {
             sink.send(Err(ServeError::Draining));
             return;
         }
+        if !self.registered.contains(&client_id) {
+            sink.send(Err(ServeError::Protocol(format!(
+                "client {client_id} sent a request before registering"
+            ))));
+            return;
+        }
         let queued: usize = self
             .shared
             .iter()
@@ -1176,8 +986,6 @@ impl FairShard {
             sink.send(Err(ServeError::Busy { in_flight: mine }));
             return;
         }
-        // Fair mode admits unregistered clients on first contact.
-        self.registered.insert(client_id);
         self.shared[self.shard_id]
             .in_flight
             .fetch_add(1, Ordering::Relaxed);
@@ -1189,9 +997,25 @@ impl FairShard {
         });
     }
 
-    /// One serving pass: a DRR pass over the local queue (at most one
-    /// job per client, oldest first). Returns whether any grant was
-    /// issued; an empty queue sends `run` down its stealing path.
+    /// The pass gate. Fair mode serves whenever it has work. The round
+    /// barrier opens once every expected client has registered, and
+    /// then only while every registered, still-open client has a job
+    /// queued.
+    fn barrier_open(&self) -> bool {
+        match self.barrier {
+            None => true,
+            Some(0) => {
+                let queued: BTreeSet<u32> =
+                    self.own_queue().iter().map(|job| job.client_id).collect();
+                self.registered.is_subset(&queued)
+            }
+            Some(_) => false,
+        }
+    }
+
+    /// One serving pass over the local queue (see
+    /// [`Shard::pop_local_pass`]). Returns whether any grant was issued;
+    /// an empty queue sends `run` down its stealing path.
     fn serve_pass(&mut self) -> bool {
         let batch = self.pop_local_pass();
         if batch.is_empty() {
@@ -1208,22 +1032,22 @@ impl FairShard {
         true
     }
 
-    /// Takes at most one queued job per client, preserving arrival
-    /// order — the deficit-round-robin pass.
+    /// Takes each client's oldest queued job, in ascending client id —
+    /// the deficit-round-robin pass, and one round of the barrier.
     fn pop_local_pass(&mut self) -> Vec<Job> {
         let mut queue = self.own_queue();
-        let mut taken = Vec::new();
-        let mut seen = BTreeSet::new();
+        let mut taken = BTreeMap::new();
         let mut kept = VecDeque::with_capacity(queue.len());
         while let Some(job) = queue.pop_front() {
-            if seen.insert(job.client_id) {
-                taken.push(job);
-            } else {
-                kept.push_back(job);
+            match taken.entry(job.client_id) {
+                Entry::Vacant(slot) => {
+                    slot.insert(job);
+                }
+                Entry::Occupied(_) => kept.push_back(job),
             }
         }
         *queue = kept;
-        taken
+        taken.into_values().collect()
     }
 
     /// Swaps the first idle sibling's flag and sends it one `Steal`.
@@ -1571,7 +1395,7 @@ mod tests {
             service.shutdown().expect("clean shutdown");
             served
         };
-        // The deterministic scheduler always consumes strictly, so the
+        // A deterministic-mode shard always consumes strictly, so the
         // weighting flag must never move a byte at any shard count.
         let baseline = serve(1, false);
         for shards in [1usize, 2, 8] {
@@ -1612,24 +1436,26 @@ mod tests {
     }
 
     #[test]
-    fn unregistered_deterministic_request_is_a_protocol_error() {
-        let config = small_serve_config(
-            2,
+    fn unregistered_request_is_a_protocol_error() {
+        for mode in [
             SchedulerMode::Deterministic {
                 expected_clients: 1,
             },
-        );
-        let service = EntropyService::start(&config).expect("starts");
-        let registered = service.connect(0).expect("registers");
-        // Forge a client handle that never registered.
-        let rogue = EntropyClient {
-            id: 99,
-            tx: registered.tx.clone(),
-        };
-        let err = rogue.request(4).expect_err("must register first");
-        assert!(matches!(err, ServeError::Protocol(_)), "{err}");
-        drop(rogue);
-        registered.close();
-        service.shutdown().expect("clean shutdown");
+            SchedulerMode::Fair { max_in_flight: 4 },
+        ] {
+            let config = small_serve_config(2, mode);
+            let service = EntropyService::start(&config).expect("starts");
+            let registered = service.connect(0).expect("registers");
+            // Forge a client handle that never registered.
+            let rogue = EntropyClient {
+                id: 99,
+                tx: registered.tx.clone(),
+            };
+            let err = rogue.request(4).expect_err("must register first");
+            assert!(matches!(err, ServeError::Protocol(_)), "{mode:?}: {err}");
+            drop(rogue);
+            registered.close();
+            service.shutdown().expect("clean shutdown");
+        }
     }
 }

@@ -27,6 +27,8 @@ use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
+use strent_sim::rng::splitmix64;
+
 /// How a supervised unit restarts after a panic, and when restarting
 /// gives way to escalation.
 #[derive(Debug, Clone)]
@@ -76,14 +78,6 @@ impl RestartPolicy {
     }
 }
 
-/// One splitmix64 step — the workspace's standard cheap seed mixer.
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// What happened to a supervised unit, as recorded in its incidents.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum IncidentKind {
@@ -126,8 +120,7 @@ impl IncidentKind {
 /// One typed incident record.
 #[derive(Debug, Clone)]
 pub struct Incident {
-    /// The supervised unit ("worker-0", "shard-1", "scheduler",
-    /// "event-loop").
+    /// The supervised unit ("worker-0", "shard-1", "event-loop").
     pub unit: String,
     /// What happened.
     pub kind: IncidentKind,

@@ -1,6 +1,7 @@
 //! Integration tests for the sharded service: the deterministic-mode
-//! shard-count invariance contract and the fair-mode shard/steal path,
-//! exercised through the public `EntropyService` API end to end.
+//! shard-count invariance contract, the fair-mode shard/steal path and
+//! the pass order, exercised through the public `EntropyService` API
+//! end to end.
 
 use std::collections::BTreeMap;
 use std::io::Read;
@@ -28,11 +29,20 @@ fn small_pool(sources: usize) -> PoolConfig {
     config
 }
 
+const CLIENTS: usize = 3;
+const ROUNDS: usize = 4;
+
+/// Bytes client `id` asks for in `round`: asymmetric sizes, so a
+/// scheduling bug cannot hide behind uniform allocation.
+fn request_size(id: usize, round: usize) -> usize {
+    16 + 8 * id + 4 * round
+}
+
 /// Runs a deterministic-mode service at `shards` and returns each
-/// client's full received stream, in client order.
+/// client's full received stream, in client order. The traces are
+/// uneven: client `id` closes after `ROUNDS - id` rounds, so the
+/// barrier must keep serving the clients still open.
 fn deterministic_streams(shards: usize) -> Vec<Vec<u8>> {
-    const CLIENTS: usize = 3;
-    const ROUNDS: usize = 4;
     let mut config = ServeConfig::new(
         small_pool(4),
         SchedulerMode::Deterministic {
@@ -51,10 +61,8 @@ fn deterministic_streams(shards: usize) -> Vec<Vec<u8>> {
                 .spawn(move || {
                     let client = connector.connect(id).expect("registers");
                     let mut stream = Vec::new();
-                    for round in 0..ROUNDS {
-                        // Asymmetric sizes so a scheduling bug cannot
-                        // hide behind uniform allocation.
-                        let nbytes = 16 + 8 * (id as usize) + 4 * round;
+                    for round in 0..ROUNDS - id as usize {
+                        let nbytes = request_size(id as usize, round);
                         stream.extend(client.request(nbytes).expect("grant"));
                     }
                     stream
@@ -95,22 +103,22 @@ fn deterministic_streams_are_shard_count_invariant() {
 /// or fabricated by the scheduler).
 #[test]
 fn deterministic_allocation_replays_from_the_pool() {
-    const CLIENTS: usize = 3;
-    const ROUNDS: usize = 4;
     let streams = deterministic_streams(1);
     let total: usize = streams.iter().map(Vec::len).sum();
     let mut pool = SourcePool::start(&small_pool(4), 1).expect("pool starts");
     let raw = pool.read_bytes(total).expect("pool produces");
     pool.shutdown();
     // Re-allocate the raw stream with the documented barrier policy:
-    // clients served in id order, each round in full, FCFS.
+    // each round serves every client still open, in id order, FCFS.
     let mut replayed: Vec<Vec<u8>> = vec![Vec::new(); CLIENTS];
     let mut cursor = 0usize;
     for round in 0..ROUNDS {
         for (id, replay) in replayed.iter_mut().enumerate() {
-            let nbytes = 16 + 8 * id + 4 * round;
-            replay.extend(&raw[cursor..cursor + nbytes]);
-            cursor += nbytes;
+            if round < ROUNDS - id {
+                let nbytes = request_size(id, round);
+                replay.extend(&raw[cursor..cursor + nbytes]);
+                cursor += nbytes;
+            }
         }
     }
     assert_eq!(cursor, total);
@@ -206,4 +214,44 @@ fn idle_shard_steals_what_a_busy_sibling_leaves_queued() {
     let head = partition.read_bytes(SMALL).expect("replays");
     partition.shutdown();
     assert_eq!(small, head, "shard 1 did not steal the queued request");
+}
+
+/// One pass grants in ascending client id, whatever order the requests
+/// arrived in. The stall holds the shard while client 2 and then
+/// client 0 queue a request, so one pass takes both: client 0's grant
+/// is the head of the pool stream and client 2's the next 16 bytes.
+#[test]
+fn a_pass_grants_in_ascending_client_id() {
+    const NBYTES: usize = 16;
+    let config = ServeConfig::new(small_pool(4), SchedulerMode::Fair { max_in_flight: 4 });
+    let service = strent_serve::EntropyService::start(&config).expect("service starts");
+    let late = service.connect(2).expect("registers");
+    let early = service.connect(0).expect("registers");
+    let (wake_tx, mut wake_rx) = UnixStream::pair().expect("socketpair");
+    wake_tx.set_nonblocking(true).expect("nonblocking");
+    wake_rx
+        .set_read_timeout(Some(Duration::from_secs(60)))
+        .expect("read timeout");
+    let queue = Arc::new(CompletionQueue::new(wake_tx));
+    service
+        .inject(0, ChaosAction::Stall(Duration::from_millis(200)))
+        .expect("queued");
+    late.request_queued(NBYTES, &queue, 2).expect("queued");
+    early.request_queued(NBYTES, &queue, 0).expect("queued");
+    let mut done = BTreeMap::new();
+    while done.len() < 2 {
+        wake_rx
+            .read_exact(&mut [0u8; 1])
+            .expect("both grants arrive before the read timeout");
+        for completion in queue.drain() {
+            done.insert(completion.token, completion.result.expect("granted"));
+        }
+    }
+    drop((late, early));
+    service.shutdown().expect("clean shutdown");
+    let mut pool = SourcePool::start(&config.pool, 1).expect("pool starts");
+    let head = pool.read_bytes(2 * NBYTES).expect("replays");
+    pool.shutdown();
+    assert_eq!(done[&0], head[..NBYTES], "client 0 is granted first");
+    assert_eq!(done[&2], head[NBYTES..], "client 2 is granted second");
 }

@@ -8,8 +8,10 @@
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 
-/// SplitMix64 step — used to derive stream seeds from `(master, key)`.
-fn splitmix64(mut x: u64) -> u64 {
+/// One SplitMix64 step — the workspace's standard seed mixer; here it
+/// derives stream seeds from `(master, key)`.
+#[must_use]
+pub fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
     let mut z = x;
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);

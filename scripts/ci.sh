@@ -47,7 +47,7 @@ assert 'scan_ms' in report, sorted(report)
 counts = report['rule_counts']
 assert len(counts) == 17 and all(c.startswith('SL') for c in counts), counts
 assert all(n == 0 for n in counts.values()), counts
-assert report['suppressed'] == 2, report['suppressed']
+assert report['suppressed'] == 1, report['suppressed']
 assert report['diagnostics'] == [], report['diagnostics']
 print(f\"simlint JSON: valid v2, {report['files_scanned']} files, \"
       f\"{len(counts)} rules, {report['suppressed']} grandfathered\")

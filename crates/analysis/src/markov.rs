@@ -35,6 +35,15 @@ pub const PATH_LENGTH: usize = 128;
 /// Two-sided 99% confidence level used for the default haircut.
 pub const DEFAULT_CONFIDENCE: f64 = 0.99;
 
+/// Binary Shannon entropy of `p`: `-p log2 p - (1-p) log2 (1-p)`.
+#[must_use]
+pub fn binary_entropy(p: f64) -> f64 {
+    if p <= 0.0 || p >= 1.0 {
+        return 0.0;
+    }
+    -p * p.log2() - (1.0 - p) * (1.0 - p).log2()
+}
+
 /// Streaming order-`k` transition counts over a bitstream.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MarkovCounts {
@@ -108,6 +117,30 @@ impl MarkovCounts {
             self.total += 1;
             self.context = ((self.context << 1) | bit) & mask;
         }
+    }
+
+    /// The Shannon entropy rate `H(X_n | state)` (bits per bit): each
+    /// state's [`binary_entropy`] of its next bit, weighted by how often
+    /// the state occurred. Plug-in frequencies, no haircut.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`AnalysisError::InsufficientData`] before the first
+    /// transition.
+    pub fn shannon_rate(&self) -> Result<f64, AnalysisError> {
+        if self.total == 0 {
+            return Err(AnalysisError::InsufficientData { needed: 1, got: 0 });
+        }
+        let mut h = 0.0;
+        for row in self.counts.chunks_exact(2) {
+            let row_total = row[0] + row[1];
+            if row_total == 0 {
+                continue;
+            }
+            let p_state = row_total as f64 / self.total as f64;
+            h += p_state * binary_entropy(row[1] as f64 / row_total as f64);
+        }
+        Ok(h)
     }
 
     /// The min-entropy estimate (bits per bit, in `[0, 1]`) at the
@@ -254,6 +287,30 @@ mod tests {
     fn rejects_order_zero_and_huge_orders() {
         assert!(MarkovCounts::new(0).is_err());
         assert!(MarkovCounts::new(MAX_ORDER + 1).is_err());
+    }
+
+    #[test]
+    fn binary_entropy_reference_points() {
+        assert_eq!(binary_entropy(0.0), 0.0);
+        assert_eq!(binary_entropy(1.0), 0.0);
+        assert!((binary_entropy(0.5) - 1.0).abs() < 1e-12);
+        assert!((binary_entropy(0.11) - 0.4999).abs() < 0.001);
+        assert!((binary_entropy(0.25) - binary_entropy(0.75)).abs() < 1e-12);
+    }
+
+    #[test]
+    fn shannon_rate_matches_a_hand_counted_table() {
+        // 0 0 1 1 0 1 0 0 1: transitions 0→0 ×2, 0→1 ×3, 1→1 ×1,
+        // 1→0 ×2, so state 0 occurs 5 times in 8 and state 1 three.
+        let mut counts = MarkovCounts::new(1).unwrap();
+        assert!(matches!(
+            counts.shannon_rate(),
+            Err(AnalysisError::InsufficientData { .. })
+        ));
+        counts.feed(&[0, 0, 1, 1, 0, 1, 0, 0, 1]);
+        let expected =
+            5.0 / 8.0 * binary_entropy(3.0 / 5.0) + 3.0 / 8.0 * binary_entropy(1.0 / 3.0);
+        assert_eq!(counts.shannon_rate().unwrap(), expected);
     }
 
     #[test]

@@ -47,6 +47,7 @@ use strent_serve::{
     ChaosAction, ChaosPlan, EntropyService, RestartPolicy, SchedulerMode, ServeConfig,
     ServerOptions, UdsClient, UdsServer,
 };
+use strent_sim::rng::fnv1a;
 use strent_trng::postprocess::ConditionerKind;
 use strent_rings::surrogate::SourceBackend;
 use strentropy::pool::PoolConfig;
@@ -149,16 +150,6 @@ fn inject_due(
             .map_err(|e| format!("inject failed: {e}"))?;
     }
     Ok(())
-}
-
-/// FNV-1a 64-bit — a stable stream digest with no dependencies.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
 }
 
 /// The deterministic request trace: sizes vary by (client, round) so

@@ -50,6 +50,7 @@ use strent_serve::{
     ChaosAction, CompletionQueue, EntropyService, RateLimit, SchedulerMode, ServeConfig,
     ServeError, SourcePool, UdsClient, UdsServer,
 };
+use strent_sim::rng::fnv1a;
 use strent_sim::{Bit, FaultPlan};
 use strent_trng::bits::BitString;
 use strent_trng::health;
@@ -153,16 +154,6 @@ fn bench_pool(sources: usize, seed: u64) -> PoolConfig {
 /// serving machinery rather than waveform simulation time.
 fn surrogate_pool(sources: usize, seed: u64) -> PoolConfig {
     bench_pool(sources, seed).with_backend(SourceBackend::Surrogate)
-}
-
-/// FNV-1a 64-bit — a stable stream digest with no dependencies.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
 }
 
 /// The deterministic request trace of one client: sizes vary by

@@ -24,20 +24,10 @@ use strent_rings::measure::{self, RingRun};
 use strent_rings::stream::StreamConfig;
 use strent_rings::surrogate::{self, Calibrator, SourceBackend, SurrogateStream};
 use strent_rings::{IroConfig, StrConfig};
+use strent_sim::rng::fnv1a;
 use strent_sim::{JobMeter, RngTree, SweepJob, SweepRunner, SweepStats};
 
 use super::{Effort, ExperimentError};
-
-/// FNV-1a over the stage label — a stable, platform-independent key for
-/// deriving the stage's seed subtree.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325_u64;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
 
 /// One executed stage: its label and the sweep's execution statistics.
 ///
@@ -183,6 +173,7 @@ impl ExperimentRunner {
     /// measurement seed) while staying independent of other stages.
     #[must_use]
     pub fn stage_rng(&self, label: &str) -> RngTree {
+        // FNV-1a of the label: a stable key for the stage's subtree.
         RngTree::new(self.seed).subtree(fnv1a(label.as_bytes()))
     }
 

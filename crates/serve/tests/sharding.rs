@@ -10,18 +10,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use strent_serve::{ChaosAction, CompletionQueue, SchedulerMode, ServeConfig, SourcePool};
+use strent_sim::rng::fnv1a;
 use strentropy::pool::PoolConfig;
-
-/// FNV-1a 64-bit — the same dependency-free stream digest the
-/// `serve_load` bench commits to `BENCH_serve.json`.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0100_0000_01b3);
-    }
-    hash
-}
 
 fn small_pool(sources: usize) -> PoolConfig {
     let mut config = PoolConfig::mixed_default(sources, 4242);

@@ -19,6 +19,19 @@ pub fn splitmix64(mut x: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// FNV-1a 64-bit over `bytes`: a stable, platform-independent,
+/// dependency-free digest (stage-label seed keys, served-stream
+/// digests).
+#[must_use]
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut hash = 0xcbf2_9ce4_8422_2325_u64;
+    for &b in bytes {
+        hash ^= u64::from(b);
+        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    hash
+}
+
 /// Factory for independent, reproducible random streams.
 ///
 /// # Examples

@@ -1,5 +1,5 @@
 //! Fixture: channel-topology violations (SL203). Scanned as
-//! `crates/serve/src/channel_topology.rs` by the self-test.
+//! `crates/serve/src/channel_topology.rs` by the fixture test.
 
 use std::sync::mpsc;
 use std::time::Duration;

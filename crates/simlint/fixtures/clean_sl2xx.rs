@@ -1,6 +1,6 @@
 //! Fixture: every legitimate concurrency pattern the SL2xx rules must
 //! accept. Scanned as `crates/serve/src/clean_sl2xx.rs` by the
-//! self-test and must stay quiet under the full rule set, text and
+//! fixture test and must stay quiet under the full rule set, line and
 //! semantic: consistently ordered lock pairs, a guard dropped before
 //! blocking, bounded channels with both ends alive, a named startup
 //! spawn, a dominating nonblocking setup, and a matched join.

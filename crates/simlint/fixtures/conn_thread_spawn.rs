@@ -1,5 +1,5 @@
 //! Fixture: per-connection thread spawns in the serving layer (SL110).
-//! Scanned as `crates/serve/src/conn_thread_spawn.rs` by the self-test.
+//! Scanned as `crates/serve/src/conn_thread_spawn.rs` by the fixture test.
 
 fn accept_loop(listener: std::os::unix::net::UnixListener) {
     for stream in listener.incoming().flatten() {

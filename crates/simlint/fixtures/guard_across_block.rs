@@ -1,6 +1,6 @@
 //! Fixture: a mutex guard held across a blocking call (SL202).
 //! Scanned as `crates/serve/src/guard_across_block.rs` by the
-//! self-test. The guard stays live while the thread blocks in
+//! fixture test. The guard stays live while the thread blocks in
 //! `recv_timeout`, and again while it sleeps in `thread::park`, so
 //! every other thread contending for the queue stalls with it.
 

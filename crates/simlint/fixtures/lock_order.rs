@@ -1,5 +1,5 @@
 //! Fixture: a lock pair acquired in both orders (SL201). Scanned as
-//! `crates/serve/src/lock_order.rs` by the self-test. The push path
+//! `crates/serve/src/lock_order.rs` by the fixture test. The push path
 //! takes local-then-peer, the steal path peer-then-local — the classic
 //! work-stealing deadlock: two shards running both paths against each
 //! other block forever.

@@ -1,6 +1,6 @@
 //! Fixture: RNG state built from a magic constant instead of the run
 //! seed (SL204). Scanned as `crates/sim/src/rng_provenance.rs` by the
-//! self-test. Def-use tracking follows the constant through the
+//! fixture test. Def-use tracking follows the constant through the
 //! binding: neither call site derives from the run seed or an RngTree
 //! stream, so neither result is reproducible from the root seed alone.
 

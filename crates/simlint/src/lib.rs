@@ -10,26 +10,25 @@
 //! `unsafe`-block audit requiring `// SAFETY:` comments and per-crate
 //! `#![forbid(unsafe_code)]` gates.
 //!
-//! The scanner has two layers, both hand-rolled with no external
-//! dependencies (consistent with the vendored offline stubs):
+//! Every file is parsed once, with no external dependencies
+//! (consistent with the vendored offline stubs): a real lexer
+//! ([`lexer`]) feeds a brace/block tree with item boundaries
+//! ([`tree`]). Two kinds of rule read it:
 //!
-//! * **Text rules (SL1xx)** — a token state machine over
-//!   comment/string-stripped lines. It blanks comments and
-//!   string/char literals before matching, so `"HashMap"` inside a
-//!   string or a doc comment never fires, and it skips `#[cfg(test)]`
-//!   regions by brace tracking — tests may use wall clocks and hash
-//!   sets freely.
-//! * **Semantic rules (SL2xx, plus the provenance-aware SL107)** — a
-//!   real lexer ([`lexer`]) feeding a brace/block tree with item
-//!   boundaries ([`tree`]), per-function symbol tables with receiver
-//!   provenance ([`symbols`]), and an intra-function walk over
-//!   lock/channel/spawn operations ([`rules_sl2xx`]). Guards must
-//!   *dominate* risky calls in the block tree, not merely sit within
-//!   3 lines.
+//! * **Line rules (SL101–SL107, SL109)** — token matches over
+//!   comment/string-stripped lines, so `"HashMap"` inside a string or a
+//!   doc comment never fires. They skip the lines the tree marks as
+//!   test code — tests may use wall clocks and hash sets freely.
+//! * **Semantic rules (SL2xx, the serve-layer guard rules SL108 and
+//!   SL110–SL112, and the provenance-aware SL107)** — per-function
+//!   symbol tables with receiver provenance ([`symbols`]) and an
+//!   intra-function walk over lock/channel/spawn operations
+//!   ([`rules_sl2xx`]). A guard must *dominate* its risky call in the
+//!   block tree and sit within 3 lines of it.
 //!
-//! Diagnostic codes are stable; [`RULES`] is the machine-readable
-//! registry (`simlint --catalog`) and `docs/static_analysis.md` the
-//! human catalog — CI asserts the two agree. Vetted sites are excused
+//! Diagnostic codes are stable; [`RULES`] is the registry and
+//! `docs/static_analysis.md` the human catalog — a unit test asserts
+//! the two agree. Vetted sites are excused
 //! inline (`// simlint: allow(SL102)` on the offending or preceding
 //! line), via the allowlist file `scripts/simlint.allow`, or
 //! grandfathered with a count in `scripts/simlint.baseline`
@@ -52,9 +51,11 @@ use std::fmt;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
+use tree::FileTree;
 
 /// One row of the rule registry: the single source of truth that the
-/// self-test, `--catalog` and the docs-drift CI check all consume.
+/// fixture and docs-drift unit tests and the JSON report's rule counts
+/// all consume.
 #[derive(Debug)]
 pub struct RuleInfo {
     /// Stable diagnostic code (`SL101`..).
@@ -65,23 +66,21 @@ pub struct RuleInfo {
     /// tables): `deterministic-src`, `workspace`, `crate-roots`,
     /// `all-src`, `serve-src` or `serve+core-src`.
     pub scope: &'static str,
-    /// One-line description of the finding.
-    pub summary: &'static str,
     /// The firing fixture under `crates/simlint/fixtures/`.
     pub fixture: &'static str,
     /// Which crate the fixture poses as (`sim` or `serve`) — decides
-    /// the path label the self-test scans it under.
+    /// the path label the fixture test scans it under.
     pub fixture_crate: &'static str,
 }
 
-/// Every rule the scanner knows, in code order. A row here without a
-/// fixture (or a fixture without a row) fails the self-test.
-pub const RULES: [RuleInfo; 17] = [
+/// Every rule the scanner knows, in code order; `docs/static_analysis.md`
+/// describes each finding. A row here without a fixture (or a fixture
+/// without a row) fails the fixture test.
+pub const RULES: [RuleInfo; 16] = [
     RuleInfo {
         code: "SL101",
         severity: "error",
         scope: "deterministic-src",
-        summary: "HashMap/HashSet in deterministic code (iteration order)",
         fixture: "hash_iteration.rs",
         fixture_crate: "sim",
     },
@@ -89,7 +88,6 @@ pub const RULES: [RuleInfo; 17] = [
         code: "SL102",
         severity: "error",
         scope: "deterministic-src",
-        summary: "Instant::now/SystemTime wall-clock read in deterministic code",
         fixture: "wall_clock.rs",
         fixture_crate: "sim",
     },
@@ -97,7 +95,6 @@ pub const RULES: [RuleInfo; 17] = [
         code: "SL103",
         severity: "error",
         scope: "deterministic-src",
-        summary: "ambient RNG (thread_rng, rand::random, from_entropy, OsRng)",
         fixture: "ambient_rng.rs",
         fixture_crate: "sim",
     },
@@ -105,7 +102,6 @@ pub const RULES: [RuleInfo; 17] = [
         code: "SL104",
         severity: "error",
         scope: "deterministic-src",
-        summary: "float reduction over an unordered iterator",
         fixture: "float_reduction.rs",
         fixture_crate: "sim",
     },
@@ -113,7 +109,6 @@ pub const RULES: [RuleInfo; 17] = [
         code: "SL105",
         severity: "error",
         scope: "workspace",
-        summary: "unsafe without a // SAFETY: comment in the 3 preceding lines",
         fixture: "unsafe_no_safety.rs",
         fixture_crate: "sim",
     },
@@ -121,7 +116,6 @@ pub const RULES: [RuleInfo; 17] = [
         code: "SL106",
         severity: "warning",
         scope: "crate-roots",
-        summary: "crate with no unsafe code missing #![forbid(unsafe_code)]",
         fixture: "missing_gate/src/lib.rs",
         fixture_crate: "sim",
     },
@@ -129,7 +123,6 @@ pub const RULES: [RuleInfo; 17] = [
         code: "SL107",
         severity: "error",
         scope: "all-src",
-        summary: "bare unwrap/expect on JoinHandle::join (provenance-tracked)",
         fixture: "join_unwrap.rs",
         fixture_crate: "sim",
     },
@@ -137,7 +130,6 @@ pub const RULES: [RuleInfo; 17] = [
         code: "SL108",
         severity: "error",
         scope: "serve-src",
-        summary: "blocking read with no liveness guard within 3 lines",
         fixture: "blocking_recv.rs",
         fixture_crate: "serve",
     },
@@ -145,7 +137,6 @@ pub const RULES: [RuleInfo; 17] = [
         code: "SL109",
         severity: "error",
         scope: "serve+core-src",
-        summary: "direct RingStream::build bypassing the SourceBackend selector",
         fixture: "ring_stream_bypass.rs",
         fixture_crate: "serve",
     },
@@ -153,7 +144,6 @@ pub const RULES: [RuleInfo; 17] = [
         code: "SL110",
         severity: "error",
         scope: "serve-src",
-        summary: "thread spawn with no lifecycle token within 3 lines",
         fixture: "conn_thread_spawn.rs",
         fixture_crate: "serve",
     },
@@ -161,7 +151,6 @@ pub const RULES: [RuleInfo; 17] = [
         code: "SL111",
         severity: "error",
         scope: "serve-src",
-        summary: "catch_unwind with no supervision token within 3 lines",
         fixture: "naked_catch_unwind.rs",
         fixture_crate: "serve",
     },
@@ -169,7 +158,6 @@ pub const RULES: [RuleInfo; 17] = [
         code: "SL112",
         severity: "error",
         scope: "serve-src",
-        summary: "entropy-estimate consumer with no InsufficientData note within 3 lines",
         fixture: "entropy_unhandled.rs",
         fixture_crate: "serve",
     },
@@ -177,7 +165,6 @@ pub const RULES: [RuleInfo; 17] = [
         code: "SL201",
         severity: "error",
         scope: "serve-src",
-        summary: "lock pair acquired in both orders (work-stealing deadlock)",
         fixture: "lock_order.rs",
         fixture_crate: "serve",
     },
@@ -185,7 +172,6 @@ pub const RULES: [RuleInfo; 17] = [
         code: "SL202",
         severity: "error",
         scope: "serve-src",
-        summary: "mutex guard held across a blocking call",
         fixture: "guard_across_block.rs",
         fixture_crate: "serve",
     },
@@ -193,7 +179,6 @@ pub const RULES: [RuleInfo; 17] = [
         code: "SL203",
         severity: "warning",
         scope: "serve-src",
-        summary: "channel topology: unbounded channel() or Sender with dropped Receiver",
         fixture: "channel_topology.rs",
         fixture_crate: "serve",
     },
@@ -201,47 +186,10 @@ pub const RULES: [RuleInfo; 17] = [
         code: "SL204",
         severity: "error",
         scope: "deterministic-src",
-        summary: "seed material not derived from the run seed or RngTree",
         fixture: "rng_provenance.rs",
         fixture_crate: "sim",
     },
-    RuleInfo {
-        code: "SL205",
-        severity: "warning",
-        scope: "serve-src",
-        summary: "scope-aware guard check: guard must dominate the risky call",
-        fixture: "scope_guard.rs",
-        fixture_crate: "serve",
-    },
 ];
-
-/// Looks up a registry row by code.
-#[must_use]
-pub fn rule(code: &str) -> Option<&'static RuleInfo> {
-    RULES.iter().find(|r| r.code == code)
-}
-
-/// The machine-readable rule catalog (`simlint --catalog`):
-/// hand-formatted JSON with one object per registry row.
-#[must_use]
-pub fn catalog_json() -> String {
-    let mut out = String::from("{\n  \"version\": 1,\n  \"rules\": [");
-    for (i, r) in RULES.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "\n    {{\"code\": \"{}\", \"severity\": \"{}\", \"scope\": \"{}\", \
-             \"summary\": \"{}\"}}",
-            r.code,
-            r.severity,
-            r.scope,
-            json_escape(r.summary)
-        ));
-    }
-    out.push_str("\n  ]\n}\n");
-    out
-}
 
 /// Crates whose `src/` trees must stay deterministic: everything a
 /// simulation result flows through. `bench` is excluded (wall-clock
@@ -618,70 +566,6 @@ fn is_ident_char(c: char) -> bool {
     c.is_ascii_alphanumeric() || c == '_'
 }
 
-/// Marks lines belonging to `#[cfg(test)]` items (the attribute, the
-/// item header and the braced body) — determinism rules don't apply to
-/// tests.
-fn test_mask(stripped: &[String]) -> Vec<bool> {
-    let mut mask = vec![false; stripped.len()];
-    let mut in_region = false;
-    let mut pending = false;
-    let mut depth: i64 = 0;
-    for (idx, line) in stripped.iter().enumerate() {
-        if in_region {
-            mask[idx] = true;
-            depth += brace_delta(line);
-            if depth <= 0 {
-                in_region = false;
-            }
-            continue;
-        }
-        let mut search_from = 0usize;
-        if !pending {
-            if let Some(pos) = line.find("#[cfg(test") {
-                pending = true;
-                mask[idx] = true;
-                search_from = pos;
-            }
-        } else {
-            mask[idx] = true;
-        }
-        if pending {
-            // Look for the start of the item body, or a `;` ending a
-            // braceless item (e.g. `#[cfg(test)] use foo;`).
-            for (off, c) in line[search_from..].char_indices() {
-                match c {
-                    '{' => {
-                        depth = 1 + brace_delta(&line[search_from + off + 1..]);
-                        pending = false;
-                        if depth > 0 {
-                            in_region = true;
-                        }
-                        break;
-                    }
-                    ';' => {
-                        pending = false;
-                        break;
-                    }
-                    _ => {}
-                }
-            }
-        }
-    }
-    mask
-}
-
-fn brace_delta(s: &str) -> i64 {
-    let mut delta = 0i64;
-    for c in s.chars() {
-        match c {
-            '{' => delta += 1,
-            '}' => delta -= 1,
-            _ => {}
-        }
-    }
-    delta
-}
-
 /// Finds `token` in `line` at an identifier boundary (so `unsafe` never
 /// matches inside `unsafe_code`). Tokens may contain `::`.
 fn has_token(line: &str, token: &str) -> bool {
@@ -715,91 +599,6 @@ fn has_safety_comment(raw: &[&str], idx: usize) -> bool {
     raw[from..=idx].iter().any(|l| l.contains("// SAFETY:"))
 }
 
-/// Blocking-read call shapes SL108 looks for in the serving layer.
-/// `read_frame(` is the crate's own frame decoder — itself a blocking
-/// read over whatever transport it is handed.
-const BLOCKING_READS: [&str; 5] =
-    [".recv()", ".accept()", ".read_exact(", ".read(", "read_frame("];
-
-/// Liveness guards SL108 accepts on the line or within the 3 preceding
-/// raw lines. Comments count: a `// bounded by the read timeout` note
-/// next to the call is exactly the documentation the rule wants.
-const LIVENESS_GUARDS: [&str; 5] =
-    ["timeout", "shutdown", "nonblocking", "try_recv", "deadline"];
-
-/// Whether a liveness guard token appears on the raw line or within the
-/// 3 preceding raw lines (comments included, unlike the token scan).
-fn has_liveness_guard(raw: &[&str], idx: usize) -> bool {
-    let from = idx.saturating_sub(3);
-    raw[from..=idx]
-        .iter()
-        .any(|l| LIVENESS_GUARDS.iter().any(|g| l.contains(g)))
-}
-
-/// Thread-creation call shapes SL110 looks for in the serving layer.
-/// `.spawn(` catches both `thread::spawn` closures routed through
-/// `Builder` and bare `std::thread::spawn` calls via the first pattern.
-const THREAD_SPAWNS: [&str; 2] = ["thread::spawn", ".spawn("];
-
-/// Lifecycle tokens SL110 accepts on the line or within the 3
-/// preceding raw lines (matched case-insensitively; comments and
-/// thread-name strings both count). These name the only threads the
-/// serving layer is allowed to create: pool workers, scheduler/shard
-/// threads and the event loop, all spawned once at startup — never one
-/// per connection.
-const LIFECYCLE_GUARDS: [&str; 6] = [
-    "worker",
-    "scheduler",
-    "shard",
-    "event-loop",
-    "event loop",
-    "startup",
-];
-
-/// Whether a lifecycle token appears on the raw line or within the 3
-/// preceding raw lines, ignoring case.
-fn has_lifecycle_guard(raw: &[&str], idx: usize) -> bool {
-    let from = idx.saturating_sub(3);
-    raw[from..=idx].iter().any(|l| {
-        let lower = l.to_lowercase();
-        LIFECYCLE_GUARDS.iter().any(|g| lower.contains(g))
-    })
-}
-
-/// Supervision tokens SL111 accepts on the line or within the 3
-/// preceding raw lines (matched case-insensitively; comments count).
-/// A `catch_unwind` in the serving layer must belong to a
-/// restart/backoff/escalation discipline — a caught panic that is
-/// neither restarted nor escalated is a silently dead unit.
-const SUPERVISION_GUARDS: [&str; 5] =
-    ["restart", "backoff", "escalat", "supervis", "resume"];
-
-/// Whether a supervision token appears on the raw line or within the 3
-/// preceding raw lines, ignoring case.
-fn has_supervision_guard(raw: &[&str], idx: usize) -> bool {
-    let from = idx.saturating_sub(3);
-    raw[from..=idx].iter().any(|l| {
-        let lower = l.to_lowercase();
-        SUPERVISION_GUARDS.iter().any(|g| lower.contains(g))
-    })
-}
-
-/// Entropy-estimate call shapes SL112 looks for in the serving layer:
-/// the sliding-window estimator's verdict and the batch Markov
-/// estimator. Both report an underfed window through the typed
-/// `InsufficientData` case, and a consumer that conflates it with zero
-/// entropy demotes freshly started or re-locked sources for having
-/// served too few bytes.
-const ENTROPY_ESTIMATE_CALLS: [&str; 2] = [".entropy_rate(", "markov_min_entropy("];
-
-/// Whether an `InsufficientData` note appears on the raw line or within
-/// the 3 preceding raw lines (comments count: a doc line spelling out
-/// the no-verdict-yet semantics is exactly what the rule wants).
-fn has_insufficient_data_note(raw: &[&str], idx: usize) -> bool {
-    let from = idx.saturating_sub(3);
-    raw[from..=idx].iter().any(|l| l.contains("InsufficientData"))
-}
-
 /// Scans one file's source text. `deterministic` enables the SL101-104
 /// rules (hot-path files); the `unsafe` audit (SL105) always runs.
 /// Returns findings not excused inline or by the allowlist.
@@ -823,11 +622,12 @@ pub fn scan_source_ext(
     allowlist: &Allowlist,
 ) -> (Vec<SourceDiagnostic>, Vec<LockPair>) {
     let raw: Vec<&str> = source.lines().collect();
+    let tree = FileTree::parse(source);
     // The semantic pass runs first: its SL107 verdicts mask the text
     // fallback on the lines where receiver provenance is known.
-    let sem = scan_semantic(path, source, deterministic);
+    let sem = scan_semantic(path, &tree, &raw, deterministic);
     let stripped = strip_source(source);
-    let mask = test_mask(&stripped);
+    let mask = tree.test_lines(stripped.len());
     let mut out = Vec::new();
     let push = |code: &'static str,
                     severity: &'static str,
@@ -935,31 +735,6 @@ pub fn scan_source_ext(
                 &mut out,
             );
         }
-        // SL108 guards the serving layer's liveness: strent-serve is a
-        // long-running daemon, so every blocking read in its src/ tree
-        // (channel recv, socket accept, transport read) must sit next
-        // to a timeout, shutdown check or nonblocking setup — otherwise
-        // a silent peer or a dead worker pins a thread forever. Tests
-        // may block freely.
-        if !mask[idx] && path.starts_with("crates/serve/") && path.contains("/src/") {
-            for pattern in BLOCKING_READS {
-                if line.contains(pattern) && !has_liveness_guard(&raw, idx) {
-                    push(
-                        "SL108",
-                        "error",
-                        idx,
-                        format!(
-                            "unguarded blocking read `{pattern}` in the serving layer: \
-                             add a timeout/deadline, a nonblocking setup, or a shutdown \
-                             check within the 3 preceding lines (a comment naming the \
-                             guard counts)"
-                        ),
-                        &mut out,
-                    );
-                    break;
-                }
-            }
-        }
         // SL109 protects the surrogate tier's fallback rules: in the
         // experiment core and the serving layer every ring must be
         // constructed through `EntropySource::build` (or the metered
@@ -984,85 +759,10 @@ pub fn scan_source_ext(
                 &mut out,
             );
         }
-        // SL110 keeps per-connection threads out of the serving layer:
-        // the socket frontend is a readiness-driven event loop, so the
-        // only threads strent-serve may create are the named lifecycle
-        // threads (pool workers, scheduler/shard threads, the event
-        // loop itself), spawned once at startup. A spawn with no
-        // lifecycle token nearby is the thread-per-connection pattern
-        // creeping back in — the exact design this rule retired.
-        if !mask[idx] && path.starts_with("crates/serve/") && path.contains("/src/") {
-            for pattern in THREAD_SPAWNS {
-                if line.contains(pattern) && !has_lifecycle_guard(&raw, idx) {
-                    push(
-                        "SL110",
-                        "error",
-                        idx,
-                        format!(
-                            "thread spawn `{pattern}` in the serving layer without a \
-                             lifecycle token: connections are multiplexed by the event \
-                             loop, never given threads; if this is a legitimate \
-                             worker/scheduler/shard/event-loop startup spawn, name the \
-                             thread or say so within the 3 preceding lines"
-                        ),
-                        &mut out,
-                    );
-                    break;
-                }
-            }
-        }
-        // SL111 keeps panic recovery supervised: the serving layer's
-        // only legitimate `catch_unwind` is the restart boundary of a
-        // supervision loop. A catch with no restart/backoff/escalation
-        // token nearby swallows the panic and leaves a silently dead
-        // unit — the exact failure the supervisor was built to retire.
-        if !mask[idx]
-            && path.starts_with("crates/serve/")
-            && path.contains("/src/")
-            && line.contains("catch_unwind")
-            && !has_supervision_guard(&raw, idx)
-        {
-            push(
-                "SL111",
-                "error",
-                idx,
-                "catch_unwind in the serving layer without a supervision token: \
-                 route the recovery through the supervise loop (restart, backoff, \
-                 escalate) or say which discipline applies within the 3 preceding \
-                 lines"
-                    .to_owned(),
-                &mut out,
-            );
-        }
-        // SL112 keeps the InsufficientData contract honest: an underfed
-        // estimator window means "no verdict yet", never "zero
-        // entropy". A serving-layer consumer of the entropy estimate
-        // that does not acknowledge the typed case nearby is one
-        // refactor away from demoting every freshly started or
-        // re-locked source for its empty window.
-        if !mask[idx] && path.starts_with("crates/serve/") && path.contains("/src/") {
-            for pattern in ENTROPY_ESTIMATE_CALLS {
-                if line.contains(pattern) && !has_insufficient_data_note(&raw, idx) {
-                    push(
-                        "SL112",
-                        "error",
-                        idx,
-                        format!(
-                            "entropy-estimate call `{pattern}` in the serving layer \
-                             without an InsufficientData note: say how the underfed \
-                             window (\"no verdict yet\", never zero entropy) is \
-                             handled within the 3 preceding lines"
-                        ),
-                        &mut out,
-                    );
-                    break;
-                }
-            }
-        }
     }
-    // Semantic findings (provenance-aware SL107 plus SL2xx) and
-    // intra-file lock-order conflicts go through the same
-    // inline-directive and allowlist filters as the text rules.
+    // Semantic findings (provenance-aware SL107, the guard rules and
+    // SL2xx) and intra-file lock-order conflicts go through the same
+    // inline-directive and allowlist filters as the line rules.
     let keep = |d: &SourceDiagnostic| {
         !inline_allowed(&raw, d.line.saturating_sub(1), d.code) && !allowlist.allows(path, d.code)
     };
@@ -1349,10 +1049,14 @@ mod tests {
             scan_source("crates/serve/src/x.rs", source, false, &Allowlist::empty())
         };
         for bad in [
-            "let msg = rx.recv().map_err(drop);\n",
-            "let (stream, _) = listener.accept()?;\n",
-            "stream.read_exact(&mut buf)?;\n",
-            "let frame = wire::read_frame(&mut stream)?;\n",
+            "fn f() {\n    let msg = rx.recv().map_err(drop);\n}\n",
+            "fn f() {\n    let (stream, _) = listener.accept()?;\n}\n",
+            "fn f() {\n    stream.read_exact(&mut buf)?;\n}\n",
+            "fn f() {\n    let frame = wire::read_frame(&mut stream)?;\n}\n",
+            // A liveness comment 4 lines above the call is out of reach.
+            "fn f() {\n    // Bounded by the read timeout.\n    let a = 1;\n    let b = 2;\n    let c = 3;\n    let m = rx.recv();\n}\n",
+            // A guard in the previous function's body is not in scope.
+            "fn a() {\n    let timeout = 1;\n}\nfn b() {\n    rx.recv();\n}\n",
         ] {
             let diags = scan_serve(bad);
             assert_eq!(
@@ -1361,13 +1065,13 @@ mod tests {
                 "{bad:?} must fire SL108, got {diags:?}"
             );
         }
-        // A guard on the line or within the 3 preceding lines excuses
-        // the read; comments count.
+        // A dominating guard on the line or within the 3 preceding
+        // lines excuses the read; comments count.
         for good in [
-            "let msg = rx.recv_timeout(TICK);\n",
-            "listener.set_nonblocking(true)?;\nlet (stream, _) = listener.accept()?;\n",
-            "// Bounded by the caller-armed read timeout.\nstream.read_exact(&mut buf)?;\n",
-            "if shutdown.load(Ordering::Relaxed) { return; }\nlet m = rx.recv().ok();\n",
+            "fn f() {\n    let msg = rx.recv_timeout(TICK);\n}\n",
+            "fn f() {\n    listener.set_nonblocking(true)?;\n    let (stream, _) = listener.accept()?;\n}\n",
+            "fn f() {\n    // Bounded by the caller-armed read timeout.\n    stream.read_exact(&mut buf)?;\n}\n",
+            "fn f() {\n    if shutdown.load(Ordering::Relaxed) { return; }\n    let m = rx.recv().ok();\n}\n",
         ] {
             assert!(scan_serve(good).is_empty(), "{good:?} fired: {:?}", scan_serve(good));
         }
@@ -1375,14 +1079,14 @@ mod tests {
         // free to block.
         let elsewhere = scan_source(
             "crates/core/src/x.rs",
-            "let msg = rx.recv().unwrap_or(0);\n",
+            "fn f() {\n    let msg = rx.recv().unwrap_or(0);\n}\n",
             false,
             &Allowlist::empty(),
         );
         assert!(elsewhere.iter().all(|d| d.code != "SL108"));
         let in_tests = scan_source(
             "crates/serve/tests/x.rs",
-            "let msg = rx.recv().unwrap_or(0);\n",
+            "fn f() {\n    let msg = rx.recv().unwrap_or(0);\n}\n",
             false,
             &Allowlist::empty(),
         );
@@ -1445,19 +1149,19 @@ mod tests {
         };
         // The per-connection pattern, both spellings.
         for bad in [
-            "std::thread::spawn(move || handle(stream));\n",
-            "let h = thread::Builder::new()\n    .spawn(move || handle(stream));\n",
+            "fn f() {\n    std::thread::spawn(move || handle(stream));\n}\n",
+            "fn f() {\n    let h = thread::Builder::new()\n        .spawn(move || handle(stream));\n}\n",
         ] {
             assert_eq!(scan_serve(bad).len(), 1, "{bad:?} must fire once");
         }
-        // A lifecycle token on the line or within the 3 preceding raw
-        // lines excuses the spawn; thread names and comments count,
-        // case-insensitively.
+        // A dominating lifecycle token on the line or within the 3
+        // preceding raw lines excuses the spawn; thread names and
+        // comments count, case-insensitively.
         for good in [
-            "let h = thread::Builder::new()\n    .name(\"strent-serve-event-loop\".to_owned())\n    .spawn(run)?;\n",
-            "let h = thread::Builder::new()\n    .name(format!(\"strent-serve-worker-{w}\"))\n    .spawn(work)?;\n",
-            "// Startup spawn: one scheduler thread per service.\nlet h = thread::spawn(run);\n",
-            "let name = format!(\"strent-serve-shard-{k}\");\nlet h = builder.spawn(run)?;\n",
+            "fn f() {\n    let h = thread::Builder::new()\n        .name(\"strent-serve-event-loop\".to_owned())\n        .spawn(run)?;\n}\n",
+            "fn f() {\n    let h = thread::Builder::new()\n        .name(format!(\"strent-serve-worker-{w}\"))\n        .spawn(work)?;\n}\n",
+            "fn f() {\n    // Startup spawn: one scheduler thread per service.\n    let h = thread::spawn(run);\n}\n",
+            "fn f() {\n    let name = format!(\"strent-serve-shard-{k}\");\n    let h = builder.spawn(run)?;\n}\n",
         ] {
             assert!(scan_serve(good).is_empty(), "{good:?} fired: {:?}", scan_serve(good));
         }
@@ -1465,14 +1169,14 @@ mod tests {
         // spawn freely (the load harness and drills need threads).
         let elsewhere = scan_source(
             "crates/bench/src/bin/serve_load.rs",
-            "std::thread::spawn(move || handle(stream));\n",
+            "fn f() {\n    std::thread::spawn(move || handle(stream));\n}\n",
             false,
             &Allowlist::empty(),
         );
         assert!(elsewhere.iter().all(|d| d.code != "SL110"));
         let in_tests = scan_source(
             "crates/serve/tests/sharding.rs",
-            "std::thread::spawn(move || handle(stream));\n",
+            "fn f() {\n    std::thread::spawn(move || handle(stream));\n}\n",
             false,
             &Allowlist::empty(),
         );
@@ -1501,17 +1205,21 @@ mod tests {
         };
         // The naked catch: the panic is swallowed with no discipline.
         for bad in [
-            "let r = std::panic::catch_unwind(body);\n",
-            "let r = catch_unwind(AssertUnwindSafe(|| job.run()));\n",
+            "fn f() {\n    let r = std::panic::catch_unwind(body);\n}\n",
+            "fn f() {\n    let r = catch_unwind(AssertUnwindSafe(|| job.run()));\n}\n",
+            // A token in a sibling branch two lines up does not govern
+            // the catch.
+            "fn f(x: bool) {\n    if x {\n        log(\"restart pending\");\n    }\n    let r = catch_unwind(run);\n}\n",
         ] {
             assert_eq!(scan_serve(bad).len(), 1, "{bad:?} must fire once");
         }
-        // A supervision token on the line or within the 3 preceding
-        // raw lines excuses the catch; comments count, ignoring case.
+        // A dominating supervision token on the line or within the 3
+        // preceding raw lines excuses the catch; comments count,
+        // ignoring case.
         for good in [
-            "// The restart-with-backoff supervision boundary.\nlet r = catch_unwind(AssertUnwindSafe(&mut body));\n",
-            "let restarts = policy.max_restarts;\nlet r = std::panic::catch_unwind(body);\n",
-            "// Escalate after the window fills.\nlet r = catch_unwind(run);\n",
+            "fn f() {\n    // The restart-with-backoff supervision boundary.\n    let r = catch_unwind(AssertUnwindSafe(&mut body));\n}\n",
+            "fn f() {\n    let restarts = policy.max_restarts;\n    let r = std::panic::catch_unwind(body);\n}\n",
+            "fn f() {\n    // Escalate after the window fills.\n    let r = catch_unwind(run);\n}\n",
         ] {
             assert!(
                 scan_serve(good).is_empty(),
@@ -1522,14 +1230,14 @@ mod tests {
         // Scoped to serve src: other crates and serve's tests are free.
         let elsewhere = scan_source(
             "crates/bench/src/bin/serve_chaos.rs",
-            "let r = std::panic::catch_unwind(body);\n",
+            "fn f() {\n    let r = std::panic::catch_unwind(body);\n}\n",
             false,
             &Allowlist::empty(),
         );
         assert!(elsewhere.iter().all(|d| d.code != "SL111"));
         let in_tests = scan_source(
             "crates/serve/tests/hardening.rs",
-            "let r = std::panic::catch_unwind(body);\n",
+            "fn f() {\n    let r = std::panic::catch_unwind(body);\n}\n",
             false,
             &Allowlist::empty(),
         );
@@ -1553,16 +1261,21 @@ mod tests {
         };
         // Consuming the estimate with no word on the underfed case.
         for bad in [
-            "let h = slot.estimator.entropy_rate();\n",
-            "let h = markov_min_entropy(&bits, 2).unwrap();\n",
+            "fn f() {\n    let h = slot.estimator.entropy_rate();\n}\n",
+            "fn f() {\n    let h = markov_min_entropy(&bits, 2).unwrap();\n}\n",
+            // A note in a sibling branch two lines up does not govern
+            // the read.
+            "fn f(x: bool) {\n    if x {\n        // InsufficientData: no verdict yet.\n    }\n    let h = est.entropy_rate();\n}\n",
         ] {
             assert_eq!(scan_serve(bad).len(), 1, "{bad:?} must fire once");
         }
-        // An InsufficientData note on the line or within the 3
-        // preceding raw lines excuses the call; comments count.
+        // A dominating InsufficientData note on the line or within the
+        // 3 preceding raw lines excuses the call; comments count, the
+        // function's doc comment included.
         for good in [
-            "// InsufficientData maps to None: no verdict yet.\nlet h = slot.estimator.entropy_rate();\n",
-            "// The typed InsufficientData case is \"no verdict yet\",\n// never zero entropy.\nlet h = markov_min_entropy(&bits, 2)?;\n",
+            "fn f() {\n    // InsufficientData maps to None: no verdict yet.\n    let h = slot.estimator.entropy_rate();\n}\n",
+            "fn f() {\n    // The typed InsufficientData case is \"no verdict yet\",\n    // never zero entropy.\n    let h = markov_min_entropy(&bits, 2)?;\n}\n",
+            "/// `InsufficientData` maps to `None`: no verdict yet.\n#[must_use]\nfn entropy(&self) -> Option<u32> {\n    self.estimator.entropy_rate()\n}\n",
         ] {
             assert!(
                 scan_serve(good).is_empty(),
@@ -1573,14 +1286,14 @@ mod tests {
         // Scoped to serve src: other crates and serve's tests are free.
         let elsewhere = scan_source(
             "crates/core/src/experiments/ext_entropy.rs",
-            "let h = markov_min_entropy(&bits, 2)?;\n",
+            "fn f() {\n    let h = markov_min_entropy(&bits, 2)?;\n}\n",
             false,
             &Allowlist::empty(),
         );
         assert!(elsewhere.iter().all(|d| d.code != "SL112"));
         let in_tests = scan_source(
             "crates/serve/tests/sharding.rs",
-            "let h = est.entropy_rate();\n",
+            "fn f() {\n    let h = est.entropy_rate();\n}\n",
             false,
             &Allowlist::empty(),
         );
@@ -1721,26 +1434,53 @@ mod tests {
         assert!(json.contains("\"scan_ms\": 12"));
         assert!(json.contains("\"suppressed\": 2"));
         assert!(json.contains("\"SL101\": 1"));
-        assert!(json.contains("\"SL205\": 0"), "every registry code is counted");
+        // Every registry code is counted, zero or not, and nothing else.
+        assert_eq!(report.rule_counts().len(), RULES.len());
+        for r in &RULES[1..] {
+            assert!(json.contains(&format!("\"{}\": 0", r.code)), "{}", r.code);
+        }
         assert!(json.contains("\\\"quoted\\\""));
         let empty = ScanReport::default().to_json();
         assert!(empty.contains("\"diagnostics\": []"));
     }
 
     #[test]
-    fn catalog_lists_every_rule() {
-        let catalog = catalog_json();
-        for r in &RULES {
-            assert!(catalog.contains(&format!("\"code\": \"{}\"", r.code)), "{}", r.code);
-        }
-        assert_eq!(rule("SL201").expect("registered").scope, "serve-src");
-        assert!(rule("SL999").is_none());
+    fn docs_tables_match_the_rule_registry() {
+        // docs/static_analysis.md documents every rule in a
+        // `| code | severity | scope | finding |` row; the rows and the
+        // registry must agree in both directions.
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let doc = fs::read_to_string(root.join("docs/static_analysis.md")).expect("docs");
+        let documented: BTreeSet<(String, String, String)> = doc
+            .lines()
+            .filter_map(|line| {
+                let cells: Vec<&str> = line.split('|').map(str::trim).collect();
+                let [_, code, severity, scope, ..] = cells[..] else {
+                    return None;
+                };
+                let word = |s: &str| {
+                    !s.is_empty()
+                        && s.chars()
+                            .all(|c| c.is_ascii_alphanumeric() || "_+-".contains(c))
+                };
+                (code.len() == 5 && code.starts_with("SL") && word(severity) && word(scope))
+                    .then(|| (code.to_owned(), severity.to_owned(), scope.to_owned()))
+            })
+            .collect();
+        let registered: BTreeSet<(String, String, String)> = RULES
+            .iter()
+            .map(|r| (r.code.to_owned(), r.severity.to_owned(), r.scope.to_owned()))
+            .collect();
+        assert_eq!(
+            documented, registered,
+            "docs/static_analysis.md drifted from RULES"
+        );
     }
 
     #[test]
     fn fixtures_fire_every_source_code() {
         // Registry-driven: every rule must carry a fixture that fires
-        // it, so a new code cannot land without self-test coverage.
+        // it, so a new code cannot land without fixture coverage.
         let fixtures = Path::new(env!("CARGO_MANIFEST_DIR")).join("fixtures");
         for r in &RULES {
             let source = fs::read_to_string(fixtures.join(r.fixture)).expect(r.fixture);
@@ -1774,6 +1514,24 @@ mod tests {
             let diags = scan_source(label, &clean, true, &Allowlist::empty());
             assert!(diags.is_empty(), "{file} fired: {diags:?}");
         }
+        // The fixture set and the registry agree: every `.rs` file is a
+        // rule's fixture or a clean one, and a crate-shaped directory
+        // registers under its root path.
+        let mut expected: BTreeSet<String> = RULES.iter().map(|r| r.fixture.to_owned()).collect();
+        expected.extend(["clean.rs".to_owned(), "clean_sl2xx.rs".to_owned()]);
+        let actual: BTreeSet<String> = fs::read_dir(&fixtures)
+            .expect("fixtures dir")
+            .filter_map(Result::ok)
+            .map(|e| {
+                let name = e.file_name().to_string_lossy().into_owned();
+                if e.path().is_dir() {
+                    format!("{name}/src/lib.rs")
+                } else {
+                    name
+                }
+            })
+            .collect();
+        assert_eq!(actual, expected, "fixture files and RULES disagree");
     }
 
     #[test]

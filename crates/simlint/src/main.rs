@@ -3,8 +3,7 @@
 //!
 //! ```text
 //! simlint [--root DIR] [--allowlist FILE] [--baseline FILE]
-//!         [--write-baseline FILE] [--deny] [--json] [--self-test]
-//!         [--catalog]
+//!         [--write-baseline FILE] [--deny] [--json]
 //! ```
 //!
 //! - `--root DIR`             workspace root to scan (default: `.`)
@@ -13,21 +12,17 @@
 //! - `--write-baseline FILE`  write the current findings in baseline format and exit
 //! - `--deny`                 exit 1 on any non-grandfathered diagnostic (CI mode; default exits 0 and just prints)
 //! - `--json`                 emit the machine-readable report on stdout (version 2: per-rule counts + scan timing)
-//! - `--self-test`            scan the bundled fixtures and verify every registered code fires, and that the fixture set and rule registry agree
-//! - `--catalog`              emit the machine-readable rule catalog (code, severity, scope, summary) and exit
 //!
-//! Exit codes: 0 clean (or warn mode), 1 findings under `--deny` or a
-//! failed self-test, 2 usage/IO error.
+//! Exit codes: 0 clean (or warn mode), 1 findings under `--deny`, 2
+//! usage/IO error. The fixture proof (every registered code fires) and
+//! the docs-drift check are unit tests: `cargo test -p simlint`.
 
 #![forbid(unsafe_code)]
 
-use std::collections::BTreeSet;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::process::ExitCode;
 
-use simlint::{
-    catalog_json, check_crate_gate, scan_source, scan_workspace, Allowlist, Baseline, RULES,
-};
+use simlint::{scan_workspace, Allowlist, Baseline};
 
 struct Options {
     root: PathBuf,
@@ -36,8 +31,6 @@ struct Options {
     write_baseline: Option<PathBuf>,
     deny: bool,
     json: bool,
-    self_test: bool,
-    catalog: bool,
 }
 
 fn parse_args() -> Result<Options, String> {
@@ -48,8 +41,6 @@ fn parse_args() -> Result<Options, String> {
         write_baseline: None,
         deny: false,
         json: false,
-        self_test: false,
-        catalog: false,
     };
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -79,112 +70,14 @@ fn parse_args() -> Result<Options, String> {
             }
             "--deny" => opts.deny = true,
             "--json" => opts.json = true,
-            "--self-test" => opts.self_test = true,
-            "--catalog" => opts.catalog = true,
             other => return Err(format!("unknown argument {other:?}")),
         }
     }
     Ok(opts)
 }
 
-/// Proves each registered diagnostic fires on its bundled fixture, and
-/// that the fixture directory and the rule registry agree (no
-/// registered code without a fixture, no stray fixture file without a
-/// rule) — run by CI so a scanner regression cannot silently stop
-/// detecting a class.
-fn self_test(root: &Path) -> Result<(), String> {
-    let fixtures = root.join("crates/simlint/fixtures");
-    let empty = Allowlist::empty();
-    for r in &RULES {
-        let path = fixtures.join(r.fixture);
-        let source = std::fs::read_to_string(&path)
-            .map_err(|e| format!("cannot read fixture {}: {e}", path.display()))?;
-        if r.code == "SL106" {
-            // The gate rule fires on a crate root, not a scanned line.
-            match check_crate_gate("fixtures/missing_gate/src/lib.rs", &source, false, &empty) {
-                Some(d) if d.code == "SL106" => {
-                    println!("self-test: {} fires SL106", r.fixture);
-                }
-                other => {
-                    return Err(format!("{} no longer fires SL106: {other:?}", r.fixture));
-                }
-            }
-            continue;
-        }
-        // Fixtures pose as files of the crate their rule is scoped to
-        // (the registry records which).
-        let label = format!("crates/{}/src/{}", r.fixture_crate, r.fixture);
-        let diags = scan_source(&label, &source, true, &empty);
-        if !diags.iter().any(|d| d.code == r.code) {
-            return Err(format!(
-                "fixture {} no longer fires {}: {diags:?}",
-                r.fixture, r.code
-            ));
-        }
-        println!("self-test: {} fires {}", r.fixture, r.code);
-    }
-    // Clean fixtures exercise the legitimate patterns and must stay
-    // quiet under every rule.
-    for (file, label) in [
-        ("clean.rs", "crates/sim/src/clean.rs"),
-        ("clean_sl2xx.rs", "crates/serve/src/clean_sl2xx.rs"),
-    ] {
-        let path = fixtures.join(file);
-        let source = std::fs::read_to_string(&path)
-            .map_err(|e| format!("cannot read fixture {}: {e}", path.display()))?;
-        let diags = scan_source(label, &source, true, &empty);
-        if !diags.is_empty() {
-            return Err(format!("{file} fired: {diags:?}"));
-        }
-        println!("self-test: {file} stays quiet");
-    }
-    // Fixture-set / registry agreement: every .rs file in fixtures/
-    // must be a registered rule's fixture or a known clean fixture.
-    let mut expected: BTreeSet<String> = RULES.iter().map(|r| r.fixture.to_owned()).collect();
-    expected.insert("clean.rs".to_owned());
-    expected.insert("clean_sl2xx.rs".to_owned());
-    let mut actual: BTreeSet<String> = BTreeSet::new();
-    let entries = std::fs::read_dir(&fixtures)
-        .map_err(|e| format!("cannot list {}: {e}", fixtures.display()))?;
-    for entry in entries.filter_map(Result::ok) {
-        let name = entry.file_name().to_string_lossy().into_owned();
-        if name.ends_with(".rs") {
-            actual.insert(name);
-        } else if entry.path().is_dir() {
-            // Directory fixtures (crate-shaped, e.g. missing_gate/)
-            // register under their crate-root path.
-            actual.insert(format!("{name}/src/lib.rs"));
-        }
-    }
-    let unregistered: Vec<&String> = actual.difference(&expected).collect();
-    if !unregistered.is_empty() {
-        return Err(format!(
-            "fixture files with no registry entry (register the rule or delete them): \
-             {unregistered:?}"
-        ));
-    }
-    let missing: Vec<&String> = expected.difference(&actual).collect();
-    if !missing.is_empty() {
-        return Err(format!("registered fixtures missing on disk: {missing:?}"));
-    }
-    println!(
-        "self-test: fixture set and rule registry agree ({} rules, {} fixtures)",
-        RULES.len(),
-        actual.len()
-    );
-    Ok(())
-}
-
 fn run() -> Result<ExitCode, String> {
     let opts = parse_args()?;
-    if opts.catalog {
-        print!("{}", catalog_json());
-        return Ok(ExitCode::SUCCESS);
-    }
-    if opts.self_test {
-        self_test(&opts.root)?;
-        return Ok(ExitCode::SUCCESS);
-    }
     let allowlist = match &opts.allowlist {
         Some(path) => Allowlist::load(path)?,
         None => {

@@ -1,19 +1,20 @@
-//! The SL2xx concurrency & determinism-provenance rules.
+//! The SL2xx concurrency & determinism-provenance rules, plus the
+//! serve-layer guard rules.
 //!
 //! Everything here runs over the semantic core (lexer → block tree →
 //! symbols) rather than raw lines:
 //!
 //! | code  | finding |
 //! |-------|---------|
+//! | SL108, SL110–SL112 | a risky serve-layer call (blocking read, thread spawn, `catch_unwind`, entropy-estimate read) with no guard that dominates it within 3 lines |
 //! | SL201 | lock pair acquired in both orders in `crates/serve` (deadlock) |
 //! | SL202 | mutex guard held across a blocking call |
 //! | SL203 | channel-topology audit: unbounded `channel()` in the serving layer; a `Sender` whose `Receiver` is provably dropped |
 //! | SL204 | seed material in deterministic crates not derived from the `RngTree` |
-//! | SL205 | scope-aware guard checks: a liveness/lifecycle token must *dominate* the risky call, not merely sit within 3 lines |
 //!
 //! `scan_semantic` returns diagnostics *unfiltered* — the caller (the
 //! crate root) applies inline `simlint: allow` directives and the
-//! allowlist, exactly as for the SL1xx text rules — plus the raw lock
+//! allowlist, exactly as for the SL1xx line rules — plus the raw lock
 //! acquisition pairs so the workspace scanner can detect cross-file
 //! order conflicts, and the set of lines the semantic SL107 pass
 //! claimed (so the text fallback stays out of its way).
@@ -21,7 +22,7 @@
 use crate::lexer::{match_delim, TokKind};
 use crate::symbols::{normalize_receiver, Prov, Symbols};
 use crate::tree::{FileTree, FnItem};
-use crate::{SourceDiagnostic, LIFECYCLE_GUARDS, LIVENESS_GUARDS};
+use crate::SourceDiagnostic;
 use std::collections::BTreeSet;
 
 /// One ordered lock acquisition observed while another lock was held:
@@ -41,7 +42,7 @@ pub struct LockPair {
 /// The semantic pass's output for one file.
 #[derive(Debug, Default)]
 pub struct SemanticScan {
-    /// SL107/SL202–SL205 findings (unfiltered).
+    /// SL107, guard-rule and SL202–SL204 findings (unfiltered).
     pub diagnostics: Vec<SourceDiagnostic>,
     /// Ordered lock pairs for the SL201 order-consistency check.
     pub lock_pairs: Vec<LockPair>,
@@ -67,10 +68,6 @@ const SL202_BLOCKING: [&str; 11] = [
     "join",
 ];
 
-/// Blocking-read identifiers SL205 requires a dominating liveness
-/// guard for (the scope-aware SL108).
-const SL205_READS: [&str; 5] = ["recv", "accept", "read", "read_exact", "read_frame"];
-
 /// A guard interval: lock `name` is held over tokens `[start, end)`;
 /// `acq` is the acquisition token (excluded from "held" queries so an
 /// acquisition never conflicts with itself).
@@ -82,11 +79,17 @@ struct Held {
     line: usize,
 }
 
-/// Runs every SL2xx rule (plus the provenance-aware SL107) over one
-/// file. `deterministic` gates SL204; the serve-layer rules gate on
+/// Runs every SL2xx rule, the guard rules and the provenance-aware
+/// SL107 over one parsed file (`raw` is its source, one entry per
+/// line). `deterministic` gates SL204; the serve-layer rules gate on
 /// `path` themselves.
 #[must_use]
-pub fn scan_semantic(path: &str, source: &str, deterministic: bool) -> SemanticScan {
+pub fn scan_semantic(
+    path: &str,
+    tree: &FileTree,
+    raw: &[&str],
+    deterministic: bool,
+) -> SemanticScan {
     let mut out = SemanticScan::default();
     let in_src = path.contains("/src/");
     let in_serve = path.starts_with("crates/serve/") && in_src;
@@ -94,8 +97,6 @@ pub fn scan_semantic(path: &str, source: &str, deterministic: bool) -> SemanticS
     if !in_src {
         return out;
     }
-    let tree = FileTree::parse(source);
-    let raw: Vec<&str> = source.lines().collect();
     let guard_fns: BTreeSet<String> = tree
         .fns
         .iter()
@@ -116,16 +117,16 @@ pub fn scan_semantic(path: &str, source: &str, deterministic: bool) -> SemanticS
             .map(|(_, g)| (g.start, g.end))
             .collect();
         let skip = |idx: usize| nested.iter().any(|&(s, e)| idx >= s && idx <= e);
-        let syms = Symbols::build(&tree, f, &guard_fns);
-        sl107_provenance(path, &tree, f, &syms, &skip, &mut out);
+        let syms = Symbols::build(tree, f, &guard_fns);
+        sl107_provenance(path, tree, f, &syms, &skip, &mut out);
         if in_serve {
-            let held = lock_intervals(path, &tree, f, &syms, &guard_fns, &skip, &mut out);
-            sl202_guard_across_blocking(path, &tree, f, &held, &skip, &mut out);
-            sl203_channel_topology(path, &tree, f, &syms, &skip, &mut out);
-            sl205_scope_guards(path, &tree, f, &raw, &skip, &mut out);
+            let held = lock_intervals(path, tree, f, &syms, &guard_fns, &skip, &mut out);
+            sl202_guard_across_blocking(path, tree, f, &held, &skip, &mut out);
+            sl203_channel_topology(path, tree, f, &syms, &skip, &mut out);
+            guard_rules(path, tree, f, raw, &skip, &mut out);
         }
         if in_det {
-            sl204_rng_provenance(path, &tree, f, &syms, &skip, &mut out);
+            sl204_rng_provenance(path, tree, f, &syms, &skip, &mut out);
         }
     }
     out
@@ -547,15 +548,93 @@ fn sl204_rng_provenance(
     }
 }
 
-/// SL205: scope-aware re-implementation of the SL108/SL110 guard
-/// checks. A guard token excuses a risky call only when it *dominates*
-/// it — same block or an enclosing one, no later than the call — so a
-/// guard inside a sibling branch three lines up no longer counts.
-/// Guards are found two ways: identifier tokens (e.g.
-/// `set_nonblocking`, `recv_timeout`, `shutdown`) and raw source
-/// lines (comments and string literals, e.g. thread-name strings),
-/// placed in the tree by line span.
-fn sl205_scope_guards(
+/// How far above a risky call its guard may sit: on the call's line or
+/// one of the `GUARD_WINDOW` lines before it.
+const GUARD_WINDOW: usize = 3;
+
+/// One serve-layer guard rule: the risky call shapes it looks for and
+/// the guard words that excuse them.
+struct GuardRule {
+    code: &'static str,
+    /// `(punct, ident)`: `ident(` preceded by `punct`, or by anything
+    /// when `punct` is empty.
+    calls: &'static [(&'static str, &'static str)],
+    /// Lower-case guard words, matched case-insensitively.
+    guards: &'static [&'static str],
+    /// What the call is, and what the finding asks for.
+    what: &'static str,
+    advice: &'static str,
+}
+
+const GUARD_RULES: [GuardRule; 4] = [
+    // strent-serve is a long-running daemon: a blocking read (channel
+    // recv, socket accept, transport read, the crate's own frame
+    // decoder) with no timeout, nonblocking setup or shutdown check
+    // lets a silent peer or a dead worker pin a thread forever.
+    GuardRule {
+        code: "SL108",
+        calls: &[
+            (".", "recv"),
+            (".", "accept"),
+            (".", "read"),
+            (".", "read_exact"),
+            ("", "read_frame"),
+        ],
+        guards: &["timeout", "shutdown", "nonblocking", "try_recv", "deadline"],
+        what: "blocking read",
+        advice: "add a timeout/deadline, a nonblocking setup or a shutdown check",
+    },
+    // Connections are multiplexed by the event loop, so the only
+    // threads the service may create are its named lifecycle threads
+    // (pool workers, scheduler shards, the event loop), spawned at
+    // startup — never one per connection.
+    GuardRule {
+        code: "SL110",
+        calls: &[(".", "spawn"), ("::", "spawn")],
+        guards: &[
+            "worker",
+            "scheduler",
+            "shard",
+            "event-loop",
+            "event loop",
+            "startup",
+        ],
+        what: "thread spawn",
+        advice: "connections are multiplexed by the event loop, never given threads; \
+                 name the worker/scheduler/shard/event-loop startup thread or say so",
+    },
+    // The only legitimate catch_unwind is a supervision loop's restart
+    // boundary: a caught panic that is neither restarted nor escalated
+    // leaves a silently dead unit.
+    GuardRule {
+        code: "SL111",
+        calls: &[("", "catch_unwind")],
+        guards: &["restart", "backoff", "escalat", "supervis", "resume"],
+        what: "panic catch",
+        advice: "route the recovery through the supervise loop (restart, backoff, \
+                 escalate) or say which discipline applies",
+    },
+    // An underfed estimator window is "no verdict yet", never zero
+    // entropy: a consumer that conflates the two demotes every freshly
+    // started or re-locked source for its empty window.
+    GuardRule {
+        code: "SL112",
+        calls: &[(".", "entropy_rate"), ("", "markov_min_entropy")],
+        guards: &["insufficientdata"],
+        what: "entropy-estimate read",
+        advice: "say how the underfed window (InsufficientData: \"no verdict yet\", \
+                 never zero entropy) is handled",
+    },
+];
+
+/// SL108/SL110/SL111/SL112: every risky call in a serve-layer function
+/// needs a guard word that *dominates* it (same or enclosing block, no
+/// later) *and* sits on its line or within [`GUARD_WINDOW`] lines above
+/// it. Dominance alone lets any earlier identifier that happens to hold
+/// a guard word (`worker_count`, `try_recv`) excuse every later call;
+/// the window alone lets a guard in a sibling branch excuse a call it
+/// does not govern.
+fn guard_rules(
     path: &str,
     tree: &FileTree,
     f: &FnItem,
@@ -565,83 +644,85 @@ fn sl205_scope_guards(
 ) {
     let toks = &tree.toks;
     let limit = f.end.min(toks.len().saturating_sub(1));
-    let guarded = |c: usize, guards: &[&str]| {
-        let call_line = toks[c].line;
-        // Identifier path: any dominating token carrying a guard word.
-        let tok_hit = (f.start..=c).any(|g| {
-            !skip(g)
-                && toks[g].kind == TokKind::Ident
-                && {
-                    let lower = toks[g].text.to_lowercase();
-                    guards.iter().any(|w| lower.contains(w))
-                }
-                && tree.dominates(g, c)
-        });
-        if tok_hit {
-            return true;
-        }
-        // Raw-line path: comments and string literals count, placed
-        // into the innermost block spanning their line.
-        (f.start_line..=call_line).any(|ln| {
-            raw.get(ln - 1).is_some_and(|l| {
-                let lower = l.to_lowercase();
-                guards.iter().any(|w| lower.contains(w))
-            }) && tree.is_ancestor_or_self(
-                tree.block_at_line(ln, f.start, f.end),
-                tree.block_of(c),
-            )
-        })
-    };
     for k in f.start..=limit {
-        if skip(k) {
-            continue;
-        }
         let t = &toks[k];
-        if t.kind != TokKind::Ident || !toks.get(k + 1).is_some_and(|p| p.is_punct("(")) {
+        if skip(k) || t.kind != TokKind::Ident || !toks.get(k + 1).is_some_and(|p| p.is_punct("("))
+        {
             continue;
         }
-        let is_read = SL205_READS.contains(&t.text.as_str())
-            && (t.text == "read_frame" || k > 0 && toks[k - 1].is_punct("."));
-        let is_spawn = t.text == "spawn"
-            && k > 0
-            && (toks[k - 1].is_punct(".") || toks[k - 1].is_punct("::"));
-        if is_read && !guarded(k, &LIVENESS_GUARDS) {
+        let Some(rule) = GUARD_RULES.iter().find(|r| {
+            r.calls.iter().any(|&(before, name)| {
+                t.text == name && (before.is_empty() || k > 0 && toks[k - 1].is_punct(before))
+            })
+        }) else {
+            continue;
+        };
+        if !guarded(tree, f, raw, skip, k, rule.guards) {
             out.diagnostics.push(SourceDiagnostic {
-                code: "SL205",
-                severity: "warning",
+                code: rule.code,
+                severity: "error",
                 path: path.to_owned(),
                 line: t.line,
                 message: format!(
-                    "blocking `{}()` with no liveness guard in scope: a \
-                     timeout/deadline, nonblocking setup or shutdown check must \
-                     dominate this call (same or enclosing block, no later) — a \
-                     guard in a sibling branch does not govern it",
-                    t.text
+                    "{} `{}()` in the serving layer with no guard in scope: {} in the \
+                     same or an enclosing block, on the call's line or the {GUARD_WINDOW} \
+                     lines above it (a comment naming the guard counts)",
+                    rule.what, t.text, rule.advice
                 ),
             });
         }
-        if is_spawn && !guarded(k, &LIFECYCLE_GUARDS) {
-            out.diagnostics.push(SourceDiagnostic {
-                code: "SL205",
-                severity: "warning",
-                path: path.to_owned(),
-                line: t.line,
-                message: "thread spawn with no lifecycle token in scope: only named \
-                          startup threads (worker/scheduler/shard/event-loop) may be \
-                          created in the serving layer, and the token must dominate \
-                          the spawn, not merely sit nearby"
-                    .to_owned(),
-            });
-        }
     }
+}
+
+/// Whether a guard word excuses the call at token `call`. Guards are
+/// identifier tokens (`set_nonblocking`, `shutdown`) or raw lines
+/// (comments and string literals, e.g. thread names) placed in the tree
+/// by line span; a line above the `fn` keyword (its doc comment) is
+/// function scope.
+fn guarded(
+    tree: &FileTree,
+    f: &FnItem,
+    raw: &[&str],
+    skip: &dyn Fn(usize) -> bool,
+    call: usize,
+    guards: &[&str],
+) -> bool {
+    let toks = &tree.toks;
+    let line = toks[call].line;
+    let first = line.saturating_sub(GUARD_WINDOW).max(1);
+    let carries = |text: &str| {
+        let lower = text.to_lowercase();
+        guards.iter().any(|g| lower.contains(g))
+    };
+    // A token dominates even on a line that also opens a block, where
+    // the raw line would be placed in the inner block.
+    let by_token = (f.start..=call)
+        .rev()
+        .take_while(|&g| toks[g].line >= first)
+        .any(|g| {
+            !skip(g)
+                && toks[g].kind == TokKind::Ident
+                && carries(&toks[g].text)
+                && tree.dominates(g, call)
+        });
+    by_token
+        || (first..=line).any(|ln| {
+            raw.get(ln - 1).is_some_and(|l| carries(l))
+                && tree.is_ancestor_or_self(tree.block_at_line(ln), tree.block_of(call))
+        })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn semantic(path: &str, source: &str, deterministic: bool) -> SemanticScan {
+        let raw: Vec<&str> = source.lines().collect();
+        scan_semantic(path, &FileTree::parse(source), &raw, deterministic)
+    }
+
     fn serve_scan(source: &str) -> SemanticScan {
-        scan_semantic("crates/serve/src/x.rs", source, false)
+        semantic("crates/serve/src/x.rs", source, false)
     }
 
     fn codes(scan: &SemanticScan) -> Vec<&'static str> {
@@ -697,7 +778,7 @@ mod tests {
 
     #[test]
     fn sl204_requires_seed_provenance() {
-        let det = |src: &str| scan_semantic("crates/sim/src/x.rs", src, true);
+        let det = |src: &str| semantic("crates/sim/src/x.rs", src, true);
         let bad = det("fn f() {\n    let rng = SimRng::seed_from_u64(12345);\n}\n");
         assert_eq!(codes(&bad), ["SL204"], "{:?}", bad.diagnostics);
         for good in [
@@ -711,14 +792,14 @@ mod tests {
     }
 
     #[test]
-    fn sl205_requires_dominating_guards_not_nearby_lines() {
+    fn sl108_sl110_guards_must_dominate_not_sit_in_a_sibling_branch() {
         // The 3-line-window blind spot: a guard inside a *sibling*
-        // branch sits 2 lines above the call and fools SL108, but it
-        // does not dominate the accept.
+        // branch sits 2 lines above the call, but it does not dominate
+        // the accept.
         let blind = serve_scan(
             "fn f(l: &L, x: bool) {\n    if x {\n        l.set_nonblocking(true).ok();\n    }\n    let c = l.accept();\n}\n",
         );
-        assert_eq!(codes(&blind), ["SL205"], "{:?}", blind.diagnostics);
+        assert_eq!(codes(&blind), ["SL108"], "{:?}", blind.diagnostics);
         // The same guard hoisted to the enclosing block dominates.
         let hoisted = serve_scan(
             "fn f(l: &L, x: bool) {\n    l.set_nonblocking(true).ok();\n    let c = l.accept();\n}\n",
@@ -735,12 +816,16 @@ mod tests {
         );
         assert!(codes(&named).is_empty(), "{:?}", named.diagnostics);
         let bare = serve_scan("fn f() {\n    let h = std::thread::spawn(run);\n}\n");
-        assert_eq!(codes(&bare), ["SL205"], "{:?}", bare.diagnostics);
+        assert_eq!(codes(&bare), ["SL110"], "{:?}", bare.diagnostics);
+        let sibling = serve_scan(
+            "fn f(x: bool) {\n    if x {\n        let name = \"strent-serve-worker-0\";\n    }\n    let h = std::thread::spawn(run);\n}\n",
+        );
+        assert_eq!(codes(&sibling), ["SL110"], "{:?}", sibling.diagnostics);
     }
 
     #[test]
     fn sl107_provenance_tracks_handles_through_bindings() {
-        let det = |src: &str| scan_semantic("crates/sim/src/x.rs", src, true);
+        let det = |src: &str| semantic("crates/sim/src/x.rs", src, true);
         // Via a binding: the old text rule is blind to this.
         let bound = det(
             "fn f() {\n    let h = std::thread::spawn(work);\n    let r = h.join();\n    let stats = r.unwrap();\n}\n",

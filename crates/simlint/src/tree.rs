@@ -10,7 +10,8 @@
 //!   type idents), enclosing `impl` type, and whether it lives in test
 //!   code (`#[test]`, `#[cfg(test)]` on the item or any ancestor
 //!   `mod`/`impl`/`fn`) — `#[cfg(test)]` regions are tree nodes here,
-//!   not line spans.
+//!   and [`FileTree::test_lines`] projects them onto lines for the line
+//!   rules.
 //!
 //! This is deliberately not a full Rust parser: it is a brace-matching
 //! pass with just enough item awareness for the SL2xx rules, and it
@@ -148,16 +149,36 @@ impl FileTree {
         None
     }
 
-    /// The innermost block whose *line span* contains `line`,
-    /// restricted to blocks within token range `[start, end]`. Used to
+    /// Per-line test-code flags (index = line − 1) for a file of `lines`
+    /// lines: every line from a test `fn` keyword or a test container's
+    /// opening brace through its closing brace.
+    #[must_use]
+    pub fn test_lines(&self, lines: usize) -> Vec<bool> {
+        let mut mask = vec![false; lines];
+        let containers = self
+            .blocks
+            .iter()
+            .filter(|b| b.test_root)
+            .map(|b| (b.open_line, b.close_line));
+        let fns = self
+            .fns
+            .iter()
+            .filter(|f| f.is_test)
+            .map(|f| (f.start_line, self.toks.get(f.end).map_or(lines, |t| t.line)));
+        for (first, last) in containers.chain(fns) {
+            for flag in mask.iter_mut().take(last).skip(first - 1) {
+                *flag = true;
+            }
+        }
+        mask
+    }
+
+    /// The innermost block whose *line span* contains `line`. Used to
     /// place comment lines (which have no tokens) in the tree.
     #[must_use]
-    pub fn block_at_line(&self, line: usize, start: usize, end: usize) -> Option<usize> {
+    pub fn block_at_line(&self, line: usize) -> Option<usize> {
         let mut best: Option<usize> = None;
         for (id, b) in self.blocks.iter().enumerate() {
-            if b.open < start || b.close > end {
-                continue;
-            }
             if b.open_line <= line && line <= b.close_line {
                 // Later-opening blocks are deeper.
                 best = Some(id);
@@ -181,9 +202,13 @@ impl FileTree {
                     }
                     if toks.get(j).is_some_and(|t| t.is_punct("[")) {
                         let close = match_delim(&toks, j);
-                        attr_test |= toks[j..close.min(toks.len())]
+                        // `#[test]` or `#[cfg(test)]`, never
+                        // `#[cfg(not(test))]`, which marks production code.
+                        let attr: Vec<&str> = toks[j + 1..close.min(toks.len())]
                             .iter()
-                            .any(|t| t.is_ident("test"));
+                            .map(|t| t.text.as_str())
+                            .collect();
+                        attr_test |= matches!(attr[..], ["test"] | ["cfg", "(", "test", ")"]);
                         i = close + 1;
                         continue;
                     }
@@ -480,6 +505,17 @@ mod tests {
         assert!(!by_name("prod").is_test);
         assert!(by_name("helper").is_test, "inherits the mod's cfg(test)");
         assert!(by_name("case").is_test);
+        // The line projection covers the test mod, not the prod fn.
+        assert_eq!(
+            tree.test_lines(7),
+            [false, false, true, true, true, true, true]
+        );
+        let negated = FileTree::parse("#[cfg(not(test))]\nfn prod() { let x = 1; }\n");
+        assert!(!negated.fns[0].is_test, "cfg(not(test)) is production code");
+        assert_eq!(negated.test_lines(2), [false, false]);
+        // An unclosed test body runs to the end of the file.
+        let unclosed = FileTree::parse("#[test]\nfn t() {\n    let x = 1;\n");
+        assert_eq!(unclosed.test_lines(3), [false, true, true]);
     }
 
     #[test]
@@ -513,9 +549,8 @@ mod tests {
     fn comment_lines_place_into_blocks() {
         let source = "fn f(x: bool) {\n    if x {\n        // nonblocking here\n        a();\n    }\n    b();\n}\n";
         let tree = FileTree::parse(source);
-        let f = &tree.fns[0];
         let b_pos = tree.toks.iter().position(|t| t.is_ident("b")).expect("b");
-        let comment_block = tree.block_at_line(3, f.start, f.end);
+        let comment_block = tree.block_at_line(3);
         assert!(
             !tree.is_ancestor_or_self(comment_block, tree.block_of(b_pos)),
             "a comment inside the if-block must not dominate b()"

@@ -2,6 +2,9 @@
 
 use crate::bits::BitString;
 use crate::error::TrngError;
+use strent_analysis::markov::MarkovCounts;
+
+pub use strent_analysis::markov::binary_entropy;
 
 fn require_bits(bits: &BitString, needed: usize) -> Result<(), TrngError> {
     if bits.len() < needed {
@@ -11,15 +14,6 @@ fn require_bits(bits: &BitString, needed: usize) -> Result<(), TrngError> {
         });
     }
     Ok(())
-}
-
-/// Binary Shannon entropy of `p`: `-p log2 p - (1-p) log2 (1-p)`.
-#[must_use]
-pub fn binary_entropy(p: f64) -> f64 {
-    if p <= 0.0 || p >= 1.0 {
-        return 0.0;
-    }
-    -p * p.log2() - (1.0 - p) * (1.0 - p).log2()
 }
 
 /// The bias of a bit stream: `P(1) - 1/2`.
@@ -58,31 +52,18 @@ pub fn min_entropy(bits: &BitString) -> Result<f64, TrngError> {
 }
 
 /// First-order Markov entropy rate: the conditional entropy
-/// `H(X_n | X_{n-1})` estimated from transition frequencies. Catches the
-/// serial correlation that plain symbol frequencies miss.
+/// `H(X_n | X_{n-1})` estimated from transition frequencies
+/// ([`MarkovCounts::shannon_rate`] of order 1). Catches the serial
+/// correlation that plain symbol frequencies miss.
 ///
 /// # Errors
 ///
 /// Returns [`TrngError::NotEnoughBits`] for fewer than 101 bits.
 pub fn markov_entropy(bits: &BitString) -> Result<f64, TrngError> {
     require_bits(bits, 101)?;
-    let b = bits.as_slice();
-    let mut counts = [[0u64; 2]; 2];
-    for w in b.windows(2) {
-        counts[w[0] as usize][w[1] as usize] += 1;
-    }
-    let mut h = 0.0;
-    let total: u64 = counts.iter().flatten().sum();
-    for (prev, row) in counts.iter().enumerate() {
-        let row_total = row[0] + row[1];
-        if row_total == 0 {
-            continue;
-        }
-        let p_prev = row_total as f64 / total as f64;
-        let p1 = counts[prev][1] as f64 / row_total as f64;
-        h += p_prev * binary_entropy(p1);
-    }
-    Ok(h)
+    let mut counts = MarkovCounts::new(1)?;
+    counts.feed(bits.as_slice());
+    Ok(counts.shannon_rate()?)
 }
 
 /// Per-bit collision (Rényi order-2) entropy: `-log2 (p^2 + (1-p)^2)`.
@@ -183,15 +164,6 @@ mod tests {
         let bits = random_bits(16_384, 3);
         let h = markov_min_entropy(&bits, 2).expect("enough data");
         assert!(h > 0.8 && h <= 1.0, "fair stream estimated {h}");
-    }
-
-    #[test]
-    fn binary_entropy_reference_points() {
-        assert_eq!(binary_entropy(0.0), 0.0);
-        assert_eq!(binary_entropy(1.0), 0.0);
-        assert!((binary_entropy(0.5) - 1.0).abs() < 1e-12);
-        assert!((binary_entropy(0.11) - 0.4999).abs() < 0.001);
-        assert!((binary_entropy(0.25) - binary_entropy(0.75)).abs() < 1e-12);
     }
 
     #[test]

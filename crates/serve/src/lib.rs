@@ -36,14 +36,12 @@
 //! * [`supervisor`] — restart policies with deterministic jittered
 //!   backoff, typed incident records, and the `supervise` loop every
 //!   long-lived service thread runs under (panic → restart → escalate
-//!   → quarantine);
-//! * [`chaos`] — seed-deterministic chaos plans and the scheduler
-//!   faults the `serve_chaos` drill queues into a live service as
-//!   messages ([`EntropyService::inject`]).
+//!   → quarantine). A test drives it by queueing a [`ChaosAction`]
+//!   (panic or stall) into a live shard with [`EntropyService::inject`].
 //!
 //! See `docs/serving.md` for the architecture and the determinism
 //! contract, and `BENCH_serve.json` (emitted by the `serve_load` bench)
-//! for throughput/latency/backpressure numbers.
+//! for throughput and latency numbers.
 //!
 //! Unsafe code policy: the crate contains exactly one `unsafe` block —
 //! the `poll(2)` call in [`sys`] — with a `// SAFETY:` justification
@@ -54,7 +52,6 @@
 
 #![warn(missing_docs)]
 
-pub mod chaos;
 pub mod error;
 pub mod estimator;
 pub mod mux;
@@ -66,13 +63,12 @@ pub mod supervisor;
 pub mod sys;
 pub mod wire;
 
-pub use chaos::{ChaosAction, ChaosPlan};
 pub use error::{BackpressureClass, ServeError};
 pub use estimator::RateEstimator;
 pub use pool::{ConsumptionPolicy, PoolChunk, SourcePool, SourceStatus};
 pub use scheduler::{
-    CompletionQueue, Connector, EntropyClient, EntropyService, RateLimit, SchedulerMode,
-    ServeConfig,
+    ChaosAction, CompletionQueue, Connector, EntropyClient, EntropyService, RateLimit,
+    SchedulerMode, ServeConfig,
 };
 pub use server::{ServerOptions, ServerStats, UdsClient, UdsServer};
 pub use source::PooledSource;

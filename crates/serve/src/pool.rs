@@ -887,6 +887,45 @@ mod tests {
     }
 
     #[test]
+    fn clamped_slot_is_replaced_and_the_pool_stream_stays_health_clean() {
+        use strent_sim::{Bit, FaultPlan};
+        use strent_trng::bits::BitString;
+        use strent_trng::health;
+        use strentropy::pool::RingSpec;
+
+        // Slot 0 (STR-32) is clamped low for good from the end of its
+        // warmup: it must alarm and be replaced while the pooled stream
+        // re-passes the SP 800-90B monitors.
+        let mut config = small_config(2);
+        config.max_relock_windows = 4;
+        let spec = &config.sources[0];
+        assert_eq!(spec.ring, RingSpec::Str32);
+        let period = spec
+            .ring
+            .stream_config()
+            .predicted_period_ps(&spec.board(0));
+        let plan = FaultPlan::new(spec.seed)
+            .with_stuck_at("str0", Bit::Low, config.warmup_periods * period, 1e12)
+            .expect("valid");
+        config.sources[0] = SourceSpec::new(spec.ring, spec.seed).with_fault(plan);
+
+        let mut pool = SourcePool::start(&config, 2).expect("starts");
+        let delivered = pool.read_bytes(384).expect("reads through the fault");
+        let status = pool.status().to_vec();
+        pool.shutdown();
+        let alarms: u64 = status.iter().map(|s| s.stats.alarms).sum();
+        let replacements: u64 = status.iter().map(|s| s.stats.replacements).sum();
+        assert!(alarms >= 1, "the clamp never alarmed: {status:?}");
+        assert!(
+            replacements >= 1,
+            "the dead ring was never replaced: {status:?}"
+        );
+        let bits = BitString::from_packed(&delivered, delivered.len() * 8);
+        let (rct, apt) = health::scan(&bits, config.claimed_min_entropy).expect("valid claim");
+        assert_eq!((rct, apt), (0, 0), "delivered bytes are health-clean");
+    }
+
+    #[test]
     fn shutdown_is_idempotent_and_drop_safe() {
         let config = small_config(2);
         let mut pool = SourcePool::start(&config, 4).expect("starts");

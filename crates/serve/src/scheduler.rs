@@ -21,7 +21,7 @@
 //!   `shards` only widens the producer worker layout
 //!   (`workers.max(shards)`), never the consumption order, so the
 //!   served allocation is byte-identical at shards 1, 2 and 8 (pinned
-//!   by `tests/sharding.rs` and the `serve_load` determinism section).
+//!   by `tests/sharding.rs`).
 //! * **Fair** ([`SchedulerMode::Fair`]) — one shard per configured
 //!   core. Shard `k` of `S` owns the pool partition
 //!   `{ slot | slot % S == k }` ([`SourcePool::start_partition`]) and
@@ -71,7 +71,6 @@ use std::time::{Duration, Instant};
 
 use strentropy::pool::PoolConfig;
 
-use crate::chaos::ChaosAction;
 use crate::error::ServeError;
 use crate::pool::{ConsumptionPolicy, SourcePool, SourceStatus};
 use crate::supervisor::{supervise, IncidentKind, IncidentLog, RestartPolicy, SupervisionOutcome};
@@ -1100,6 +1099,15 @@ impl Shard {
         job.sink.send(result);
         self.pool.wake_workers();
     }
+}
+
+/// A scheduler fault, queued by [`EntropyService::inject`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ChaosAction {
+    /// Panic with an "injected" payload — the supervised restart path.
+    Panic,
+    /// Sleep for the given duration — the wedged-unit/liveness path.
+    Stall(Duration),
 }
 
 /// Fires a chaos fault the unit just dequeued: a panic for the

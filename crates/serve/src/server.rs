@@ -869,9 +869,9 @@ impl EventLoop {
 }
 
 /// A minimal synchronous client for the socket protocol — used by the
-/// deterministic smoke drill and simple integration tests. Load
-/// generation at scale goes through [`crate::mux::MuxClient`], which
-/// multiplexes many connections without a thread each.
+/// integration tests. Load generation at scale goes through
+/// [`crate::mux::MuxClient`], which multiplexes many connections
+/// without a thread each.
 #[derive(Debug)]
 pub struct UdsClient {
     stream: UnixStream,

@@ -132,7 +132,7 @@ pub struct Incident {
 
 /// A shared, append-only incident log. Cloning shares the underlying
 /// storage — every supervised unit of one service records into the same
-/// log, and `serve_chaos` snapshots it for `BENCH_chaos.json`.
+/// log, which [`crate::EntropyService::incidents`] exposes to callers.
 #[derive(Debug, Clone)]
 pub struct IncidentLog {
     start: Instant,

@@ -1,17 +1,34 @@
-//! Integration tests for the sharded service: the deterministic-mode
-//! shard-count invariance contract, the fair-mode shard/steal path and
-//! the pass order, exercised through the public `EntropyService` API
-//! end to end.
+//! Integration tests for the sharded service, through the public
+//! `EntropyService` API end to end: the deterministic-mode contract
+//! (served bytes pinned to exact digests and invariant to the shard
+//! count, the frontend and injected chaos), bounded supervised recovery
+//! in fair mode, and the fair-mode shard/steal path and pass order.
 
 use std::collections::BTreeMap;
 use std::io::Read;
 use std::os::unix::net::UnixStream;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-use strent_serve::{ChaosAction, CompletionQueue, SchedulerMode, ServeConfig, SourcePool};
-use strent_sim::rng::fnv1a;
+mod common;
+
+use common::{drill_pool, SEED};
+use strent_rings::surrogate::SourceBackend;
+use strent_serve::{
+    ChaosAction, CompletionQueue, EntropyClient, EntropyService, SchedulerMode, ServeConfig,
+    SourcePool, UdsClient, UdsServer,
+};
+use strent_sim::rng::{fnv1a, splitmix64};
 use strentropy::pool::PoolConfig;
+
+/// fnv1a64 of the drill trace's served bytes (all clients, in id
+/// order) on the full simulation. A change that moves the served bytes
+/// on purpose updates this and says why in CHANGES.md.
+const FULL_SIM_DIGEST: u64 = 0x3fb4_ddb8_e14a_b22c;
+
+/// The same digest on the calibrated surrogate backend.
+const SURROGATE_DIGEST: u64 = 0x3004_45d1_799c_89a9;
 
 fn small_pool(sources: usize) -> PoolConfig {
     let mut config = PoolConfig::mixed_default(sources, 4242);
@@ -19,63 +36,308 @@ fn small_pool(sources: usize) -> PoolConfig {
     config
 }
 
-const CLIENTS: usize = 3;
-const ROUNDS: usize = 4;
-
-/// Bytes client `id` asks for in `round`: asymmetric sizes, so a
-/// scheduling bug cannot hide behind uniform allocation.
-fn request_size(id: usize, round: usize) -> usize {
-    16 + 8 * id + 4 * round
+/// Bytes client `client` asks for in `round` of the drill trace: sizes
+/// vary by (client, round), so the allocation exercises uneven grants.
+fn drill_request(client: usize, round: usize) -> usize {
+    1 + (32 + 7 * client + 3 * round) % 64
 }
 
-/// Runs a deterministic-mode service at `shards` and returns each
-/// client's full received stream, in client order. The traces are
-/// uneven: client `id` closes after `ROUNDS - id` rounds, so the
-/// barrier must keep serving the clients still open.
-fn deterministic_streams(shards: usize) -> Vec<Vec<u8>> {
+/// The drill trace: 3 clients x 6 requests.
+fn drill_trace() -> Vec<Vec<usize>> {
+    (0..3)
+        .map(|client| (0..6).map(|round| drill_request(client, round)).collect())
+        .collect()
+}
+
+/// An uneven trace: client `id` asks for `16 + 8 id + 4 round` bytes
+/// and closes after `4 - id` rounds, so the barrier must keep serving
+/// the clients still open.
+fn uneven_trace() -> Vec<Vec<usize>> {
+    (0..3)
+        .map(|id| (0..4 - id).map(|round| 16 + 8 * id + 4 * round).collect())
+        .collect()
+}
+
+/// Every parameter of one chaos drill, derived from one seed with
+/// splitmix64 steps: no wall clock or OS randomness, so a drill replays
+/// identically run after run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct ChaosPlan {
+    /// Pool slot (modulo the pool size) whose worker panics once.
+    worker_panic_source: usize,
+    /// Batches that slot delivers before its worker panics.
+    worker_panic_after_batches: u64,
+    /// Request index a client queues a scheduler panic ahead of.
+    scheduler_panic_after_request: u64,
+    /// Request index a client queues a scheduler stall ahead of.
+    scheduler_stall_after_request: u64,
+    /// Length of the stall, milliseconds.
+    stall_ms: u64,
+}
+
+impl ChaosPlan {
+    fn derive(seed: u64) -> Self {
+        let mut state = seed;
+        let mut next = || {
+            state = splitmix64(state);
+            state
+        };
+        let worker_panic_source = (next() % 4) as usize;
+        let worker_panic_after_batches = 1 + next() % 3;
+        let scheduler_panic_after_request = 2 + next() % 5;
+        let scheduler_stall_after_request = scheduler_panic_after_request + 3 + next() % 5;
+        let stall_ms = 10 + next() % 25;
+        ChaosPlan {
+            worker_panic_source,
+            worker_panic_after_batches,
+            scheduler_panic_after_request,
+            scheduler_stall_after_request,
+            stall_ms,
+        }
+    }
+
+    /// Arms the one-shot worker panic on the plan's pool slot.
+    fn arm_worker_panic(&self, pool: &mut PoolConfig) {
+        let slot = self.worker_panic_source % pool.sources.len();
+        pool.sources[slot] = pool.sources[slot]
+            .clone()
+            .with_panic_after(self.worker_panic_after_batches);
+    }
+
+    /// The scheduler faults as `(request index, fault)` pairs. An index
+    /// past a trace of `requests` lands before its last request, so a
+    /// short trace still injects both.
+    fn scheduler_faults(&self, requests: usize) -> [(usize, ChaosAction); 2] {
+        let at = |after: u64| usize::try_from(after).map_or(requests - 1, |k| k.min(requests - 1));
+        [
+            (at(self.scheduler_panic_after_request), ChaosAction::Panic),
+            (
+                at(self.scheduler_stall_after_request),
+                ChaosAction::Stall(Duration::from_millis(self.stall_ms)),
+            ),
+        ]
+    }
+}
+
+/// Queues into shard 0 every fault due before request `round`.
+fn inject_due(service: &EntropyService, faults: &[(usize, ChaosAction)], round: usize) {
+    for &(_, fault) in faults.iter().filter(|&&(at, _)| at == round) {
+        service.inject(0, fault).expect("fault queued");
+    }
+}
+
+/// How the clients of a deterministic run reach the service.
+#[derive(Debug, Clone, Copy)]
+enum Frontend {
+    InProcess,
+    Socket,
+}
+
+enum Client {
+    InProcess(EntropyClient),
+    Socket(UdsClient),
+}
+
+impl Client {
+    fn request(&mut self, nbytes: usize) -> Vec<u8> {
+        match self {
+            Client::InProcess(client) => client.request(nbytes),
+            Client::Socket(client) => client.request(u32::try_from(nbytes).expect("small request")),
+        }
+        .expect("grant")
+    }
+
+    fn close(self) {
+        match self {
+            Client::InProcess(client) => client.close(),
+            Client::Socket(client) => client.close().expect("close frame"),
+        }
+    }
+}
+
+/// Serves `trace` (client `c` asks for `trace[c]` in order, then
+/// closes) in deterministic mode at `shards` and returns each client's
+/// received stream, in client order. With a `plan`, the plan's worker
+/// panic is armed and client 0 queues the plan's scheduler panic and
+/// stall ahead of their requests; the run must then record a panic.
+fn deterministic_streams(
+    pool: &PoolConfig,
+    trace: &[Vec<usize>],
+    frontend: Frontend,
+    shards: usize,
+    plan: Option<&ChaosPlan>,
+) -> Vec<Vec<u8>> {
+    static SOCKETS: AtomicUsize = AtomicUsize::new(0);
+    let mut pool = pool.clone();
+    let mut faults = Vec::new();
+    if let Some(plan) = plan {
+        plan.arm_worker_panic(&mut pool);
+        faults.extend(plan.scheduler_faults(trace[0].len()));
+    }
     let mut config = ServeConfig::new(
-        small_pool(4),
+        pool,
         SchedulerMode::Deterministic {
-            expected_clients: CLIENTS,
+            expected_clients: trace.len(),
         },
     );
     config.shards = shards;
-    let service = strent_serve::EntropyService::start(&config).expect("service starts");
-    let connector = service.connector();
-    let handles: Vec<_> = (0..CLIENTS as u32)
-        .map(|id| {
-            let connector = connector.clone();
-            // Worker thread per in-process client; joined below.
-            std::thread::Builder::new()
-                .name(format!("det-client-{id}"))
-                .spawn(move || {
-                    let client = connector.connect(id).expect("registers");
+    let service = EntropyService::start(&config).expect("service starts");
+    let path = std::env::temp_dir().join(format!(
+        "strent-shard-{}-{}.sock",
+        std::process::id(),
+        SOCKETS.fetch_add(1, Ordering::Relaxed)
+    ));
+    let server = match frontend {
+        Frontend::InProcess => None,
+        Frontend::Socket => {
+            Some(UdsServer::start(service.connector(), &path).expect("server starts"))
+        }
+    };
+    let streams = std::thread::scope(|scope| {
+        let handles: Vec<_> = trace
+            .iter()
+            .enumerate()
+            .map(|(id, sizes)| {
+                let faults = if id == 0 { &faults[..] } else { &[] };
+                let (service, path) = (&service, &path);
+                // One thread per client; joined below. Every request is
+                // bounded by the client's reply timeout.
+                scope.spawn(move || {
+                    let id32 = u32::try_from(id).expect("small id");
+                    let mut client = match frontend {
+                        Frontend::InProcess => {
+                            Client::InProcess(service.connect(id32).expect("registers"))
+                        }
+                        Frontend::Socket => {
+                            Client::Socket(UdsClient::connect(path, id32).expect("registers"))
+                        }
+                    };
                     let mut stream = Vec::new();
-                    for round in 0..ROUNDS - id as usize {
-                        let nbytes = request_size(id as usize, round);
-                        stream.extend(client.request(nbytes).expect("grant"));
+                    for (round, &nbytes) in sizes.iter().enumerate() {
+                        inject_due(service, faults, round);
+                        stream.extend(client.request(nbytes));
                     }
+                    client.close();
                     stream
                 })
-                .expect("spawns")
-        })
-        .collect();
-    let streams: Vec<Vec<u8>> = handles
-        .into_iter()
-        .map(|h| h.join().expect("client thread"))
-        .collect();
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("client thread"))
+            .collect::<Vec<_>>()
+    });
+    if let Some(server) = server {
+        server.shutdown().expect("server stops");
+        assert!(!path.exists(), "server left its socket behind");
+    }
+    let panics = service.incidents().count_of("panic");
     service.shutdown().expect("clean shutdown");
+    if plan.is_some() {
+        assert!(
+            panics >= 1,
+            "chaos-on run injected nothing: the drill is vacuous"
+        );
+    }
     streams
+}
+
+/// Replays the barrier allocation of `trace` from a bare single-worker
+/// pool: each round serves every client still open, in id order.
+fn replay_allocation(pool: &PoolConfig, trace: &[Vec<usize>]) -> Vec<Vec<u8>> {
+    let mut pool = SourcePool::start(pool, 1).expect("pool starts");
+    let rounds = trace.iter().map(Vec::len).max().unwrap_or(0);
+    let mut streams = vec![Vec::new(); trace.len()];
+    for round in 0..rounds {
+        for (stream, sizes) in streams.iter_mut().zip(trace) {
+            if let Some(&nbytes) = sizes.get(round) {
+                stream.extend(pool.read_bytes(nbytes).expect("pool produces"));
+            }
+        }
+    }
+    pool.shutdown();
+    streams
+}
+
+#[test]
+fn chaos_plans_are_seed_deterministic_and_distinct() {
+    assert_eq!(
+        ChaosPlan::derive(7),
+        ChaosPlan::derive(7),
+        "same seed, same plan"
+    );
+    assert_ne!(
+        ChaosPlan::derive(7),
+        ChaosPlan::derive(8),
+        "different seeds diverge"
+    );
+    for seed in 0..64u64 {
+        let plan = ChaosPlan::derive(seed);
+        assert!(plan.scheduler_stall_after_request > plan.scheduler_panic_after_request);
+        assert!(plan.worker_panic_after_batches >= 1);
+    }
+}
+
+/// The served bytes themselves, not just their invariance: the drill
+/// trace yields one pinned digest per backend, at shards 1, 2 and 8
+/// (so 1, 2 and 8 producer workers), in process and over the socket,
+/// and with chaos on (a worker panic plus a scheduler panic and stall)
+/// under three plan seeds. Supervised recovery may cost time, never
+/// bytes.
+#[test]
+fn served_bytes_match_the_pinned_digests() {
+    let trace = drill_trace();
+    let digest = |streams: &[Vec<u8>]| fnv1a(&streams.concat());
+
+    let full = drill_pool(3, SourceBackend::FullSim);
+    let replay = replay_allocation(&full, &trace);
+    assert_eq!(digest(&replay), FULL_SIM_DIGEST, "pool replay digest moved");
+    for shards in [1usize, 2, 8] {
+        let streams = deterministic_streams(&full, &trace, Frontend::InProcess, shards, None);
+        assert_eq!(streams, replay, "full sim at {shards} shards");
+    }
+    let over_socket = deterministic_streams(&full, &trace, Frontend::Socket, 1, None);
+    assert_eq!(over_socket, replay, "full sim over the socket");
+
+    let surrogate = drill_pool(3, SourceBackend::Surrogate);
+    // Plan seeds 42, 40545 and 81048.
+    let [base, second, third] = [0u64, 1, 2].map(|k| ChaosPlan::derive(SEED + k * 0x9E37));
+    let runs = [
+        (1, None),
+        (2, None),
+        (8, None),
+        (1, Some(base)),
+        (2, Some(base)),
+        (8, Some(base)),
+        (1, Some(second)),
+        (1, Some(third)),
+    ];
+    for (shards, plan) in runs {
+        let streams = deterministic_streams(
+            &surrogate,
+            &trace,
+            Frontend::InProcess,
+            shards,
+            plan.as_ref(),
+        );
+        assert_eq!(
+            digest(&streams),
+            SURROGATE_DIGEST,
+            "surrogate at {shards} shards, plan {plan:?}"
+        );
+    }
 }
 
 /// The determinism contract of `docs/serving.md`, extended to shards:
 /// every client's byte stream is bit-identical at 1, 2 and 8 shards.
 #[test]
 fn deterministic_streams_are_shard_count_invariant() {
-    let baseline = deterministic_streams(1);
+    let trace = uneven_trace();
+    let baseline = deterministic_streams(&small_pool(4), &trace, Frontend::InProcess, 1, None);
     assert!(baseline.iter().all(|s| !s.is_empty()));
     for shards in [2usize, 8] {
-        let streams = deterministic_streams(shards);
+        let streams =
+            deterministic_streams(&small_pool(4), &trace, Frontend::InProcess, shards, None);
         for (id, (a, b)) in baseline.iter().zip(&streams).enumerate() {
             assert_eq!(
                 fnv1a(a),
@@ -93,26 +355,42 @@ fn deterministic_streams_are_shard_count_invariant() {
 /// or fabricated by the scheduler).
 #[test]
 fn deterministic_allocation_replays_from_the_pool() {
-    let streams = deterministic_streams(1);
-    let total: usize = streams.iter().map(Vec::len).sum();
-    let mut pool = SourcePool::start(&small_pool(4), 1).expect("pool starts");
-    let raw = pool.read_bytes(total).expect("pool produces");
-    pool.shutdown();
-    // Re-allocate the raw stream with the documented barrier policy:
-    // each round serves every client still open, in id order, FCFS.
-    let mut replayed: Vec<Vec<u8>> = vec![Vec::new(); CLIENTS];
-    let mut cursor = 0usize;
-    for round in 0..ROUNDS {
-        for (id, replay) in replayed.iter_mut().enumerate() {
-            if round < ROUNDS - id {
-                let nbytes = request_size(id, round);
-                replay.extend(&raw[cursor..cursor + nbytes]);
-                cursor += nbytes;
-            }
-        }
+    let trace = uneven_trace();
+    let streams = deterministic_streams(&small_pool(4), &trace, Frontend::InProcess, 1, None);
+    assert_eq!(streams, replay_allocation(&small_pool(4), &trace));
+}
+
+/// Recovery in fair mode is bounded and loses nothing: a one-shard
+/// service sent the seed-42 plan's scheduler panic and stall grants all
+/// 24 requests of a timed train at full length, the worst grant under
+/// 5 s, and records the panic and its restart.
+#[test]
+fn fair_shard_recovers_from_a_panic_and_a_stall_within_bound() {
+    const REQUESTS: usize = 24;
+    let mut config = ServeConfig::new(
+        drill_pool(2, SourceBackend::Surrogate),
+        SchedulerMode::Fair { max_in_flight: 8 },
+    );
+    config.shards = 1;
+    let service = EntropyService::start(&config).expect("service starts");
+    let client = service.connect(0).expect("registers");
+    let faults = ChaosPlan::derive(SEED).scheduler_faults(REQUESTS);
+    let mut worst = Duration::ZERO;
+    for round in 0..REQUESTS {
+        inject_due(&service, &faults, round);
+        let nbytes = drill_request(0, round);
+        let begin = Instant::now();
+        let grant = client.request(nbytes).expect("granted through the outage");
+        worst = worst.max(begin.elapsed());
+        assert_eq!(grant.len(), nbytes, "request {round} granted short");
     }
-    assert_eq!(cursor, total);
-    assert_eq!(streams, replayed);
+    client.close();
+    let panics = service.incidents().count_of("panic");
+    let restarts = service.incidents().count_of("restarted");
+    service.shutdown().expect("clean shutdown");
+    assert!(worst < Duration::from_secs(5), "worst grant took {worst:?}");
+    assert!(panics >= 1, "the injected panic never fired");
+    assert!(restarts >= 1, "the panicked shard never restarted");
 }
 
 /// Fair mode shards real work: with more clients than shards, every

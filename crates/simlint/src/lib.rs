@@ -609,24 +609,26 @@ pub fn scan_source(
     deterministic: bool,
     allowlist: &Allowlist,
 ) -> Vec<SourceDiagnostic> {
-    scan_source_ext(path, source, deterministic, allowlist).0
+    let stripped = strip_source(source);
+    scan_stripped(path, source, &stripped, deterministic, allowlist).0
 }
 
-/// [`scan_source`] plus the file's raw lock acquisition pairs, which
-/// the workspace scanner merges for the cross-file SL201 check.
-#[must_use]
-pub fn scan_source_ext(
+/// [`scan_source`] over the file's `stripped` lines (its source passed
+/// through [`strip_source`] once), plus the file's raw lock acquisition
+/// pairs, which the workspace scanner merges for the cross-file SL201
+/// check.
+fn scan_stripped(
     path: &str,
     source: &str,
+    stripped: &[String],
     deterministic: bool,
     allowlist: &Allowlist,
 ) -> (Vec<SourceDiagnostic>, Vec<LockPair>) {
     let raw: Vec<&str> = source.lines().collect();
-    let tree = FileTree::parse(source);
+    let tree = FileTree::parse(stripped);
     // The semantic pass runs first: its SL107 verdicts mask the text
     // fallback on the lines where receiver provenance is known.
     let sem = scan_semantic(path, &tree, &raw, deterministic);
-    let stripped = strip_source(source);
     let mask = tree.test_lines(stripped.len());
     let mut out = Vec::new();
     let push = |code: &'static str,
@@ -883,10 +885,9 @@ pub fn scan_workspace(root: &Path, allowlist: &Allowlist) -> io::Result<ScanRepo
             let source = fs::read_to_string(&file)?;
             let label = rel_label(root, &file);
             report.files_scanned += 1;
-            saw_unsafe |= strip_source(&source)
-                .iter()
-                .any(|l| has_token(l, "unsafe"));
-            let (diags, pairs) = scan_source_ext(&label, &source, deterministic, allowlist);
+            let stripped = strip_source(&source);
+            saw_unsafe |= stripped.iter().any(|l| has_token(l, "unsafe"));
+            let (diags, pairs) = scan_stripped(&label, &source, &stripped, deterministic, allowlist);
             report.diagnostics.extend(diags);
             lock_pairs.extend(pairs);
         }
@@ -1229,7 +1230,7 @@ mod tests {
         }
         // Scoped to serve src: other crates and serve's tests are free.
         let elsewhere = scan_source(
-            "crates/bench/src/bin/serve_chaos.rs",
+            "crates/bench/src/bin/serve_load.rs",
             "fn f() {\n    let r = std::panic::catch_unwind(body);\n}\n",
             false,
             &Allowlist::empty(),

@@ -718,7 +718,12 @@ mod tests {
 
     fn semantic(path: &str, source: &str, deterministic: bool) -> SemanticScan {
         let raw: Vec<&str> = source.lines().collect();
-        scan_semantic(path, &FileTree::parse(source), &raw, deterministic)
+        scan_semantic(
+            path,
+            &FileTree::parse(&crate::strip_source(source)),
+            &raw,
+            deterministic,
+        )
     }
 
     fn serve_scan(source: &str) -> SemanticScan {

@@ -389,7 +389,7 @@ mod tests {
     use crate::tree::FileTree;
 
     fn table(source: &str) -> (FileTree, Symbols) {
-        let tree = FileTree::parse(source);
+        let tree = FileTree::parse(&crate::strip_source(source));
         let mut guard_fns = BTreeSet::new();
         guard_fns.insert("own_queue".to_owned());
         let syms = Symbols::build(&tree, &tree.fns[0], &guard_fns);

@@ -18,7 +18,6 @@
 //! degrades gracefully (unknown constructs simply contribute no items).
 
 use crate::lexer::{lex, match_delim, Tok, TokKind};
-use crate::strip_source;
 
 /// One braced block (`{ ... }`).
 #[derive(Debug)]
@@ -78,10 +77,11 @@ pub struct FileTree {
 }
 
 impl FileTree {
-    /// Parses `source` (raw file text) into a tree.
+    /// Parses a file's stripped lines (see [`crate::strip_source`])
+    /// into a tree.
     #[must_use]
-    pub fn parse(source: &str) -> FileTree {
-        let toks = lex(&strip_source(source));
+    pub fn parse(stripped: &[String]) -> FileTree {
+        let toks = lex(stripped);
         let (blocks, block_of) = build_blocks(&toks);
         let mut tree = FileTree {
             toks,
@@ -480,9 +480,13 @@ fn parse_one_param(toks: &[Tok]) -> Option<(String, Vec<String>)> {
 mod tests {
     use super::*;
 
+    fn parse(source: &str) -> FileTree {
+        FileTree::parse(&crate::strip_source(source))
+    }
+
     #[test]
     fn finds_fns_with_signatures() {
-        let tree = FileTree::parse(
+        let tree = parse(
             "impl Server {\n    fn own_queue(&self) -> std::sync::MutexGuard<'_, Vec<u8>> {\n        self.q.lock().unwrap()\n    }\n}\nfn free(seed: u64, rx: Receiver<u8>) {}\n",
         );
         assert_eq!(tree.fns.len(), 2);
@@ -498,7 +502,7 @@ mod tests {
 
     #[test]
     fn cfg_test_containers_are_tree_nodes() {
-        let tree = FileTree::parse(
+        let tree = parse(
             "fn prod() { let x = 1; }\n#[cfg(test)]\nmod tests {\n    fn helper() {}\n    #[test]\n    fn case() {}\n}\n",
         );
         let by_name = |n: &str| tree.fns.iter().find(|f| f.name == n).expect(n);
@@ -510,17 +514,17 @@ mod tests {
             tree.test_lines(7),
             [false, false, true, true, true, true, true]
         );
-        let negated = FileTree::parse("#[cfg(not(test))]\nfn prod() { let x = 1; }\n");
+        let negated = parse("#[cfg(not(test))]\nfn prod() { let x = 1; }\n");
         assert!(!negated.fns[0].is_test, "cfg(not(test)) is production code");
         assert_eq!(negated.test_lines(2), [false, false]);
         // An unclosed test body runs to the end of the file.
-        let unclosed = FileTree::parse("#[test]\nfn t() {\n    let x = 1;\n");
+        let unclosed = parse("#[test]\nfn t() {\n    let x = 1;\n");
         assert_eq!(unclosed.test_lines(3), [false, true, true]);
     }
 
     #[test]
     fn impl_for_records_the_self_type() {
-        let tree = FileTree::parse(
+        let tree = parse(
             "impl fmt::Display for SourceDiagnostic {\n    fn fmt(&self) {}\n}\nimpl<T: Fn(u8)> Wrapper<T> {\n    fn go(&self) {}\n}\n",
         );
         assert_eq!(tree.fns[0].impl_of.as_deref(), Some("SourceDiagnostic"));
@@ -529,7 +533,7 @@ mod tests {
 
     #[test]
     fn dominance_follows_the_block_tree() {
-        let tree = FileTree::parse(
+        let tree = parse(
             "fn f(x: bool) {\n    if x {\n        guard();\n    }\n    call();\n    if x {\n        late();\n    }\n}\n",
         );
         let pos = |name: &str| {
@@ -548,7 +552,7 @@ mod tests {
     #[test]
     fn comment_lines_place_into_blocks() {
         let source = "fn f(x: bool) {\n    if x {\n        // nonblocking here\n        a();\n    }\n    b();\n}\n";
-        let tree = FileTree::parse(source);
+        let tree = parse(source);
         let b_pos = tree.toks.iter().position(|t| t.is_ident("b")).expect("b");
         let comment_block = tree.block_at_line(3);
         assert!(

@@ -13,6 +13,11 @@ command -v python3 >/dev/null 2>&1 || {
     echo "ci.sh: python3 is required for the artifact validators"; exit 1;
 }
 
+# Every artifact this script writes goes into one temp dir, removed on
+# exit.
+tmp="$(mktemp -d -t strent-ci.XXXXXX)"
+trap 'rm -rf "$tmp"' EXIT
+
 echo "== build (release) =="
 cargo build --release --workspace --offline
 
@@ -33,9 +38,8 @@ cargo run -q --release -p simlint --offline -- \
     --baseline scripts/simlint.baseline
 
 echo "== bench_sweep smoke (quick, netlist lints denied) =="
-out="$(mktemp -t BENCH_sweep.XXXXXX.json)"
-engine_out="$(mktemp -t BENCH_engine.XXXXXX.json)"
-trap 'rm -f "$out" "$engine_out"' EXIT
+out="$tmp/BENCH_sweep.json"
+engine_out="$tmp/BENCH_engine.json"
 # STRENT_LINT=deny escalates the SL0xx netlist verifier to hard errors:
 # every ring the smoke run builds must pass static verification.
 STRENT_LINT=deny cargo run -q --release -p strent-bench --bin bench_sweep --offline -- \
@@ -77,8 +81,7 @@ echo "== surrogate equivalence + speedup gate =="
 # claim means anything: a fast surrogate that drifts from the event-
 # driven reference is worse than no surrogate at all.
 cargo test -q --offline --test surrogate_equivalence
-surrogate_out="$(mktemp -t BENCH_surrogate.XXXXXX.json)"
-trap 'rm -f "$out" "$engine_out" "$surrogate_out"' EXIT
+surrogate_out="$tmp/BENCH_surrogate.json"
 cargo run -q --release -p strent-bench --bin bench_surrogate --offline -- \
     --quick --seed 2012 --out "$surrogate_out"
 python3 - "$surrogate_out" <<'PY'
@@ -107,8 +110,7 @@ echo "== entropy estimation gate (bound vs Markov agreement, CMRR) =="
 # check then holds the subsystem to its calibration claims: STR >= IRO
 # bound at equal sampling, measurable common-mode rejection, and a
 # live estimator verdict on a balanced stream.
-entropy_out="$(mktemp -t BENCH_entropy.XXXXXX.json)"
-trap 'rm -f "$out" "$engine_out" "$surrogate_out" "$entropy_out"' EXIT
+entropy_out="$tmp/BENCH_entropy.json"
 cargo run -q --release -p strent-bench --bin bench_entropy --offline -- \
     --quick --seed 2012 --out "$entropy_out"
 python3 - "$entropy_out" <<'PY'
@@ -133,148 +135,53 @@ print(f"BENCH_entropy.json: valid, worst agreement "
       f"min CMRR {report['min_cmrr_db']:.1f} dB")
 PY
 
-echo "== robustness smoke (panic isolation, watchdogs, partial results) =="
-manifest="$(mktemp -t robustness_manifest.XXXXXX.json)"
-trap 'rm -f "$out" "$engine_out" "$surrogate_out" "$entropy_out" "$manifest"' EXIT
-# Without --keep-going the injected failures must force a non-zero exit...
-if cargo run -q --release -p strent-bench --bin robustness_smoke --offline \
-    > "$manifest" 2>/dev/null; then
-    echo "robustness_smoke exited zero without --keep-going"; exit 1
-fi
-# ...and with it, partial results are accepted (exit zero) while the
-# failure manifest still lands on stdout.
-cargo run -q --release -p strent-bench --bin robustness_smoke --offline -- \
-    --keep-going > "$manifest"
-python3 - "$manifest" <<'PY'
-import json, sys
-report = json.load(open(sys.argv[1]))
-assert report["version"] == 1, report
-assert report["jobs"] == 14 and report["successes"] == 11, report
-kinds = [(f["index"], f["kind"]) for f in report["failures"]]
-assert kinds == [(3, "panicked"), (6, "stalled"), (9, "panicked")], kinds
-print("robustness manifest: valid JSON, 11/14 successes, 3 typed failures")
-PY
-
-echo "== serve smoke (shard determinism, scaling gate, 1024-conn UDS frontend) =="
-serve_out="$(mktemp -t BENCH_serve.XXXXXX.json)"
-serve_sock="$(mktemp -u -t strent-serve-ci.XXXXXX.sock)"
-serve_check="$(mktemp -t check_serve.XXXXXX.py)"
-trap 'rm -f "$out" "$engine_out" "$surrogate_out" "$entropy_out" "$manifest" "$serve_out" "$serve_sock" "$serve_check"' EXIT
-# --smoke drives ≥1024 multiplexed connections through the poll event
-# loop on a temp socket plus a 3-client deterministic byte-for-byte
-# replay; the binary exits nonzero if any invariant (shard-count digest
-# identity, ≥2x shard scaling, backpressure classes, fault containment,
-# clean shutdown) fails.
+echo "== serve bench smoke (closed/open loop, shard scaling gate) =="
+serve_out="$tmp/BENCH_serve.json"
+serve_check="$tmp/check_serve.py"
+# STRENT_LINT=deny escalates the SL0xx netlist verifier to hard errors
+# for every ring the mixed pool presets build. The serving tier's
+# pass/fail drills are tests (`cargo test -p strent-serve`); this stage
+# checks the bench's numbers.
 STRENT_LINT=deny cargo run -q --release -p strent-bench --bin serve_load --offline -- \
-    --quick --smoke --socket "$serve_sock" --out "$serve_out"
+    --quick --out "$serve_out"
 [ -s "$serve_out" ] || { echo "BENCH_serve.json was not emitted"; exit 1; }
-[ -e "$serve_sock" ] && { echo "serve smoke left its socket behind"; exit 1; }
-# One validator for both the fresh smoke output and the committed
-# artifact at the repo root — the schema and invariants must hold for
-# each.
+# One validator for both the fresh output and the committed artifact at
+# the repo root.
 cat > "$serve_check" <<'PY'
 import json, sys
 report = json.load(open(sys.argv[1]))
-assert report["schema"] == "strentropy-bench-serve/2", report["schema"]
+assert report["schema"] == "strentropy-bench-serve/3", report["schema"]
 assert report["host_cpus"] >= 1, report
-det = report["determinism"]
-digests = {d["fnv1a64"] for d in det["shard_digests"]}
-shards = sorted(d["shards"] for d in det["shard_digests"])
-assert shards == [1, 2, 8], shards
-assert len(digests) == 1 and det["bit_identical"], det
-assert det["matches_pool_replay"], det
 closed = report["closed_loop"]
 assert [p["clients"] for p in closed["points"]] == [1, 16, 128, 1024], closed
 for p in closed["points"]:
-    assert p["throughput_rps"] > 0, p
+    assert p["throughput_rps"] > 0 and not p["deadline_hit"], p
     assert p["latency_p999_us"] >= p["latency_p99_us"] >= p["latency_p50_us"] >= 0, p
 assert closed["saturation_rps"] > 0, closed
 open_loop = report["open_loop"]
 assert len(open_loop["points"]) == 3, open_loop
 for p in open_loop["points"]:
     assert p["throughput_rps"] > 0 and p["latency_p99_us"] > 0, p
+    assert not p["deadline_hit"], p
 scaling = report["shard_scaling"]
 assert scaling["harness"] == "in_process", scaling
 for backend in ("full_sim", "surrogate"):
     pts = [p for p in scaling["points"] if p["backend"] == backend]
     assert sorted(p["shards"] for p in pts) == [1, 2, 4, 8], pts
 assert scaling["speedup_8v1"] >= 2.0, scaling
-bp = report["backpressure"]
-assert bp["busy"] > 0 and bp["rate_limited"] > 0 and bp["shed"] > 0, bp
-assert bp["all_classes_observed"], bp
-fault = report["fault_drill"]
-assert fault["alarms"] >= 1 and fault["replacements"] >= 1, fault
-assert fault["bytes_per_alarm"] > 0 and fault["health_clean"], fault
-smoke = report["uds_smoke"]
-assert smoke["mux_clients"] >= 1024 and smoke["mux_errors"] == 0, smoke
-assert smoke["accepted"] >= 1024 and smoke["accept_errors"] == 0, smoke
-assert smoke["register_errors"] == 0 and smoke["drained"], smoke
-assert smoke["replay_clients"] == 3 and smoke["bytes_served"] > 0, smoke
-assert smoke["deterministic"] and smoke["clean_shutdown"], smoke
-print(f"{sys.argv[2]}: valid, digest {digests.pop()} at shards {shards}, "
-      f"speedup 8v1 {scaling['speedup_8v1']:.2f}x, "
-      f"{smoke['accepted']} conns accepted")
+print(f"{sys.argv[2]}: valid, saturation {closed['saturation_rps']:.0f} req/s, "
+      f"speedup 8v1 {scaling['speedup_8v1']:.2f}x")
 PY
-python3 "$serve_check" "$serve_out" "serve smoke output"
+python3 "$serve_check" "$serve_out" "serve bench output"
 
-echo "== committed BENCH_serve.json (schema + invariants) =="
+echo "== committed BENCH_serve.json (schema + scaling gate) =="
 [ -s BENCH_serve.json ] || { echo "committed BENCH_serve.json missing"; exit 1; }
 python3 "$serve_check" BENCH_serve.json "committed BENCH_serve.json"
-
-echo "== chaos drill smoke (supervision, drain, resilient clients) =="
-chaos_out="$(mktemp -t BENCH_chaos.XXXXXX.json)"
-chaos_check="$(mktemp -t check_chaos.XXXXXX.py)"
-trap 'rm -f "$out" "$engine_out" "$surrogate_out" "$entropy_out" "$manifest" "$serve_out" "$serve_sock" "$serve_check" "$chaos_out" "$chaos_check"' EXIT
-# serve_chaos derives every injection (worker panics, shard stalls,
-# slowloris, poison frames, partial writes, mid-stream disconnects, a
-# quarantine storm) from one seed, then asserts bounded recovery,
-# byte-identical deterministic output with chaos on vs off, and a
-# balanced request ledger. It exits nonzero if any drill fails.
-STRENT_LINT=deny cargo run -q --release -p strent-bench --bin serve_chaos --offline -- \
-    --quick --out "$chaos_out"
-[ -s "$chaos_out" ] || { echo "BENCH_chaos.json was not emitted"; exit 1; }
-# One validator for both the fresh smoke output and the committed
-# artifact at the repo root.
-cat > "$chaos_check" <<'PY'
-import json, sys
-report = json.load(open(sys.argv[1]))
-assert report["schema"] == "strentropy-bench-chaos/2", report["schema"]
-plan = report["plan"]
-assert plan["scheduler_stall_after_request"] > plan["scheduler_panic_after_request"] >= 0, plan
-det = report["determinism"]
-assert det["identical"], det
-assert det["injected_panics"] >= 1, "chaos-on runs injected nothing"
-assert {r["shards"] for r in det["runs"]} == {1, 2, 8}, det["runs"]
-rec = report["recovery"]
-assert rec["bounded"] and rec["grants"] == rec["requests"], rec
-assert rec["max_grant_ms"] < rec["bound_ms"], rec
-assert rec["panics"] >= 1 and rec["restarts"] >= 1, rec
-storm = report["quarantine_storm"]
-assert storm["quarantined"] and storm["rerouted_bytes"] > 0, storm
-uds = report["uds"]
-assert uds["zero_silent_drops"], uds
-acct = uds["accounting"]
-assert acct["issued"] == (acct["granted"] + acct["typed_rejections"]
-                          + acct["abandoned"]), acct
-assert uds["slowloris_reaped"] >= 1 and uds["poison_survived"], uds
-drain = report["drain"]
-assert drain["server_drained"] and drain["service_drained"], drain
-print(f"{sys.argv[2]}: valid, {det['injected_panics']} panics injected, "
-      f"recovery worst {rec['max_grant_ms']:.1f}ms of {rec['bound_ms']:.0f}ms, "
-      f"ledger {acct['issued']} issued = {acct['granted']} granted "
-      f"+ {acct['typed_rejections']} rejected + {acct['abandoned']} abandoned")
-PY
-python3 "$chaos_check" "$chaos_out" "chaos drill output"
-
-echo "== committed BENCH_chaos.json (schema + invariants) =="
-[ -s BENCH_chaos.json ] || { echo "committed BENCH_chaos.json missing"; exit 1; }
-python3 "$chaos_check" BENCH_chaos.json "committed BENCH_chaos.json"
 
 echo "== degradation campaign smoke (quick, netlist lints denied) =="
 # Every fault class must alarm the online health tests on both ring
 # families: 8 scenario rows, all marked detected, zero marked NO.
-degradation="$(mktemp -t degradation.XXXXXX.txt)"
-trap 'rm -f "$out" "$engine_out" "$surrogate_out" "$entropy_out" "$manifest" "$serve_out" "$serve_sock" "$serve_check" "$chaos_out" "$chaos_check" "$degradation"' EXIT
+degradation="$tmp/degradation.txt"
 STRENT_LINT=deny cargo run -q --release -p strent-bench \
     --bin repro_degradation --offline -- --quick --deny-lints > "$degradation"
 detected=$(grep -c ' yes$' "$degradation" || true)

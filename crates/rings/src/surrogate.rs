@@ -315,7 +315,8 @@ fn duty_cycle(rising_window: &[Time], falling: &[Time]) -> f64 {
 /// An O(1)-per-sample replacement for a locked [`RingStream`]: replays
 /// a [`SurrogateModel`] into a [`Trace`], two transitions per period,
 /// with the same incremental `advance_by` / `trace` / `prune_before`
-/// surface the sampling and serving layers consume.
+/// surface the sampling and serving layers consume, or samples itself
+/// as it draws ([`sample_batch`](SurrogateStream::sample_batch)).
 ///
 /// Determinism matches the event-driven engine's contract: the emitted
 /// waveform is a pure function of `(model, seed)` and is independent of
@@ -426,6 +427,19 @@ impl SurrogateStream {
     /// previous one as *emitted* (edge noise included), matching what
     /// an observer of the trace would measure.
     fn emit_period(&mut self) -> f64 {
+        let prev_rise = self.prev_rise_ps;
+        let (rise, fall) = self.draw_edges();
+        self.trace.record(Time::from_ps(rise), Bit::High);
+        self.trace.record(Time::from_ps(fall), Bit::Low);
+        rise - prev_rise
+    }
+
+    /// Draws the next period's rising and falling instants, ps, without
+    /// recording them. Inlined into both callers, so sharing it costs
+    /// the recording path (`advance_by` → `emit_period`) no extra call
+    /// per period.
+    #[inline]
+    fn draw_edges(&mut self) -> (f64, f64) {
         let period = self.draw_period_ps();
         let edge = self.rng.normal(0.0, self.model.sigma_edge_ps);
         // The monotonicity clamp never binds for a calibrated model
@@ -434,15 +448,123 @@ impl SurrogateStream {
         let min_step = 0.01 * self.model.period_mean_ps;
         let rise = (self.next_rising_ps + edge).max(self.last_record_ps + min_step);
         let fall = rise + (self.model.duty * period).max(min_step);
-        self.trace.record(Time::from_ps(rise), Bit::High);
-        self.trace.record(Time::from_ps(fall), Bit::Low);
-        let measured = rise - self.prev_rise_ps;
         self.prev_rise_ps = rise;
         self.last_record_ps = fall;
         self.next_rising_ps += period;
         self.periods_emitted += 1;
         self.transitions_emitted += 2;
-        measured
+        (rise, fall)
+    }
+
+    /// Samples the waveform at `t0 + period * k` for `k = 1..=count`,
+    /// drawing periods as it reads them, and hands each bit to `emit`.
+    ///
+    /// The single-pass form of what a trace-sampling caller does per
+    /// batch: `advance_by(needed − now)` when `now` is short of
+    /// `needed = t0 + period * count + meta_window`, then
+    /// `Sampler::sample_trace_until` over the trace, then a prune. The
+    /// draws, their order, the instant arithmetic and the `meta_rng`
+    /// coin flips are the same, so the bits are identical: an instant
+    /// reads the level after the last transition at or before it, or
+    /// flips a coin when that transition or the first one after it lies
+    /// within `meta_window / 2` (and the window is positive).
+    ///
+    /// Transitions of the sampled span are never recorded. Afterwards
+    /// [`trace`](SurrogateStream::trace) holds only the last transition
+    /// at or before the final instant and everything after it, so a
+    /// later `advance_by`, [`now`](SurrogateStream::now) and any window
+    /// read from `now` on see the same waveform as on the recording
+    /// path, with O(1) trace memory per batch.
+    ///
+    /// # Errors
+    ///
+    /// [`RingError::HorizonExceeded`] when both the horizon and the last
+    /// transition end before the final instant, as the sampler reports
+    /// it. Only rounding of a zero metastability window can get there;
+    /// the stream has advanced and `emit` has seen the bits by then.
+    pub fn sample_batch(
+        &mut self,
+        t0_ps: f64,
+        period_ps: f64,
+        count: usize,
+        meta_window_ps: f64,
+        meta_rng: &mut SimRng,
+        mut emit: impl FnMut(bool),
+    ) -> Result<(), RingError> {
+        let final_ps = t0_ps + period_ps * count as f64;
+        let needed_ps = final_ps + meta_window_ps;
+        let now_ps = self.now.as_ps();
+        // The horizon `advance_by(needed − now)` would reach; no draws
+        // at all when `now` already covers the batch.
+        let horizon_ps = if now_ps < needed_ps {
+            now_ps.max(self.consumed_until.as_ps()) + (needed_ps - now_ps)
+        } else {
+            f64::NEG_INFINITY
+        };
+        // Transitions in time order: what the trace holds, then fresh
+        // draws while a period's nominal rise is inside the horizon.
+        let recorded = std::mem::take(&mut self.trace);
+        let mut replay = recorded.transitions().iter().map(|&(t, v)| (t.as_ps(), v));
+        let mut pending_fall = None;
+        let mut pull = |stream: &mut Self| {
+            replay
+                .next()
+                .or_else(|| pending_fall.take().map(|t| (t, Bit::Low)))
+                .or_else(|| {
+                    (stream.next_rising_ps <= horizon_ps).then(|| {
+                        let (rise, fall) = stream.draw_edges();
+                        pending_fall = Some(fall);
+                        (rise, Bit::High)
+                    })
+                })
+        };
+        let half = meta_window_ps / 2.0;
+        // `last` is the last transition at or before the instant, `next`
+        // the first after it, `before` the level `last` switched from.
+        let mut before = recorded.initial();
+        let mut last: Option<(f64, Bit)> = None;
+        let mut next = pull(self);
+        for k in 1..=count {
+            let t = t0_ps + period_ps * k as f64;
+            while let Some(edge) = next.filter(|&(tt, _)| tt <= t) {
+                if let Some((_, v)) = last {
+                    before = v;
+                }
+                last = Some(edge);
+                next = pull(self);
+            }
+            let near = |e: Option<(f64, Bit)>| e.is_some_and(|(tt, _)| (t - tt).abs() <= half);
+            if meta_window_ps > 0.0 && (near(last) || near(next)) {
+                emit(meta_rng.bernoulli(0.5));
+            } else {
+                emit(last.map_or(before, |(_, v)| v).is_high());
+            }
+        }
+        let mut tail = Trace::new(before);
+        if let Some((t, v)) = last {
+            tail.record(Time::from_ps(t), v);
+        }
+        while let Some((t, v)) = next {
+            tail.record(Time::from_ps(t), v);
+            next = pull(self);
+        }
+        self.trace = tail;
+        if now_ps < needed_ps {
+            self.now = Time::from_ps(horizon_ps);
+        }
+        let end_ps = self
+            .trace
+            .transitions()
+            .last()
+            .map_or(0.0, |&(t, _)| t.as_ps())
+            .max(self.now.as_ps());
+        if end_ps < final_ps {
+            return Err(RingError::HorizonExceeded {
+                collected: ((end_ps - t0_ps) / period_ps).max(0.0) as usize,
+                requested: count,
+            });
+        }
+        Ok(())
     }
 
     /// Generates the next `n` periods eagerly and returns their

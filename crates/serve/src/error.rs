@@ -52,8 +52,9 @@ pub enum ServeError {
     /// refusal, distinct from [`ServeError::Shutdown`] so clients can
     /// fail over instead of retrying.
     Draining,
-    /// A pool source stopped producing (its worker died or the source
-    /// hit an unrecoverable simulator error).
+    /// A pool source stopped producing (its worker died, the source
+    /// hit an unrecoverable simulator error, or it discarded
+    /// `max_relock_windows` batches in a row without delivering one).
     SourceFailed {
         /// Pool index of the failed source.
         source: usize,

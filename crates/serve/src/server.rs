@@ -346,7 +346,8 @@ impl UdsServer {
             Some(handle) => handle.join().is_err(),
             None => false,
         };
-        let _ = std::fs::remove_file(&self.path);
+        // `Drop` runs as `self` goes out of scope and removes the
+        // socket file.
         if panicked {
             return Err(ServeError::Shutdown);
         }
@@ -373,7 +374,6 @@ impl UdsServer {
             Some(handle) => handle.join().is_err(),
             None => false,
         };
-        let _ = std::fs::remove_file(&self.path);
         if panicked {
             return Err(ServeError::Shutdown);
         }

@@ -9,7 +9,9 @@
 //! then drains in quarantine until the re-lock criterion
 //! ([`rising_interval_cv`] below the configured threshold, the same
 //! figure of merit the fault experiments use) passes, or is replaced by
-//! a fresh ring after `max_relock_windows` failures.
+//! a fresh ring after `max_relock_windows` failures. A source that
+//! discards `max_relock_windows` batches in a row without delivering
+//! one fails with a typed error.
 //!
 //! Everything here is a pure function of the [`SourceSpec`] and
 //! [`PoolConfig`]: no wall clock, no global state. That purity is what
@@ -147,24 +149,43 @@ impl PooledSource {
     /// the cursor, advancing the simulation as far as needed.
     fn produce_raw_batch(&mut self) -> Result<BitString, ServeError> {
         let count = self.config.batch_raw_bits;
-        let t0 = Time::from_ps(self.cursor_ps);
-        // Simulate past the last sample instant plus the metastability
-        // half-window, so no future transition can straddle a sample.
-        let needed_ps =
-            self.cursor_ps + self.sampler.period_ps() * count as f64 + self.sampler.meta_window_ps();
-        let now_ps = self.stream.now().as_ps();
-        if now_ps < needed_ps {
-            self.stream.advance_by(needed_ps - now_ps)?;
-        }
-        let bits = self.sampler.sample_trace_until(
-            self.stream.trace(),
-            t0,
-            count,
-            self.stream.now(),
-            &mut self.meta_rng,
-        )?;
-        self.cursor_ps += self.sampler.period_ps() * count as f64;
-        // Keep one re-lock window of history; drop the rest.
+        let (period_ps, window_ps) = (self.sampler.period_ps(), self.sampler.meta_window_ps());
+        let bits = match &mut self.stream {
+            // The surrogate samples as it draws and records no trace of
+            // the sampled span; the bits are the trace path's.
+            EntropySource::Surrogate(stream) => {
+                let mut bits = BitString::with_capacity(count);
+                stream.sample_batch(
+                    self.cursor_ps,
+                    period_ps,
+                    count,
+                    window_ps,
+                    &mut self.meta_rng,
+                    |bit| bits.push_bool(bit),
+                )?;
+                bits
+            }
+            EntropySource::Full(stream) => {
+                // Simulate past the last sample instant plus the
+                // metastability half-window, so no future transition
+                // can straddle a sample.
+                let needed_ps = self.cursor_ps + period_ps * count as f64 + window_ps;
+                let now_ps = stream.now().as_ps();
+                if now_ps < needed_ps {
+                    stream.advance_by(needed_ps - now_ps)?;
+                }
+                self.sampler.sample_trace_until(
+                    stream.trace(),
+                    Time::from_ps(self.cursor_ps),
+                    count,
+                    stream.now(),
+                    &mut self.meta_rng,
+                )?
+            }
+        };
+        self.cursor_ps += period_ps * count as f64;
+        // Keep one re-lock window of history; drop the rest (the
+        // surrogate has kept less than that already).
         let keep_ps = self.relock_window_ps() + self.sampler.meta_window_ps();
         if self.cursor_ps > keep_ps {
             self.stream.prune_before(Time::from_ps(self.cursor_ps - keep_ps));
@@ -181,10 +202,14 @@ impl PooledSource {
     ///
     /// # Errors
     ///
-    /// Returns an error only for unrecoverable simulator failures — a
-    /// merely unhealthy ring is handled (quarantined, re-locked or
-    /// replaced), never surfaced.
+    /// Returns an error for unrecoverable simulator failures, and
+    /// [`ServeError::SourceFailed`] once `max_relock_windows` batches in
+    /// a row are discarded with none delivered: a ring that alarms on
+    /// every batch yet passes every re-lock check would otherwise spin
+    /// here for ever. A ring that is merely unhealthy for a while is
+    /// handled (quarantined, re-locked or replaced), never surfaced.
     pub fn next_batch(&mut self) -> Result<Vec<u8>, ServeError> {
+        let mut discarded_in_a_row = 0;
         loop {
             let raw = self.produce_raw_batch()?;
             let alarmed = self.monitor.scan_chunk(&raw);
@@ -193,9 +218,14 @@ impl PooledSource {
                 // The whole batch is suspect: discard it before the
                 // conditioner can absorb any of it.
                 self.stats.batches_discarded += 1;
+                discarded_in_a_row += 1;
+                if discarded_in_a_row >= self.config.max_relock_windows {
+                    return Err(ServeError::SourceFailed { source: self.index });
+                }
                 self.quarantine_and_relock()?;
                 continue;
             }
+            discarded_in_a_row = 0;
             self.stats.batches_delivered += 1;
             self.state = SourceState::Healthy;
             self.bit_carry.extend(self.conditioner.feed(&raw).iter());
@@ -364,6 +394,75 @@ mod tests {
         let (rct, apt) =
             health::scan(&bits, config.claimed_min_entropy).expect("valid claim");
         assert_eq!((rct, apt), (0, 0), "served surrogate bytes are health-clean");
+    }
+
+    /// FNV-1a over a byte stream, to pin served bytes in one constant.
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &b| {
+            (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    /// Sampling at 2.024 ring periods aliases with the ring, so a
+    /// 1-bit/bit claim alarms often while every re-lock passes: the
+    /// source runs the quarantine path over and over.
+    fn aliasing_config(factor: f64) -> PoolConfig {
+        let mut config = test_config();
+        config.sample_period_factor = factor;
+        config.batch_raw_bits = 256;
+        config.claimed_min_entropy = 1.0;
+        config
+    }
+
+    #[test]
+    fn requarantined_surrogate_source_serves_pinned_bytes() {
+        // Both values were read from the trace-recording batch path;
+        // the surrogate's one-pass sampler must serve the same bytes
+        // through the same lifecycle.
+        let spec = SourceSpec::new(RingSpec::Str32, 2012).with_backend(SourceBackend::Surrogate);
+        let mut source = PooledSource::build(0, &spec, &aliasing_config(2.024)).expect("builds");
+        assert_eq!(source.backend(), SourceBackend::Surrogate);
+        let mut delivered = Vec::new();
+        for _ in 0..12 {
+            delivered.extend(source.next_batch().expect("delivers"));
+        }
+        assert_eq!(delivered.len(), 384);
+        assert_eq!(
+            fnv1a(&delivered),
+            0xb348_8d95_6e04_259b,
+            "served bytes moved"
+        );
+        assert_eq!(
+            source.stats(),
+            SourceStats {
+                batches_delivered: 12,
+                batches_discarded: 21,
+                alarms: 32,
+                requarantines: 21,
+                replacements: 0,
+            }
+        );
+    }
+
+    #[test]
+    fn a_source_that_never_delivers_fails_typed() {
+        // At 2.021 periods per sample every batch alarms and every
+        // re-lock passes; without a bound `next_batch` spins for ever.
+        let mut config = aliasing_config(2.021);
+        config.max_relock_windows = 3;
+        let spec = SourceSpec::new(RingSpec::Str32, 2012).with_backend(SourceBackend::Surrogate);
+        let mut source = PooledSource::build(0, &spec, &config).expect("builds");
+        let err = source.next_batch().expect_err("a bounded discard streak");
+        assert!(
+            matches!(err, ServeError::SourceFailed { source: 0 }),
+            "{err}"
+        );
+        let stats = source.stats();
+        assert_eq!(
+            (stats.batches_discarded, stats.batches_delivered),
+            (3, 0),
+            "{stats:?}"
+        );
     }
 
     #[test]

@@ -178,6 +178,22 @@ echo "== committed BENCH_serve.json (schema + scaling gate) =="
 [ -s BENCH_serve.json ] || { echo "committed BENCH_serve.json missing"; exit 1; }
 python3 "$serve_check" BENCH_serve.json "committed BENCH_serve.json"
 
+echo "== batch-path oracle (perfbench serve_bulk, traced) =="
+# The traced run rebuilds every batch of the pool's six sources from
+# the recording path (advance_by + Sampler + prune_before) and compares
+# it with PooledSource::next_batch, where the surrogate samples as it
+# draws; each batch that differs counts as a failed operation.
+perfbench_out="$tmp/perfbench_serve_bulk.txt"
+cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+    --workload serve_bulk --seed 2012 --seconds 2 --trace 1 > "$perfbench_out"
+python3 - "$perfbench_out" <<'PY'
+import json, sys
+result = json.loads(open(sys.argv[1]).read().splitlines()[-1])
+assert result["attempted"] > 0, result
+assert result["failed"] == 0, f"batch path differs from its oracle: {result}"
+print(f"perfbench serve_bulk traced: {result['attempted']} checked operations, 0 failed")
+PY
+
 echo "== degradation campaign smoke (quick, netlist lints denied) =="
 # Every fault class must alarm the online health tests on both ring
 # families: 8 scenario rows, all marked detected, zero marked NO.

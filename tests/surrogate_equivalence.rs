@@ -21,6 +21,7 @@
 use proptest::prelude::*;
 
 use strent_analysis::{allan, jitter};
+use strent_rings::fault::rising_interval_cv;
 use strent_rings::measure::{self, WARMUP_PERIODS};
 use strent_rings::stream::StreamConfig;
 use strent_rings::surrogate::{
@@ -347,6 +348,120 @@ fn quick_battery_passes_surrogate_bits_and_catches_corruption() {
     let (rct, apt) =
         health::scan(&battery_bits(&stuck, k, 30_000), CLAIMED_H).expect("valid claim");
     assert!(rct + apt > 0, "near-constant stream raised no health alarm");
+}
+
+/// The one-pass sampler against the recording path it replaces:
+/// `SurrogateStream::sample_batch` on one stream, `advance_by` +
+/// `Sampler::sample_trace_until` + `prune_before` on a second stream
+/// of the same model and seed, at `PooledSource`'s batch cadence with
+/// re-lock windows and run-ahead advances interleaved.
+#[test]
+fn one_pass_sampling_matches_the_recording_path() {
+    for ring in presets() {
+        let model = Calibrator::default()
+            .fit(&ring.stream_config(), &preset_board(&ring), SEED)
+            .expect("calibrates");
+        for factor in [8.37, 2.024] {
+            for window_ps in [0.0, 10.0, 200.0] {
+                for count in [1, 7, 256] {
+                    let label = format!("{} x{factor} w{window_ps} n{count}", ring.label());
+                    one_pass_matches(model, factor, window_ps, count, &label);
+                }
+            }
+        }
+    }
+}
+
+fn one_pass_matches(model: SurrogateModel, factor: f64, window_ps: f64, count: usize, label: &str) {
+    let serving = PoolConfig::mixed_default(1, SEED);
+    let warmup_ps = serving.warmup_periods * model.period_mean_ps;
+    let relock_ps = serving.relock_window_periods * model.period_mean_ps;
+    let sample_ps = factor * model.period_mean_ps;
+    let sampler = Sampler::new(sample_ps, window_ps).expect("valid sampler");
+    let mut oracle = SurrogateStream::new(model, SEED);
+    let mut fused = SurrogateStream::new(model, SEED);
+    let mut oracle_rng = RngTree::new(SEED).stream(SAMPLER_KEY);
+    let mut fused_rng = RngTree::new(SEED).stream(SAMPLER_KEY);
+    let mut cursor_ps = warmup_ps;
+    for batch in 0..12 {
+        if batch % 5 == 4 {
+            // A caller that ran ahead: the batch reads recorded
+            // transitions and draws nothing.
+            let ahead = 2.0 * sample_ps * count as f64 + window_ps;
+            oracle.advance_by(ahead);
+            fused.advance_by(ahead);
+        }
+        let needed_ps = cursor_ps + sample_ps * count as f64 + window_ps;
+        let now_ps = oracle.now().as_ps();
+        if now_ps < needed_ps {
+            oracle.advance_by(needed_ps - now_ps);
+        }
+        let expected = sampler
+            .sample_trace_until(
+                oracle.trace(),
+                Time::from_ps(cursor_ps),
+                count,
+                oracle.now(),
+                &mut oracle_rng,
+            )
+            .expect("the trace covers the batch");
+        let mut bits = BitString::with_capacity(count);
+        fused
+            .sample_batch(
+                cursor_ps,
+                sample_ps,
+                count,
+                window_ps,
+                &mut fused_rng,
+                |bit| bits.push_bool(bit),
+            )
+            .expect("the draws cover the batch");
+        assert_eq!(bits, expected, "{label}: batch {batch} bits");
+        assert_eq!(fused.now(), oracle.now(), "{label}: batch {batch} horizon");
+        assert_eq!(
+            fused.stats(),
+            oracle.stats(),
+            "{label}: batch {batch} draws"
+        );
+        // Only the tail is kept: the last transition at or before the
+        // final instant and the recorded waveform after it.
+        cursor_ps += sample_ps * count as f64;
+        let last = Time::from_ps(cursor_ps);
+        let tail = fused.trace().transitions();
+        assert!(
+            oracle.trace().transitions().ends_with(tail),
+            "{label}: batch {batch} tail is not the recorded waveform's"
+        );
+        assert!(
+            tail.first().is_some_and(|&(t, _)| t <= last)
+                && tail[1..].iter().all(|&(t, _)| t > last),
+            "{label}: batch {batch} trace is not the tail: {tail:?}"
+        );
+        let keep_ps = relock_ps + window_ps;
+        if cursor_ps > keep_ps {
+            oracle.prune_before(Time::from_ps(cursor_ps - keep_ps));
+        }
+        if batch % 3 == 2 {
+            // `PooledSource`'s re-lock check over one window.
+            let from = oracle.now();
+            oracle.advance_by(relock_ps);
+            fused.advance_by(relock_ps);
+            let until = oracle.now();
+            assert_eq!(fused.now(), until, "{label}: batch {batch} re-lock horizon");
+            let cv =
+                |s: &SurrogateStream| rising_interval_cv(s.trace(), from.as_ps(), until.as_ps());
+            assert!(cv(&oracle).is_some(), "{label}: the window holds edges");
+            assert_eq!(cv(&fused), cv(&oracle), "{label}: batch {batch} re-lock CV");
+            oracle.prune_before(from);
+            fused.prune_before(from);
+            assert_eq!(
+                fused.trace(),
+                oracle.trace(),
+                "{label}: batch {batch} re-lock trace"
+            );
+            cursor_ps = until.as_ps() + warmup_ps;
+        }
+    }
 }
 
 /// Valid near-balanced STR geometries (evenly-spaced on the FPGA

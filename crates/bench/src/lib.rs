@@ -20,10 +20,6 @@ pub struct ReproOptions {
     pub effort: Effort,
     /// The master seed.
     pub seed: u64,
-    /// Escalate netlist lints (SL0xx) from warnings to hard errors —
-    /// the CI setting, so a structurally suspect netlist fails the run
-    /// instead of printing to stderr.
-    pub deny_lints: bool,
     /// Keep running after a section fails (multi-section binaries like
     /// `repro_all`): remaining sections still execute, failures are
     /// collected into a JSON report on stderr, and the exit code stays
@@ -36,15 +32,14 @@ impl Default for ReproOptions {
         ReproOptions {
             effort: Effort::Full,
             seed: strentropy::calibration::PAPER_SEED,
-            deny_lints: false,
             keep_going: false,
         }
     }
 }
 
 impl ReproOptions {
-    /// Parses `--quick`, `--seed N` and `--deny-lints` from an
-    /// argument iterator.
+    /// Parses `--quick`, `--full`, `--seed N` and `--keep-going` from
+    /// an argument iterator.
     ///
     /// Unknown arguments are reported on the returned `Err`.
     ///
@@ -59,7 +54,6 @@ impl ReproOptions {
             match arg.as_str() {
                 "--quick" => options.effort = Effort::Quick,
                 "--full" => options.effort = Effort::Full,
-                "--deny-lints" => options.deny_lints = true,
                 "--keep-going" => options.keep_going = true,
                 "--seed" => {
                     let value = args
@@ -133,13 +127,10 @@ pub fn repro_main<T: Display, E: Display>(
     let options = match ReproOptions::parse(std::env::args().skip(1)) {
         Ok(o) => o,
         Err(msg) => {
-            eprintln!("{msg}\nusage: {name} [--quick|--full] [--seed N] [--deny-lints]");
+            eprintln!("{msg}\nusage: {name} [--quick|--full] [--seed N]");
             return ExitCode::FAILURE;
         }
     };
-    if options.deny_lints {
-        strentropy::rings::lint::set_policy(strentropy::rings::LintPolicy::Deny);
-    }
     eprintln!(
         "# {name} ({:?} effort, seed {})",
         options.effort, options.seed
@@ -174,9 +165,6 @@ mod tests {
         assert_eq!(o.seed, 7);
         let o = parse(&["--full"]).expect("valid");
         assert_eq!(o.effort, Effort::Full);
-        assert!(!o.deny_lints);
-        let o = parse(&["--deny-lints"]).expect("valid");
-        assert!(o.deny_lints);
     }
 
     #[test]

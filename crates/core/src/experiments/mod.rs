@@ -67,6 +67,21 @@ pub enum ExperimentError {
     Analysis(AnalysisError),
     /// A TRNG computation failed.
     Trng(TrngError),
+    /// A stage job ended without a result or an error of its own: it
+    /// panicked, and the sweep caught the unwind (or, under a watchdog
+    /// budget, it stalled).
+    JobAborted {
+        /// The stage label passed to `ExperimentRunner::run_stage`.
+        stage: String,
+        /// The job's position in the stage's config list.
+        index: usize,
+        /// The job's seed, enough to replay it alone.
+        seed: u64,
+        /// How it ended: `"panicked"` or `"stalled"`.
+        kind: &'static str,
+        /// The panic text, or the exhausted budget.
+        detail: String,
+    },
 }
 
 impl fmt::Display for ExperimentError {
@@ -75,6 +90,16 @@ impl fmt::Display for ExperimentError {
             ExperimentError::Ring(e) => write!(f, "ring simulation failed: {e}"),
             ExperimentError::Analysis(e) => write!(f, "analysis failed: {e}"),
             ExperimentError::Trng(e) => write!(f, "trng evaluation failed: {e}"),
+            ExperimentError::JobAborted {
+                stage,
+                index,
+                seed,
+                kind,
+                detail,
+            } => write!(
+                f,
+                "stage {stage} job {index} (seed {seed}) {kind}: {detail}"
+            ),
         }
     }
 }
@@ -85,6 +110,7 @@ impl Error for ExperimentError {
             ExperimentError::Ring(e) => Some(e),
             ExperimentError::Analysis(e) => Some(e),
             ExperimentError::Trng(e) => Some(e),
+            ExperimentError::JobAborted { .. } => None,
         }
     }
 }
@@ -136,5 +162,14 @@ mod tests {
         assert!(e.to_string().contains("analysis"));
         let e = ExperimentError::from(TrngError::NotEnoughBits { needed: 1, got: 0 });
         assert!(e.to_string().contains("trng"));
+        let e = ExperimentError::JobAborted {
+            stage: "fig8".to_owned(),
+            index: 3,
+            seed: 99,
+            kind: "panicked",
+            detail: "boom".to_owned(),
+        };
+        assert_eq!(e.to_string(), "stage fig8 job 3 (seed 99) panicked: boom");
+        assert!(e.source().is_none());
     }
 }

@@ -1,6 +1,6 @@
 //! The shared parallel harness behind every experiment module.
 //!
-//! [`ExperimentRunner`] wraps [`SweepRunner`] with the three things the
+//! [`ExperimentRunner`] wraps [`SweepRunner`] with the four things the
 //! experiment layer needs on top of raw sharding:
 //!
 //! * **stage-scoped seeding** — every call to
@@ -15,17 +15,21 @@
 //! * **stage statistics** — every stage's [`SweepStats`] (wall clock,
 //!   per-shard busy time and dispatched simulator events) is retained
 //!   and can be drained with [`ExperimentRunner::take_stages`], which is
-//!   how `strent-bench` builds `BENCH_sweep.json`.
+//!   how `strent-bench` builds `BENCH_sweep.json`;
+//! * **typed stage errors** — a job that panics is caught by the sweep
+//!   and fails its stage with [`ExperimentError::JobAborted`], the same
+//!   error at every thread count, instead of unwinding into the caller.
 
 use std::sync::Mutex;
 
 use strent_device::Board;
 use strent_rings::measure::{self, RingRun};
-use strent_rings::stream::StreamConfig;
-use strent_rings::surrogate::{self, Calibrator, SourceBackend, SurrogateStream};
 use strent_rings::{IroConfig, StrConfig};
 use strent_sim::rng::fnv1a;
-use strent_sim::{JobMeter, RngTree, SweepJob, SweepRunner, SweepStats};
+use strent_sim::{
+    FailureKind, JobError, JobFailure, JobMeter, RetryPolicy, RngTree, SweepJob, SweepRunner,
+    SweepStats,
+};
 
 use super::{Effort, ExperimentError};
 
@@ -134,11 +138,15 @@ impl ExperimentRunner {
     ///
     /// The stage's sweep seed is derived from `(seed, label)`, so two
     /// stages of the same experiment draw independent randomness, and
-    /// re-running a stage with the same label replays it exactly.
+    /// re-running a stage with the same label replays it exactly. A
+    /// job that panics is caught and fails the stage like any other
+    /// job error; the remaining jobs still run.
     ///
     /// # Errors
     ///
-    /// Propagates the error of the lowest-indexed failing job.
+    /// Returns the lowest-indexed failing job's own error, or
+    /// [`ExperimentError::JobAborted`] naming the stage, the job and its
+    /// seed when that job panicked.
     pub fn run_stage<C, R, F>(
         &self,
         label: &str,
@@ -154,15 +162,25 @@ impl ExperimentRunner {
         let sweep = SweepRunner::new(stage_seed)
             .with_threads(self.threads)
             .with_chunk_size(self.chunk_for(configs.len()));
-        let outcome = sweep.run_metered(configs, f)?;
+        // The default policy runs each job once without a budget: it
+        // adds panic isolation and nothing else.
+        let report = sweep.run_resilient(configs, RetryPolicy::default(), |job, meter| {
+            f(job, meter).map_err(JobError::Failed)
+        });
+        // The manifest is sorted by index: the first entry is the
+        // lowest failing job, whatever the schedule.
+        if let Some(failure) = report.failures.into_iter().next() {
+            return Err(stage_error(label, failure));
+        }
         self.stages
             .lock()
             .expect("no poisoned stage log")
             .push(StageReport {
                 label: label.to_owned(),
-                stats: outcome.stats,
+                stats: report.stats,
             });
-        Ok(outcome.results)
+        // With no failures recorded, every slot holds its job's result.
+        Ok(report.results.into_iter().flatten().collect())
     }
 
     /// Derives the deterministic seed subtree keyed by `label` — the
@@ -182,6 +200,21 @@ impl ExperimentRunner {
     #[must_use]
     pub fn take_stages(&self) -> Vec<StageReport> {
         std::mem::take(&mut *self.stages.lock().expect("no poisoned stage log"))
+    }
+}
+
+/// The typed error for a stage's failed job: its own error when it
+/// returned one, otherwise [`ExperimentError::JobAborted`].
+fn stage_error(label: &str, failure: JobFailure<ExperimentError>) -> ExperimentError {
+    if let FailureKind::Failed { error } = failure.kind {
+        return error;
+    }
+    ExperimentError::JobAborted {
+        stage: label.to_owned(),
+        index: failure.index,
+        seed: failure.seed,
+        kind: failure.kind.label(),
+        detail: failure.detail(),
     }
 }
 
@@ -215,67 +248,13 @@ impl RingSpec {
         meter.record_sim(run.stats);
         Ok(run)
     }
-
-    /// This spec as a stream configuration (the vocabulary the
-    /// surrogate tier and the serving layer share).
-    #[must_use]
-    pub fn stream_config(&self) -> StreamConfig {
-        match self {
-            RingSpec::Iro(config) => StreamConfig::Iro(config.clone()),
-            RingSpec::Str(config) => StreamConfig::Str(config.clone()),
-        }
-    }
-
-    /// Like [`measure`](RingSpec::measure), but honoring a waveform
-    /// backend request: with [`SourceBackend::Surrogate`] an eligible
-    /// ring is calibrated once and replayed at O(1) per period, while
-    /// boundary configurations silently fall back to the event-driven
-    /// run. Surrogate workloads meter their emitted transitions as
-    /// events, so sweep stages stay comparable in the perf reports.
-    ///
-    /// # Errors
-    ///
-    /// Propagates ring simulation and calibration errors.
-    pub fn measure_with(
-        &self,
-        backend: SourceBackend,
-        board: &Board,
-        seed: u64,
-        periods: usize,
-        meter: &mut JobMeter,
-    ) -> Result<RingRun, ExperimentError> {
-        let config = self.stream_config();
-        if backend == SourceBackend::FullSim
-            || !surrogate::surrogate_eligible(&config, board, false)
-        {
-            return self.measure(board, seed, periods, meter);
-        }
-        let model = Calibrator::default().fit(&config, board, seed)?;
-        let mut stream = SurrogateStream::new(model, seed);
-        // The AR(1) flicker starts at rest; discard the same warm-up
-        // span the event-driven runners do so the retained window is
-        // stationary.
-        let warmup = measure::WARMUP_PERIODS;
-        stream.next_periods(warmup);
-        stream.prune_before(stream.now());
-        let periods_ps = stream.next_periods(periods);
-        let stats = stream.stats();
-        meter.record_sim(stats);
-        let mean = periods_ps.iter().sum::<f64>() / periods_ps.len().max(1) as f64;
-        Ok(RingRun {
-            half_periods_ps: stream.trace().half_periods(),
-            frequency_mhz: 1e6 / mean,
-            periods_ps,
-            events_dispatched: stats.events_processed,
-            stats,
-        })
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::calibration;
+    use strent_trng::TrngError;
 
     #[test]
     fn stage_results_do_not_depend_on_thread_count() {
@@ -308,6 +287,53 @@ mod tests {
             .run_stage("alpha", &[0u8], |job, _| Ok(job.seed()))
             .expect("runs");
         assert_eq!(a, a2);
+    }
+
+    #[test]
+    fn a_panicking_job_fails_its_stage_with_a_typed_error() {
+        let configs: Vec<u64> = (0..8).collect();
+        let stage = |runner: &ExperimentRunner, panic_at: Option<usize>| {
+            runner.run_stage("panics", &configs, |job, _| {
+                if Some(job.index) == panic_at {
+                    panic!("job {} blew up", job.index);
+                }
+                Ok(job.seed())
+            })
+        };
+        // The seed job 3 is handed, read from a clean run of the stage.
+        let seeds = stage(&ExperimentRunner::new(Effort::Quick, 5), None).expect("no panic");
+        let expected = ExperimentError::JobAborted {
+            stage: "panics".to_owned(),
+            index: 3,
+            seed: seeds[3],
+            kind: "panicked",
+            detail: "job 3 blew up".to_owned(),
+        };
+        for threads in [1, 2] {
+            let runner = ExperimentRunner::new(Effort::Quick, 5).with_threads(threads);
+            let result = stage(&runner, Some(3));
+            assert_eq!(result, Err(expected.clone()), "threads = {threads}");
+            assert!(runner.take_stages().is_empty(), "no stage report");
+        }
+    }
+
+    #[test]
+    fn the_lowest_failing_job_decides_the_stage_error() {
+        // Job 2 returns a typed error and job 3 panics: the stage
+        // returns job 2's own error, the one a serial run meets first.
+        let configs: Vec<usize> = (0..12).collect();
+        let not_enough =
+            |needed| ExperimentError::from(TrngError::NotEnoughBits { needed, got: 0 });
+        for threads in [1, 3] {
+            let result = ExperimentRunner::new(Effort::Quick, 9)
+                .with_threads(threads)
+                .run_stage("typed", &configs, |job, _| match job.index {
+                    2 | 7 => Err(not_enough(job.index)),
+                    3 => panic!("job 3 blew up"),
+                    _ => Ok(()),
+                });
+            assert_eq!(result, Err(not_enough(2)), "threads = {threads}");
+        }
     }
 
     #[test]
@@ -348,38 +374,5 @@ mod tests {
         assert_eq!(runs[0].periods_ps.len(), 50);
         let stages = runner.take_stages();
         assert!(stages[0].stats.events() > 0, "events metered");
-    }
-
-    #[test]
-    fn ring_spec_measures_through_the_surrogate_backend() {
-        let board = calibration::default_board();
-        let spec = RingSpec::Str(StrConfig::new(32, 16).expect("valid"));
-        let runner = ExperimentRunner::new(Effort::Quick, 13);
-        let runs = runner
-            .run_stage("surrogate", std::slice::from_ref(&spec), |job, meter| {
-                job.config
-                    .measure_with(SourceBackend::Surrogate, &board, job.seed(), 400, meter)
-            })
-            .expect("calibrates");
-        assert_eq!(runs[0].periods_ps.len(), 400);
-        let stages = runner.take_stages();
-        assert!(stages[0].stats.events() > 0, "surrogate transitions metered");
-        // Statistical agreement with the event-driven run: mean within
-        // 2%, jitter within a factor 2 on a short window.
-        let full = runner
-            .run_stage("full", &[spec], |job, meter| {
-                job.config
-                    .measure_with(SourceBackend::FullSim, &board, job.seed(), 400, meter)
-            })
-            .expect("oscillates");
-        let mean = |xs: &[f64]| xs.iter().sum::<f64>() / xs.len() as f64;
-        let sigma = |xs: &[f64]| {
-            let m = mean(xs);
-            (xs.iter().map(|x| (x - m).powi(2)).sum::<f64>() / xs.len() as f64).sqrt()
-        };
-        let (ms, mf) = (mean(&runs[0].periods_ps), mean(&full[0].periods_ps));
-        assert!((ms / mf - 1.0).abs() < 0.02, "means {ms} vs {mf}");
-        let (ss, sf) = (sigma(&runs[0].periods_ps), sigma(&full[0].periods_ps));
-        assert!(ss / sf < 2.0 && sf / ss < 2.0, "sigmas {ss} vs {sf}");
     }
 }

@@ -11,8 +11,8 @@
 //! The measurement runners ([`crate::measure`]) run these checks on
 //! every netlist they build, honoring the process-wide [`LintPolicy`]:
 //! warn-by-default (diagnostics on stderr, simulation proceeds), deny
-//! in CI (`--deny-lints` / `STRENT_LINT=deny`, any finding aborts the
-//! run as [`RingError::Lint`]), or silent.
+//! in CI (`STRENT_LINT=deny`, any finding aborts the run as
+//! [`RingError::Lint`]), or silent.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
@@ -70,7 +70,8 @@ pub fn policy() -> LintPolicy {
     }
 }
 
-/// Overrides the process-wide policy (e.g. `repro_all --deny-lints`).
+/// Overrides the process-wide policy (e.g. a test that builds a
+/// deliberately broken netlist).
 pub fn set_policy(policy: LintPolicy) {
     let raw = match policy {
         LintPolicy::Warn => 0,

@@ -316,6 +316,7 @@ impl PooledSource {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use strent_sim::rng::fnv1a;
     use strent_sim::{Bit, FaultPlan};
     use strent_trng::health;
     use strent_trng::postprocess::ConditionerKind;
@@ -394,13 +395,6 @@ mod tests {
         let (rct, apt) =
             health::scan(&bits, config.claimed_min_entropy).expect("valid claim");
         assert_eq!((rct, apt), (0, 0), "served surrogate bytes are health-clean");
-    }
-
-    /// FNV-1a over a byte stream, to pin served bytes in one constant.
-    fn fnv1a(bytes: &[u8]) -> u64 {
-        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &b| {
-            (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-        })
     }
 
     /// Sampling at 2.024 ring periods aliases with the ring, so a

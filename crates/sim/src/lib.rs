@@ -85,7 +85,7 @@ pub use rng::{Normal, RngTree, SimRng};
 pub use signal::{Bit, Edge, NetId};
 pub use sweep::{
     FailureKind, JobBudget, JobError, JobFailure, JobMeter, RetryPolicy, ShardStats,
-    StallCause, SweepJob, SweepOutcome, SweepReport, SweepRunner, SweepStats,
+    StallCause, SweepJob, SweepReport, SweepRunner, SweepStats,
 };
 pub use time::Time;
 pub use trace::{Trace, TraceSet};

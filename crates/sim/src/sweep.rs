@@ -31,13 +31,20 @@
 //! vector is order-independent. Each shard meters its busy wall-clock
 //! time, job count and dispatched simulator events, so benchmark
 //! harnesses can report speedup and load balance per worker.
+//!
+//! ## Failures
+//!
+//! A job that panics, stalls or returns a typed error becomes one
+//! [`JobFailure`] in the [`SweepReport`] while the other jobs still
+//! run; the manifest is sorted by job index, so it too is the same at
+//! every thread count.
 
 use std::any::Any;
 use std::fmt;
 use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use crate::engine::SimStats;
 use crate::error::SimError;
@@ -52,13 +59,12 @@ pub struct SweepJob<'a, C> {
     pub config: &'a C,
     /// The job's deterministic seed subtree (`master.fork(index)`).
     pub rng: RngTree,
-    /// Which attempt this is (0 for the first try; retries under
-    /// [`SweepRunner::run_resilient`] count up). The seed subtree is
-    /// the same on every attempt — determinism comes from the fork,
-    /// escalation comes from the budget.
+    /// Which attempt this is (0 for the first try; retries count up).
+    /// The seed subtree is the same on every attempt — determinism
+    /// comes from the fork, escalation comes from the budget.
     pub attempt: u32,
-    /// The watchdog budget for this attempt. Unlimited outside
-    /// [`SweepRunner::run_resilient`].
+    /// The watchdog budget for this attempt (unlimited under the
+    /// default [`RetryPolicy`]).
     pub budget: JobBudget,
 }
 
@@ -151,34 +157,26 @@ impl SweepStats {
     }
 }
 
-/// The result of a sweep: per-config outputs in config order, plus
-/// execution statistics.
-#[derive(Debug, Clone)]
-pub struct SweepOutcome<R> {
-    /// One result per input config, in input order.
-    pub results: Vec<R>,
-    /// Execution statistics.
-    pub stats: SweepStats,
-}
-
 /// A deterministic parallel executor for independent simulation jobs.
 ///
 /// # Examples
 ///
 /// ```
-/// use strent_sim::sweep::SweepRunner;
+/// use strent_sim::sweep::{JobError, JobMeter, RetryPolicy, SweepJob, SweepRunner};
 ///
+/// fn double(job: SweepJob<'_, usize>, _: &mut JobMeter) -> Result<usize, JobError<()>> {
+///     Ok(job.config * 2 + (job.seed() % 2) as usize)
+/// }
 /// let lengths = [4usize, 8, 16, 32];
-/// let runner = SweepRunner::new(2012).with_threads(4);
-/// let outcome = runner
-///     .run(&lengths, |job| Ok::<_, ()>(job.config * 2 + (job.seed() % 2) as usize))
-///     .expect("no job fails");
+/// let report = SweepRunner::new(2012)
+///     .with_threads(4)
+///     .run_resilient(&lengths, RetryPolicy::default(), double);
+/// assert!(report.failures.is_empty(), "no job fails");
 /// // Results arrive in config order, regardless of which worker ran them.
-/// assert_eq!(outcome.results.len(), 4);
-/// let again = SweepRunner::new(2012).with_threads(1)
-///     .run(&lengths, |job| Ok::<_, ()>(job.config * 2 + (job.seed() % 2) as usize))
-///     .expect("no job fails");
-/// assert_eq!(outcome.results, again.results);
+/// let again = SweepRunner::new(2012)
+///     .with_threads(1)
+///     .run_resilient(&lengths, RetryPolicy::default(), double);
+/// assert_eq!(report.results, again.results);
 /// ```
 #[derive(Debug, Clone)]
 pub struct SweepRunner {
@@ -216,183 +214,13 @@ impl SweepRunner {
         self
     }
 
-    /// The configured worker count.
-    #[must_use]
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// The master seed this runner forks from.
-    #[must_use]
-    pub fn master_seed(&self) -> u64 {
-        self.tree.master_seed()
-    }
-
     /// Runs `f` over every config, in parallel, with deterministic
-    /// per-job seeds.
-    ///
-    /// Results are returned in config order. `f` may report simulator
-    /// event counts through [`JobMeter::record_events`] on the job —
-    /// see [`SweepRunner::run_metered`]. When any job fails, the error
-    /// of the *lowest-indexed* failing job is returned (a deterministic
-    /// choice even under racy scheduling).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first (lowest-index) job error.
-    pub fn run<C, R, E, F>(&self, configs: &[C], f: F) -> Result<SweepOutcome<R>, E>
-    where
-        C: Sync,
-        R: Send,
-        E: Send,
-        F: Fn(SweepJob<'_, C>) -> Result<R, E> + Sync,
-    {
-        self.run_metered(configs, |job, _meter| f(job))
-    }
-
-    /// Like [`SweepRunner::run`], but hands each job a [`JobMeter`] so
-    /// it can report dispatched simulator events into the shard
-    /// counters.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first (lowest-index) job error.
-    pub fn run_metered<C, R, E, F>(&self, configs: &[C], f: F) -> Result<SweepOutcome<R>, E>
-    where
-        C: Sync,
-        R: Send,
-        E: Send,
-        F: Fn(SweepJob<'_, C>, &mut JobMeter) -> Result<R, E> + Sync,
-    {
-        let started = Instant::now();
-        let threads = self.threads.min(configs.len()).max(1);
-
-        let mut slots: Vec<Option<R>> = Vec::new();
-        slots.resize_with(configs.len(), || None);
-        let slots = Mutex::new(slots);
-        let first_error: Mutex<Option<(usize, E)>> = Mutex::new(None);
-        let failed = AtomicBool::new(false);
-        let cursor = AtomicUsize::new(0);
-
-        // Which job each shard is currently executing — context for the
-        // join-failure message below, so a worker panic names the job
-        // that blew up instead of silently aborting the sweep.
-        let in_flight: Vec<AtomicUsize> = (0..threads)
-            .map(|_| AtomicUsize::new(usize::MAX))
-            .collect();
-
-        let run_shard = |shard_id: usize, shard_stats: &mut ShardStats| {
-            let shard_started = Instant::now();
-            loop {
-                if failed.load(Ordering::Relaxed) {
-                    break;
-                }
-                let start = cursor.fetch_add(self.chunk, Ordering::Relaxed);
-                if start >= configs.len() {
-                    break;
-                }
-                let end = (start + self.chunk).min(configs.len());
-                for (index, config) in configs.iter().enumerate().take(end).skip(start) {
-                    in_flight[shard_id].store(index, Ordering::Relaxed);
-                    let job = SweepJob {
-                        index,
-                        config,
-                        rng: self.tree.fork(index as u64),
-                        attempt: 0,
-                        budget: JobBudget::unlimited(),
-                    };
-                    let mut meter = JobMeter::new();
-                    match f(job, &mut meter) {
-                        Ok(result) => {
-                            shard_stats.jobs += 1;
-                            shard_stats.events += meter.events;
-                            shard_stats.cancelled += meter.cancelled;
-                            shard_stats.suppressed += meter.suppressed;
-                            let mut guard = slots.lock().expect("no poisoned job slots");
-                            guard[index] = Some(result);
-                        }
-                        Err(error) => {
-                            let mut guard =
-                                first_error.lock().expect("no poisoned error slot");
-                            if guard.as_ref().is_none_or(|(i, _)| index < *i) {
-                                *guard = Some((index, error));
-                            }
-                            failed.store(true, Ordering::Relaxed);
-                        }
-                    }
-                }
-            }
-            shard_stats.busy_ns = shard_started.elapsed().as_nanos();
-        };
-
-        let mut shards = vec![ShardStats::default(); threads];
-        if threads == 1 {
-            // Inline path: no thread spawn, identical results by the
-            // seed-tree contract.
-            run_shard(0, &mut shards[0]);
-        } else {
-            std::thread::scope(|scope| {
-                let run_shard = &run_shard;
-                let mut handles = Vec::with_capacity(threads);
-                for shard_id in 0..threads {
-                    handles.push(scope.spawn(move || {
-                        let mut stats = ShardStats::default();
-                        run_shard(shard_id, &mut stats);
-                        stats
-                    }));
-                }
-                for (shard_id, (shard, handle)) in
-                    shards.iter_mut().zip(handles).enumerate()
-                {
-                    match handle.join() {
-                        Ok(stats) => *shard = stats,
-                        // simlint: allow(SL107) — this IS the contextual
-                        // propagation path: re-panic with the worker's
-                        // payload plus the shard/job that blew up.
-                        Err(payload) => {
-                            let job = in_flight[shard_id].load(Ordering::Relaxed);
-                            let at = if job == usize::MAX {
-                                "before claiming a job".to_owned()
-                            } else {
-                                format!("at job {job}")
-                            };
-                            panic!(
-                                "sweep worker for shard {shard_id} panicked {at}: {}",
-                                panic_payload_text(payload.as_ref())
-                            );
-                        }
-                    }
-                }
-            });
-        }
-
-        if let Some((_, error)) = first_error.into_inner().expect("no poisoned error slot") {
-            return Err(error);
-        }
-        let results: Vec<R> = slots
-            .into_inner()
-            .expect("no poisoned job slots")
-            .into_iter()
-            .map(|slot| slot.expect("every job ran exactly once"))
-            .collect();
-        let jobs = results.len();
-        Ok(SweepOutcome {
-            results,
-            stats: SweepStats {
-                threads,
-                jobs,
-                wall_ns: duration_ns(started.elapsed()),
-                shards,
-            },
-        })
-    }
-}
-
-impl SweepRunner {
-    /// Fault-tolerant variant of [`SweepRunner::run_metered`]: every
-    /// job runs inside `catch_unwind`, may carry a watchdog budget and
-    /// is retried per `policy` — so one panicking or stalling config
-    /// yields a [`JobFailure`] entry instead of killing the sweep.
+    /// per-job seeds, and reports every job's outcome. Each job runs
+    /// inside `catch_unwind`, may carry a watchdog budget and is
+    /// retried per `policy`, so one panicking or stalling config
+    /// yields a [`JobFailure`] entry instead of killing the sweep. `f`
+    /// reports dispatched simulator events into the shard counters
+    /// through the [`JobMeter`] it is handed.
     ///
     /// Semantics:
     ///
@@ -400,9 +228,9 @@ impl SweepRunner {
     ///   `policy.attempts` times (a deterministic panic fails every
     ///   attempt; the bound keeps that cheap).
     /// * **Stalls** ([`JobError::Stalled`], typically produced by
-    ///   mapping [`SimError::StepLimitExceeded`] or a failed
-    ///   [`JobBudget::check`]) are retried with the budget escalated by
-    ///   `policy.escalation` per attempt.
+    ///   mapping [`SimError::StepLimitExceeded`] through
+    ///   [`JobError::from_sim`]) are retried with the budget escalated
+    ///   by `policy.escalation` per attempt.
     /// * **Typed errors** ([`JobError::Failed`]) fail fast — jobs are
     ///   deterministic functions of `(config, seed)`, so re-running an
     ///   error-returning job cannot change its outcome.
@@ -413,7 +241,7 @@ impl SweepRunner {
     /// histories; `tests/determinism.rs` pins this.
     ///
     /// The returned [`SweepReport`] always carries all partial results;
-    /// it never aborts early on failure.
+    /// a failure never stops the other jobs.
     pub fn run_resilient<C, R, E, F>(
         &self,
         configs: &[C],
@@ -434,6 +262,8 @@ impl SweepRunner {
         let slots = Mutex::new(slots);
         let failures: Mutex<Vec<JobFailure<E>>> = Mutex::new(Vec::new());
         let cursor = AtomicUsize::new(0);
+        // Which job each shard claimed last — context for the
+        // join-failure message below.
         let in_flight: Vec<AtomicUsize> = (0..threads)
             .map(|_| AtomicUsize::new(usize::MAX))
             .collect();
@@ -516,6 +346,8 @@ impl SweepRunner {
 
         let mut shards = vec![ShardStats::default(); threads];
         if threads == 1 {
+            // Inline path: no thread spawn, identical results by the
+            // seed-tree contract.
             run_shard(0, &mut shards[0]);
         } else {
             std::thread::scope(|scope| {
@@ -539,8 +371,8 @@ impl SweepRunner {
                         Err(payload) => {
                             let job = in_flight[shard_id].load(Ordering::Relaxed);
                             panic!(
-                                "resilient sweep worker for shard {shard_id} panicked \
-                                 outside a job (last claimed job {job}): {}",
+                                "sweep worker for shard {shard_id} panicked outside \
+                                 a job (last claimed job {job}): {}",
                                 panic_payload_text(payload.as_ref())
                             );
                         }
@@ -561,15 +393,15 @@ impl SweepRunner {
             stats: SweepStats {
                 threads,
                 jobs,
-                wall_ns: duration_ns(started.elapsed()),
+                wall_ns: started.elapsed().as_nanos(),
                 shards,
             },
         }
     }
 }
 
-/// Why a job attempt could not produce a result — what resilient job
-/// functions return instead of a bare error.
+/// Why a job attempt could not produce a result — what job functions
+/// return instead of a bare error.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum JobError<E> {
     /// A typed domain failure. Not retried: jobs are deterministic in
@@ -610,8 +442,6 @@ impl<E: fmt::Display> fmt::Display for JobError<E> {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum StallCause {
-    /// The wall-clock budget elapsed ([`JobBudget::check`]).
-    WallClock,
     /// The event-count budget was exhausted (typically surfaced as
     /// [`SimError::StepLimitExceeded`] with this limit).
     EventBudget {
@@ -623,7 +453,6 @@ pub enum StallCause {
 impl fmt::Display for StallCause {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            StallCause::WallClock => write!(f, "wall-clock budget elapsed"),
             StallCause::EventBudget { limit } => {
                 write!(f, "event budget of {limit} exhausted")
             }
@@ -631,57 +460,29 @@ impl fmt::Display for StallCause {
     }
 }
 
-/// A per-attempt watchdog budget: an optional wall-clock deadline and
-/// an optional event-count ceiling.
+/// A per-attempt watchdog budget: an optional event-count ceiling.
 ///
-/// The budget is *cooperative*: a job applies the event ceiling to its
+/// The budget is *cooperative*: a job applies the ceiling to its
 /// simulator ([`JobBudget::apply_to`], backed by the engine's bounded
-/// `run_until` pops) and polls [`JobBudget::check`] between simulation
-/// segments. The runner cannot preempt a job that never yields — but
-/// every simulation-shaped job naturally does.
+/// `run_until` pops). The runner cannot preempt a job that never
+/// yields — but every simulation-shaped job naturally does.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct JobBudget {
-    deadline: Option<Instant>,
     max_events: Option<u64>,
 }
 
 impl JobBudget {
-    /// No limits — the budget outside resilient runs.
-    #[must_use]
-    pub fn unlimited() -> Self {
-        JobBudget::default()
-    }
-
     /// The event-count ceiling, if any.
     #[must_use]
     pub fn max_events(&self) -> Option<u64> {
         self.max_events
     }
 
-    /// `true` if neither limit is set.
-    #[must_use]
-    pub fn is_unlimited(&self) -> bool {
-        self.deadline.is_none() && self.max_events.is_none()
-    }
-
     /// Applies the event ceiling to a simulator's step limit (no-op for
-    /// an unlimited budget). The wall-clock half stays with the job —
-    /// poll [`JobBudget::check`] between `run_until` segments.
+    /// an unlimited budget).
     pub fn apply_to(&self, sim: &mut crate::Simulator) {
         if let Some(limit) = self.max_events {
             sim.set_step_limit(limit);
-        }
-    }
-
-    /// Polls the wall-clock deadline.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StallCause::WallClock`] once the deadline has passed.
-    pub fn check(&self) -> Result<(), StallCause> {
-        match self.deadline {
-            Some(deadline) if Instant::now() > deadline => Err(StallCause::WallClock),
-            _ => Ok(()),
         }
     }
 }
@@ -693,7 +494,6 @@ impl JobBudget {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
     attempts: u32,
-    wall_ms: Option<u64>,
     max_events: Option<u64>,
     escalation: u32,
 }
@@ -702,7 +502,6 @@ impl Default for RetryPolicy {
     fn default() -> Self {
         RetryPolicy {
             attempts: 1,
-            wall_ms: None,
             max_events: None,
             escalation: 2,
         }
@@ -714,13 +513,6 @@ impl RetryPolicy {
     #[must_use]
     pub fn with_attempts(mut self, attempts: u32) -> Self {
         self.attempts = attempts.max(1);
-        self
-    }
-
-    /// Base wall-clock budget per attempt, milliseconds.
-    #[must_use]
-    pub fn with_wall_ms(mut self, wall_ms: u64) -> Self {
-        self.wall_ms = Some(wall_ms);
         self
     }
 
@@ -746,14 +538,11 @@ impl RetryPolicy {
     }
 
     /// Arms the budget for attempt `attempt` (0-based), escalating the
-    /// base limits by `escalation^attempt`.
+    /// base limit by `escalation^attempt`.
     #[must_use]
     pub fn budget_for(&self, attempt: u32) -> JobBudget {
         let factor = u64::from(self.escalation.max(1)).saturating_pow(attempt);
         JobBudget {
-            deadline: self.wall_ms.map(|ms| {
-                Instant::now() + Duration::from_millis(ms.saturating_mul(factor))
-            }),
             max_events: self.max_events.map(|e| e.saturating_mul(factor)),
         }
     }
@@ -794,7 +583,7 @@ impl<E> FailureKind<E> {
     }
 }
 
-/// One abandoned job in a resilient sweep.
+/// One abandoned job in a sweep.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JobFailure<E> {
     /// The job's position in the config list.
@@ -822,9 +611,9 @@ impl<E: fmt::Display> JobFailure<E> {
     }
 }
 
-/// The outcome of a resilient sweep: partial results plus a failure
-/// manifest. Unlike [`SweepOutcome`] this is not behind a `Result` —
-/// the whole point is that the sweep completes either way.
+/// The outcome of a sweep: per-config results in config order plus a
+/// failure manifest. It is not behind a `Result`: the sweep completes
+/// either way.
 #[derive(Debug, Clone)]
 pub struct SweepReport<R, E> {
     /// One slot per input config, in input order; `None` where the job
@@ -842,33 +631,6 @@ impl<R, E> SweepReport<R, E> {
     #[must_use]
     pub fn successes(&self) -> usize {
         self.results.iter().filter(|slot| slot.is_some()).count()
-    }
-
-    /// `true` when every job succeeded.
-    #[must_use]
-    pub fn is_complete(&self) -> bool {
-        self.failures.is_empty()
-    }
-
-    /// Converts a fully successful report into a [`SweepOutcome`];
-    /// returns the report unchanged if any job failed.
-    ///
-    /// # Errors
-    ///
-    /// Returns `self` when the manifest is non-empty.
-    pub fn into_complete(self) -> Result<SweepOutcome<R>, SweepReport<R, E>> {
-        if !self.is_complete() {
-            return Err(self);
-        }
-        let results = self
-            .results
-            .into_iter()
-            .map(|slot| slot.expect("complete report has no empty slots"))
-            .collect();
-        Ok(SweepOutcome {
-            results,
-            stats: self.stats,
-        })
     }
 }
 
@@ -967,10 +729,6 @@ impl JobMeter {
     }
 }
 
-fn duration_ns(d: Duration) -> u128 {
-    d.as_nanos()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -980,20 +738,32 @@ mod tests {
         *job.config as u64 ^ job.seed().rotate_left(7)
     }
 
+    /// Runs `f` once per config under the default policy (panic
+    /// isolation only), its errors typed — how experiment stages sweep.
+    fn sweep<C: Sync, R: Send, E: Send>(
+        runner: SweepRunner,
+        configs: &[C],
+        f: impl Fn(SweepJob<'_, C>, &mut JobMeter) -> Result<R, E> + Sync,
+    ) -> SweepReport<R, E> {
+        runner.run_resilient(configs, RetryPolicy::default(), |job, meter| {
+            f(job, meter).map_err(JobError::Failed)
+        })
+    }
+
     #[test]
     fn results_are_in_config_order() {
         let configs: Vec<usize> = (0..64).collect();
-        let outcome = SweepRunner::new(1)
-            .with_threads(4)
-            .run(&configs, |job| Ok::<_, ()>((job.index, job_value(job))))
-            .expect("no failures");
-        for (i, (index, _)) in outcome.results.iter().enumerate() {
-            assert_eq!(*index, i);
+        let report = sweep(SweepRunner::new(1).with_threads(4), &configs, |job, _| {
+            Ok::<_, ()>((job.index, job_value(job)))
+        });
+        assert!(report.failures.is_empty());
+        for (i, slot) in report.results.iter().enumerate() {
+            assert_eq!(slot.map(|(index, _)| index), Some(i));
         }
-        assert_eq!(outcome.stats.jobs, 64);
-        assert_eq!(outcome.stats.threads, 4);
+        assert_eq!(report.stats.jobs, 64);
+        assert_eq!(report.stats.threads, 4);
         assert_eq!(
-            outcome.stats.shards.iter().map(|s| s.jobs).sum::<usize>(),
+            report.stats.shards.iter().map(|s| s.jobs).sum::<usize>(),
             64
         );
     }
@@ -1001,18 +771,16 @@ mod tests {
     #[test]
     fn thread_count_does_not_change_results() {
         let configs: Vec<usize> = (0..41).collect();
-        let reference = SweepRunner::new(9)
-            .with_threads(1)
-            .run(&configs, |job| Ok::<_, ()>(job_value(job)))
-            .expect("no failures");
+        let value = |job: SweepJob<'_, usize>, _: &mut JobMeter| Ok::<_, ()>(job_value(job));
+        let reference = sweep(SweepRunner::new(9).with_threads(1), &configs, value);
+        assert_eq!(reference.successes(), 41);
         for threads in [2, 3, 8] {
             for chunk in [1, 4] {
-                let outcome = SweepRunner::new(9)
+                let runner = SweepRunner::new(9)
                     .with_threads(threads)
-                    .with_chunk_size(chunk)
-                    .run(&configs, |job| Ok::<_, ()>(job_value(job)))
-                    .expect("no failures");
-                assert_eq!(outcome.results, reference.results, "T={threads} c={chunk}");
+                    .with_chunk_size(chunk);
+                let report = sweep(runner, &configs, value);
+                assert_eq!(report.results, reference.results, "T={threads} c={chunk}");
             }
         }
     }
@@ -1020,75 +788,79 @@ mod tests {
     #[test]
     fn per_job_seeds_are_distinct_and_stable() {
         let configs = [0usize; 16];
-        let outcome = SweepRunner::new(77)
-            .with_threads(2)
-            .run(&configs, |job| Ok::<_, ()>(job.seed()))
-            .expect("no failures");
-        let mut seeds = outcome.results.clone();
-        seeds.sort_unstable();
-        seeds.dedup();
-        assert_eq!(seeds.len(), 16, "all forks distinct");
+        let report = sweep(SweepRunner::new(77).with_threads(2), &configs, |job, _| {
+            Ok::<_, ()>(job.seed())
+        });
+        let seeds: Vec<u64> = report.results.iter().flatten().copied().collect();
+        assert_eq!(seeds.len(), 16, "no failures");
+        let mut distinct = seeds.clone();
+        distinct.sort_unstable();
+        distinct.dedup();
+        assert_eq!(distinct.len(), 16, "all forks distinct");
         // Forks match the tree contract.
         let tree = RngTree::new(77);
-        for (i, &seed) in outcome.results.iter().enumerate() {
+        for (i, &seed) in seeds.iter().enumerate() {
             assert_eq!(seed, tree.fork(i as u64).master_seed());
         }
     }
 
     #[test]
     fn lowest_index_error_wins() {
+        // Every odd job fails; under racy claiming the manifest still
+        // leads with the lowest failing index and its own error.
         let configs: Vec<usize> = (0..32).collect();
-        let result = SweepRunner::new(3).with_threads(4).run(&configs, |job| {
+        let report = sweep(SweepRunner::new(3).with_threads(4), &configs, |job, _| {
             if *job.config % 2 == 1 {
                 Err(*job.config)
             } else {
                 Ok(())
             }
         });
-        assert_eq!(result.err(), Some(1));
+        let first = report.failures.first().expect("odd jobs fail");
+        assert_eq!(first.index, 1);
+        assert_eq!(first.kind, FailureKind::Failed { error: 1 });
+        let indices: Vec<usize> = report.failures.iter().map(|f| f.index).collect();
+        assert_eq!(indices, (1..32).step_by(2).collect::<Vec<_>>());
     }
 
     #[test]
     fn meter_feeds_shard_event_counters() {
         let configs: Vec<usize> = (0..10).collect();
-        let outcome = SweepRunner::new(5)
-            .with_threads(2)
-            .run_metered(&configs, |job, meter| {
-                meter.record_events(*job.config as u64);
-                Ok::<_, ()>(())
-            })
-            .expect("no failures");
-        assert_eq!(outcome.stats.events(), (0..10).sum::<u64>());
-        assert!(outcome.stats.speedup() > 0.0);
+        let runner = SweepRunner::new(5).with_threads(2);
+        let report = sweep(runner, &configs, |job, meter| {
+            meter.record_events(*job.config as u64);
+            Ok::<_, ()>(())
+        });
+        assert!(report.failures.is_empty());
+        assert_eq!(report.stats.events(), (0..10).sum::<u64>());
+        assert!(report.stats.speedup() > 0.0);
     }
 
     #[test]
     fn record_sim_feeds_all_counters() {
         let configs: Vec<usize> = (1..=4).collect();
-        let outcome = SweepRunner::new(6)
-            .with_threads(2)
-            .run_metered(&configs, |job, meter| {
-                meter.record_sim(SimStats {
-                    events_processed: *job.config as u64 * 10,
-                    events_cancelled: *job.config as u64,
-                    drives_suppressed: *job.config as u64 * 2,
-                });
-                Ok::<_, ()>(())
-            })
-            .expect("no failures");
-        assert_eq!(outcome.stats.events(), 100);
-        assert_eq!(outcome.stats.cancelled(), 10);
-        assert_eq!(outcome.stats.suppressed(), 20);
-        assert!(outcome.stats.events_per_sec() > 0.0);
+        let runner = SweepRunner::new(6).with_threads(2);
+        let report = sweep(runner, &configs, |job, meter| {
+            meter.record_sim(SimStats {
+                events_processed: *job.config as u64 * 10,
+                events_cancelled: *job.config as u64,
+                drives_suppressed: *job.config as u64 * 2,
+            });
+            Ok::<_, ()>(())
+        });
+        assert!(report.failures.is_empty());
+        assert_eq!(report.stats.events(), 100);
+        assert_eq!(report.stats.cancelled(), 10);
+        assert_eq!(report.stats.suppressed(), 20);
+        assert!(report.stats.events_per_sec() > 0.0);
     }
 
     #[test]
     fn empty_sweep_is_fine() {
-        let outcome = SweepRunner::new(1)
-            .run(&[] as &[usize], |_| Ok::<_, ()>(()))
-            .expect("empty ok");
-        assert!(outcome.results.is_empty());
-        assert_eq!(outcome.stats.jobs, 0);
+        let report = sweep(SweepRunner::new(1), &[] as &[usize], |_, _| Ok::<_, ()>(()));
+        assert!(report.results.is_empty());
+        assert!(report.failures.is_empty());
+        assert_eq!(report.stats.jobs, 0);
     }
 
     /// The 14-job acceptance scenario: 2 panics, 1 stall, 11 results.
@@ -1125,7 +897,6 @@ mod tests {
         let report = degraded_sweep(4);
         assert_eq!(report.results.len(), 14);
         assert_eq!(report.successes(), 11);
-        assert!(!report.is_complete());
         assert_eq!(report.failures.len(), 3);
         let by_index: Vec<(usize, &str, u32)> = report
             .failures
@@ -1149,7 +920,6 @@ mod tests {
             let failed = matches!(index, 3 | 6 | 9);
             assert_eq!(slot.is_none(), failed, "slot {index}");
         }
-        assert!(report.into_complete().is_err());
     }
 
     #[test]
@@ -1182,9 +952,9 @@ mod tests {
             .run_resilient(&[1usize], RetryPolicy::default(), |_, _| {
                 Ok::<_, JobError<String>>(0u64)
             });
-        assert!(clean.is_complete());
+        assert!(clean.failures.is_empty());
         assert!(clean.failure_manifest_json().contains("\"failures\": []"));
-        assert!(clean.into_complete().is_ok());
+        assert_eq!(clean.results, vec![Some(0)]);
     }
 
     #[test]
@@ -1228,7 +998,7 @@ mod tests {
                 }
             },
         );
-        assert!(report.is_complete());
+        assert!(report.failures.is_empty());
         assert_eq!(report.results[0], Some(2), "succeeded on the third attempt");
     }
 
@@ -1274,24 +1044,33 @@ mod tests {
     }
 
     #[test]
-    fn legacy_join_panic_names_shard_and_job() {
-        // Force a panic through the *legacy* (non-catching) path and
-        // make sure the propagated message carries context.
-        let result = std::panic::catch_unwind(|| {
-            let configs: Vec<usize> = (0..8).collect();
-            SweepRunner::new(1)
-                .with_threads(2)
-                .run(&configs, |job| {
-                    if *job.config == 5 {
-                        panic!("boom in job 5");
-                    }
-                    Ok::<_, ()>(())
-                })
-                .ok();
-        });
-        let payload = result.expect_err("worker panic must propagate");
-        let text = panic_payload_text(payload.as_ref());
-        assert!(text.contains("sweep worker for shard"), "got: {text}");
-        assert!(text.contains("boom in job 5"), "got: {text}");
+    fn job_panic_is_caught_and_names_the_job() {
+        // A panicking job does not unwind through the sweep, inline or
+        // on a spawned worker: its failure names the job, its seed and
+        // the payload, and every other job still delivers.
+        let configs: Vec<usize> = (0..8).collect();
+        for threads in [1, 2] {
+            let runner = SweepRunner::new(1).with_threads(threads);
+            let report = sweep(runner, &configs, |job, _| {
+                if *job.config == 5 {
+                    panic!("boom in job 5");
+                }
+                Ok::<_, ()>(())
+            });
+            assert_eq!(report.successes(), 7, "T={threads}");
+            assert_eq!(
+                report.failures,
+                vec![JobFailure {
+                    index: 5,
+                    seed: RngTree::new(1).fork(5).master_seed(),
+                    attempts: 1,
+                    events: 0,
+                    kind: FailureKind::Panicked {
+                        payload: "boom in job 5".to_owned()
+                    },
+                }],
+                "T={threads}"
+            );
+        }
     }
 }

@@ -785,17 +785,17 @@ fn scan_stripped(
 /// Checks the per-crate `unsafe` gate (SL106): a crate with no unsafe
 /// anywhere must say so in its root with `#![forbid(unsafe_code)]` (or
 /// `deny`), so a future unsafe block cannot slip in unreviewed.
-#[must_use]
-pub fn check_crate_gate(
+/// `root_lines` is the root file passed through [`strip_source`].
+fn check_crate_gate(
     root_path: &str,
-    root_source: &str,
+    root_lines: &[String],
     crate_has_unsafe: bool,
     allowlist: &Allowlist,
 ) -> Option<SourceDiagnostic> {
     if crate_has_unsafe || allowlist.allows(root_path, "SL106") {
         return None;
     }
-    let gated = strip_source(root_source).iter().any(|l| {
+    let gated = root_lines.iter().any(|l| {
         l.contains("#![forbid(unsafe_code)]") || l.contains("#![deny(unsafe_code)]")
     });
     if gated {
@@ -874,13 +874,17 @@ pub fn scan_workspace(root: &Path, allowlist: &Allowlist) -> io::Result<ScanRepo
     let started = std::time::Instant::now();
     let mut report = ScanReport::default();
     let mut lock_pairs: Vec<LockPair> = Vec::new();
+    // Scans every `.rs` file under `dir`: whether any holds an `unsafe`
+    // token, and the stripped lines of `gate_root` if it is among them.
     let mut scan_tree = |dir: &Path,
-                             deterministic: bool,
-                             report: &mut ScanReport|
-     -> io::Result<bool> {
+                         deterministic: bool,
+                         gate_root: &Path,
+                         report: &mut ScanReport|
+     -> io::Result<(bool, Option<Vec<String>>)> {
         let mut files = Vec::new();
         rs_files(dir, &mut files)?;
         let mut saw_unsafe = false;
+        let mut root_lines = None;
         for file in files {
             let source = fs::read_to_string(&file)?;
             let label = rel_label(root, &file);
@@ -890,48 +894,49 @@ pub fn scan_workspace(root: &Path, allowlist: &Allowlist) -> io::Result<ScanRepo
             let (diags, pairs) = scan_stripped(&label, &source, &stripped, deterministic, allowlist);
             report.diagnostics.extend(diags);
             lock_pairs.extend(pairs);
-        }
-        Ok(saw_unsafe)
-    };
-
-    for crate_dir in crate_dirs(root)? {
-        let rel = rel_label(root, &crate_dir);
-        let deterministic = DETERMINISTIC_CRATES.contains(&rel.as_str());
-        let mut crate_has_unsafe = false;
-        for sub in ["src", "benches", "tests", "examples"] {
-            // Determinism rules cover only `src/`; a crate's benches
-            // and integration tests may use wall clocks freely.
-            let det = deterministic && sub == "src";
-            crate_has_unsafe |= scan_tree(&crate_dir.join(sub), det, &mut report)?;
-        }
-        for root_name in ["src/lib.rs", "src/main.rs"] {
-            let root_file = crate_dir.join(root_name);
-            if root_file.is_file() {
-                let source = fs::read_to_string(&root_file)?;
-                report.diagnostics.extend(check_crate_gate(
-                    &rel_label(root, &root_file),
-                    &source,
-                    crate_has_unsafe,
-                    allowlist,
-                ));
-                break;
+            if file == gate_root {
+                root_lines = Some(stripped);
             }
         }
-    }
-    // The root meta-crate, workspace examples and integration tests.
-    let mut meta_has_unsafe = false;
-    for sub in ["src", "examples", "tests"] {
-        meta_has_unsafe |= scan_tree(&root.join(sub), false, &mut report)?;
-    }
-    let meta_root = root.join("src/lib.rs");
-    if meta_root.is_file() {
-        let source = fs::read_to_string(&meta_root)?;
-        report.diagnostics.extend(check_crate_gate(
-            "src/lib.rs",
-            &source,
-            meta_has_unsafe,
-            allowlist,
-        ));
+        Ok((saw_unsafe, root_lines))
+    };
+
+    // Every member crate, then the root meta-crate with the workspace
+    // examples and integration tests.
+    let mut units: Vec<(PathBuf, &[&str])> = crate_dirs(root)?
+        .into_iter()
+        .map(|dir| (dir, &["src", "benches", "tests", "examples"][..]))
+        .collect();
+    units.push((root.to_path_buf(), &["src", "examples", "tests"]));
+    for (crate_dir, subs) in units {
+        let deterministic = DETERMINISTIC_CRATES.contains(&rel_label(root, &crate_dir).as_str());
+        // The crate root, which carries the gate: `src/lib.rs`, else
+        // `src/main.rs`.
+        let lib = crate_dir.join("src/lib.rs");
+        let gate_root = if lib.is_file() {
+            lib
+        } else {
+            crate_dir.join("src/main.rs")
+        };
+        let mut crate_has_unsafe = false;
+        let mut root_lines = None;
+        for sub in subs {
+            // Determinism rules cover only `src/`; a crate's benches
+            // and integration tests may use wall clocks freely.
+            let det = deterministic && *sub == "src";
+            let (saw_unsafe, lines) =
+                scan_tree(&crate_dir.join(sub), det, &gate_root, &mut report)?;
+            crate_has_unsafe |= saw_unsafe;
+            root_lines = root_lines.or(lines);
+        }
+        if let Some(lines) = root_lines {
+            report.diagnostics.extend(check_crate_gate(
+                &rel_label(root, &gate_root),
+                &lines,
+                crate_has_unsafe,
+                allowlist,
+            ));
+        }
     }
     // Cross-file SL201: merge every serve-layer acquisition pair and
     // look for order conflicts spanning files. Conflicts already
@@ -1402,16 +1407,17 @@ mod tests {
     #[test]
     fn crate_gate_check_fires_only_without_unsafe_and_without_gate() {
         let allow = Allowlist::empty();
-        let missing = check_crate_gate("crates/x/src/lib.rs", "pub fn f() {}\n", false, &allow);
+        let plain = strip_source("pub fn f() {}\n");
+        let missing = check_crate_gate("crates/x/src/lib.rs", &plain, false, &allow);
         assert_eq!(missing.expect("fires").code, "SL106");
         let gated = check_crate_gate(
             "crates/x/src/lib.rs",
-            "#![forbid(unsafe_code)]\npub fn f() {}\n",
+            &strip_source("#![forbid(unsafe_code)]\npub fn f() {}\n"),
             false,
             &allow,
         );
         assert!(gated.is_none());
-        let has_unsafe = check_crate_gate("crates/x/src/lib.rs", "pub fn f() {}\n", true, &allow);
+        let has_unsafe = check_crate_gate("crates/x/src/lib.rs", &plain, true, &allow);
         assert!(has_unsafe.is_none(), "crates with unsafe use SL105 instead");
     }
 
@@ -1488,7 +1494,7 @@ mod tests {
             if r.code == "SL106" {
                 let diag = check_crate_gate(
                     "fixtures/missing_gate/src/lib.rs",
-                    &source,
+                    &strip_source(&source),
                     false,
                     &Allowlist::empty(),
                 );

@@ -199,7 +199,7 @@ echo "== degradation campaign smoke (quick, netlist lints denied) =="
 # families: 8 scenario rows, all marked detected, zero marked NO.
 degradation="$tmp/degradation.txt"
 STRENT_LINT=deny cargo run -q --release -p strent-bench \
-    --bin repro_degradation --offline -- --quick --deny-lints > "$degradation"
+    --bin repro_degradation --offline -- --quick > "$degradation"
 detected=$(grep -c ' yes$' "$degradation" || true)
 if [ "$detected" -ne 8 ] || grep -q ' NO$' "$degradation"; then
     echo "degradation campaign: expected 8 detected scenarios, got $detected"

@@ -21,8 +21,8 @@ use strent_rings::{str_ring, StrConfig};
 use strent_sim::{Simulator, Time};
 use strentropy::experiments::runner::{ExperimentRunner, StageReport};
 use strentropy::experiments::{
-    ext_charlie, ext_coherent, ext_det, ext_flicker, ext_method, ext_mode, ext_multi,
-    ext_restart, ext_trng, fig5, fig8, obs_a, table1, table2, Effort, ExperimentError,
+    ext_charlie, ext_coherent, ext_det, ext_flicker, ext_method, ext_mode, ext_multi, ext_restart,
+    ext_trng, fig11, fig12, fig5, fig7, fig8, fig9, obs_a, table1, table2, Effort, ExperimentError,
 };
 
 struct Options {
@@ -186,7 +186,11 @@ fn engine_json(options: &Options, threads: usize, stages: &[StageReport]) -> Str
 /// stage log accumulates in execution order.
 fn run_all(runner: &ExperimentRunner) -> Result<(), ExperimentError> {
     fig5::run_with(runner)?;
+    fig7::run_with(runner)?;
     fig8::run_with(runner)?;
+    fig9::run_with(runner)?;
+    fig11::run_with(runner)?;
+    fig12::run_with(runner)?;
     obs_a::run_with(runner)?;
     table1::run_with(runner)?;
     table2::run_with(runner)?;

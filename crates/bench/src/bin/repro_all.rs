@@ -14,7 +14,7 @@ use strent_bench::{section_failure_report, ReproOptions};
 use strentropy::experiments;
 
 fn main() -> ExitCode {
-    let options = match ReproOptions::parse(std::env::args().skip(1)) {
+    let options = match ReproOptions::parse(std::env::args().skip(1), true) {
         Ok(o) => o,
         Err(msg) => {
             eprintln!("{msg}\nusage: repro_all [--quick|--full] [--seed N] [--keep-going]");

@@ -38,23 +38,27 @@ impl Default for ReproOptions {
 }
 
 impl ReproOptions {
-    /// Parses `--quick`, `--full`, `--seed N` and `--keep-going` from
-    /// an argument iterator.
+    /// Parses `--quick`, `--full`, `--seed N` and, when
+    /// `multi_section` is set, `--keep-going` from an argument
+    /// iterator.
     ///
-    /// Unknown arguments are reported on the returned `Err`.
+    /// Unknown arguments are reported on the returned `Err`. A
+    /// single-experiment binary has no later section to keep going to,
+    /// so it passes `multi_section = false` and `--keep-going` is
+    /// refused there instead of being ignored.
     ///
     /// # Errors
     ///
     /// Returns a human-readable message for unknown or malformed
     /// arguments.
-    pub fn parse(args: impl Iterator<Item = String>) -> Result<Self, String> {
+    pub fn parse(args: impl Iterator<Item = String>, multi_section: bool) -> Result<Self, String> {
         let mut options = ReproOptions::default();
         let mut args = args.peekable();
         while let Some(arg) = args.next() {
             match arg.as_str() {
                 "--quick" => options.effort = Effort::Quick,
                 "--full" => options.effort = Effort::Full,
-                "--keep-going" => options.keep_going = true,
+                "--keep-going" if multi_section => options.keep_going = true,
                 "--seed" => {
                     let value = args
                         .next()
@@ -124,7 +128,7 @@ pub fn repro_main<T: Display, E: Display>(
     name: &str,
     run: impl FnOnce(Effort, u64) -> Result<T, E>,
 ) -> ExitCode {
-    let options = match ReproOptions::parse(std::env::args().skip(1)) {
+    let options = match ReproOptions::parse(std::env::args().skip(1), false) {
         Ok(o) => o,
         Err(msg) => {
             eprintln!("{msg}\nusage: {name} [--quick|--full] [--seed N]");
@@ -152,7 +156,7 @@ mod tests {
     use super::*;
 
     fn parse(args: &[&str]) -> Result<ReproOptions, String> {
-        ReproOptions::parse(args.iter().map(|s| (*s).to_owned()))
+        ReproOptions::parse(args.iter().map(|s| (*s).to_owned()), true)
     }
 
     #[test]
@@ -178,6 +182,18 @@ mod tests {
     fn keep_going_flag_parses() {
         assert!(!parse(&[]).expect("valid").keep_going);
         assert!(parse(&["--keep-going"]).expect("valid").keep_going);
+    }
+
+    #[test]
+    fn single_experiment_binaries_refuse_keep_going() {
+        let single =
+            |args: &[&str]| ReproOptions::parse(args.iter().map(|s| (*s).to_owned()), false);
+        assert_eq!(
+            single(&["--quick", "--keep-going"]),
+            Err("unknown argument: --keep-going".to_owned())
+        );
+        let o = single(&["--quick", "--seed", "7"]).expect("valid");
+        assert_eq!((o.effort, o.seed, o.keep_going), (Effort::Quick, 7, false));
     }
 
     #[test]

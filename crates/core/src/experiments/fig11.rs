@@ -5,11 +5,12 @@ use std::fmt;
 
 use strent_analysis::fit::{sqrt_law, SqrtFit};
 use strent_analysis::jitter;
-use strent_rings::{measure, IroConfig};
+use strent_rings::IroConfig;
 
 use crate::calibration::{self, FIG11_LENGTHS};
 use crate::report::{fmt_mhz, fmt_ps, Table};
 
+use super::runner::{ExperimentRunner, RingSpec};
 use super::{Effort, ExperimentError};
 
 /// One measured point of Fig. 11.
@@ -67,32 +68,45 @@ impl fmt::Display for Fig11Result {
     }
 }
 
-/// Runs the Fig. 11 experiment.
+/// Runs the Fig. 11 experiment on a caller-provided runner: each ring
+/// length is one job of the `fig11` stage.
 ///
 /// # Errors
 ///
 /// Propagates ring simulation and analysis errors.
-pub fn run(effort: Effort, seed: u64) -> Result<Fig11Result, ExperimentError> {
-    let periods = effort.size(1_500, 8_000);
+pub fn run_with(runner: &ExperimentRunner) -> Result<Fig11Result, ExperimentError> {
+    let periods = runner.effort().size(1_500, 8_000);
     let board = calibration::default_board();
-    let mut points = Vec::new();
-    for &l in &FIG11_LENGTHS {
-        let config = IroConfig::new(l).expect("valid length");
-        let run = measure::run_iro(&config, &board, seed, periods)?;
+    // Every ring runs on the experiment seed, not its job seed: the
+    // golden output depends on it.
+    let seed = runner.seed();
+    let points = runner.run_stage("fig11", &FIG11_LENGTHS, |job, meter| {
+        let l = *job.config;
+        let spec = RingSpec::Iro(IroConfig::new(l).expect("valid length"));
+        let run = spec.measure(&board, seed, periods, meter)?;
         let sigma = jitter::period_jitter(&run.periods_ps)?;
-        points.push(Fig11Point {
+        Ok(Fig11Point {
             length: l,
             frequency_mhz: run.frequency_mhz,
             sigma_period_ps: sigma,
             sigma_g_ps: sigma / (2.0 * l as f64).sqrt(),
-        });
-    }
+        })
+    })?;
     let k: Vec<f64> = points.iter().map(|p| p.length as f64).collect();
     let sigma: Vec<f64> = points.iter().map(|p| p.sigma_period_ps).collect();
     Ok(Fig11Result {
         fit: sqrt_law(&k, &sigma)?,
         points,
     })
+}
+
+/// Runs the Fig. 11 experiment.
+///
+/// # Errors
+///
+/// Propagates ring simulation and analysis errors.
+pub fn run(effort: Effort, seed: u64) -> Result<Fig11Result, ExperimentError> {
+    run_with(&ExperimentRunner::new(effort, seed))
 }
 
 #[cfg(test)]

@@ -5,11 +5,12 @@ use std::fmt;
 
 use strent_analysis::jitter;
 use strent_analysis::stats::Summary;
-use strent_rings::{analytic, measure, StrConfig};
+use strent_rings::{analytic, StrConfig};
 
 use crate::calibration::{self, FIG12_LENGTHS};
 use crate::report::{fmt_mhz, fmt_ps, Table};
 
+use super::runner::{ExperimentRunner, RingSpec};
 use super::{Effort, ExperimentError};
 
 /// One measured point of Fig. 12.
@@ -83,28 +84,41 @@ impl fmt::Display for Fig12Result {
     }
 }
 
+/// Runs the Fig. 12 experiment on a caller-provided runner: each ring
+/// length is one job of the `fig12` stage.
+///
+/// # Errors
+///
+/// Propagates ring simulation and analysis errors.
+pub fn run_with(runner: &ExperimentRunner) -> Result<Fig12Result, ExperimentError> {
+    let periods = runner.effort().size(1_500, 8_000);
+    let board = calibration::default_board();
+    // Every ring runs on the experiment seed, not its job seed: the
+    // golden output depends on it.
+    let seed = runner.seed();
+    let points = runner.run_stage("fig12", &FIG12_LENGTHS, |job, meter| {
+        let l = *job.config;
+        let spec = RingSpec::Str(StrConfig::new(l, l / 2).expect("valid counts"));
+        let run = spec.measure(&board, seed, periods, meter)?;
+        Ok(Fig12Point {
+            length: l,
+            frequency_mhz: run.frequency_mhz,
+            sigma_period_ps: jitter::period_jitter(&run.periods_ps)?,
+        })
+    })?;
+    Ok(Fig12Result {
+        predicted_sigma_ps: analytic::str_sigma_period_ps(&board),
+        points,
+    })
+}
+
 /// Runs the Fig. 12 experiment.
 ///
 /// # Errors
 ///
 /// Propagates ring simulation and analysis errors.
 pub fn run(effort: Effort, seed: u64) -> Result<Fig12Result, ExperimentError> {
-    let periods = effort.size(1_500, 8_000);
-    let board = calibration::default_board();
-    let mut points = Vec::new();
-    for &l in &FIG12_LENGTHS {
-        let config = StrConfig::new(l, l / 2).expect("valid counts");
-        let run = measure::run_str(&config, &board, seed, periods)?;
-        points.push(Fig12Point {
-            length: l,
-            frequency_mhz: run.frequency_mhz,
-            sigma_period_ps: jitter::period_jitter(&run.periods_ps)?,
-        });
-    }
-    Ok(Fig12Result {
-        predicted_sigma_ps: analytic::str_sigma_period_ps(&board),
-        points,
-    })
+    run_with(&ExperimentRunner::new(effort, seed))
 }
 
 #[cfg(test)]

@@ -7,11 +7,12 @@ use std::fmt;
 
 use strent_analysis::fit::{charlie_hyperbola, CharlieFit};
 use strent_device::Technology;
-use strent_rings::{measure, CharlieModel, StrConfig};
+use strent_rings::{CharlieModel, StrConfig};
 
 use crate::calibration;
 use crate::report::{fmt_ps, Table};
 
+use super::runner::{ExperimentRunner, RingSpec};
 use super::{Effort, ExperimentError};
 
 /// The reproduced Fig. 7.
@@ -86,34 +87,63 @@ impl fmt::Display for Fig7Result {
     }
 }
 
-/// Runs the Fig. 7 experiment.
+/// Runs the Fig. 7 experiment on a caller-provided runner: each of the
+/// 16 simulated rings (three `NT = NB` cross-checks, then the 13-point
+/// `NT` sweep) is one job of the `fig7` stage.
 ///
 /// # Errors
 ///
 /// Propagates ring simulation and fit errors.
-pub fn run(effort: Effort, seed: u64) -> Result<Fig7Result, ExperimentError> {
+pub fn run_with(runner: &ExperimentRunner) -> Result<Fig7Result, ExperimentError> {
     let tech = Technology::cyclone_iii();
     let model = CharlieModel::new(tech.lut_delay_ps(), tech.charlie_delay_ps())?;
-    let diagram = model.diagram(600.0, effort.size(30, 120));
+    let diagram = model.diagram(600.0, runner.effort().size(30, 120));
     let (s, d): (Vec<f64>, Vec<f64>) = diagram.iter().copied().unzip();
     let fit = charlie_hyperbola(&s, &d)?;
+
+    // One job per `(L, NT)` ring: the NT = NB cross-checks, then the
+    // NT sweep on a 32-stage ring.
+    const DEFF_LENGTHS: [usize; 3] = [8, 16, 32];
+    let l = 32usize;
+    let rings: Vec<(usize, usize)> = DEFF_LENGTHS
+        .iter()
+        .map(|&length| (length, length / 2))
+        .chain((4..=28).step_by(2).map(|tokens| (l, tokens)))
+        .collect();
+    let specs = rings
+        .iter()
+        .map(|&(length, tokens)| {
+            let config = StrConfig::new(length, tokens)
+                .expect("valid counts")
+                .with_routing_ps(0.0)?;
+            Ok(RingSpec::Str(config))
+        })
+        .collect::<Result<Vec<_>, ExperimentError>>()?;
+    let board = calibration::ideal_board();
+    let periods = runner.effort().size(100, 300);
+    // Every ring runs on the experiment seed, not its job seed: the
+    // golden output depends on it.
+    let seed = runner.seed();
+    let freqs = runner.run_stage("fig7", &specs, |job, meter| {
+        Ok(job
+            .config
+            .measure(&board, seed, periods, meter)?
+            .frequency_mhz)
+    })?;
+    let (deff_freqs, sweep_freqs) = freqs.split_at(DEFF_LENGTHS.len());
 
     // Cross-check: a noise-free NT = NB ring runs every stage at
     // separation 0, so its period directly measures charlie(0):
     // T = 2 L Deff / NT  =>  Deff = T NT / (2L).
-    let board = calibration::ideal_board();
-    let periods = effort.size(100, 300);
-    let mut measured_deff = Vec::new();
-    for &l in &[8usize, 16, 32] {
-        let config = StrConfig::new(l, l / 2)
-            .expect("valid counts")
-            .with_routing_ps(0.0)?;
-        let run = measure::run_str(&config, &board, seed, periods)?;
-        let t = 1e6 / run.frequency_mhz;
-        let deff = t * (l as f64 / 2.0) / (2.0 * l as f64);
-        measured_deff.push((l, deff, model.charlie_delay(0.0)));
-    }
-
+    let measured_deff = DEFF_LENGTHS
+        .iter()
+        .zip(deff_freqs)
+        .map(|(&length, &frequency_mhz)| {
+            let t = 1e6 / frequency_mhz;
+            let deff = t * (length as f64 / 2.0) / (2.0 * length as f64);
+            (length, deff, model.charlie_delay(0.0))
+        })
+        .collect();
     // The measured Charlie diagram: sweep NT on a 32-stage ring. In
     // the evenly-spaced steady state every stage fires at interval
     // h = T/2, the enabling inputs arrive with half-difference
@@ -121,17 +151,15 @@ pub fn run(effort: Effort, seed: u64) -> Result<Fig7Result, ExperimentError> {
     // the mean arrival is exactly h/2 — so each token count yields one
     // (delta, delay) sample of the Charlie surface, from timestamps
     // alone.
-    let l = 32usize;
-    let mut measured_diagram = Vec::new();
-    for tokens in (4..=28).step_by(2) {
-        let config = StrConfig::new(l, tokens)
-            .expect("valid counts")
-            .with_routing_ps(0.0)?;
-        let run = measure::run_str(&config, &board, seed, periods)?;
-        let h = (1e6 / run.frequency_mhz) / 2.0;
-        let delta = h * (l as f64 - 2.0 * tokens as f64) / (2.0 * l as f64);
-        measured_diagram.push((delta, h / 2.0));
-    }
+    let mut measured_diagram: Vec<(f64, f64)> = rings[DEFF_LENGTHS.len()..]
+        .iter()
+        .zip(sweep_freqs)
+        .map(|(&(_, tokens), &frequency_mhz)| {
+            let h = (1e6 / frequency_mhz) / 2.0;
+            let delta = h * (l as f64 - 2.0 * tokens as f64) / (2.0 * l as f64);
+            (delta, h / 2.0)
+        })
+        .collect();
     measured_diagram.sort_by(|a, b| a.0.total_cmp(&b.0));
     let (ms, md): (Vec<f64>, Vec<f64>) = measured_diagram.iter().copied().unzip();
     let measured_fit = charlie_hyperbola(&ms, &md)?;
@@ -144,6 +172,15 @@ pub fn run(effort: Effort, seed: u64) -> Result<Fig7Result, ExperimentError> {
         measured_diagram,
         measured_fit,
     })
+}
+
+/// Runs the Fig. 7 experiment.
+///
+/// # Errors
+///
+/// Propagates ring simulation and fit errors.
+pub fn run(effort: Effort, seed: u64) -> Result<Fig7Result, ExperimentError> {
+    run_with(&ExperimentRunner::new(effort, seed))
 }
 
 #[cfg(test)]

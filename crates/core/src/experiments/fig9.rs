@@ -6,11 +6,12 @@ use std::fmt;
 
 use strent_analysis::normality::{anderson_darling, chi_square_gof, jarque_bera, TestResult};
 use strent_analysis::{jitter, Histogram, Summary};
-use strent_rings::{measure, IroConfig, StrConfig};
+use strent_rings::{IroConfig, StrConfig};
 
 use crate::calibration;
 use crate::report::fmt_ps;
 
+use super::runner::{ExperimentRunner, RingSpec};
 use super::{Effort, ExperimentError};
 
 /// The histogram panel for one ring.
@@ -97,30 +98,48 @@ impl fmt::Display for Fig9Result {
     }
 }
 
+/// Runs the Fig. 9 experiment on a caller-provided runner: each ring
+/// is one job of the `fig9` stage and builds its own panel.
+///
+/// # Errors
+///
+/// Propagates ring simulation and analysis errors.
+pub fn run_with(runner: &ExperimentRunner) -> Result<Fig9Result, ExperimentError> {
+    let periods = runner.effort().size(3_000, 20_000);
+    let board = calibration::default_board();
+    let rings = [
+        (
+            "96-stage STR",
+            RingSpec::Str(StrConfig::new(96, 48).expect("valid counts")),
+        ),
+        (
+            "5-stage IRO",
+            RingSpec::Iro(IroConfig::new(5).expect("valid length")),
+        ),
+    ];
+    // Both rings run on the experiment seed, not their job seeds: the
+    // golden output depends on it.
+    let seed = runner.seed();
+    let panels = runner.run_stage("fig9", &rings, |job, meter| {
+        let (label, spec) = job.config;
+        let run = spec.measure(&board, seed, periods, meter)?;
+        JitterHistogram::from_periods(label, &run.periods_ps)
+    })?;
+    let [str_panel, iro_panel]: [JitterHistogram; 2] =
+        panels.try_into().expect("one panel per ring");
+    Ok(Fig9Result {
+        str_panel,
+        iro_panel,
+    })
+}
+
 /// Runs the Fig. 9 experiment.
 ///
 /// # Errors
 ///
 /// Propagates ring simulation and analysis errors.
 pub fn run(effort: Effort, seed: u64) -> Result<Fig9Result, ExperimentError> {
-    let periods = effort.size(3_000, 20_000);
-    let board = calibration::default_board();
-    let str_run = measure::run_str(
-        &StrConfig::new(96, 48).expect("valid counts"),
-        &board,
-        seed,
-        periods,
-    )?;
-    let iro_run = measure::run_iro(
-        &IroConfig::new(5).expect("valid length"),
-        &board,
-        seed,
-        periods,
-    )?;
-    Ok(Fig9Result {
-        str_panel: JitterHistogram::from_periods("96-stage STR", &str_run.periods_ps)?,
-        iro_panel: JitterHistogram::from_periods("5-stage IRO", &iro_run.periods_ps)?,
-    })
+    run_with(&ExperimentRunner::new(effort, seed))
 }
 
 #[cfg(test)]

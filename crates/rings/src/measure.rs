@@ -2,7 +2,9 @@
 //!
 //! These wrap the build functions of [`crate::iro`] and
 //! [`crate::str_ring`] with the bookkeeping every experiment needs:
-//! warm-up discarding, adaptive horizon extension and trace extraction.
+//! warm-up discarding, a stop rule that ends each run about one period
+//! past the last rising edge it reads (`advance_to_edges`) and trace
+//! extraction.
 
 use strent_device::Board;
 use strent_sim::{Edge, SimStats, Simulator, Time, Trace};
@@ -65,17 +67,67 @@ impl RingRun {
 }
 
 /// Expected transition count on a ring output collecting `total`
-/// periods (two transitions per period, plus horizon slack).
+/// periods: two transitions per period, plus a quarter for the
+/// pre-lock transient and for a first advance aimed with a period
+/// prediction that runs long.
 fn expected_transitions(total: usize) -> usize {
     total * 2 + total / 2 + 8
 }
 
-/// Runs the simulation until the trace holds enough rising edges,
-/// extending the horizon geometrically; fails after `max_doublings`.
+/// Where [`advance_to_edges`] gives up, in predicted runs: 1.3 × 2⁸.
+/// A ring that has not produced its edges in 332.8 times the time it
+/// should need is taken as not oscillating.
+const HORIZON_BUDGET_RUNS: f64 = 1.3 * 256.0;
+
+/// The stop rule of every measurement run: advances a ring until its
+/// output holds more than `total` rising edges, and no further than
+/// about one period past the edge that makes the count.
 ///
-/// Progress polling uses the non-allocating [`Trace::edge_count`] —
-/// materializing the edge-instant vector once per horizon extension was
-/// pure overhead.
+/// `advance_to(t)` simulates up to the absolute instant `t` and returns
+/// the output's rising-edge count so far. The first advance aims at the
+/// needed edge at `predicted_period_ps`; each later one adds the
+/// shortfall at the pace measured so far (elapsed time per counted
+/// edge), and a step that adds no edge doubles the next one. Nothing
+/// here touches the simulator's event loop: the run's waveform does not
+/// depend on where it is paused, only on where it stops.
+///
+/// # Errors
+///
+/// Returns [`RingError::NotOscillating`] (rising edges past `warmup`)
+/// once the horizon reaches [`HORIZON_BUDGET_RUNS`] predicted runs
+/// without the edges, and passes `advance_to`'s errors through.
+pub(crate) fn advance_to_edges(
+    predicted_period_ps: f64,
+    total: usize,
+    warmup: usize,
+    mut advance_to: impl FnMut(Time) -> Result<usize, RingError>,
+) -> Result<(), RingError> {
+    let needed = total + 1;
+    let budget = predicted_period_ps * total as f64 * HORIZON_BUDGET_RUNS;
+    let mut step = predicted_period_ps * needed as f64;
+    let (mut horizon, mut edges) = (0.0_f64, 0_usize);
+    loop {
+        horizon = (horizon + step).min(budget);
+        let counted = advance_to(Time::from_ps(horizon))?;
+        if counted >= needed {
+            return Ok(());
+        }
+        if horizon >= budget {
+            return Err(RingError::NotOscillating {
+                observed_transitions: counted.saturating_sub(warmup),
+            });
+        }
+        step = if counted > edges {
+            (needed - counted) as f64 * horizon / counted as f64
+        } else {
+            2.0 * step
+        };
+        edges = counted;
+    }
+}
+
+/// Runs the simulation until `net` holds the rising edges that
+/// `needed_periods` steady-state periods after `warmup` read.
 fn run_to_periods(
     sim: &mut Simulator,
     net: strent_sim::NetId,
@@ -84,24 +136,9 @@ fn run_to_periods(
     warmup: usize,
 ) -> Result<(), RingError> {
     let total = needed_periods + warmup + 2;
-    let mut horizon = expected_period_ps * total as f64 * 1.3;
-    let max_doublings = 8;
-    for _ in 0..=max_doublings {
-        sim.run_until(Time::from_ps(horizon))?;
-        let edges = sim
-            .trace(net)
-            .map_or(0, |t| t.edge_count(Edge::Rising));
-        if edges > total {
-            return Ok(());
-        }
-        horizon *= 2.0;
-    }
-    let collected = sim
-        .trace(net)
-        .map_or(0, |t| t.edge_count(Edge::Rising))
-        .saturating_sub(warmup);
-    Err(RingError::NotOscillating {
-        observed_transitions: collected,
+    advance_to_edges(expected_period_ps, total, warmup, |horizon| {
+        sim.run_until(horizon)?;
+        Ok(sim.trace(net).map_or(0, |t| t.edge_count(Edge::Rising)))
     })
 }
 
@@ -181,6 +218,12 @@ pub struct StrFullRun {
 /// *burst-mode* ring is irregular but very much alive, and mode
 /// diagnosis is exactly what this runner exists for.
 ///
+/// This run does not stop at the edge it needs: it runs to 1.3 times
+/// the predicted run, doubled (at most eight times) until the output
+/// holds the edges. FIG5 cuts its occupancy film at
+/// [`StrFullRun::end_time`], so that instant is part of the golden
+/// output, and EXT-MODE classifies modes from the same traces.
+///
 /// # Errors
 ///
 /// Returns an error if the simulator faults or the ring produced no
@@ -211,9 +254,25 @@ pub fn run_str_full(
     );
     lint::enforce(&report)?;
     let expected = analytic::str_period_ps(config, board);
-    let warmup = WARMUP_PERIODS;
-    run_to_periods(&mut sim, handle.output(), expected, periods, warmup)?;
-    let trace = sim.trace(handle.output()).expect("watched");
+    let (output, warmup) = (handle.output(), WARMUP_PERIODS);
+    let total = periods + warmup + 2;
+    let rising = |sim: &Simulator| sim.trace(output).map_or(0, |t| t.edge_count(Edge::Rising));
+    let mut horizon = expected * total as f64 * 1.3;
+    sim.run_until(Time::from_ps(horizon))?;
+    for _ in 0..8 {
+        if rising(&sim) > total {
+            break;
+        }
+        horizon *= 2.0;
+        sim.run_until(Time::from_ps(horizon))?;
+    }
+    let edges = rising(&sim);
+    if edges <= total {
+        return Err(RingError::NotOscillating {
+            observed_transitions: edges.saturating_sub(warmup),
+        });
+    }
+    let trace = sim.trace(output).expect("watched");
     let mut run = RingRun::from_trace(trace, warmup, periods)?;
     run.absorb_stats(sim.stats());
     let stage_traces: Vec<Trace> = handle
@@ -231,10 +290,140 @@ pub fn run_str_full(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stream::StreamConfig;
     use strent_device::Technology;
+    use strent_sim::NetId;
 
     fn board() -> Board {
         Board::new(Technology::cyclone_iii(), 0, 7)
+    }
+
+    /// The rings the stop-rule tests cover, with a period count each.
+    fn stop_rule_rings() -> [(StreamConfig, usize); 3] {
+        [
+            (
+                StreamConfig::Str(StrConfig::new(32, 16).expect("valid")),
+                400,
+            ),
+            (
+                StreamConfig::Str(StrConfig::new(96, 48).expect("valid")),
+                150,
+            ),
+            (StreamConfig::Iro(IroConfig::new(5).expect("valid")), 400),
+        ]
+    }
+
+    /// `run_str` or `run_iro` on `ring`.
+    fn measured(ring: &StreamConfig, seed: u64, periods: usize) -> RingRun {
+        match ring {
+            StreamConfig::Str(c) => run_str(c, &board(), seed, periods),
+            StreamConfig::Iro(c) => run_iro(c, &board(), seed, periods),
+        }
+        .expect("oscillates")
+    }
+
+    /// `ring` built and watched as the runners build it, not yet run.
+    fn built(ring: &StreamConfig, seed: u64) -> (Simulator, NetId) {
+        let mut sim = Simulator::new(seed);
+        let output = match ring {
+            StreamConfig::Str(c) => str_ring::build(c, &board(), &mut sim)
+                .expect("wires")
+                .output(),
+            StreamConfig::Iro(c) => iro::build(c, &board(), &mut sim).expect("wires").output(),
+        };
+        sim.watch(output).expect("net exists");
+        (sim, output)
+    }
+
+    #[test]
+    fn stop_rule_runs_equal_runs_far_past_the_need() {
+        for (ring, periods) in stop_rule_rings() {
+            let run = measured(&ring, 3, periods);
+            let (mut sim, output) = built(&ring, 3);
+            let total = periods + WARMUP_PERIODS + 2;
+            let far = 3.0 * ring.predicted_period_ps(&board()) * total as f64;
+            sim.run_until(Time::from_ps(far)).expect("no limit");
+            let trace = sim.trace(output).expect("watched");
+            let mut reference =
+                RingRun::from_trace(trace, WARMUP_PERIODS, periods).expect("enough");
+            reference.absorb_stats(sim.stats());
+            assert!(
+                run.events_dispatched < reference.events_dispatched,
+                "{ring:?}: {} events vs {} far past the need",
+                run.events_dispatched,
+                reference.events_dispatched
+            );
+            // Only the kernel counters may differ.
+            reference.absorb_stats(run.stats);
+            assert_eq!(run, reference, "{ring:?}");
+        }
+    }
+
+    #[test]
+    fn a_wrong_period_prediction_yields_the_same_run() {
+        for (ring, periods) in stop_rule_rings() {
+            let mut run = measured(&ring, 4, periods);
+            run.absorb_stats(SimStats::default());
+            for factor in [0.5, 2.0] {
+                let (mut sim, output) = built(&ring, 4);
+                let predicted = factor * ring.predicted_period_ps(&board());
+                run_to_periods(&mut sim, output, predicted, periods, WARMUP_PERIODS)
+                    .expect("oscillates");
+                let trace = sim.trace(output).expect("watched");
+                let again = RingRun::from_trace(trace, WARMUP_PERIODS, periods).expect("enough");
+                assert_eq!(again, run, "{ring:?} predicted at {factor}x");
+            }
+        }
+    }
+
+    #[test]
+    fn runs_end_about_one_period_past_the_needed_edge() {
+        for (ring, periods) in stop_rule_rings() {
+            let (mut sim, output) = built(&ring, 5);
+            let predicted = ring.predicted_period_ps(&board());
+            run_to_periods(&mut sim, output, predicted, periods, WARMUP_PERIODS)
+                .expect("oscillates");
+            let trace = sim.trace(output).expect("watched");
+            let rising = trace.edges(Edge::Rising);
+            let needed = rising[periods + WARMUP_PERIODS + 2];
+            let (last, _) = *trace.transitions().last().expect("transitions");
+            let period = (rising[rising.len() - 1] - rising[0]) / (rising.len() - 1) as f64;
+            assert!(
+                last - needed <= 1.25 * period,
+                "{ring:?}: last transition {} periods past the needed edge",
+                (last - needed) / period
+            );
+        }
+    }
+
+    #[test]
+    fn a_ring_without_edges_fails_within_the_horizon_budget() {
+        let (period, total) = (1_000.0, 100);
+        let budget = period * total as f64 * 1.3 * 256.0;
+        // A dead ring, and one that dies after 50 rising edges.
+        for (edges, warmup) in [(0, WARMUP_PERIODS), (50, 10)] {
+            let mut horizons = Vec::new();
+            let result = advance_to_edges(period, total, warmup, |t| {
+                horizons.push(t.as_ps());
+                Ok(edges.min((t.as_ps() / period) as usize))
+            });
+            assert_eq!(
+                result,
+                Err(RingError::NotOscillating {
+                    observed_transitions: edges.saturating_sub(warmup)
+                })
+            );
+            assert_eq!(
+                horizons.last().copied(),
+                Some(budget),
+                "gives up at the budget"
+            );
+            assert!(horizons.windows(2).all(|w| w[0] < w[1]), "{horizons:?}");
+            assert!(
+                horizons.len() <= 10,
+                "doubles while no edge comes: {horizons:?}"
+            );
+        }
     }
 
     #[test]

@@ -35,7 +35,7 @@ use strent_sim::{Ar1Process, Bit, Edge, FaultPlan, RngTree, SimRng, SimStats, Ti
 use crate::analytic;
 use crate::error::RingError;
 use crate::lint;
-use crate::measure::WARMUP_PERIODS;
+use crate::measure::{advance_to_edges, WARMUP_PERIODS};
 use crate::mode::OscillationMode;
 use crate::stream::{RingStream, StreamConfig};
 
@@ -186,34 +186,29 @@ impl Calibrator {
         seed: u64,
     ) -> Result<SurrogateModel, RingError> {
         let mut stream = RingStream::build(config, board, seed, None)?;
-        let expected = stream.expected_period_ps();
         let total = WARMUP_PERIODS + self.periods + 2;
-        // Geometric horizon extension, as in `measure::run_to_periods`.
-        let mut horizon = expected * total as f64 * 1.3;
-        let mut slack = horizon - stream.now().as_ps();
-        for _ in 0..=8 {
-            stream.advance_by(slack)?;
-            if stream.trace().edge_count(Edge::Rising) > total {
-                break;
-            }
-            horizon *= 2.0;
-            slack = horizon - stream.now().as_ps();
-        }
-        let trace = stream.trace();
+        advance_to_edges(
+            stream.expected_period_ps(),
+            total,
+            WARMUP_PERIODS,
+            |horizon| {
+                stream.advance_by(horizon - stream.now())?;
+                Ok(stream.trace().edge_count(Edge::Rising))
+            },
+        )?;
+        Ok(self.fit_trace(stream.trace()))
+    }
+
+    /// Fits the model to the steady-state window of a calibration
+    /// run's output trace, which must hold more than `WARMUP_PERIODS +
+    /// periods + 2` rising edges.
+    fn fit_trace(&self, trace: &Trace) -> SurrogateModel {
         let rising = trace.edges(Edge::Rising);
-        if rising.len() <= total {
-            return Err(RingError::NotOscillating {
-                observed_transitions: rising.len().saturating_sub(WARMUP_PERIODS),
-            });
-        }
         let window = &rising[WARMUP_PERIODS..=WARMUP_PERIODS + self.periods];
-        let periods_ps: Vec<f64> = window
-            .windows(2)
-            .map(|w| (w[1] - w[0]).abs())
-            .collect();
+        let periods_ps: Vec<f64> = window.windows(2).map(|w| (w[1] - w[0]).abs()).collect();
         let falling = trace.edges(Edge::Falling);
         let duty = duty_cycle(window, &falling);
-        Ok(Self::fit_series(&periods_ps, duty))
+        Self::fit_series(&periods_ps, duty)
     }
 
     /// Fits the model to an already-measured period series (the moment
@@ -878,6 +873,23 @@ mod tests {
             model.period_mean_ps
         );
         assert!((0.2..=0.8).contains(&model.duty), "duty {}", model.duty);
+    }
+
+    #[test]
+    fn calibration_equals_a_fit_from_a_run_far_past_the_need() {
+        let iro5 = StreamConfig::Iro(IroConfig::new(5).expect("valid"));
+        for config in [str32(), iro5] {
+            let calibrator = Calibrator::new().with_periods(256);
+            let model = calibrator
+                .fit(&config, &fpga_board(), 6)
+                .expect("calibrates");
+            let mut stream = RingStream::build(&config, &fpga_board(), 6, None).expect("builds");
+            let total = WARMUP_PERIODS + calibrator.periods() + 2;
+            stream
+                .advance_by(3.0 * stream.expected_period_ps() * total as f64)
+                .expect("no limit");
+            assert_eq!(calibrator.fit_trace(stream.trace()), model, "{config:?}");
+        }
     }
 
     #[test]

@@ -37,6 +37,21 @@ cargo run -q --release -p simlint --offline -- \
     --deny --allowlist scripts/simlint.allow \
     --baseline scripts/simlint.baseline
 
+echo "== golden report (repro_all --full, seed 2012) =="
+# The floor every change keeps: the full regeneration of the paper
+# prints docs/repro_full_output.txt byte for byte.
+repro_out="$tmp/repro_full_output.txt"
+cargo run -q --release -p strent-bench --bin repro_all --offline -- \
+    --full --seed 2012 > "$repro_out" 2> "$tmp/repro_full.err" || {
+    cat "$tmp/repro_full.err"; exit 1;
+}
+if ! cmp -s "$repro_out" docs/repro_full_output.txt; then
+    echo "repro_all --full --seed 2012 differs from docs/repro_full_output.txt:"
+    diff "$repro_out" docs/repro_full_output.txt | head -40 || true
+    exit 1
+fi
+echo "repro_all --full --seed 2012: byte-identical to docs/repro_full_output.txt"
+
 echo "== bench_sweep smoke (quick, netlist lints denied) =="
 out="$tmp/BENCH_sweep.json"
 engine_out="$tmp/BENCH_engine.json"
@@ -64,8 +79,9 @@ assert experiments, "engine report lists no experiments"
 # doing so; the trace-driven stages hide their simulators inside helper
 # types, so they must OMIT the event fields entirely rather than
 # publish a misleading 0.
-metered = {"fig5", "fig8", "obs_a", "table1", "table2", "ext_charlie",
-           "ext_mode", "ext_det", "ext_flicker", "ext_method"}
+metered = {"fig5", "fig7", "fig8", "fig9", "fig11", "fig12", "obs_a",
+           "table1", "table2", "ext_charlie", "ext_mode", "ext_det",
+           "ext_flicker", "ext_method"}
 for entry in experiments:
     assert entry["wall_ns"] > 0, f"bogus wall time in {entry}"
     if entry["label"] in metered:

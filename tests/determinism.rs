@@ -7,8 +7,12 @@
 //! both the structured result (via `PartialEq`, which on `f64` fields
 //! is exact bit-for-bit equality up to NaN) and the formatted report.
 
+use std::fmt::{Debug, Display};
+
 use strentropy::experiments::runner::ExperimentRunner;
-use strentropy::experiments::{fig5, obs_a, table2, Effort};
+use strentropy::experiments::{
+    fig11, fig12, fig5, fig7, fig9, obs_a, table2, Effort, ExperimentError,
+};
 use strentropy::sim::{JobError, RetryPolicy, SimError, SweepRunner};
 
 const SEED: u64 = 2012;
@@ -19,42 +23,57 @@ const SEED: u64 = 2012;
 /// which is exactly what the contract must be immune to.
 const THREAD_COUNTS: [usize; 3] = [2, 4, 7];
 
-#[test]
-fn fig5_is_identical_across_thread_counts() {
-    let reference = fig5::run_with(&ExperimentRunner::new(Effort::Quick, SEED).with_threads(1))
-        .expect("simulates");
+/// Runs `experiment` through a one-worker runner and through a runner
+/// at each of [`THREAD_COUNTS`], and demands identical results and
+/// identical report bytes.
+fn assert_thread_count_invariant<R>(
+    name: &str,
+    experiment: impl Fn(&ExperimentRunner) -> Result<R, ExperimentError>,
+) where
+    R: PartialEq + Debug + Display,
+{
+    let runner = |threads| ExperimentRunner::new(Effort::Quick, SEED).with_threads(threads);
+    let reference = experiment(&runner(1)).expect("simulates");
     let reference_text = reference.to_string();
     for threads in THREAD_COUNTS {
-        let run = fig5::run_with(
-            &ExperimentRunner::new(Effort::Quick, SEED).with_threads(threads),
-        )
-        .expect("simulates");
-        assert_eq!(run, reference, "fig5 diverged at {threads} threads");
+        let run = experiment(&runner(threads)).expect("simulates");
+        assert_eq!(run, reference, "{name} diverged at {threads} threads");
         assert_eq!(
             run.to_string(),
             reference_text,
-            "fig5 report bytes diverged at {threads} threads"
+            "{name} report bytes diverged at {threads} threads"
         );
     }
 }
 
 #[test]
+fn fig5_is_identical_across_thread_counts() {
+    assert_thread_count_invariant("fig5", fig5::run_with);
+}
+
+#[test]
+fn fig7_is_identical_across_thread_counts() {
+    assert_thread_count_invariant("fig7", fig7::run_with);
+}
+
+#[test]
+fn fig9_is_identical_across_thread_counts() {
+    assert_thread_count_invariant("fig9", fig9::run_with);
+}
+
+#[test]
+fn fig11_is_identical_across_thread_counts() {
+    assert_thread_count_invariant("fig11", fig11::run_with);
+}
+
+#[test]
+fn fig12_is_identical_across_thread_counts() {
+    assert_thread_count_invariant("fig12", fig12::run_with);
+}
+
+#[test]
 fn obs_a_is_identical_across_thread_counts() {
-    let reference = obs_a::run_with(&ExperimentRunner::new(Effort::Quick, SEED).with_threads(1))
-        .expect("simulates");
-    let reference_text = reference.to_string();
-    for threads in THREAD_COUNTS {
-        let run = obs_a::run_with(
-            &ExperimentRunner::new(Effort::Quick, SEED).with_threads(threads),
-        )
-        .expect("simulates");
-        assert_eq!(run, reference, "obs_a diverged at {threads} threads");
-        assert_eq!(
-            run.to_string(),
-            reference_text,
-            "obs_a report bytes diverged at {threads} threads"
-        );
-    }
+    assert_thread_count_invariant("obs_a", obs_a::run_with);
 }
 
 #[test]

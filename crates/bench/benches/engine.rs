@@ -11,7 +11,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 use strent_device::{Board, Technology};
-use strent_rings::{analytic, iro, str_ring, IroConfig, StrConfig};
+use strent_rings::{analytic, iro, str_ring, IroConfig, RingConfig, StrConfig};
 use strent_sim::{Simulator, Time};
 
 /// IRO lengths for the size sweep (inverting rings must be odd, so
@@ -66,9 +66,10 @@ fn bench_analytic_vs_event(c: &mut Criterion) {
     group.bench_function("analytic_str96_period", |b| {
         b.iter(|| analytic::str_period_ps(black_box(&config), &board));
     });
+    let ring = RingConfig::Str(config.clone());
     group.bench_function("event_driven_str96_100_periods", |b| {
         b.iter(|| {
-            strent_rings::measure::run_str(black_box(&config), &board, 7, 100)
+            strent_rings::measure::run(black_box(&ring), &board, 7, 100)
                 .expect("oscillates")
                 .frequency_mhz
         });

@@ -21,7 +21,6 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 use strent_rings::measure::{self, RingRun, WARMUP_PERIODS};
-use strent_rings::stream::StreamConfig;
 use strent_rings::surrogate::{Calibrator, EntropySource, SourceBackend, SurrogateStream};
 use strent_rings::RingError;
 use strent_sim::{RngTree, Time};
@@ -163,10 +162,7 @@ fn moments(periods_ps: &[f64]) -> (f64, f64) {
 /// Period moments from the event-driven reference run.
 fn full_sim_moments(ring: &RingSpec, seed: u64, periods: usize) -> Result<(f64, f64), RingError> {
     let board = SourceSpec::new(*ring, seed).board(0);
-    let run: RingRun = match ring.stream_config() {
-        StreamConfig::Iro(config) => measure::run_iro(&config, &board, seed, periods)?,
-        StreamConfig::Str(config) => measure::run_str(&config, &board, seed, periods)?,
-    };
+    let run: RingRun = measure::run(&ring.stream_config(), &board, seed, periods)?;
     Ok(moments(&run.periods_ps))
 }
 

@@ -18,7 +18,7 @@
 use std::fmt;
 
 use strent_rings::fault::{self as ring_fault, DegradedRun};
-use strent_rings::{analytic, IroConfig, StrConfig};
+use strent_rings::{IroConfig, RingConfig, StrConfig};
 use strent_sim::{Bit, FaultPlan, Time};
 use strent_trng::health::{
     self, AdaptiveProportionTest, RepetitionCountTest, APT_WINDOW,
@@ -69,6 +69,13 @@ impl RingKind {
 
     fn stage_count(self) -> usize {
         32
+    }
+
+    fn config(self) -> RingConfig {
+        match self {
+            RingKind::Str32 => RingConfig::Str(StrConfig::new(32, 16).expect("valid counts")),
+            RingKind::Iro32 => RingConfig::Iro(IroConfig::new(32).expect("valid length")),
+        }
     }
 }
 
@@ -288,8 +295,6 @@ fn monitor_bits(run: &DegradedRun, geo: &Geometry) -> BitString {
 pub fn run_with(runner: &ExperimentRunner) -> Result<DegradationResult, ExperimentError> {
     let effort = runner.effort();
     let board = calibration::default_board();
-    let str_config = StrConfig::new(32, 16).expect("valid counts");
-    let iro_config = IroConfig::new(32).expect("valid length");
 
     let scenarios: Vec<(RingKind, FaultClass)> = [RingKind::Str32, RingKind::Iro32]
         .into_iter()
@@ -307,28 +312,10 @@ pub fn run_with(runner: &ExperimentRunner) -> Result<DegradationResult, Experime
 
     let rows = runner.run_stage("degradation", &scenarios, |job, meter| {
         let (ring, fault) = *job.config;
-        let period_ps = match ring {
-            RingKind::Str32 => analytic::str_period_general_ps(&str_config, &board),
-            RingKind::Iro32 => analytic::iro_period_ps(&iro_config, &board),
-        };
-        let geo = Geometry::new(effort, period_ps);
+        let config = ring.config();
+        let geo = Geometry::new(effort, config.predicted_period_ps(&board));
         let plan = plan_for(ring, fault, &geo, job.seed())?;
-        let run = match ring {
-            RingKind::Str32 => ring_fault::run_str_degraded(
-                &str_config,
-                &board,
-                job.seed(),
-                geo.horizon_ps,
-                &plan,
-            )?,
-            RingKind::Iro32 => ring_fault::run_iro_degraded(
-                &iro_config,
-                &board,
-                job.seed(),
-                geo.horizon_ps,
-                &plan,
-            )?,
-        };
+        let run = ring_fault::run_degraded(&config, &board, job.seed(), geo.horizon_ps, &plan)?;
         meter.record_sim(run.stats);
         let bits = monitor_bits(&run, &geo);
         let latency = health::alarm_latency(&bits, CLAIMED_H, geo.pre)?;

@@ -20,12 +20,12 @@ use std::fmt;
 
 use strent_analysis::jitter;
 use strent_rings::mode::{classify_half_periods, OscillationMode};
-use strent_rings::{measure, StrConfig};
+use strent_rings::{RingConfig, StrConfig};
 
 use crate::calibration;
 use crate::report::{fmt_mhz, fmt_ps, Table};
 
-use super::runner::ExperimentRunner;
+use super::runner::{measure_ring, ExperimentRunner};
 use super::{Effort, ExperimentError};
 
 /// The swept Charlie magnitudes, ps.
@@ -84,8 +84,7 @@ pub fn run_with(runner: &ExperimentRunner) -> Result<ExtCharlieResult, Experimen
         let config = StrConfig::new(32, 16)
             .expect("valid counts")
             .with_charlie_ps(charlie)?;
-        let run = measure::run_str(&config, &board, job.seed(), periods)?;
-        meter.record_sim(run.stats);
+        let run = measure_ring(&RingConfig::Str(config), &board, job.seed(), periods, meter)?;
         Ok(ExtCharliePoint {
             charlie_ps: charlie,
             frequency_mhz: run.frequency_mhz,

@@ -24,13 +24,13 @@ use std::fmt;
 
 use strent_analysis::stats::Summary;
 use strent_device::{BoardFarm, Technology};
-use strent_rings::{measure, IroConfig, StrConfig};
+use strent_rings::{IroConfig, RingConfig, StrConfig};
 use strent_trng::coherent::CoherentSampler;
 
 use crate::calibration::PAPER_SEED;
 use crate::report::Table;
 
-use super::runner::ExperimentRunner;
+use super::runner::{measure_ring, ExperimentRunner};
 use super::{Effort, ExperimentError};
 
 /// The common relative detune of each pair (fraction of the period).
@@ -98,12 +98,12 @@ pub fn run_with(runner: &ExperimentRunner) -> Result<ExtCoherentResult, Experime
     let jobs: Vec<(usize, usize)> = (0..2)
         .flat_map(|family| (0..farm_boards.len()).map(move |bi| (family, bi)))
         .collect();
-    let beats = runner.run_stage("ext_coherent", &jobs, |job, _meter| {
+    let beats = runner.run_stage("ext_coherent", &jobs, |job, meter| {
         let (family, bi) = *job.config;
         let board = farm_boards[bi];
         let seed_a = job.rng.fork(0).master_seed();
         let seed_b = job.rng.fork(1).master_seed();
-        let (ta, tb) = if family == 0 {
+        let (a, b) = if family == 0 {
             // IRO pair (5 stages each, ~376 MHz); dT/dr = 2L.
             let a = IroConfig::new(5).expect("valid length");
             let t_nominal = strent_rings::analytic::iro_period_ps(&a, board);
@@ -112,10 +112,7 @@ pub fn run_with(runner: &ExperimentRunner) -> Result<ExtCoherentResult, Experime
                 .expect("valid length")
                 .with_placement_base(100)
                 .with_routing_ps(a.routing_ps(board) + detune)?;
-            (
-                1e6 / measure::run_iro(&a, board, seed_a, periods)?.frequency_mhz,
-                1e6 / measure::run_iro(&b, board, seed_b, periods)?.frequency_mhz,
-            )
+            (RingConfig::Iro(a), RingConfig::Iro(b))
         } else {
             // STR pair (96 stages each, ~318 MHz); dT/dr = 2L/NT = 4.
             let a = StrConfig::new(96, 48).expect("valid counts");
@@ -125,11 +122,10 @@ pub fn run_with(runner: &ExperimentRunner) -> Result<ExtCoherentResult, Experime
                 .expect("valid counts")
                 .with_placement_base(1000)
                 .with_routing_ps(a.routing_ps(board) + detune)?;
-            (
-                1e6 / measure::run_str(&a, board, seed_a, periods)?.frequency_mhz,
-                1e6 / measure::run_str(&b, board, seed_b, periods)?.frequency_mhz,
-            )
+            (RingConfig::Str(a), RingConfig::Str(b))
         };
+        let ta = 1e6 / measure_ring(&a, board, seed_a, periods, meter)?.frequency_mhz;
+        let tb = 1e6 / measure_ring(&b, board, seed_b, periods, meter)?.frequency_mhz;
         Ok(CoherentSampler::new(ta, tb, 0.0, 1)?.beat_samples())
     })?;
 

@@ -10,9 +10,8 @@
 
 use std::fmt;
 
-use strent_rings::{IroConfig, StrConfig};
+use strent_rings::{IroConfig, RingConfig, StrConfig};
 use strent_trng::attack::{probe_response_metered, ModulationResponse};
-use strent_trng::elementary::EntropySource;
 
 use crate::calibration;
 use crate::report::{fmt_ps, Table};
@@ -79,20 +78,20 @@ impl fmt::Display for ExtDetResult {
 pub fn run_with(runner: &ExperimentRunner) -> Result<ExtDetResult, ExperimentError> {
     let periods = runner.effort().size(1_200, 4_000);
     let board = calibration::default_board();
-    let sources: Vec<(String, usize, EntropySource)> = [5usize, 25, 80]
+    let sources: Vec<(String, usize, RingConfig)> = [5usize, 25, 80]
         .iter()
         .map(|&l| {
             (
                 format!("IRO {l}C"),
                 l,
-                EntropySource::Iro(IroConfig::new(l).expect("valid length")),
+                RingConfig::Iro(IroConfig::new(l).expect("valid length")),
             )
         })
         .chain([8usize, 32, 96].iter().map(|&l| {
             (
                 format!("STR {l}C"),
                 l,
-                EntropySource::Str(StrConfig::new(l, l / 2).expect("valid counts")),
+                RingConfig::Str(StrConfig::new(l, l / 2).expect("valid counts")),
             )
         }))
         .collect();

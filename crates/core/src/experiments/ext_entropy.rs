@@ -28,10 +28,7 @@ use std::fmt;
 
 use strent_analysis::entropy;
 use strent_device::noise::GlobalJitterProcess;
-use strent_rings::differential::{
-    run_differential_iro, run_differential_str, DifferentialOutcome,
-};
-use strent_rings::{IroConfig, StrConfig};
+use strent_rings::differential::{run_differential, DifferentialOutcome};
 use strent_trng::entropy::markov_min_entropy;
 use strent_trng::phase::PhaseModel;
 
@@ -39,7 +36,7 @@ use crate::calibration;
 use crate::pool::RingSpec;
 use crate::report::Table;
 
-use super::runner::ExperimentRunner;
+use super::runner::{measure_ring, ExperimentRunner};
 use super::{Effort, ExperimentError};
 
 /// Markov order of the cross-checking estimator.
@@ -172,11 +169,7 @@ pub fn run_with(runner: &ExperimentRunner) -> Result<ExtEntropyResult, Experimen
         .collect();
     let rows = runner.run_stage("ext_entropy_sweep", &cells, |job, meter| {
         let &(preset, factor) = job.config;
-        let spec = match preset.stream_config() {
-            strent_rings::stream::StreamConfig::Str(c) => super::runner::RingSpec::Str(c),
-            strent_rings::stream::StreamConfig::Iro(c) => super::runner::RingSpec::Iro(c),
-        };
-        let run = spec.measure(&board, job.seed(), periods, meter)?;
+        let run = measure_ring(&preset.stream_config(), &board, job.seed(), periods, meter)?;
         let mean_period_ps =
             run.periods_ps.iter().sum::<f64>() / run.periods_ps.len() as f64;
         let sigma_period_ps = strent_analysis::jitter::period_jitter(&run.periods_ps)?;
@@ -204,23 +197,8 @@ pub fn run_with(runner: &ExperimentRunner) -> Result<ExtEntropyResult, Experimen
     let pairs = [RingSpec::Str32, RingSpec::Iro32];
     let differential = runner.run_stage("ext_entropy_diff", &pairs, |job, _meter| {
         let seeds = (job.seed(), job.seed() ^ 1);
-        let out = match job.config {
-            RingSpec::Str32 | RingSpec::Str64 => run_differential_str(
-                &StrConfig::new(32, 16).expect("preset is valid"),
-                &board,
-                &process,
-                seeds,
-                periods,
-            )?,
-            RingSpec::Iro32 => run_differential_iro(
-                &IroConfig::new(32).expect("preset is valid"),
-                &board,
-                &process,
-                seeds,
-                periods,
-            )?,
-        };
-        Ok(out)
+        let ring = job.config.stream_config();
+        Ok(run_differential(&ring, &board, &process, seeds, periods)?)
     })?;
     Ok(ExtEntropyResult { rows, differential })
 }

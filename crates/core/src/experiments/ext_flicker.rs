@@ -20,7 +20,7 @@ use std::fmt;
 
 use strent_analysis::{allan, divider, jitter};
 use strent_device::{Board, Technology};
-use strent_rings::{measure, IroConfig};
+use strent_rings::{measure, IroConfig, RingConfig};
 use strent_sim::SimStats;
 
 use crate::calibration::PAPER_SEED;
@@ -106,8 +106,8 @@ fn measure_arm(
     periods: usize,
 ) -> Result<(FlickerArm, SimStats), ExperimentError> {
     let board = Board::new(tech.clone(), 0, PAPER_SEED);
-    let config = IroConfig::new(9).expect("valid length");
-    let run = measure::run_iro(&config, &board, seed, periods)?;
+    let ring = RingConfig::Iro(IroConfig::new(9).expect("valid length"));
+    let run = measure::run(&ring, &board, seed, periods)?;
     let mut allan_curve = Vec::new();
     for m in [1usize, 4, 16, 64, 256] {
         allan_curve.push((m, allan::allan_deviation(&run.periods_ps, m)?));

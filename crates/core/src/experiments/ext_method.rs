@@ -24,12 +24,12 @@ use std::fmt;
 
 use strent_analysis::divider::{measure as divider_measure, DividerMeasurement};
 use strent_analysis::jitter;
-use strent_rings::{IroConfig, StrConfig};
+use strent_rings::{IroConfig, RingConfig, StrConfig};
 
 use crate::calibration;
 use crate::report::{fmt_ps, Table};
 
-use super::runner::{ExperimentRunner, RingSpec};
+use super::runner::{measure_ring, ExperimentRunner};
 use super::{Effort, ExperimentError};
 
 /// One divider-setting comparison.
@@ -124,16 +124,16 @@ pub fn run_with(runner: &ExperimentRunner) -> Result<ExtMethodResult, Experiment
     let specs = [
         (
             "STR 96C",
-            RingSpec::Str(StrConfig::new(96, 48).expect("valid counts")),
+            RingConfig::Str(StrConfig::new(96, 48).expect("valid counts")),
         ),
         (
             "IRO 5C",
-            RingSpec::Iro(IroConfig::new(5).expect("valid length")),
+            RingConfig::Iro(IroConfig::new(5).expect("valid length")),
         ),
     ];
     let rings = runner.run_stage("ext_method", &specs, |job, meter| {
-        let (label, spec) = job.config;
-        let run = spec.measure(&board, job.seed(), periods, meter)?;
+        let (label, ring) = job.config;
+        let run = measure_ring(ring, &board, job.seed(), periods, meter)?;
         let direct = jitter::period_jitter(&run.periods_ps)?;
         let mut points = Vec::new();
         for &n in &settings {

@@ -8,7 +8,7 @@ use std::fmt;
 use strent_device::{Board, Technology};
 use strent_rings::mode::{classify_half_periods, OscillationMode};
 use strent_rings::str_ring::TokenLayout;
-use strent_rings::{measure, StrConfig};
+use strent_rings::{measure, RingError, StrConfig};
 
 use crate::calibration::PAPER_SEED;
 
@@ -104,19 +104,29 @@ pub fn run_with(runner: &ExperimentRunner) -> Result<ExtModeResult, ExperimentEr
         let config = StrConfig::new(16, 6)
             .expect("valid counts")
             .with_layout(TokenLayout::Clustered);
-        Ok(match measure::run_str_full(&config, &board, job.seed(), periods) {
+        let mode = match measure::run_str_full(&config, &board, job.seed(), periods) {
             Ok(full) => {
                 meter.record_sim(full.run.stats);
                 classify_half_periods(&full.run.half_periods_ps)
             }
-            Err(_) => OscillationMode::Dead,
-        })
+            Err(error) => dead_or(error)?,
+        };
+        Ok(mode)
     })?;
     let cells = modes
         .chunks(DRAFTING_GRID_PS.len())
         .map(<[OscillationMode]>::to_vec)
         .collect();
     Ok(ExtModeResult { cells })
+}
+
+/// A ring that stops short of its edges is a dead cell; any other
+/// failure (a simulator fault, a lint rejection) is an error.
+fn dead_or(error: RingError) -> Result<OscillationMode, RingError> {
+    match error {
+        RingError::NotOscillating { .. } => Ok(OscillationMode::Dead),
+        other => Err(other),
+    }
 }
 
 /// Runs the EXT-MODE experiment.
@@ -131,6 +141,16 @@ pub fn run(effort: Effort, seed: u64) -> Result<ExtModeResult, ExperimentError> 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn only_a_ring_short_of_edges_is_dead() {
+        let short = RingError::NotOscillating {
+            observed_transitions: 3,
+        };
+        assert_eq!(dead_or(short), Ok(OscillationMode::Dead));
+        let rejected = RingError::Lint(Vec::new());
+        assert_eq!(dead_or(rejected.clone()), Err(rejected));
+    }
 
     #[test]
     fn mode_map_matches_the_literature() {

@@ -92,7 +92,7 @@ pub fn run_with(runner: &ExperimentRunner) -> Result<ExtMultiResult, ExperimentE
     let rows = runner.run_stage("ext_multi", &[8usize, 16, 32], |job, _meter| {
         let l = *job.config;
         let config = StrConfig::new(l, l / 2).expect("valid counts");
-        let period = strent_rings::analytic::str_period_ps(&config, &board);
+        let period = strent_rings::analytic::str_period_general_ps(&config, &board);
         let trng = MultiphaseTrng::new(config, reference_periods * period, 0.0)?;
         // Both arms sample the same ring run, so they share one seed.
         let multi = trng.generate(&board, job.seed(), bits)?;

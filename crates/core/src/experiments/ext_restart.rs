@@ -18,8 +18,7 @@ use std::fmt;
 
 use strent_analysis::fit::sqrt_law;
 use strent_device::{Board, Technology};
-use strent_rings::{IroConfig, StrConfig};
-use strent_trng::elementary::EntropySource;
+use strent_rings::{IroConfig, RingConfig, StrConfig};
 use strent_trng::restart;
 
 use crate::calibration::{self, PAPER_SEED};
@@ -102,14 +101,14 @@ pub fn run_with(runner: &ExperimentRunner) -> Result<ExtRestartResult, Experimen
         0,
         PAPER_SEED,
     );
-    let onset_source = EntropySource::Str(StrConfig::new(8, 4).expect("valid counts"));
+    let onset_source = RingConfig::Str(StrConfig::new(8, 4).expect("valid counts"));
     let period = onset_source.predicted_period_ps(&noisy);
     let delay_periods = [2.0, 8.0, 24.0, 60.0, 120.0, 240.0];
     let delays: Vec<f64> = delay_periods.iter().map(|&m| m * period).collect();
 
     enum Campaign {
-        Dispersion(&'static str, EntropySource),
-        Onset(EntropySource),
+        Dispersion(&'static str, RingConfig),
+        Onset(RingConfig),
     }
     enum CampaignResult {
         Dispersion(DispersionRow),
@@ -118,11 +117,11 @@ pub fn run_with(runner: &ExperimentRunner) -> Result<ExtRestartResult, Experimen
     let campaigns = [
         Campaign::Dispersion(
             "IRO 5C",
-            EntropySource::Iro(IroConfig::new(5).expect("valid length")),
+            RingConfig::Iro(IroConfig::new(5).expect("valid length")),
         ),
         Campaign::Dispersion(
             "STR 16C",
-            EntropySource::Str(StrConfig::new(16, 8).expect("valid counts")),
+            RingConfig::Str(StrConfig::new(16, 8).expect("valid counts")),
         ),
         Campaign::Onset(onset_source),
     ];

@@ -25,10 +25,10 @@
 
 use std::fmt;
 
-use strent_rings::{IroConfig, StrConfig};
+use strent_rings::{IroConfig, RingConfig, StrConfig};
 use strent_trng::attack::{attacked_phase_model, probe_response};
 use strent_trng::battery;
-use strent_trng::elementary::{ElementaryTrng, EntropySource};
+use strent_trng::elementary::ElementaryTrng;
 use strent_trng::entropy;
 use strent_trng::BitString;
 
@@ -173,11 +173,11 @@ pub fn run_with(runner: &ExperimentRunner) -> Result<ExtTrngResult, ExperimentEr
     let sources = [
         (
             "IRO 5C",
-            EntropySource::Iro(IroConfig::new(5).expect("valid length")),
+            RingConfig::Iro(IroConfig::new(5).expect("valid length")),
         ),
         (
             "STR 96C",
-            EntropySource::Str(StrConfig::new(96, 48).expect("valid counts")),
+            RingConfig::Str(StrConfig::new(96, 48).expect("valid counts")),
         ),
     ];
 

@@ -5,12 +5,12 @@ use std::fmt;
 
 use strent_analysis::fit::{sqrt_law, SqrtFit};
 use strent_analysis::jitter;
-use strent_rings::IroConfig;
+use strent_rings::{IroConfig, RingConfig};
 
 use crate::calibration::{self, FIG11_LENGTHS};
 use crate::report::{fmt_mhz, fmt_ps, Table};
 
-use super::runner::{ExperimentRunner, RingSpec};
+use super::runner::{measure_ring, ExperimentRunner};
 use super::{Effort, ExperimentError};
 
 /// One measured point of Fig. 11.
@@ -82,8 +82,8 @@ pub fn run_with(runner: &ExperimentRunner) -> Result<Fig11Result, ExperimentErro
     let seed = runner.seed();
     let points = runner.run_stage("fig11", &FIG11_LENGTHS, |job, meter| {
         let l = *job.config;
-        let spec = RingSpec::Iro(IroConfig::new(l).expect("valid length"));
-        let run = spec.measure(&board, seed, periods, meter)?;
+        let ring = RingConfig::Iro(IroConfig::new(l).expect("valid length"));
+        let run = measure_ring(&ring, &board, seed, periods, meter)?;
         let sigma = jitter::period_jitter(&run.periods_ps)?;
         Ok(Fig11Point {
             length: l,

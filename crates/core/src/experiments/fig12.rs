@@ -5,12 +5,12 @@ use std::fmt;
 
 use strent_analysis::jitter;
 use strent_analysis::stats::Summary;
-use strent_rings::{analytic, StrConfig};
+use strent_rings::{analytic, RingConfig, StrConfig};
 
 use crate::calibration::{self, FIG12_LENGTHS};
 use crate::report::{fmt_mhz, fmt_ps, Table};
 
-use super::runner::{ExperimentRunner, RingSpec};
+use super::runner::{measure_ring, ExperimentRunner};
 use super::{Effort, ExperimentError};
 
 /// One measured point of Fig. 12.
@@ -98,8 +98,8 @@ pub fn run_with(runner: &ExperimentRunner) -> Result<Fig12Result, ExperimentErro
     let seed = runner.seed();
     let points = runner.run_stage("fig12", &FIG12_LENGTHS, |job, meter| {
         let l = *job.config;
-        let spec = RingSpec::Str(StrConfig::new(l, l / 2).expect("valid counts"));
-        let run = spec.measure(&board, seed, periods, meter)?;
+        let ring = RingConfig::Str(StrConfig::new(l, l / 2).expect("valid counts"));
+        let run = measure_ring(&ring, &board, seed, periods, meter)?;
         Ok(Fig12Point {
             length: l,
             frequency_mhz: run.frequency_mhz,

@@ -7,12 +7,12 @@ use std::fmt;
 
 use strent_analysis::fit::{charlie_hyperbola, CharlieFit};
 use strent_device::Technology;
-use strent_rings::{CharlieModel, StrConfig};
+use strent_rings::{CharlieModel, RingConfig, StrConfig};
 
 use crate::calibration;
 use crate::report::{fmt_ps, Table};
 
-use super::runner::{ExperimentRunner, RingSpec};
+use super::runner::{measure_ring, ExperimentRunner};
 use super::{Effort, ExperimentError};
 
 /// The reproduced Fig. 7.
@@ -116,7 +116,7 @@ pub fn run_with(runner: &ExperimentRunner) -> Result<Fig7Result, ExperimentError
             let config = StrConfig::new(length, tokens)
                 .expect("valid counts")
                 .with_routing_ps(0.0)?;
-            Ok(RingSpec::Str(config))
+            Ok(RingConfig::Str(config))
         })
         .collect::<Result<Vec<_>, ExperimentError>>()?;
     let board = calibration::ideal_board();
@@ -125,10 +125,7 @@ pub fn run_with(runner: &ExperimentRunner) -> Result<Fig7Result, ExperimentError
     // golden output depends on it.
     let seed = runner.seed();
     let freqs = runner.run_stage("fig7", &specs, |job, meter| {
-        Ok(job
-            .config
-            .measure(&board, seed, periods, meter)?
-            .frequency_mhz)
+        Ok(measure_ring(job.config, &board, seed, periods, meter)?.frequency_mhz)
     })?;
     let (deff_freqs, sweep_freqs) = freqs.split_at(DEFF_LENGTHS.len());
 

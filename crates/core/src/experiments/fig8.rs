@@ -5,12 +5,12 @@ use std::fmt;
 
 use strent_analysis::frequency::{normalize_sweep, NormalizedSweep, SweepPoint};
 use strent_device::Supply;
-use strent_rings::{IroConfig, StrConfig};
+use strent_rings::{IroConfig, RingConfig, StrConfig};
 
 use crate::calibration::{self, NOMINAL_VOLTS, SWEEP_VOLTS};
 use crate::report::{fmt_mhz, Table};
 
-use super::runner::{ExperimentRunner, RingSpec};
+use super::runner::{measure_ring, ExperimentRunner};
 use super::{Effort, ExperimentError};
 
 /// One ring's sweep result.
@@ -83,18 +83,18 @@ pub fn run_with(runner: &ExperimentRunner) -> Result<Fig8Result, ExperimentError
     let periods = runner.effort().size(120, 400);
     let base = calibration::default_board();
 
-    let specs: Vec<(String, RingSpec)> = [5usize, 80]
+    let specs: Vec<(String, RingConfig)> = [5usize, 80]
         .iter()
         .map(|&l| {
             (
                 format!("IRO {l}C"),
-                RingSpec::Iro(IroConfig::new(l).expect("valid length")),
+                RingConfig::Iro(IroConfig::new(l).expect("valid length")),
             )
         })
         .chain([4usize, 96].iter().map(|&l| {
             (
                 format!("STR {l}C"),
-                RingSpec::Str(StrConfig::new(l, l / 2).expect("valid counts")),
+                RingConfig::Str(StrConfig::new(l, l / 2).expect("valid counts")),
             )
         }))
         .collect();
@@ -108,10 +108,7 @@ pub fn run_with(runner: &ExperimentRunner) -> Result<Fig8Result, ExperimentError
         let (ri, v) = *job.config;
         let mut board = base.clone();
         board.set_supply(Supply::dc(v));
-        Ok(specs[ri]
-            .1
-            .measure(&board, job.seed(), periods, meter)?
-            .frequency_mhz)
+        Ok(measure_ring(&specs[ri].1, &board, job.seed(), periods, meter)?.frequency_mhz)
     })?;
 
     let mut rings = Vec::with_capacity(specs.len());

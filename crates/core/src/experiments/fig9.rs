@@ -6,12 +6,12 @@ use std::fmt;
 
 use strent_analysis::normality::{anderson_darling, chi_square_gof, jarque_bera, TestResult};
 use strent_analysis::{jitter, Histogram, Summary};
-use strent_rings::{IroConfig, StrConfig};
+use strent_rings::{IroConfig, RingConfig, StrConfig};
 
 use crate::calibration;
 use crate::report::fmt_ps;
 
-use super::runner::{ExperimentRunner, RingSpec};
+use super::runner::{measure_ring, ExperimentRunner};
 use super::{Effort, ExperimentError};
 
 /// The histogram panel for one ring.
@@ -110,19 +110,19 @@ pub fn run_with(runner: &ExperimentRunner) -> Result<Fig9Result, ExperimentError
     let rings = [
         (
             "96-stage STR",
-            RingSpec::Str(StrConfig::new(96, 48).expect("valid counts")),
+            RingConfig::Str(StrConfig::new(96, 48).expect("valid counts")),
         ),
         (
             "5-stage IRO",
-            RingSpec::Iro(IroConfig::new(5).expect("valid length")),
+            RingConfig::Iro(IroConfig::new(5).expect("valid length")),
         ),
     ];
     // Both rings run on the experiment seed, not their job seeds: the
     // golden output depends on it.
     let seed = runner.seed();
     let panels = runner.run_stage("fig9", &rings, |job, meter| {
-        let (label, spec) = job.config;
-        let run = spec.measure(&board, seed, periods, meter)?;
+        let (label, ring) = job.config;
+        let run = measure_ring(ring, &board, seed, periods, meter)?;
         JitterHistogram::from_periods(label, &run.periods_ps)
     })?;
     let [str_panel, iro_panel]: [JitterHistogram; 2] =

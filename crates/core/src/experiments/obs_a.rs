@@ -6,12 +6,12 @@ use std::fmt;
 
 use strent_analysis::jitter;
 use strent_rings::mode::{classify_half_periods, spacing_cv, OscillationMode};
-use strent_rings::{analytic, measure, StrConfig};
+use strent_rings::{RingConfig, StrConfig};
 
 use crate::calibration;
 use crate::report::{fmt_mhz, Table};
 
-use super::runner::ExperimentRunner;
+use super::runner::{measure_ring, ExperimentRunner};
 use super::{Effort, ExperimentError};
 
 /// One token-count probe of the 32-stage ring.
@@ -26,7 +26,7 @@ pub struct ObsAPoint {
     /// Mean frequency, MHz.
     pub frequency_mhz: f64,
     /// The timing-closure prediction
-    /// ([`analytic::str_period_general_ps`]), MHz.
+    /// ([`RingConfig::predicted_period_ps`]), MHz.
     pub predicted_mhz: f64,
     /// Period jitter, ps — the curve the paper never measured: the
     /// entropy source is best exactly at the design rule (NT = NB) and
@@ -94,15 +94,14 @@ pub fn run_with(runner: &ExperimentRunner) -> Result<ObsAResult, ExperimentError
     let tokens: Vec<usize> = (4..=28).step_by(2).collect();
     let points = runner.run_stage("obs_a", &tokens, |job, meter| {
         let tokens = *job.config;
-        let config = StrConfig::new(32, tokens).expect("valid counts");
-        let run = measure::run_str(&config, &board, job.seed(), periods)?;
-        meter.record_sim(run.stats);
+        let ring = RingConfig::Str(StrConfig::new(32, tokens).expect("valid counts"));
+        let run = measure_ring(&ring, &board, job.seed(), periods, meter)?;
         Ok(ObsAPoint {
             tokens,
             mode: classify_half_periods(&run.half_periods_ps),
             spacing_cv: spacing_cv(&run.half_periods_ps).unwrap_or(f64::NAN),
             frequency_mhz: run.frequency_mhz,
-            predicted_mhz: 1e6 / analytic::str_period_general_ps(&config, &board),
+            predicted_mhz: 1e6 / ring.predicted_period_ps(&board),
             sigma_period_ps: jitter::period_jitter(&run.periods_ps)?,
         })
     })?;

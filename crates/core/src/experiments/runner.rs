@@ -24,7 +24,7 @@ use std::sync::Mutex;
 
 use strent_device::Board;
 use strent_rings::measure::{self, RingRun};
-use strent_rings::{IroConfig, StrConfig};
+use strent_rings::RingConfig;
 use strent_sim::rng::fnv1a;
 use strent_sim::{
     FailureKind, JobError, JobFailure, JobMeter, RetryPolicy, RngTree, SweepJob, SweepRunner,
@@ -218,36 +218,23 @@ fn stage_error(label: &str, failure: JobFailure<ExperimentError>) -> ExperimentE
     }
 }
 
-/// A ring to measure — the flattened config unit of frequency sweeps.
-#[derive(Debug, Clone, PartialEq)]
-pub enum RingSpec {
-    /// An inverter ring oscillator.
-    Iro(IroConfig),
-    /// A self-timed ring.
-    Str(StrConfig),
-}
-
-impl RingSpec {
-    /// Runs the ring on `board` and reports its full kernel statistics
-    /// (dispatched, cancelled, suppressed events) into `meter`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates ring simulation errors.
-    pub fn measure(
-        &self,
-        board: &Board,
-        seed: u64,
-        periods: usize,
-        meter: &mut JobMeter,
-    ) -> Result<RingRun, ExperimentError> {
-        let run = match self {
-            RingSpec::Iro(config) => measure::run_iro(config, board, seed, periods)?,
-            RingSpec::Str(config) => measure::run_str(config, board, seed, periods)?,
-        };
-        meter.record_sim(run.stats);
-        Ok(run)
-    }
+/// Measures `ring` on `board` ([`measure::run`]) and reports the run's
+/// full kernel statistics (dispatched, cancelled, suppressed events)
+/// into `meter`.
+///
+/// # Errors
+///
+/// Propagates ring simulation errors.
+pub fn measure_ring(
+    ring: &RingConfig,
+    board: &Board,
+    seed: u64,
+    periods: usize,
+    meter: &mut JobMeter,
+) -> Result<RingRun, ExperimentError> {
+    let run = measure::run(ring, board, seed, periods)?;
+    meter.record_sim(run.stats);
+    Ok(run)
 }
 
 #[cfg(test)]
@@ -362,13 +349,13 @@ mod tests {
     }
 
     #[test]
-    fn ring_spec_measures_and_meters() {
+    fn measure_ring_measures_and_meters() {
         let board = calibration::default_board();
-        let spec = RingSpec::Iro(IroConfig::new(5).expect("valid"));
+        let ring = RingConfig::Iro(strent_rings::IroConfig::new(5).expect("valid"));
         let runner = ExperimentRunner::new(Effort::Quick, 11);
         let runs = runner
-            .run_stage("spec", &[spec], |job, meter| {
-                job.config.measure(&board, job.seed(), 50, meter)
+            .run_stage("ring", &[ring], |job, meter| {
+                measure_ring(job.config, &board, job.seed(), 50, meter)
             })
             .expect("oscillates");
         assert_eq!(runs[0].periods_ps.len(), 50);

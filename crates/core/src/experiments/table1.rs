@@ -5,12 +5,12 @@ use std::fmt;
 
 use strent_analysis::frequency::{normalize_sweep, SweepPoint};
 use strent_device::Supply;
-use strent_rings::{IroConfig, StrConfig};
+use strent_rings::{IroConfig, RingConfig, StrConfig};
 
 use crate::calibration::{self, NOMINAL_VOLTS, SWEEP_VOLTS, TABLE1_IRO_LENGTHS, TABLE1_STR_LENGTHS};
 use crate::report::{fmt_mhz, fmt_percent, Table};
 
-use super::runner::{ExperimentRunner, RingSpec};
+use super::runner::{measure_ring, ExperimentRunner};
 use super::{Effort, ExperimentError};
 
 /// One row of Table I.
@@ -85,18 +85,18 @@ pub fn run_with(runner: &ExperimentRunner) -> Result<Table1Result, ExperimentErr
     let periods = runner.effort().size(100, 300);
     let base = calibration::default_board();
 
-    let specs: Vec<(String, RingSpec)> = TABLE1_IRO_LENGTHS
+    let specs: Vec<(String, RingConfig)> = TABLE1_IRO_LENGTHS
         .iter()
         .map(|&l| {
             (
                 format!("IRO {l}C"),
-                RingSpec::Iro(IroConfig::new(l).expect("valid length")),
+                RingConfig::Iro(IroConfig::new(l).expect("valid length")),
             )
         })
         .chain(TABLE1_STR_LENGTHS.iter().map(|&l| {
             (
                 format!("STR {l}C"),
-                RingSpec::Str(StrConfig::new(l, l / 2).expect("valid counts")),
+                RingConfig::Str(StrConfig::new(l, l / 2).expect("valid counts")),
             )
         }))
         .collect();
@@ -110,10 +110,7 @@ pub fn run_with(runner: &ExperimentRunner) -> Result<Table1Result, ExperimentErr
         let (ri, v) = *job.config;
         let mut board = base.clone();
         board.set_supply(Supply::dc(v));
-        Ok(specs[ri]
-            .1
-            .measure(&board, job.seed(), periods, meter)?
-            .frequency_mhz)
+        Ok(measure_ring(&specs[ri].1, &board, job.seed(), periods, meter)?.frequency_mhz)
     })?;
 
     let mut rows = Vec::with_capacity(specs.len());

@@ -5,12 +5,12 @@ use std::fmt;
 
 use strent_analysis::frequency::sigma_rel;
 use strent_analysis::stats::std_dev_confidence;
-use strent_rings::{IroConfig, StrConfig};
+use strent_rings::{IroConfig, RingConfig, StrConfig};
 
 use crate::calibration;
 use crate::report::{fmt_mhz, Table};
 
-use super::runner::{ExperimentRunner, RingSpec};
+use super::runner::{measure_ring, ExperimentRunner};
 use super::{Effort, ExperimentError};
 
 /// One row of Table II.
@@ -83,7 +83,7 @@ pub fn run_with(runner: &ExperimentRunner) -> Result<Table2Result, ExperimentErr
     // disjoint silicon regions, so each samples fresh intra-die process
     // draws (previously all four overlapped at cell 0, making IRO 5C
     // reuse IRO 3C's exact cells).
-    let mut specs: Vec<(String, RingSpec)> = Vec::new();
+    let mut specs: Vec<(String, RingConfig)> = Vec::new();
     for &(l, base) in &[(3usize, 0u64), (5, 100)] {
         let mut config = IroConfig::new(l)
             .expect("valid length")
@@ -96,12 +96,12 @@ pub fn run_with(runner: &ExperimentRunner) -> Result<Table2Result, ExperimentErr
                 .with_routing_ps(routing + calibration::TABLE2_IRO5_EXTRA_ROUTING_PS)
                 .expect("calibrated routing is non-negative");
         }
-        specs.push((format!("IRO {l}C"), RingSpec::Iro(config)));
+        specs.push((format!("IRO {l}C"), RingConfig::Iro(config)));
     }
     for &(l, base) in &[(4usize, 200u64), (96, 300)] {
         specs.push((
             format!("STR {l}C"),
-            RingSpec::Str(
+            RingConfig::Str(
                 StrConfig::new(l, l / 2)
                     .expect("valid counts")
                     .with_placement_base(base),
@@ -127,10 +127,7 @@ pub fn run_with(runner: &ExperimentRunner) -> Result<Table2Result, ExperimentErr
         .collect();
     let freqs = runner.run_stage("table2", &jobs, |job, meter| {
         let (ri, bi) = *job.config;
-        Ok(specs[ri]
-            .1
-            .measure(boards[bi], ring_seeds[ri], periods, meter)?
-            .frequency_mhz)
+        Ok(measure_ring(&specs[ri].1, boards[bi], ring_seeds[ri], periods, meter)?.frequency_mhz)
     })?;
 
     let mut rows = Vec::with_capacity(specs.len());

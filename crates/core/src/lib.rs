@@ -39,8 +39,8 @@
 //! // One simulated Cyclone III board...
 //! let board = Board::new(Technology::cyclone_iii(), 0, 42);
 //! // ...carrying a 96-stage self-timed ring with NT = NB = 48.
-//! let config = StrConfig::new(96, 48)?;
-//! let run = measure::run_str(&config, &board, 7, 200)?;
+//! let config = RingConfig::Str(StrConfig::new(96, 48)?);
+//! let run = measure::run(&config, &board, 7, 200)?;
 //! // The paper's Table II reports ~320-328 MHz for this ring.
 //! assert!((300.0..350.0).contains(&run.frequency_mhz));
 //! # Ok::<(), Box<dyn std::error::Error>>(())
@@ -67,7 +67,7 @@ pub mod prelude {
     pub use strent_analysis::{frequency, jitter, stats, Histogram, Summary};
     pub use strent_device::{Board, BoardFarm, Supply, Technology};
     pub use strent_rings::{
-        analytic, measure, mode, IroConfig, OscillationMode, StrConfig, StrState,
+        analytic, measure, mode, IroConfig, OscillationMode, RingConfig, StrConfig, StrState,
     };
     pub use strent_sim::{Bit, Simulator, Time};
     pub use strent_trng::{battery, entropy, postprocess, BitString};

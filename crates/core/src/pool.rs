@@ -17,9 +17,8 @@
 //! invents physics parameters of its own; see `docs/serving.md`.
 
 use strent_device::{Board, Technology};
-use strent_rings::stream::StreamConfig;
 use strent_rings::surrogate::SourceBackend;
-use strent_rings::{IroConfig, StrConfig};
+use strent_rings::{IroConfig, RingConfig, StrConfig};
 use strent_sim::FaultPlan;
 use strent_trng::postprocess::ConditionerKind;
 use strent_trng::TrngError;
@@ -78,25 +77,15 @@ impl RingSpec {
             return None;
         }
         use strent_rings::analytic;
-        let (period_ps, sigma_period_ps) = match self {
-            RingSpec::Str32 | RingSpec::Str64 => {
-                let StreamConfig::Str(config) = self.stream_config() else {
-                    return None;
-                };
-                (
-                    analytic::str_period_ps(&config, board),
-                    analytic::str_sigma_period_ps(board),
-                )
-            }
-            RingSpec::Iro32 => {
-                let StreamConfig::Iro(config) = self.stream_config() else {
-                    return None;
-                };
-                (
-                    analytic::iro_period_ps(&config, board),
-                    analytic::iro_sigma_period_ps(&config, board),
-                )
-            }
+        let (period_ps, sigma_period_ps) = match self.stream_config() {
+            RingConfig::Str(config) => (
+                analytic::str_period_ps(&config, board),
+                analytic::str_sigma_period_ps(board),
+            ),
+            RingConfig::Iro(config) => (
+                analytic::iro_period_ps(&config, board),
+                analytic::iro_sigma_period_ps(&config, board),
+            ),
         };
         let sigma_acc_ps = sigma_period_ps * sample_period_factor.sqrt();
         let q = strent_analysis::entropy::sampling_ratio(sigma_acc_ps, period_ps).ok()?;
@@ -116,19 +105,13 @@ impl RingSpec {
         }
     }
 
-    /// The stream configuration this preset builds.
+    /// The ring this preset builds.
     #[must_use]
-    pub fn stream_config(&self) -> StreamConfig {
+    pub fn stream_config(&self) -> RingConfig {
         match self {
-            RingSpec::Str32 => {
-                StreamConfig::Str(StrConfig::new(32, 16).expect("preset is valid"))
-            }
-            RingSpec::Str64 => {
-                StreamConfig::Str(StrConfig::new(64, 32).expect("preset is valid"))
-            }
-            RingSpec::Iro32 => {
-                StreamConfig::Iro(IroConfig::new(32).expect("preset is valid"))
-            }
+            RingSpec::Str32 => RingConfig::Str(StrConfig::new(32, 16).expect("preset is valid")),
+            RingSpec::Str64 => RingConfig::Str(StrConfig::new(64, 32).expect("preset is valid")),
+            RingSpec::Iro32 => RingConfig::Iro(IroConfig::new(32).expect("preset is valid")),
         }
     }
 }

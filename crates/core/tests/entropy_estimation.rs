@@ -20,7 +20,6 @@ use strent_analysis::jitter::period_jitter;
 use strent_analysis::markov::MarkovCounts;
 use strent_analysis::AnalysisError;
 use strent_rings::measure;
-use strent_rings::stream::StreamConfig;
 use strent_rings::surrogate::Calibrator;
 use strent_trng::bits::BitString;
 use strent_trng::entropy::markov_min_entropy;
@@ -172,11 +171,7 @@ fn surrogate_golden_moments_reproduce_the_full_sim_bound() {
         let spec = SourceSpec::new(preset, seed);
         let board = spec.board(0);
         let config = preset.stream_config();
-        let run = match &config {
-            StreamConfig::Iro(c) => measure::run_iro(c, &board, seed, periods),
-            StreamConfig::Str(c) => measure::run_str(c, &board, seed, periods),
-        }
-        .expect("full sim runs");
+        let run = measure::run(&config, &board, seed, periods).expect("full sim runs");
         let mean = run.periods_ps.iter().sum::<f64>() / run.periods_ps.len() as f64;
         let sigma1 = period_jitter(&run.periods_ps).expect("jitter measures");
         let full_ratio =

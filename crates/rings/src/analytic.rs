@@ -218,7 +218,8 @@ mod tests {
         for tokens in [4usize, 8, 12, 16, 20, 24, 28] {
             let config = StrConfig::new(32, tokens).expect("valid counts");
             let predicted = 1e6 / str_period_general_ps(&config, &board);
-            let run = crate::measure::run_str(&config, &board, 3, 200).expect("oscillates");
+            let ring = crate::RingConfig::Str(config.clone());
+            let run = crate::measure::run(&ring, &board, 3, 200).expect("oscillates");
             assert!(
                 (run.frequency_mhz / predicted - 1.0).abs() < 0.02,
                 "NT = {tokens}: sim {} vs predicted {predicted}",

@@ -33,8 +33,8 @@ use strent_device::noise::GlobalJitterProcess;
 use strent_device::Board;
 
 use crate::error::RingError;
-use crate::measure::{run_iro, run_str, RingRun};
-use crate::{IroConfig, StrConfig};
+use crate::measure::{run, RingRun};
+use crate::ring::RingConfig;
 
 /// Fewest periods per ring for a meaningful lock-in and jitter floor.
 pub const MIN_PERIODS: usize = 64;
@@ -162,17 +162,18 @@ fn check_periods(periods: usize) -> Result<(), RingError> {
     Ok(())
 }
 
-/// Runs a differential STR pair: two rings of the same configuration
-/// on the same globally-modulated board, thermal seeds `seeds.0` and
-/// `seeds.1`.
+/// Runs a differential pair: two rings of the same configuration on
+/// the same globally-modulated board, thermal seeds `seeds.0` and
+/// `seeds.1`. An IRO pair is the control the STR pair is compared
+/// against.
 ///
 /// # Errors
 ///
 /// Propagates ring simulation errors, and rejects `periods` below
 /// [`MIN_PERIODS`] or equal seeds (identical thermal noise would make
 /// the differential rejection trivially perfect).
-pub fn run_differential_str(
-    config: &StrConfig,
+pub fn run_differential(
+    config: &RingConfig,
     board: &Board,
     process: &GlobalJitterProcess,
     seeds: (u64, u64),
@@ -181,31 +182,13 @@ pub fn run_differential_str(
     check_periods(periods)?;
     check_seeds(seeds)?;
     let modulated = process.modulated(board);
-    let a = run_str(config, &modulated, seeds.0, periods)?;
-    let b = run_str(config, &modulated, seeds.1, periods)?;
-    analyze(format!("STR {}C pair", config.length()), &a, &b, process)
-}
-
-/// Runs a differential IRO pair — the control the STR is compared
-/// against.
-///
-/// # Errors
-///
-/// Propagates ring simulation errors, and rejects `periods` below
-/// [`MIN_PERIODS`] or equal seeds.
-pub fn run_differential_iro(
-    config: &IroConfig,
-    board: &Board,
-    process: &GlobalJitterProcess,
-    seeds: (u64, u64),
-    periods: usize,
-) -> Result<DifferentialOutcome, RingError> {
-    check_periods(periods)?;
-    check_seeds(seeds)?;
-    let modulated = process.modulated(board);
-    let a = run_iro(config, &modulated, seeds.0, periods)?;
-    let b = run_iro(config, &modulated, seeds.1, periods)?;
-    analyze(format!("IRO {}C pair", config.length()), &a, &b, process)
+    let a = run(config, &modulated, seeds.0, periods)?;
+    let b = run(config, &modulated, seeds.1, periods)?;
+    let label = match config {
+        RingConfig::Str(c) => format!("STR {}C pair", c.length()),
+        RingConfig::Iro(c) => format!("IRO {}C pair", c.length()),
+    };
+    analyze(label, &a, &b, process)
 }
 
 fn check_seeds(seeds: (u64, u64)) -> Result<(), RingError> {
@@ -220,22 +203,27 @@ fn check_seeds(seeds: (u64, u64)) -> Result<(), RingError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{IroConfig, StrConfig};
     use strent_device::Technology;
 
     fn board() -> Board {
         Board::new(Technology::cyclone_iii(), 0, 0xD1FF)
     }
 
+    fn iro(length: usize) -> RingConfig {
+        RingConfig::Iro(IroConfig::new(length).expect("valid"))
+    }
+
     #[test]
     fn rejects_thin_runs_and_shared_seeds() {
         let process = GlobalJitterProcess::new(0.012, 5.0);
-        let config = IroConfig::new(5).expect("valid");
+        let config = iro(5);
         assert!(matches!(
-            run_differential_iro(&config, &board(), &process, (1, 2), 8),
+            run_differential(&config, &board(), &process, (1, 2), 8),
             Err(RingError::InvalidConfig(_))
         ));
         assert!(matches!(
-            run_differential_iro(&config, &board(), &process, (3, 3), 256),
+            run_differential(&config, &board(), &process, (3, 3), 256),
             Err(RingError::InvalidConfig(_))
         ));
     }
@@ -243,9 +231,7 @@ mod tests {
     #[test]
     fn iro_pair_rejects_the_common_mode() {
         let process = GlobalJitterProcess::new(0.012, 5.0);
-        let config = IroConfig::new(25).expect("valid");
-        let out =
-            run_differential_iro(&config, &board(), &process, (11, 12), 1_200).expect("runs");
+        let out = run_differential(&iro(25), &board(), &process, (11, 12), 1_200).expect("runs");
         // The undefended series carries the tone well above the
         // differential residue: measurable rejection.
         assert!(
@@ -271,22 +257,16 @@ mod tests {
     #[test]
     fn str_intrinsic_sensitivity_beats_the_iro() {
         let process = GlobalJitterProcess::new(0.012, 5.0);
-        let str_out = run_differential_str(
-            &StrConfig::new(32, 16).expect("valid"),
+        let str_out = run_differential(
+            &RingConfig::Str(StrConfig::new(32, 16).expect("valid")),
             &board(),
             &process,
             (21, 22),
             1_200,
         )
         .expect("runs");
-        let iro_out = run_differential_iro(
-            &IroConfig::new(25).expect("valid"),
-            &board(),
-            &process,
-            (21, 22),
-            1_200,
-        )
-        .expect("runs");
+        let iro_out =
+            run_differential(&iro(25), &board(), &process, (21, 22), 1_200).expect("runs");
         // Both families see a similar ~1.3-1.5% relative tone (global
         // delay modulation is multiplicative) ...
         assert!(str_out.intrinsic_sensitivity() > 0.005);

@@ -1,13 +1,13 @@
-//! Fault-armed ring runners for degradation studies.
+//! The fault-armed ring runner for degradation studies.
 //!
-//! [`measure::run_str`](crate::measure::run_str) and friends demand an
-//! oscillating ring — exactly the property a fault campaign destroys.
-//! The runners here build the same netlists, split a
-//! [`FaultPlan`] into its device half (supply droops, applied to a
-//! cloned [`Board`]) and its engine half (net/stage faults, armed on
-//! the [`Simulator`](strent_sim::Simulator)), then run to a **fixed
-//! horizon** and hand back whatever trace the ring produced — a stuck
-//! ring is a result, not an error.
+//! [`measure::run`](crate::measure::run) demands an oscillating ring —
+//! exactly the property a fault campaign destroys. [`run_degraded`]
+//! builds the ring through the same verified build step, with SL012
+//! excused, splits a [`FaultPlan`] into its device half (supply
+//! droops, applied to a cloned [`Board`]) and its engine half
+//! (net/stage faults, armed on the [`Simulator`]), then runs to a
+//! **fixed horizon** and hands back whatever trace the ring produced —
+//! a stuck ring is a result, not an error.
 //!
 //! See `docs/robustness.md` for the fault taxonomy and
 //! `run_degradation` in `strent-core` for the experiment built on top.
@@ -15,11 +15,8 @@
 use strent_device::{Board, Supply};
 use strent_sim::{Edge, FaultKind, FaultPlan, SimError, SimStats, Simulator, Time, Trace};
 
-use crate::analytic;
 use crate::error::RingError;
-use crate::iro::{self, IroConfig};
-use crate::lint;
-use crate::str_ring::{self, StrConfig};
+use crate::ring::RingConfig;
 
 /// The outcome of a fixed-horizon fault-armed run.
 ///
@@ -86,20 +83,23 @@ fn check_horizon(horizon_ps: f64) -> Result<(), RingError> {
     Ok(())
 }
 
-/// Builds an STR, arms `plan` and runs to `horizon_ps`.
+/// Builds the ring, arms `plan` and runs to `horizon_ps`.
 ///
 /// Supply-droop specs are applied to a cloned board before
-/// construction; everything else is armed on the engine. The run makes
-/// no oscillation demand — use [`rising_interval_cv`] or the health
-/// tests in `strent-trng` to judge what came back.
+/// construction; everything else is armed on the engine. Degraded
+/// operation is the experiment, not a finding, so the verified build
+/// excuses the Eq. 1 burst prediction (SL012); every other check still
+/// applies. The run makes no oscillation demand — use
+/// [`rising_interval_cv`] or the health tests in `strent-trng` to judge
+/// what came back.
 ///
 /// # Errors
 ///
 /// Returns an error for an invalid configuration or horizon, a plan
 /// naming an unknown net or out-of-range stage, an unsupportable
 /// supply droop, or a static-verification rejection.
-pub fn run_str_degraded(
-    config: &StrConfig,
+pub fn run_degraded(
+    config: &RingConfig,
     board: &Board,
     seed: u64,
     horizon_ps: f64,
@@ -108,52 +108,12 @@ pub fn run_str_degraded(
     check_horizon(horizon_ps)?;
     let board = apply_supply_faults(board, plan)?;
     let mut sim = Simulator::new(seed);
-    let handle = str_ring::build(config, &board, &mut sim)?;
-    let expected = analytic::str_period_general_ps(config, &board);
-    sim.watch_with_capacity(handle.output(), degraded_capacity(horizon_ps, expected))?;
-    // Structural verification still applies to a fault campaign, but
-    // the Eq. 1 burst prediction does not: degraded operation is the
-    // experiment, not a finding.
-    let mut report = sim.lint_netlist();
-    report.extend(lint::verify_built_str(&sim, &handle));
-    lint::enforce(&report)?;
-    sim.arm_faults(&plan.without_supply_faults(), handle.components())?;
+    let ring = config.build(&board, &mut sim, true)?;
+    let expected = config.predicted_period_ps(&board);
+    sim.watch_with_capacity(ring.output(), degraded_capacity(horizon_ps, expected))?;
+    sim.arm_faults(&plan.without_supply_faults(), ring.components())?;
     sim.run_until(Time::from_ps(horizon_ps))?;
-    let trace = sim.trace(handle.output()).expect("watched").clone();
-    Ok(DegradedRun {
-        trace,
-        end_time: sim.now(),
-        stats: sim.stats(),
-    })
-}
-
-/// Builds an IRO, arms `plan` and runs to `horizon_ps`.
-///
-/// The IRO counterpart of [`run_str_degraded`]; see there for the
-/// split between device-level and engine-level faults.
-///
-/// # Errors
-///
-/// Same conditions as [`run_str_degraded`].
-pub fn run_iro_degraded(
-    config: &IroConfig,
-    board: &Board,
-    seed: u64,
-    horizon_ps: f64,
-    plan: &FaultPlan,
-) -> Result<DegradedRun, RingError> {
-    check_horizon(horizon_ps)?;
-    let board = apply_supply_faults(board, plan)?;
-    let mut sim = Simulator::new(seed);
-    let handle = iro::build(config, &board, &mut sim)?;
-    let expected = analytic::iro_period_ps(config, &board);
-    sim.watch_with_capacity(handle.output(), degraded_capacity(horizon_ps, expected))?;
-    let mut report = sim.lint_netlist();
-    report.extend(lint::verify_built_iro(&sim, &handle, config));
-    lint::enforce(&report)?;
-    sim.arm_faults(&plan.without_supply_faults(), handle.components())?;
-    sim.run_until(Time::from_ps(horizon_ps))?;
-    let trace = sim.trace(handle.output()).expect("watched").clone();
+    let trace = sim.trace(ring.output()).expect("watched").clone();
     Ok(DegradedRun {
         trace,
         end_time: sim.now(),
@@ -192,6 +152,7 @@ pub fn rising_interval_cv(trace: &Trace, from_ps: f64, until_ps: f64) -> Option<
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{IroConfig, StrConfig};
     use strent_device::Technology;
     use strent_sim::Bit;
 
@@ -199,11 +160,24 @@ mod tests {
         Board::new(Technology::cyclone_iii(), 0, 7)
     }
 
+    fn str_config(length: usize, tokens: usize) -> RingConfig {
+        RingConfig::Str(StrConfig::new(length, tokens).expect("valid"))
+    }
+
+    fn iro_config() -> RingConfig {
+        RingConfig::Iro(IroConfig::new(5).expect("valid"))
+    }
+
     #[test]
     fn clean_plan_matches_healthy_oscillation() {
-        let config = StrConfig::new(8, 4).expect("valid");
-        let run = run_str_degraded(&config, &board(), 3, 200_000.0, &FaultPlan::new(3))
-            .expect("runs");
+        let run = run_degraded(
+            &str_config(8, 4),
+            &board(),
+            3,
+            200_000.0,
+            &FaultPlan::new(3),
+        )
+        .expect("runs");
         let cv = rising_interval_cv(&run.trace, 50_000.0, 200_000.0).expect("edges");
         assert!(cv < 0.05, "healthy STR locks tightly, cv={cv}");
         assert_eq!(run.end_time, Time::from_ps(200_000.0));
@@ -212,12 +186,10 @@ mod tests {
 
     #[test]
     fn stuck_at_stalls_then_ring_relocks() {
-        let config = StrConfig::new(8, 4).expect("valid");
         let plan = FaultPlan::new(9)
             .with_stuck_at("str0", Bit::Low, 60_000.0, 120_000.0)
             .expect("valid");
-        let run =
-            run_str_degraded(&config, &board(), 3, 260_000.0, &plan).expect("runs");
+        let run = run_degraded(&str_config(8, 4), &board(), 3, 260_000.0, &plan).expect("runs");
         // The clamp window contains (almost) no rising edges on the
         // clamped output net.
         let clamped: Vec<f64> = run
@@ -236,14 +208,12 @@ mod tests {
 
     #[test]
     fn supply_droop_slows_the_iro() {
-        let config = IroConfig::new(5).expect("valid");
-        let healthy = run_iro_degraded(&config, &board(), 4, 150_000.0, &FaultPlan::new(4))
-            .expect("runs");
+        let healthy =
+            run_degraded(&iro_config(), &board(), 4, 150_000.0, &FaultPlan::new(4)).expect("runs");
         let plan = FaultPlan::new(4)
             .with_supply_droop(40_000.0, 0.65, 150_000.0)
             .expect("valid");
-        let drooped =
-            run_iro_degraded(&config, &board(), 4, 150_000.0, &plan).expect("runs");
+        let drooped = run_degraded(&iro_config(), &board(), 4, 150_000.0, &plan).expect("runs");
         let healthy_edges = healthy.trace.edge_count(Edge::Rising);
         let droop_edges = drooped.trace.edge_count(Edge::Rising);
         assert!(
@@ -254,22 +224,20 @@ mod tests {
 
     #[test]
     fn droop_below_threshold_is_rejected() {
-        let config = IroConfig::new(5).expect("valid");
         let plan = FaultPlan::new(0)
             .with_supply_droop(1_000.0, 0.8, 2_000.0)
             .expect("valid spec");
-        let err = run_iro_degraded(&config, &board(), 1, 10_000.0, &plan)
+        let err = run_degraded(&iro_config(), &board(), 1, 10_000.0, &plan)
             .expect_err("0.4 V rail rejected");
         assert!(err.to_string().contains("threshold"), "{err}");
     }
 
     #[test]
     fn unknown_net_in_plan_is_reported() {
-        let config = StrConfig::new(8, 4).expect("valid");
         let plan = FaultPlan::new(0)
             .with_stuck_at("nosuchnet", Bit::High, 10.0, 20.0)
             .expect("valid spec");
-        let err = run_str_degraded(&config, &board(), 1, 10_000.0, &plan)
+        let err = run_degraded(&str_config(8, 4), &board(), 1, 10_000.0, &plan)
             .expect_err("unknown net rejected");
         assert!(matches!(
             err,
@@ -279,12 +247,12 @@ mod tests {
 
     #[test]
     fn degraded_runs_are_deterministic() {
-        let config = StrConfig::new(12, 6).expect("valid");
+        let ring = str_config(12, 6);
         let plan = FaultPlan::new(11)
             .with_glitch_burst("str3", Bit::High, 30_000.0, 6, 2_000.0, 400.0)
             .expect("valid");
-        let a = run_str_degraded(&config, &board(), 5, 120_000.0, &plan).expect("runs");
-        let b = run_str_degraded(&config, &board(), 5, 120_000.0, &plan).expect("runs");
+        let a = run_degraded(&ring, &board(), 5, 120_000.0, &plan).expect("runs");
+        let b = run_degraded(&ring, &board(), 5, 120_000.0, &plan).expect("runs");
         assert_eq!(a, b, "same seed + plan is bit-identical");
     }
 }

@@ -18,7 +18,9 @@
 //!   families (Eqs. 4 and 5, the `NT = NB` period formula);
 //! * [`mode`] — oscillation-mode detection: evenly-spaced vs burst
 //!   (Fig. 5) from simulated traces;
-//! * [`measure`] — convenience runners that build a ring, simulate it and
+//! * [`ring`] — [`RingConfig`], the one STR-or-IRO type, and its
+//!   verified build, the step every ring simulation goes through;
+//! * [`measure`] — measurement runners that simulate a ring and
 //!   return period series ready for `strent-analysis`;
 //! * [`differential`] — paired-ring differential measurement: two
 //!   matched rings share a global-jitter process (common-mode supply
@@ -36,19 +38,18 @@
 //!   device layer and everything else on the engine;
 //! * [`lint`] — the ring-aware half of the `simlint` static verifier:
 //!   oscillation conditions, token conservation, Eq. 1 burst-mode
-//!   prediction and wiring checks, run on every netlist the measurement
-//!   runners build (see `docs/static_analysis.md`).
+//!   prediction and wiring checks, run on every ring the verified build
+//!   step builds (see `docs/static_analysis.md`).
 //!
 //! ## Example: measure a 16-stage STR
 //!
 //! ```
 //! use strent_device::{Board, Technology};
-//! use strent_rings::str_ring::StrConfig;
-//! use strent_rings::measure;
+//! use strent_rings::{measure, RingConfig, StrConfig};
 //!
 //! let board = Board::new(Technology::cyclone_iii(), 0, 42);
 //! let config = StrConfig::new(16, 8)?; // L = 16, NT = NB = 8
-//! let run = measure::run_str(&config, &board, 42, 200)?;
+//! let run = measure::run(&RingConfig::Str(config.clone()), &board, 42, 200)?;
 //! // The evenly-spaced STR oscillates near its analytic frequency.
 //! let predicted = strent_rings::analytic::str_frequency_mhz(&config, &board);
 //! assert!((run.frequency_mhz / predicted - 1.0).abs() < 0.05);
@@ -69,6 +70,7 @@ pub mod iro;
 pub mod lint;
 pub mod measure;
 pub mod mode;
+pub mod ring;
 pub mod state;
 pub mod str_ring;
 pub mod stream;
@@ -79,7 +81,8 @@ pub use error::RingError;
 pub use iro::IroConfig;
 pub use lint::LintPolicy;
 pub use mode::OscillationMode;
+pub use ring::{RingConfig, RingHandle};
 pub use state::StrState;
 pub use str_ring::StrConfig;
-pub use stream::{RingStream, StreamConfig};
+pub use stream::RingStream;
 pub use surrogate::{Calibrator, EntropySource, SourceBackend, SurrogateModel, SurrogateStream};

@@ -8,8 +8,9 @@
 //! *built* netlist, measurement-divider reachability and the
 //! uncancellable-fast-path fan-out budget.
 //!
-//! The measurement runners ([`crate::measure`]) run these checks on
-//! every netlist they build, honoring the process-wide [`LintPolicy`]:
+//! The verified build step ([`crate::RingConfig::build`]) runs these
+//! checks on every ring it builds, honoring the process-wide
+//! [`LintPolicy`]:
 //! warn-by-default (diagnostics on stderr, simulation proceeds), deny
 //! in CI (`STRENT_LINT=deny`, any finding aborts the run as
 //! [`RingError::Lint`]), or silent.
@@ -45,6 +46,11 @@ pub enum LintPolicy {
 const POLICY_UNSET: u8 = u8::MAX;
 
 static POLICY: AtomicU8 = AtomicU8::new(POLICY_UNSET);
+
+/// Serializes the tests that set the process-wide policy, which the
+/// test harness would otherwise run on parallel threads.
+#[cfg(test)]
+pub(crate) static POLICY_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
 fn policy_from_env() -> LintPolicy {
     match std::env::var("STRENT_LINT").as_deref() {
@@ -553,6 +559,9 @@ mod tests {
 
     #[test]
     fn enforce_deny_surfaces_ring_error() {
+        let _serial = POLICY_LOCK
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
         let saved = policy();
         set_policy(LintPolicy::Deny);
         let mut report = LintReport::new();

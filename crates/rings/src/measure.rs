@@ -1,19 +1,19 @@
-//! Convenience runners: build a ring, simulate it, return period series.
+//! Measurement runners: simulate a ring, return period series.
 //!
-//! These wrap the build functions of [`crate::iro`] and
-//! [`crate::str_ring`] with the bookkeeping every experiment needs:
-//! warm-up discarding, a stop rule that ends each run about one period
-//! past the last rising edge it reads (`advance_to_edges`) and trace
-//! extraction.
+//! [`run`] measures any [`RingConfig`] built through the verified build
+//! step ([`RingConfig::build`]) and adds the bookkeeping every
+//! experiment needs: warm-up discarding, a stop rule that ends each run
+//! about one period past the last rising edge it reads
+//! (`advance_to_edges`) and trace extraction. [`run_str_full`] records
+//! every stage of an STR for mode diagnosis.
 
 use strent_device::Board;
 use strent_sim::{Edge, SimStats, Simulator, Time, Trace};
 
 use crate::analytic;
 use crate::error::RingError;
-use crate::iro::{self, IroConfig};
-use crate::lint;
-use crate::str_ring::{self, StrConfig};
+use crate::ring::RingConfig;
+use crate::str_ring::StrConfig;
 
 /// Number of initial periods discarded as start-up transient.
 pub const WARMUP_PERIODS: usize = 64;
@@ -27,16 +27,18 @@ pub struct RingRun {
     pub half_periods_ps: Vec<f64>,
     /// Mean frequency over the steady-state periods, MHz.
     pub frequency_mhz: f64,
-    /// Simulator events dispatched to produce this run — the workload
-    /// unit sweep harnesses aggregate per shard.
-    pub events_dispatched: u64,
     /// Full kernel statistics of the run (dispatched, cancelled,
     /// suppressed), for per-experiment perf reporting.
     pub stats: SimStats,
 }
 
 impl RingRun {
-    fn from_trace(trace: &Trace, warmup: usize, requested: usize) -> Result<Self, RingError> {
+    fn from_trace(
+        trace: &Trace,
+        warmup: usize,
+        requested: usize,
+        stats: SimStats,
+    ) -> Result<Self, RingError> {
         let all_periods = trace.periods(Edge::Rising);
         if all_periods.len() < warmup + requested {
             return Err(RingError::HorizonExceeded {
@@ -53,16 +55,8 @@ impl RingRun {
             half_periods_ps: halves[half_start..half_end].to_vec(),
             frequency_mhz: 1e6 / mean,
             periods_ps,
-            events_dispatched: 0,
-            stats: SimStats::default(),
+            stats,
         })
-    }
-
-    /// Copies the kernel statistics of the finished simulation into the
-    /// run record.
-    fn absorb_stats(&mut self, stats: SimStats) {
-        self.stats = stats;
-        self.events_dispatched = stats.events_processed;
     }
 }
 
@@ -142,61 +136,43 @@ fn run_to_periods(
     })
 }
 
-/// Builds and runs an IRO, returning `periods` steady-state periods.
+/// Builds `config` through the verified build step, with SL012 a
+/// finding, and runs it for `periods` steady-state periods.
 ///
 /// # Errors
 ///
-/// Returns an error if the ring fails to oscillate or the simulator
-/// reports a fault.
-pub fn run_iro(
-    config: &IroConfig,
+/// Returns an error if the ring fails verification or to oscillate, or
+/// the simulator reports a fault.
+pub fn run(
+    config: &RingConfig,
     board: &Board,
     seed: u64,
     periods: usize,
 ) -> Result<RingRun, RingError> {
     let mut sim = Simulator::new(seed);
-    let handle = iro::build(config, board, &mut sim)?;
+    let output = config.build(board, &mut sim, false)?.output();
     let capacity = expected_transitions(periods + WARMUP_PERIODS + 2);
-    sim.watch_with_capacity(handle.output(), capacity)?;
-    let mut report = sim.lint_netlist();
-    report.extend(lint::verify_built_iro(&sim, &handle, config));
-    lint::enforce(&report)?;
-    let expected = analytic::iro_period_ps(config, board);
-    run_to_periods(&mut sim, handle.output(), expected, periods, WARMUP_PERIODS)?;
-    let trace = sim.trace(handle.output()).expect("watched");
-    let mut run = RingRun::from_trace(trace, WARMUP_PERIODS, periods)?;
-    run.absorb_stats(sim.stats());
-    Ok(run)
+    sim.watch_with_capacity(output, capacity)?;
+    let expected = config.predicted_period_ps(board);
+    run_to_periods(&mut sim, output, expected, periods, WARMUP_PERIODS)?;
+    let trace = sim.trace(output).expect("watched");
+    RingRun::from_trace(trace, WARMUP_PERIODS, periods, sim.stats())
 }
 
-/// Builds and runs an STR, returning `periods` steady-state periods.
+/// [`run`] for an STR. Nothing in the workspace calls it: it keeps its
+/// name for perfbench's kernel probe, and goes once that probe calls
+/// [`run`].
 ///
 /// # Errors
 ///
-/// Returns an error if the ring fails to oscillate or the simulator
-/// reports a fault.
+/// Same conditions as [`run`].
 pub fn run_str(
     config: &StrConfig,
     board: &Board,
     seed: u64,
     periods: usize,
 ) -> Result<RingRun, RingError> {
-    let mut sim = Simulator::new(seed);
-    let handle = str_ring::build(config, board, &mut sim)?;
-    let capacity = expected_transitions(periods + WARMUP_PERIODS + 2);
-    sim.watch_with_capacity(handle.output(), capacity)?;
-    let mut report = sim.lint_netlist();
-    report.extend(lint::verify_built_str(&sim, &handle));
-    report.extend(lint::verify_str_config(config, board));
-    lint::enforce(&report)?;
-    // The general closure formula stays accurate for NT != NB, where
-    // the balanced formula can underestimate the period several-fold.
-    let expected = analytic::str_period_general_ps(config, board);
-    run_to_periods(&mut sim, handle.output(), expected, periods, WARMUP_PERIODS)?;
-    let trace = sim.trace(handle.output()).expect("watched");
-    let mut run = RingRun::from_trace(trace, WARMUP_PERIODS, periods)?;
-    run.absorb_stats(sim.stats());
-    Ok(run)
+    run(&RingConfig::Str(config.clone()), board, seed, periods)
 }
 
 /// A full STR run that also records every stage output — the input for
@@ -213,10 +189,9 @@ pub struct StrFullRun {
 
 /// Builds and runs an STR with all stage outputs recorded.
 ///
-/// Unlike [`run_str`], a failure to collect the requested period count
-/// is tolerated when at least a handful of transitions happened — a
-/// *burst-mode* ring is irregular but very much alive, and mode
-/// diagnosis is exactly what this runner exists for.
+/// Mode diagnosis is what this runner exists for, and Fig. 5 and the
+/// mode map provoke the burst regime on purpose, so the verified build
+/// excuses SL012 here; every other finding still applies.
 ///
 /// This run does not stop at the edge it needs: it runs to 1.3 times
 /// the predicted run, doubled (at most eight times) until the output
@@ -226,8 +201,11 @@ pub struct StrFullRun {
 ///
 /// # Errors
 ///
-/// Returns an error if the simulator faults or the ring produced no
-/// transitions at all.
+/// Returns [`RingError::NotOscillating`] when the output still holds
+/// no more than `periods + WARMUP_PERIODS + 2` rising edges at the last
+/// horizon, which a burst-mode ring short of edges meets too. Also
+/// returns an error if the ring fails verification or the simulator
+/// faults.
 pub fn run_str_full(
     config: &StrConfig,
     board: &Board,
@@ -235,26 +213,13 @@ pub fn run_str_full(
     periods: usize,
 ) -> Result<StrFullRun, RingError> {
     let mut sim = Simulator::new(seed);
-    let handle = str_ring::build(config, board, &mut sim)?;
+    let ring = RingConfig::Str(config.clone()).build(board, &mut sim, true)?;
     let capacity = expected_transitions(periods + WARMUP_PERIODS + 2);
-    for &net in handle.nets() {
+    for &net in ring.nets() {
         sim.watch_with_capacity(net, capacity)?;
     }
-    // Mode diagnosis is this runner's purpose, so the Eq. 1 burst
-    // prediction (SL012) is not a finding here — Fig. 5 and the mode
-    // map deliberately provoke the burst regime. Structural findings
-    // still apply.
-    let mut report = sim.lint_netlist();
-    report.extend(lint::verify_built_str(&sim, &handle));
-    report.extend(
-        lint::verify_str_config(config, board)
-            .into_iter()
-            .filter(|d| d.code != strent_sim::LintCode::BurstModePredicted)
-            .collect(),
-    );
-    lint::enforce(&report)?;
     let expected = analytic::str_period_ps(config, board);
-    let (output, warmup) = (handle.output(), WARMUP_PERIODS);
+    let (output, warmup) = (ring.output(), WARMUP_PERIODS);
     let total = periods + warmup + 2;
     let rising = |sim: &Simulator| sim.trace(output).map_or(0, |t| t.edge_count(Edge::Rising));
     let mut horizon = expected * total as f64 * 1.3;
@@ -273,9 +238,8 @@ pub fn run_str_full(
         });
     }
     let trace = sim.trace(output).expect("watched");
-    let mut run = RingRun::from_trace(trace, warmup, periods)?;
-    run.absorb_stats(sim.stats());
-    let stage_traces: Vec<Trace> = handle
+    let run = RingRun::from_trace(trace, warmup, periods, sim.stats())?;
+    let stage_traces: Vec<Trace> = ring
         .nets()
         .iter()
         .map(|&net| sim.trace(net).expect("watched").clone())
@@ -290,7 +254,7 @@ pub fn run_str_full(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stream::StreamConfig;
+    use crate::iro::IroConfig;
     use strent_device::Technology;
     use strent_sim::NetId;
 
@@ -299,38 +263,26 @@ mod tests {
     }
 
     /// The rings the stop-rule tests cover, with a period count each.
-    fn stop_rule_rings() -> [(StreamConfig, usize); 3] {
+    fn stop_rule_rings() -> [(RingConfig, usize); 3] {
         [
-            (
-                StreamConfig::Str(StrConfig::new(32, 16).expect("valid")),
-                400,
-            ),
-            (
-                StreamConfig::Str(StrConfig::new(96, 48).expect("valid")),
-                150,
-            ),
-            (StreamConfig::Iro(IroConfig::new(5).expect("valid")), 400),
+            (RingConfig::Str(StrConfig::new(32, 16).expect("valid")), 400),
+            (RingConfig::Str(StrConfig::new(96, 48).expect("valid")), 150),
+            (RingConfig::Iro(IroConfig::new(5).expect("valid")), 400),
         ]
     }
 
-    /// `run_str` or `run_iro` on `ring`.
-    fn measured(ring: &StreamConfig, seed: u64, periods: usize) -> RingRun {
-        match ring {
-            StreamConfig::Str(c) => run_str(c, &board(), seed, periods),
-            StreamConfig::Iro(c) => run_iro(c, &board(), seed, periods),
-        }
-        .expect("oscillates")
+    /// [`run`] on `ring`.
+    fn measured(ring: &RingConfig, seed: u64, periods: usize) -> RingRun {
+        run(ring, &board(), seed, periods).expect("oscillates")
     }
 
-    /// `ring` built and watched as the runners build it, not yet run.
-    fn built(ring: &StreamConfig, seed: u64) -> (Simulator, NetId) {
+    /// `ring` built and watched as [`run`] builds it, not yet run.
+    fn built(ring: &RingConfig, seed: u64) -> (Simulator, NetId) {
         let mut sim = Simulator::new(seed);
-        let output = match ring {
-            StreamConfig::Str(c) => str_ring::build(c, &board(), &mut sim)
-                .expect("wires")
-                .output(),
-            StreamConfig::Iro(c) => iro::build(c, &board(), &mut sim).expect("wires").output(),
-        };
+        let output = ring
+            .build(&board(), &mut sim, false)
+            .expect("verifies")
+            .output();
         sim.watch(output).expect("net exists");
         (sim, output)
     }
@@ -345,16 +297,15 @@ mod tests {
             sim.run_until(Time::from_ps(far)).expect("no limit");
             let trace = sim.trace(output).expect("watched");
             let mut reference =
-                RingRun::from_trace(trace, WARMUP_PERIODS, periods).expect("enough");
-            reference.absorb_stats(sim.stats());
+                RingRun::from_trace(trace, WARMUP_PERIODS, periods, sim.stats()).expect("enough");
             assert!(
-                run.events_dispatched < reference.events_dispatched,
+                run.stats.events_processed < reference.stats.events_processed,
                 "{ring:?}: {} events vs {} far past the need",
-                run.events_dispatched,
-                reference.events_dispatched
+                run.stats.events_processed,
+                reference.stats.events_processed
             );
             // Only the kernel counters may differ.
-            reference.absorb_stats(run.stats);
+            reference.stats = run.stats;
             assert_eq!(run, reference, "{ring:?}");
         }
     }
@@ -363,14 +314,16 @@ mod tests {
     fn a_wrong_period_prediction_yields_the_same_run() {
         for (ring, periods) in stop_rule_rings() {
             let mut run = measured(&ring, 4, periods);
-            run.absorb_stats(SimStats::default());
+            run.stats = SimStats::default();
             for factor in [0.5, 2.0] {
                 let (mut sim, output) = built(&ring, 4);
                 let predicted = factor * ring.predicted_period_ps(&board());
                 run_to_periods(&mut sim, output, predicted, periods, WARMUP_PERIODS)
                     .expect("oscillates");
                 let trace = sim.trace(output).expect("watched");
-                let again = RingRun::from_trace(trace, WARMUP_PERIODS, periods).expect("enough");
+                let again =
+                    RingRun::from_trace(trace, WARMUP_PERIODS, periods, SimStats::default())
+                        .expect("enough");
                 assert_eq!(again, run, "{ring:?} predicted at {factor}x");
             }
         }
@@ -429,7 +382,7 @@ mod tests {
     #[test]
     fn iro_run_collects_requested_periods() {
         let config = IroConfig::new(5).expect("valid");
-        let run = run_iro(&config, &board(), 1, 300).expect("oscillates");
+        let run = run(&RingConfig::Iro(config.clone()), &board(), 1, 300).expect("oscillates");
         assert_eq!(run.periods_ps.len(), 300);
         assert_eq!(run.half_periods_ps.len(), 600);
         let predicted = analytic::iro_frequency_mhz(&config, &board());
@@ -443,7 +396,7 @@ mod tests {
     #[test]
     fn str_run_matches_analytic_frequency() {
         let config = StrConfig::new(16, 8).expect("valid");
-        let run = run_str(&config, &board(), 1, 300).expect("oscillates");
+        let run = run(&RingConfig::Str(config.clone()), &board(), 1, 300).expect("oscillates");
         assert_eq!(run.periods_ps.len(), 300);
         let predicted = analytic::str_frequency_mhz(&config, &board());
         assert!(
@@ -466,11 +419,11 @@ mod tests {
 
     #[test]
     fn runs_are_deterministic() {
-        let config = StrConfig::new(12, 6).expect("valid");
-        let a = run_str(&config, &board(), 9, 200).expect("oscillates");
-        let b = run_str(&config, &board(), 9, 200).expect("oscillates");
+        let ring = RingConfig::Str(StrConfig::new(12, 6).expect("valid"));
+        let a = run(&ring, &board(), 9, 200).expect("oscillates");
+        let b = run(&ring, &board(), 9, 200).expect("oscillates");
         assert_eq!(a, b);
-        let c = run_str(&config, &board(), 10, 200).expect("oscillates");
+        let c = run(&ring, &board(), 10, 200).expect("oscillates");
         assert_ne!(a.periods_ps, c.periods_ps, "different seed, different jitter");
     }
 }

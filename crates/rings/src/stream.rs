@@ -12,41 +12,18 @@
 //! ring and a consumption cursor. Each `advance_by` extends the
 //! simulation; `trace()` exposes the waveform for sampling; and
 //! `prune_before` drops everything the consumer is done with (via
-//! [`Trace::discard_before`]). Static verification (the `SL0xx`
-//! netlist lints) runs once at construction, exactly as in the one-shot
-//! runners, and a [`FaultPlan`] can be armed for degradation-aware
-//! serving — supply droops are split off to the device layer the same
-//! way [`crate::fault::run_str_degraded`] does.
+//! [`Trace::discard_before`]). The ring is built once, through the same
+//! verified build step as the one-shot runners
+//! ([`RingConfig::build`]), and a [`FaultPlan`] can be armed for
+//! degradation-aware serving — supply droops are split off to the
+//! device layer the same way [`crate::fault::run_degraded`] does.
 
 use strent_device::Board;
 use strent_sim::{FaultPlan, SimStats, Simulator, Time, Trace};
 
-use crate::analytic;
 use crate::error::RingError;
 use crate::fault::apply_supply_faults;
-use crate::iro::{self, IroConfig};
-use crate::lint;
-use crate::str_ring::{self, StrConfig};
-
-/// Which ring family a stream simulates.
-#[derive(Debug, Clone, PartialEq)]
-pub enum StreamConfig {
-    /// A self-timed ring.
-    Str(StrConfig),
-    /// An inverter ring oscillator.
-    Iro(IroConfig),
-}
-
-impl StreamConfig {
-    /// The analytic period prediction on `board`, ps.
-    #[must_use]
-    pub fn predicted_period_ps(&self, board: &Board) -> f64 {
-        match self {
-            StreamConfig::Str(c) => analytic::str_period_general_ps(c, board),
-            StreamConfig::Iro(c) => analytic::iro_period_ps(c, board),
-        }
-    }
-}
+use crate::ring::RingConfig;
 
 /// An incrementally stepped, indefinitely running ring source.
 #[derive(Debug)]
@@ -64,8 +41,9 @@ impl RingStream {
     ///
     /// When a fault plan is supplied, its supply-droop half is applied
     /// to a cloned board before construction and the Eq. 1 burst-mode
-    /// prediction is excluded from enforcement (degraded operation is
-    /// the point); structural findings still reject the build.
+    /// prediction (SL012) is excused, as in
+    /// [`run_degraded`](crate::fault::run_degraded): degraded operation
+    /// is the point. Every other finding still rejects the build.
     ///
     /// # Errors
     ///
@@ -73,7 +51,7 @@ impl RingStream {
     /// supply droop, a plan naming an unknown net, or a
     /// static-verification rejection.
     pub fn build(
-        config: &StreamConfig,
+        config: &RingConfig,
         board: &Board,
         seed: u64,
         fault: Option<&FaultPlan>,
@@ -83,37 +61,14 @@ impl RingStream {
             None => board.clone(),
         };
         let mut sim = Simulator::new(seed);
-        let (output, components, report) = match config {
-            StreamConfig::Str(c) => {
-                let handle = str_ring::build(c, &board, &mut sim)?;
-                let mut report = sim.lint_netlist();
-                report.extend(lint::verify_built_str(&sim, &handle));
-                report.extend(
-                    lint::verify_str_config(c, &board)
-                        .into_iter()
-                        .filter(|d| {
-                            fault.is_none()
-                                || d.code != strent_sim::LintCode::BurstModePredicted
-                        })
-                        .collect(),
-                );
-                (handle.output(), handle.components().to_vec(), report)
-            }
-            StreamConfig::Iro(c) => {
-                let handle = iro::build(c, &board, &mut sim)?;
-                let mut report = sim.lint_netlist();
-                report.extend(lint::verify_built_iro(&sim, &handle, c));
-                (handle.output(), handle.components().to_vec(), report)
-            }
-        };
-        lint::enforce(&report)?;
-        sim.watch(output)?;
+        let ring = config.build(&board, &mut sim, fault.is_some())?;
+        sim.watch(ring.output())?;
         if let Some(plan) = fault {
-            sim.arm_faults(&plan.without_supply_faults(), &components)?;
+            sim.arm_faults(&plan.without_supply_faults(), ring.components())?;
         }
         Ok(RingStream {
             sim,
-            output,
+            output: ring.output(),
             expected_period_ps: config.predicted_period_ps(&board),
             consumed_until: Time::ZERO,
         })
@@ -181,6 +136,7 @@ impl RingStream {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{IroConfig, StrConfig};
     use strent_device::Technology;
     use strent_sim::{Bit, Edge};
 
@@ -189,7 +145,7 @@ mod tests {
     }
 
     fn str_stream(seed: u64) -> RingStream {
-        let config = StreamConfig::Str(StrConfig::new(16, 8).expect("valid"));
+        let config = RingConfig::Str(StrConfig::new(16, 8).expect("valid"));
         RingStream::build(&config, &board(), seed, None).expect("builds")
     }
 
@@ -249,7 +205,7 @@ mod tests {
 
     #[test]
     fn iro_streams_oscillate_too() {
-        let config = StreamConfig::Iro(IroConfig::new(9).expect("valid"));
+        let config = RingConfig::Iro(IroConfig::new(9).expect("valid"));
         let mut stream = RingStream::build(&config, &board(), 2, None).expect("builds");
         stream.advance_by(100_000.0).expect("advances");
         assert!(stream.trace().edge_count(Edge::Rising) > 10);
@@ -259,7 +215,7 @@ mod tests {
 
     #[test]
     fn fault_armed_stream_shows_the_clamp() {
-        let config = StreamConfig::Str(StrConfig::new(8, 4).expect("valid"));
+        let config = RingConfig::Str(StrConfig::new(8, 4).expect("valid"));
         let plan = FaultPlan::new(9)
             .with_stuck_at("str0", Bit::Low, 40_000.0, 90_000.0)
             .expect("valid");
@@ -280,7 +236,7 @@ mod tests {
     fn bad_configurations_are_rejected_at_build() {
         // A droop below threshold is rejected exactly as in the
         // degraded runners.
-        let config = StreamConfig::Iro(IroConfig::new(5).expect("valid"));
+        let config = RingConfig::Iro(IroConfig::new(5).expect("valid"));
         let plan = FaultPlan::new(0)
             .with_supply_droop(1_000.0, 0.8, 2_000.0)
             .expect("valid spec");

@@ -37,7 +37,8 @@ use crate::error::RingError;
 use crate::lint;
 use crate::measure::{advance_to_edges, WARMUP_PERIODS};
 use crate::mode::OscillationMode;
-use crate::stream::{RingStream, StreamConfig};
+use crate::ring::RingConfig;
+use crate::stream::RingStream;
 
 /// RNG stream key for surrogate period draws — distinct from every
 /// component key the event-driven simulator derives from the same seed,
@@ -181,7 +182,7 @@ impl Calibrator {
     /// verification, or does not oscillate long enough to calibrate.
     pub fn fit(
         &self,
-        config: &StreamConfig,
+        config: &RingConfig,
         board: &Board,
         seed: u64,
     ) -> Result<SurrogateModel, RingError> {
@@ -609,13 +610,13 @@ impl SurrogateStream {
 ///    boundary and ineligible even though SL012 has not fired yet;
 /// 4. IROs have no burst mode and are always eligible when healthy.
 #[must_use]
-pub fn surrogate_eligible(config: &StreamConfig, board: &Board, fault_armed: bool) -> bool {
+pub fn surrogate_eligible(config: &RingConfig, board: &Board, fault_armed: bool) -> bool {
     if fault_armed {
         return false;
     }
     match config {
-        StreamConfig::Iro(_) => true,
-        StreamConfig::Str(c) => {
+        RingConfig::Iro(_) => true,
+        RingConfig::Str(c) => {
             if lint::predicted_mode(c, board) != OscillationMode::EvenlySpaced {
                 return false;
             }
@@ -662,7 +663,7 @@ impl EntropySource {
     /// static-verification rejection, or a calibration run that fails
     /// to oscillate.
     pub fn build(
-        config: &StreamConfig,
+        config: &RingConfig,
         board: &Board,
         seed: u64,
         fault: Option<&FaultPlan>,
@@ -774,8 +775,8 @@ mod tests {
         Board::new(Technology::asic_like(), 0, 7)
     }
 
-    fn str32() -> StreamConfig {
-        StreamConfig::Str(StrConfig::new(32, 16).expect("valid"))
+    fn str32() -> RingConfig {
+        RingConfig::Str(StrConfig::new(32, 16).expect("valid"))
     }
 
     #[test]
@@ -877,7 +878,7 @@ mod tests {
 
     #[test]
     fn calibration_equals_a_fit_from_a_run_far_past_the_need() {
-        let iro5 = StreamConfig::Iro(IroConfig::new(5).expect("valid"));
+        let iro5 = RingConfig::Iro(IroConfig::new(5).expect("valid"));
         for config in [str32(), iro5] {
             let calibrator = Calibrator::new().with_periods(256);
             let model = calibrator
@@ -965,13 +966,13 @@ mod tests {
         let board = fpga_board();
         // Healthy FPGA rings: both families eligible.
         assert!(surrogate_eligible(&str32(), &board, false));
-        let iro = StreamConfig::Iro(IroConfig::new(32).expect("valid"));
+        let iro = RingConfig::Iro(IroConfig::new(32).expect("valid"));
         assert!(surrogate_eligible(&iro, &board, false));
         // Rule 1: an armed fault forces the full sim.
         assert!(!surrogate_eligible(&str32(), &board, true));
         assert!(!surrogate_eligible(&iro, &board, true));
         // Rule 2: predicted burst (clustered tokens under drafting).
-        let clustered = StreamConfig::Str(
+        let clustered = RingConfig::Str(
             StrConfig::new(16, 6)
                 .expect("valid")
                 .with_layout(TokenLayout::Clustered),
@@ -987,12 +988,12 @@ mod tests {
             "fixture sits between the margins: {deviation}"
         );
         assert!(!surrogate_eligible(
-            &StreamConfig::Str(near.clone()),
+            &RingConfig::Str(near.clone()),
             &asic_board(),
             false
         ));
         // The same ratio on the FPGA (no drafting) stays eligible.
-        assert!(surrogate_eligible(&StreamConfig::Str(near), &board, false));
+        assert!(surrogate_eligible(&RingConfig::Str(near), &board, false));
     }
 
     #[test]

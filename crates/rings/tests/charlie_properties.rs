@@ -7,7 +7,7 @@
 use proptest::prelude::*;
 
 use strent_device::{Board, Technology};
-use strent_rings::{measure, CharlieModel, IroConfig, StrConfig};
+use strent_rings::{measure, CharlieModel, IroConfig, RingConfig, StrConfig};
 
 /// Arbitrary valid `(Ds, Dcharlie)` model parameters, ps.
 fn model_params() -> impl Strategy<Value = (f64, f64)> {
@@ -127,12 +127,12 @@ proptest! {
         let sigma_g = board.technology().sigma_g_ps();
 
         let iro = IroConfig::new(length).expect("positive length");
-        let iro_run = measure::run_iro(&iro, &board, 5, 400).expect("oscillates");
+        let iro_run = measure::run(&RingConfig::Iro(iro), &board, 5, 400).expect("oscillates");
         let iro_sigma =
             strent_analysis::jitter::period_jitter(&iro_run.periods_ps).expect("enough");
 
         let str_config = StrConfig::new(length, half).expect("balanced counts");
-        let str_run = measure::run_str(&str_config, &board, 5, 400).expect("oscillates");
+        let str_run = measure::run(&RingConfig::Str(str_config), &board, 5, 400).expect("oscillates");
         let str_sigma =
             strent_analysis::jitter::period_jitter(&str_run.periods_ps).expect("enough");
 

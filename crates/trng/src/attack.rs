@@ -10,9 +10,9 @@
 use serde::{Deserialize, Serialize};
 use strent_analysis::jitter;
 use strent_device::{Board, Supply};
+use strent_rings::{measure, RingConfig};
 use strent_sim::SimStats;
 
-use crate::elementary::EntropySource;
 use crate::error::TrngError;
 use crate::phase::PhaseModel;
 
@@ -99,7 +99,7 @@ impl ModulationResponse {
 ///
 /// Propagates ring simulation and analysis errors.
 pub fn probe_response(
-    source: &EntropySource,
+    source: &RingConfig,
     board: &Board,
     supply_amplitude_v: f64,
     freq_mhz: f64,
@@ -118,19 +118,19 @@ pub fn probe_response(
 ///
 /// Propagates ring simulation and analysis errors.
 pub fn probe_response_metered(
-    source: &EntropySource,
+    source: &RingConfig,
     board: &Board,
     supply_amplitude_v: f64,
     freq_mhz: f64,
     seed: u64,
     periods: usize,
 ) -> Result<(ModulationResponse, SimStats), TrngError> {
-    let clean = source.run(board, seed, periods)?;
+    let clean = measure::run(source, board, seed, periods)?;
     let sigma_random = jitter::period_jitter(&clean.periods_ps)?;
     let mut attacked_board = board.clone();
     let dc = board.supply().dc_level();
     attacked_board.set_supply(Supply::sine(dc, supply_amplitude_v, freq_mhz));
-    let attacked = source.run(&attacked_board, seed, periods)?;
+    let attacked = measure::run(source, &attacked_board, seed, periods)?;
     let det = lockin_amplitude_ps(&attacked.periods_ps, freq_mhz)?;
     let mut stats = clean.stats;
     stats.absorb(attacked.stats);
@@ -202,7 +202,7 @@ mod tests {
     #[test]
     fn iro_response_shows_deterministic_component() {
         let board = Board::new(Technology::cyclone_iii(), 0, 3);
-        let source = EntropySource::Iro(IroConfig::new(5).expect("valid"));
+        let source = RingConfig::Iro(IroConfig::new(5).expect("valid"));
         let resp =
             probe_response(&source, &board, 0.012, 20.0, 5, 2000).expect("simulates");
         // ~1% supply swing moves the ~2.66 ns period by tens of ps:
@@ -222,8 +222,8 @@ mod tests {
         // at equal L the STR's absolute deterministic response is far
         // smaller because its period stays short.
         let board = Board::new(Technology::cyclone_iii(), 0, 3);
-        let iro = EntropySource::Iro(IroConfig::new(25).expect("valid"));
-        let strr = EntropySource::Str(StrConfig::new(24, 12).expect("valid"));
+        let iro = RingConfig::Iro(IroConfig::new(25).expect("valid"));
+        let strr = RingConfig::Str(StrConfig::new(24, 12).expect("valid"));
         let r_iro =
             probe_response(&iro, &board, 0.012, 20.0, 5, 1500).expect("simulates");
         let r_str =

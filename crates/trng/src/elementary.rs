@@ -4,19 +4,20 @@
 //! entropy per bit is governed by the jitter accumulated over one
 //! reference period relative to the ring period.
 //!
-//! Two execution paths are provided:
+//! The source is any [`RingConfig`]. Two execution paths are provided,
+//! and both build the ring through its verified build step
+//! ([`RingConfig::build`]), with the Eq. 1 burst prediction a finding:
 //!
 //! * [`ElementaryTrng::generate_simulated`] — bit-exact: builds the ring
 //!   in the event-driven simulator and samples its trace. Expensive but
 //!   fully physical; used for validation and attack demonstrations.
 //! * [`ElementaryTrng::calibrated_phase_model`] — runs a *short*
-//!   event-driven simulation to measure the ring's period and
-//!   accumulated jitter, then returns a [`PhaseModel`] reproducing those
-//!   statistics for megabit-scale studies.
+//!   event-driven simulation ([`measure::run`]) to measure the ring's
+//!   period and accumulated jitter, then returns a [`PhaseModel`]
+//!   reproducing those statistics for megabit-scale studies.
 
 use strent_device::Board;
-use strent_rings::measure::{run_iro, run_str, RingRun};
-use strent_rings::{analytic, IroConfig, StrConfig};
+use strent_rings::{measure, RingConfig};
 use strent_sim::{RngTree, Simulator, Time};
 
 use strent_analysis::jitter;
@@ -26,42 +27,10 @@ use crate::error::TrngError;
 use crate::phase::PhaseModel;
 use crate::sampler::Sampler;
 
-/// Which oscillator feeds the sampler.
-#[derive(Debug, Clone, PartialEq)]
-pub enum EntropySource {
-    /// An inverter ring oscillator.
-    Iro(IroConfig),
-    /// A self-timed ring.
-    Str(StrConfig),
-}
-
-impl EntropySource {
-    /// The analytic period prediction for this source on `board`, ps.
-    #[must_use]
-    pub fn predicted_period_ps(&self, board: &Board) -> f64 {
-        match self {
-            EntropySource::Iro(c) => analytic::iro_period_ps(c, board),
-            EntropySource::Str(c) => analytic::str_period_ps(c, board),
-        }
-    }
-
-    /// Runs the source for `periods` steady-state periods.
-    ///
-    /// # Errors
-    ///
-    /// Propagates ring simulation errors.
-    pub fn run(&self, board: &Board, seed: u64, periods: usize) -> Result<RingRun, TrngError> {
-        Ok(match self {
-            EntropySource::Iro(c) => run_iro(c, board, seed, periods)?,
-            EntropySource::Str(c) => run_str(c, board, seed, periods)?,
-        })
-    }
-}
-
 /// An elementary TRNG: `source` sampled every `reference_period_ps`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ElementaryTrng {
-    source: EntropySource,
+    source: RingConfig,
     reference_period_ps: f64,
     meta_window_ps: f64,
 }
@@ -74,7 +43,7 @@ impl ElementaryTrng {
     /// Returns [`TrngError::InvalidParameter`] if the reference period is
     /// not positive or the metastability window is negative.
     pub fn new(
-        source: EntropySource,
+        source: RingConfig,
         reference_period_ps: f64,
         meta_window_ps: f64,
     ) -> Result<Self, TrngError> {
@@ -89,7 +58,7 @@ impl ElementaryTrng {
 
     /// The entropy source.
     #[must_use]
-    pub fn source(&self) -> &EntropySource {
+    pub fn source(&self) -> &RingConfig {
         &self.source
     }
 
@@ -107,7 +76,7 @@ impl ElementaryTrng {
     ///
     /// # Errors
     ///
-    /// Propagates ring simulation errors.
+    /// Propagates ring verification and simulation errors.
     pub fn generate_simulated(
         &self,
         board: &Board,
@@ -118,10 +87,7 @@ impl ElementaryTrng {
         let warmup_ps = 64.0 * ring_period;
         let horizon = warmup_ps + self.reference_period_ps * (count + 2) as f64;
         let mut sim = Simulator::new(seed);
-        let output = match &self.source {
-            EntropySource::Iro(c) => strent_rings::iro::build(c, board, &mut sim)?.output(),
-            EntropySource::Str(c) => strent_rings::str_ring::build(c, board, &mut sim)?.output(),
-        };
+        let output = self.source.build(board, &mut sim, false)?.output();
         sim.watch(output)?;
         sim.run_until(Time::from_ps(horizon))?;
         let trace = sim.trace(output).expect("watched");
@@ -145,7 +111,7 @@ impl ElementaryTrng {
         seed: u64,
         calibration_periods: usize,
     ) -> Result<PhaseModel, TrngError> {
-        let run = self.source.run(board, seed, calibration_periods)?;
+        let run = measure::run(&self.source, board, seed, calibration_periods)?;
         let mean_period = 1e6 / run.frequency_mhz;
         // Periods per reference interval (need not be integral).
         let n_ratio = self.reference_period_ps / mean_period;
@@ -162,6 +128,7 @@ impl ElementaryTrng {
 mod tests {
     use super::*;
     use strent_device::Technology;
+    use strent_rings::{IroConfig, StrConfig};
 
     fn board() -> Board {
         Board::new(Technology::cyclone_iii(), 0, 3)
@@ -169,7 +136,7 @@ mod tests {
 
     #[test]
     fn simulated_bits_are_produced_and_deterministic() {
-        let source = EntropySource::Str(StrConfig::new(8, 4).expect("valid"));
+        let source = RingConfig::Str(StrConfig::new(8, 4).expect("valid"));
         // Sample every ~7.3 ring periods.
         let trng = ElementaryTrng::new(source, 5_000.0, 10.0).expect("valid");
         let bits = trng
@@ -186,7 +153,7 @@ mod tests {
 
     #[test]
     fn iro_source_works_too() {
-        let source = EntropySource::Iro(IroConfig::new(5).expect("valid"));
+        let source = RingConfig::Iro(IroConfig::new(5).expect("valid"));
         let trng = ElementaryTrng::new(source, 9_000.0, 10.0).expect("valid");
         let bits = trng
             .generate_simulated(&board(), 1, 200)
@@ -196,7 +163,7 @@ mod tests {
 
     #[test]
     fn phase_model_calibration_matches_source() {
-        let source = EntropySource::Str(StrConfig::new(16, 8).expect("valid"));
+        let source = RingConfig::Str(StrConfig::new(16, 8).expect("valid"));
         let trng = ElementaryTrng::new(source.clone(), 50_000.0, 0.0).expect("valid");
         let model = trng
             .calibrated_phase_model(&board(), 2, 2000)
@@ -216,8 +183,47 @@ mod tests {
     }
 
     #[test]
+    fn every_simulated_path_rejects_a_burst_ring_under_deny() {
+        use crate::{multiphase::MultiphaseTrng, restart};
+        use strent_rings::lint::{self, LintPolicy};
+        use strent_rings::str_ring::TokenLayout;
+        use strent_rings::{OscillationMode, RingError};
+        // EXT-MODE's clustered STR-16/6 at Dcharlie 0 and drafting 5 ps.
+        let tech = Technology::asic_like()
+            .with_charlie_delay_ps(0.0)
+            .with_drafting_delay_ps(5.0);
+        let board = Board::new(tech, 0, 2012);
+        let config = StrConfig::new(16, 6)
+            .expect("valid")
+            .with_layout(TokenLayout::Clustered);
+        assert_eq!(
+            lint::predicted_mode(&config, &board),
+            OscillationMode::Burst
+        );
+        let ring = RingConfig::Str(config.clone());
+        let saved = lint::policy();
+        lint::set_policy(LintPolicy::Deny);
+        let errors = [
+            ElementaryTrng::new(ring.clone(), 5_000.0, 0.0)
+                .and_then(|trng| trng.generate_simulated(&board, 1, 16))
+                .err(),
+            restart::run(&ring, &board, 1, 2, &[1_000.0], &[1]).err(),
+            MultiphaseTrng::new(config, 5_000.0, 0.0)
+                .and_then(|trng| trng.generate(&board, 1, 16))
+                .err(),
+        ];
+        lint::set_policy(saved);
+        for error in errors {
+            assert!(
+                matches!(error, Some(TrngError::Ring(RingError::Lint(_)))),
+                "{error:?}"
+            );
+        }
+    }
+
+    #[test]
     fn parameter_validation() {
-        let source = EntropySource::Str(StrConfig::new(8, 4).expect("valid"));
+        let source = RingConfig::Str(StrConfig::new(8, 4).expect("valid"));
         assert!(ElementaryTrng::new(source.clone(), 0.0, 0.0).is_err());
         assert!(ElementaryTrng::new(source, 100.0, -1.0).is_err());
     }

@@ -11,7 +11,7 @@
 //! instead of requiring a slower reference.
 
 use strent_device::Board;
-use strent_rings::{str_ring, StrConfig};
+use strent_rings::{analytic, RingConfig, StrConfig};
 use strent_sim::{RngTree, Simulator, Time};
 
 use crate::bits::BitString;
@@ -79,14 +79,42 @@ impl MultiphaseTrng {
     ///
     /// # Errors
     ///
-    /// Propagates ring simulation and sampling errors.
+    /// Propagates ring verification, simulation and sampling errors.
     pub fn generate(&self, board: &Board, seed: u64, count: usize) -> Result<BitString, TrngError> {
-        let ring_period = strent_rings::analytic::str_period_ps(&self.config, board);
-        let warmup_ps = 64.0 * ring_period;
+        self.sample_stages(board, seed, count, self.config.length())
+    }
+
+    /// Generates `count` bits from stage 0 only — the single-phase
+    /// baseline the multi-phase architecture improves upon.
+    ///
+    /// # Errors
+    ///
+    /// Propagates ring verification, simulation and sampling errors.
+    pub fn generate_single_phase(
+        &self,
+        board: &Board,
+        seed: u64,
+        count: usize,
+    ) -> Result<BitString, TrngError> {
+        self.sample_stages(board, seed, count, 1)
+    }
+
+    /// Builds the ring through its verified build step, simulates it
+    /// over the sampling window, samples stages `0..stages` and XORs
+    /// their samples per reference edge.
+    fn sample_stages(
+        &self,
+        board: &Board,
+        seed: u64,
+        count: usize,
+        stages: usize,
+    ) -> Result<BitString, TrngError> {
+        let ring = RingConfig::Str(self.config.clone());
+        let warmup_ps = 64.0 * ring.predicted_period_ps(board);
         let horizon = warmup_ps + self.reference_period_ps * (count + 2) as f64;
         let mut sim = Simulator::new(seed);
-        let handle = str_ring::build(&self.config, board, &mut sim)?;
-        for &net in handle.nets() {
+        let nets = ring.build(board, &mut sim, false)?.nets()[..stages].to_vec();
+        for &net in &nets {
             sim.watch(net)?;
         }
         sim.run_until(Time::from_ps(horizon))?;
@@ -94,9 +122,8 @@ impl MultiphaseTrng {
         let sampler = Sampler::new(self.reference_period_ps, self.meta_window_ps)?;
         let rng_tree = RngTree::new(seed ^ 0x3b7a);
         let t0 = Time::from_ps(warmup_ps);
-        // Sample every stage, then XOR across stages per instant.
         let mut combined = vec![0u8; count];
-        for (stage, &net) in handle.nets().iter().enumerate() {
+        for (stage, &net) in nets.iter().enumerate() {
             let trace = sim.trace(net).expect("watched");
             let mut rng = rng_tree.stream(stage as u64);
             let stage_bits = sampler.sample_trace(trace, t0, count, &mut rng)?;
@@ -107,43 +134,13 @@ impl MultiphaseTrng {
         Ok(combined.into_iter().collect())
     }
 
-    /// Generates `count` bits from stage 0 only — the single-phase
-    /// baseline the multi-phase architecture improves upon.
-    ///
-    /// # Errors
-    ///
-    /// Propagates ring simulation and sampling errors.
-    pub fn generate_single_phase(
-        &self,
-        board: &Board,
-        seed: u64,
-        count: usize,
-    ) -> Result<BitString, TrngError> {
-        let ring_period = strent_rings::analytic::str_period_ps(&self.config, board);
-        let warmup_ps = 64.0 * ring_period;
-        let horizon = warmup_ps + self.reference_period_ps * (count + 2) as f64;
-        let mut sim = Simulator::new(seed);
-        let handle = str_ring::build(&self.config, board, &mut sim)?;
-        sim.watch(handle.output())?;
-        sim.run_until(Time::from_ps(horizon))?;
-        let sampler = Sampler::new(self.reference_period_ps, self.meta_window_ps)?;
-        let mut rng = RngTree::new(seed ^ 0x3b7a).stream(0);
-        sampler.sample_trace(
-            sim.trace(handle.output()).expect("watched"),
-            Time::from_ps(warmup_ps),
-            count,
-            &mut rng,
-        )
-    }
-
     /// The phase resolution the ring offers: the mean spacing between
     /// consecutive stage-output events within one period, `T / (2L)`
     /// — the quantity the authors' follow-up design sets against the
     /// jitter magnitude.
     #[must_use]
     pub fn phase_resolution_ps(&self, board: &Board) -> f64 {
-        strent_rings::analytic::str_period_ps(&self.config, board)
-            / (2.0 * self.config.length() as f64)
+        analytic::str_period_general_ps(&self.config, board) / (2.0 * self.config.length() as f64)
     }
 }
 
@@ -190,7 +187,7 @@ mod tests {
             .with_sigma_inter(0.0);
         let board = Board::new(tech, 0, 9);
         let config = StrConfig::new(16, 8).expect("valid counts");
-        let period = strent_rings::analytic::str_period_ps(&config, &board);
+        let period = analytic::str_period_general_ps(&config, &board);
         let trng = MultiphaseTrng::new(config, 4.0 * period, 0.0).expect("valid");
         let multi = trng.generate(&board, 3, 1200).expect("simulates");
         let single = trng
@@ -209,7 +206,7 @@ mod tests {
     fn phase_resolution_follows_the_ring_geometry() {
         let trng = trng();
         let res = trng.phase_resolution_ps(&board());
-        let period = strent_rings::analytic::str_period_ps(trng.config(), &board());
+        let period = analytic::str_period_general_ps(trng.config(), &board());
         assert!((res - period / 32.0).abs() < 1e-9);
         assert_eq!(trng.reference_period_ps(), 19_391.0);
     }

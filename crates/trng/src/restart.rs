@@ -17,11 +17,10 @@
 //! and a different noise stream.
 
 use strent_device::Board;
-use strent_rings::{iro, str_ring};
+use strent_rings::RingConfig;
 use strent_sim::{RngTree, Simulator, Time};
 
 use crate::bits::BitString;
-use crate::elementary::EntropySource;
 use crate::error::TrngError;
 
 /// The observables of one restart campaign.
@@ -56,19 +55,20 @@ impl RestartOutcome {
 
 /// Runs `restarts` independent restarts of `source` on `board`.
 ///
-/// Each restart rebuilds the ring in a fresh simulator with the same
-/// initial token/event configuration and a restart-specific noise
-/// stream, runs long enough to cover the largest delay and edge index,
-/// then records the requested observables.
+/// Each restart rebuilds the ring through its verified build step in a
+/// fresh simulator, with the same initial token/event configuration and
+/// a restart-specific noise stream, runs long enough to cover the
+/// largest delay and edge index, then records the requested
+/// observables.
 ///
 /// # Errors
 ///
 /// Returns [`TrngError::InvalidParameter`] for an empty campaign
 /// (`restarts == 0`, no delays, or no edge indices), or propagates
-/// simulation errors; [`TrngError::NotEnoughBits`] if a restart
+/// ring verification and simulation errors; [`TrngError::NotEnoughBits`] if a restart
 /// produced fewer edges than the largest requested index.
 pub fn run(
-    source: &EntropySource,
+    source: &RingConfig,
     board: &Board,
     seed: u64,
     restarts: usize,
@@ -99,10 +99,7 @@ pub fn run(
     for m in 0..restarts {
         let run_seed = seeds.stream(m as u64).next_u64();
         let mut sim = Simulator::new(run_seed);
-        let output = match source {
-            EntropySource::Iro(c) => iro::build(c, board, &mut sim)?.output(),
-            EntropySource::Str(c) => str_ring::build(c, board, &mut sim)?.output(),
-        };
+        let output = source.build(board, &mut sim, false)?.output();
         sim.watch(output)?;
         sim.run_until(Time::from_ps(horizon))?;
         let trace = sim.trace(output).expect("watched");
@@ -154,7 +151,7 @@ mod tests {
             0,
             1,
         );
-        let source = EntropySource::Iro(IroConfig::new(5).expect("valid length"));
+        let source = RingConfig::Iro(IroConfig::new(5).expect("valid length"));
         let outcome = run(
             &source,
             &board,
@@ -184,7 +181,7 @@ mod tests {
             0,
             1,
         );
-        let source = EntropySource::Str(StrConfig::new(8, 4).expect("valid counts"));
+        let source = RingConfig::Str(StrConfig::new(8, 4).expect("valid counts"));
         let period = source.predicted_period_ps(&board);
         let outcome = run(
             &source,
@@ -211,7 +208,7 @@ mod tests {
     #[test]
     fn restarts_share_the_initial_condition_but_not_the_noise() {
         let board = Board::new(Technology::cyclone_iii(), 0, 1);
-        let source = EntropySource::Str(StrConfig::new(8, 4).expect("valid counts"));
+        let source = RingConfig::Str(StrConfig::new(8, 4).expect("valid counts"));
         let outcome = run(&source, &board, 3, 16, &[50_000.0], &[40]).expect("simulates");
         // The 40th edge times differ across restarts (noise)...
         assert!(outcome.edge_sigma_ps[0] > 0.0);
@@ -223,7 +220,7 @@ mod tests {
     #[test]
     fn invalid_campaigns_are_rejected() {
         let board = Board::new(Technology::cyclone_iii(), 0, 1);
-        let source = EntropySource::Iro(IroConfig::new(3).expect("valid length"));
+        let source = RingConfig::Iro(IroConfig::new(3).expect("valid length"));
         assert!(run(&source, &board, 1, 0, &[100.0], &[1]).is_err());
         assert!(run(&source, &board, 1, 4, &[], &[1]).is_err());
         assert!(run(&source, &board, 1, 4, &[100.0], &[]).is_err());

@@ -52,7 +52,7 @@ fn main() -> Result<(), Box<dyn Error>> {
         1,
     );
     let config = StrConfig::new(16, 8)?.with_routing_ps(0.0)?;
-    let run = measure::run_str(&config, &board, 1, 200)?;
+    let run = measure::run(&RingConfig::Str(config), &board, 1, 200)?;
     let deff = (1e6 / run.frequency_mhz) / 4.0; // T = 4 Deff at NT = NB = L/2
     println!(
         "simulated 16-stage ring: Deff = {:.1} ps vs charlie(0) = {:.1} ps",

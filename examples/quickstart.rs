@@ -20,7 +20,7 @@ fn main() -> Result<(), Box<dyn Error>> {
 
     // Predict, then simulate.
     let predicted_mhz = analytic::str_frequency_mhz(&config, &board);
-    let run = measure::run_str(&config, &board, 7, 2_000)?;
+    let run = measure::run(&RingConfig::Str(config), &board, 7, 2_000)?;
     let sigma_period = jitter::period_jitter(&run.periods_ps)?;
 
     println!("96-stage self-timed ring (NT = NB = 48)");
@@ -31,7 +31,7 @@ fn main() -> Result<(), Box<dyn Error>> {
 
     // The same measurement for the IRO the paper compares against.
     let iro = IroConfig::new(5)?;
-    let iro_run = measure::run_iro(&iro, &board, 7, 2_000)?;
+    let iro_run = measure::run(&RingConfig::Iro(iro.clone()), &board, 7, 2_000)?;
     let iro_sigma = jitter::period_jitter(&iro_run.periods_ps)?;
     println!("\n5-stage inverter ring oscillator");
     println!("  simulated frequency: {:8.2} MHz", iro_run.frequency_mhz);

@@ -8,12 +8,11 @@
 use std::error::Error;
 
 use strentropy::prelude::*;
-use strentropy::trng::elementary::EntropySource;
 use strentropy::trng::restart;
 
 fn main() -> Result<(), Box<dyn Error>> {
     let board = Board::new(Technology::cyclone_iii(), 0, 42);
-    let source = EntropySource::Str(StrConfig::new(16, 8)?);
+    let source = RingConfig::Str(StrConfig::new(16, 8)?);
     let period = source.predicted_period_ps(&board);
 
     // 96 restarts; probe the dispersion of edges 2, 8, 32, 128.
@@ -41,7 +40,7 @@ fn main() -> Result<(), Box<dyn Error>> {
         0,
         42,
     );
-    let source = EntropySource::Str(StrConfig::new(8, 4)?);
+    let source = RingConfig::Str(StrConfig::new(8, 4)?);
     let noisy_period = source.predicted_period_ps(&noisy);
     let delays: Vec<f64> = [2.0, 10.0, 40.0, 160.0]
         .iter()

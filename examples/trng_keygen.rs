@@ -7,7 +7,7 @@
 use std::error::Error;
 
 use strentropy::prelude::*;
-use strentropy::trng::elementary::{ElementaryTrng, EntropySource};
+use strentropy::trng::elementary::ElementaryTrng;
 
 fn main() -> Result<(), Box<dyn Error>> {
     let board = Board::new(Technology::cyclone_iii(), 0, 42);
@@ -15,7 +15,7 @@ fn main() -> Result<(), Box<dyn Error>> {
     // The entropy source: the paper's 96-stage STR. The reference clock
     // is slow enough that the jitter accumulated per sample is a large
     // fraction of the ring period.
-    let source = EntropySource::Str(StrConfig::new(96, 48)?);
+    let source = RingConfig::Str(StrConfig::new(96, 48)?);
     let trng = ElementaryTrng::new(source, 20.0 * 3_125.0, 10.0)?;
 
     // Calibrate the fast phase model from an event-driven run, then

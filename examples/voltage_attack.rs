@@ -12,7 +12,6 @@ use std::error::Error;
 
 use strentropy::prelude::*;
 use strentropy::trng::attack::probe_response;
-use strentropy::trng::elementary::EntropySource;
 
 fn main() -> Result<(), Box<dyn Error>> {
     let board = Board::new(Technology::cyclone_iii(), 0, 42);
@@ -24,7 +23,7 @@ fn main() -> Result<(), Box<dyn Error>> {
     );
 
     for l in [5usize, 25, 80] {
-        let source = EntropySource::Iro(IroConfig::new(l)?);
+        let source = RingConfig::Iro(IroConfig::new(l)?);
         let r = probe_response(&source, &board, 0.012, freq_mhz, 11, 3_000)?;
         println!(
             "{:<10} {:>10.0} {:>12.1} {:>14.2} {:>12.2}",
@@ -36,7 +35,7 @@ fn main() -> Result<(), Box<dyn Error>> {
         );
     }
     for l in [8usize, 32, 96] {
-        let source = EntropySource::Str(StrConfig::new(l, l / 2)?);
+        let source = RingConfig::Str(StrConfig::new(l, l / 2)?);
         let r = probe_response(&source, &board, 0.012, freq_mhz, 11, 3_000)?;
         println!(
             "{:<10} {:>10.0} {:>12.1} {:>14.2} {:>12.2}",

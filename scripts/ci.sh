@@ -55,8 +55,10 @@ echo "repro_all --full --seed 2012: byte-identical to docs/repro_full_output.txt
 echo "== bench_sweep smoke (quick, netlist lints denied) =="
 out="$tmp/BENCH_sweep.json"
 engine_out="$tmp/BENCH_engine.json"
-# STRENT_LINT=deny escalates the SL0xx netlist verifier to hard errors:
-# every ring the smoke run builds must pass static verification.
+# STRENT_LINT=deny escalates the SL0xx netlist verifier to hard errors.
+# Every simulated ring goes through the one verified build step, so the
+# deny run verifies every ring the smoke builds, EXT-RESTART's and
+# EXT-MULTI's included.
 STRENT_LINT=deny cargo run -q --release -p strent-bench --bin bench_sweep --offline -- \
     --quick --out "$out" --engine-out "$engine_out"
 # Both emitters hand-format their JSON; make sure they stay parseable
@@ -81,7 +83,7 @@ assert experiments, "engine report lists no experiments"
 # publish a misleading 0.
 metered = {"fig5", "fig7", "fig8", "fig9", "fig11", "fig12", "obs_a",
            "table1", "table2", "ext_charlie", "ext_mode", "ext_det",
-           "ext_flicker", "ext_method"}
+           "ext_flicker", "ext_method", "ext_coherent"}
 for entry in experiments:
     assert entry["wall_ns"] > 0, f"bogus wall time in {entry}"
     if entry["label"] in metered:

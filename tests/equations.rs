@@ -24,7 +24,8 @@ fn eq1_design_rule_locks_evenly_spaced_mode() {
         let config = StrConfig::new(l, l / 2).expect("valid counts");
         let (ratio, target) = analytic::design_rule(&config);
         assert_eq!(ratio, target);
-        let run = measure::run_str(&config, &board, 3, 300).expect("oscillates");
+        let run =
+            measure::run(&RingConfig::Str(config.clone()), &board, 3, 300).expect("oscillates");
         assert_eq!(
             mode::classify_half_periods(&run.half_periods_ps),
             OscillationMode::EvenlySpaced,
@@ -46,7 +47,8 @@ fn eq3_charlie_delay_shapes_the_period() {
             .expect("valid counts")
             .with_routing_ps(0.0)
             .expect("valid routing");
-        let run = measure::run_str(&config, &board, 3, 200).expect("oscillates");
+        let run =
+            measure::run(&RingConfig::Str(config.clone()), &board, 3, 200).expect("oscillates");
         let period = 1e6 / run.frequency_mhz;
         let predicted = 2.0 * l as f64 * charlie0 / (l as f64 / 2.0);
         assert!(
@@ -64,7 +66,8 @@ fn eq4_iro_jitter_accumulation() {
     let sigma_g = board.technology().sigma_g_ps();
     for &k in &[5usize, 15, 41] {
         let config = IroConfig::new(k).expect("valid length");
-        let run = measure::run_iro(&config, &board, 5, 4_000).expect("oscillates");
+        let run =
+            measure::run(&RingConfig::Iro(config.clone()), &board, 5, 4_000).expect("oscillates");
         let sigma = jitter::period_jitter(&run.periods_ps).expect("enough");
         let predicted = (2.0 * k as f64).sqrt() * sigma_g;
         assert!(
@@ -84,7 +87,8 @@ fn eq5_str_jitter_is_length_independent() {
     let mut sigmas = Vec::new();
     for &l in &[8usize, 32, 96] {
         let config = StrConfig::new(l, l / 2).expect("valid counts");
-        let run = measure::run_str(&config, &board, 5, 4_000).expect("oscillates");
+        let run =
+            measure::run(&RingConfig::Str(config.clone()), &board, 5, 4_000).expect("oscillates");
         let sigma = jitter::period_jitter(&run.periods_ps).expect("enough");
         assert!(
             sigma / predicted < 1.6 && sigma / predicted > 0.6,
@@ -104,7 +108,7 @@ fn eq5_str_jitter_is_length_independent() {
 fn eq6_divider_method_on_iid_periods() {
     let board = quiet_board();
     let config = IroConfig::new(5).expect("valid length");
-    let run = measure::run_iro(&config, &board, 13, 16_000).expect("oscillates");
+    let run = measure::run(&RingConfig::Iro(config), &board, 13, 16_000).expect("oscillates");
     let direct = jitter::period_jitter(&run.periods_ps).expect("enough");
     for &n in &[4usize, 16] {
         let m = strentropy::analysis::divider::measure(&run.periods_ps, n).expect("measures");
@@ -127,7 +131,8 @@ fn eq7_sigma_g_extraction_is_consistent() {
     let mut estimates = Vec::new();
     for &k in &[9usize, 25, 60] {
         let config = IroConfig::new(k).expect("valid length");
-        let run = measure::run_iro(&config, &board, 17, 4_000).expect("oscillates");
+        let run =
+            measure::run(&RingConfig::Iro(config.clone()), &board, 17, 4_000).expect("oscillates");
         let sigma = jitter::period_jitter(&run.periods_ps).expect("enough");
         estimates.push(sigma / (2.0 * k as f64).sqrt());
     }

@@ -2,7 +2,7 @@
 //! simulation through analysis to TRNG evaluation, plus artifact export.
 
 use strentropy::prelude::*;
-use strentropy::trng::elementary::{ElementaryTrng, EntropySource};
+use strentropy::trng::elementary::ElementaryTrng;
 
 /// sim -> rings -> trace -> VCD: the exported waveform is a well-formed
 /// VCD document containing every stage of the ring.
@@ -36,7 +36,8 @@ fn measured_statistics_match_analytic_models() {
     let board = Board::new(Technology::cyclone_iii(), 0, 5);
     for &(l, nt) in &[(8usize, 4usize), (24, 12), (48, 24)] {
         let config = StrConfig::new(l, nt).expect("valid counts");
-        let run = measure::run_str(&config, &board, 9, 400).expect("oscillates");
+        let run =
+            measure::run(&RingConfig::Str(config.clone()), &board, 9, 400).expect("oscillates");
         let predicted = analytic::str_frequency_mhz(&config, &board);
         assert!(
             (run.frequency_mhz / predicted - 1.0).abs() < 0.05,
@@ -46,7 +47,8 @@ fn measured_statistics_match_analytic_models() {
     }
     for &l in &[3usize, 9, 25] {
         let config = IroConfig::new(l).expect("valid length");
-        let run = measure::run_iro(&config, &board, 9, 400).expect("oscillates");
+        let run =
+            measure::run(&RingConfig::Iro(config.clone()), &board, 9, 400).expect("oscillates");
         let predicted = analytic::iro_frequency_mhz(&config, &board);
         assert!(
             (run.frequency_mhz / predicted - 1.0).abs() < 0.05,
@@ -62,7 +64,7 @@ fn measured_statistics_match_analytic_models() {
 #[test]
 fn simulated_trng_bits_end_to_end() {
     let board = Board::new(Technology::cyclone_iii(), 0, 5);
-    let source = EntropySource::Str(StrConfig::new(16, 8).expect("valid counts"));
+    let source = RingConfig::Str(StrConfig::new(16, 8).expect("valid counts"));
     let trng = ElementaryTrng::new(source, 7_777.0, 20.0).expect("valid");
     let bits = trng.generate_simulated(&board, 11, 600).expect("simulates");
     assert_eq!(bits.len(), 600);
@@ -88,7 +90,7 @@ fn simulated_trng_bits_end_to_end() {
 fn divider_method_on_simulated_iro() {
     let board = Board::new(Technology::cyclone_iii(), 0, 5);
     let config = IroConfig::new(9).expect("valid length");
-    let run = measure::run_iro(&config, &board, 21, 8_000).expect("oscillates");
+    let run = measure::run(&RingConfig::Iro(config), &board, 21, 8_000).expect("oscillates");
     let (direct, estimated, rel) =
         strentropy::analysis::divider::validate_against_direct(&run.periods_ps, 8)
             .expect("measures");
@@ -116,7 +118,7 @@ fn board_farm_gives_distinct_but_close_frequencies() {
     let freqs: Vec<f64> = farm
         .iter()
         .map(|b| {
-            measure::run_str(&config, b, 3, 200)
+            measure::run(&RingConfig::Str(config.clone()), b, 3, 200)
                 .expect("oscillates")
                 .frequency_mhz
         })

@@ -36,7 +36,7 @@ proptest! {
     fn any_valid_str_matches_the_closure_formula((len, tokens) in str_configs()) {
         let board = quiet_board();
         let config = StrConfig::new(len, tokens).expect("strategy yields valid counts");
-        let run = measure::run_str(&config, &board, 7, 150).expect("oscillates");
+        let run = measure::run(&RingConfig::Str(config.clone()), &board, 7, 150).expect("oscillates");
         prop_assert_eq!(
             mode::classify_half_periods(&run.half_periods_ps),
             OscillationMode::EvenlySpaced
@@ -54,7 +54,7 @@ proptest! {
     fn any_iro_matches_the_two_lap_period(len in 1usize..=20) {
         let board = quiet_board();
         let config = IroConfig::new(len).expect("positive length");
-        let run = measure::run_iro(&config, &board, 7, 150).expect("oscillates");
+        let run = measure::run(&RingConfig::Iro(config.clone()), &board, 7, 150).expect("oscillates");
         let predicted = analytic::iro_frequency_mhz(&config, &board);
         prop_assert!(
             (run.frequency_mhz / predicted - 1.0).abs() < 1e-6,
@@ -80,7 +80,7 @@ proptest! {
             1,
         );
         let config = StrConfig::new(len, tokens).expect("valid counts");
-        let run = measure::run_str(&config, &board, 11, 400).expect("oscillates");
+        let run = measure::run(&RingConfig::Str(config), &board, 11, 400).expect("oscillates");
         let sigma = jitter::period_jitter(&run.periods_ps).expect("enough");
         // Token- or bubble-starved rings degrade markedly (the scarce
         // species stops averaging and the Charlie smoothing is lost) —

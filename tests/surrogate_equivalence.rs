@@ -23,12 +23,11 @@ use proptest::prelude::*;
 use strent_analysis::{allan, jitter};
 use strent_rings::fault::rising_interval_cv;
 use strent_rings::measure::{self, WARMUP_PERIODS};
-use strent_rings::stream::StreamConfig;
 use strent_rings::surrogate::{
     surrogate_eligible, Calibrator, EntropySource, SourceBackend, SurrogateModel,
     SurrogateStream, BOUNDARY_DEVIATION,
 };
-use strent_rings::{analytic, StrConfig};
+use strent_rings::{analytic, RingConfig, StrConfig};
 use strent_sim::{RngTree, Time};
 use strent_trng::phase::PhaseModel;
 use strent_trng::sampler::Sampler;
@@ -61,11 +60,8 @@ fn preset_board(ring: &RingSpec) -> Board {
 /// The event-driven reference period series for a serving preset.
 fn full_periods(ring: &RingSpec, n: usize) -> Vec<f64> {
     let board = preset_board(ring);
-    let run = match ring.stream_config() {
-        StreamConfig::Iro(config) => measure::run_iro(&config, &board, SEED, n),
-        StreamConfig::Str(config) => measure::run_str(&config, &board, SEED, n),
-    }
-    .expect("reference ring oscillates");
+    let run =
+        measure::run(&ring.stream_config(), &board, SEED, n).expect("reference ring oscillates");
     run.periods_ps
 }
 
@@ -96,7 +92,7 @@ fn golden_stats(periods: &[f64]) -> (f64, f64, f64, f64) {
 /// sampler (metastability window disabled so verdicts are pure
 /// waveform).
 fn sampled_bits(
-    config: &StreamConfig,
+    config: &RingConfig,
     board: &Board,
     backend: SourceBackend,
     count: usize,
@@ -489,9 +485,9 @@ proptest! {
         let tech = Technology::cyclone_iii().with_sigma_g_ps(sigma_g);
         let board = Board::new(tech, 0, 7);
         let config = StrConfig::new(len, tokens).expect("strategy yields valid counts");
-        let stream_config = StreamConfig::Str(config.clone());
+        let stream_config = RingConfig::Str(config);
         prop_assume!(surrogate_eligible(&stream_config, &board, false));
-        let run = measure::run_str(&config, &board, SEED, 800).expect("oscillates");
+        let run = measure::run(&stream_config, &board, SEED, 800).expect("oscillates");
         let n = run.periods_ps.len() as f64;
         let mean = run.periods_ps.iter().sum::<f64>() / n;
         let full_sigma = (run.periods_ps.iter().map(|p| (p - mean).powi(2)).sum::<f64>()
@@ -533,7 +529,7 @@ proptest! {
         let factor = f64::from(factor_tenths) / 10.0;
         let board = Board::new(Technology::cyclone_iii(), 0, 7);
         let config = StrConfig::new(len, tokens).expect("valid counts");
-        let stream_config = StreamConfig::Str(config);
+        let stream_config = RingConfig::Str(config);
         prop_assume!(surrogate_eligible(&stream_config, &board, false));
         let full = sampled_bits(&stream_config, &board, SourceBackend::FullSim, 4096, factor);
         let surr = sampled_bits(&stream_config, &board, SourceBackend::Surrogate, 4096, factor);
@@ -567,7 +563,7 @@ proptest! {
         let deviation = (actual / target).max(target / actual);
         prop_assume!(deviation > BOUNDARY_DEVIATION);
         let board = Board::new(Technology::asic_like(), 0, 7);
-        let stream_config = StreamConfig::Str(config);
+        let stream_config = RingConfig::Str(config);
         prop_assert!(!surrogate_eligible(&stream_config, &board, false));
         let source =
             EntropySource::build(&stream_config, &board, SEED, None, SourceBackend::Surrogate)

@@ -18,8 +18,6 @@
 //!   function of the sampling ratio `sigma/T`;
 //! * [`markov`] — order-`k` Markov min-entropy estimation over delivered
 //!   bitstreams, with small-sample confidence haircuts;
-//! * [`patterns`] — overlapping bit-pattern censuses: most-common
-//!   pattern, direct pattern min-entropy, uniformity chi-square;
 //! * [`divider`] — the paper's on-chip measurement method (Eq. 6):
 //!   estimate `sigma_p` from the cycle-to-cycle jitter of a divided clock;
 //! * [`allan`] — Allan variance of period series;
@@ -59,7 +57,6 @@ pub mod histogram;
 pub mod jitter;
 pub mod markov;
 pub mod normality;
-pub mod patterns;
 pub mod special;
 pub mod spectrum;
 pub mod stats;

@@ -93,7 +93,7 @@ fn probe_dispatch() -> DispatchProbe {
         let handle = str_ring::build(&config, &board, &mut sim).expect("wires");
         sim.watch(handle.output()).expect("net exists");
         let started = Instant::now();
-        sim.run_until(Time::from_us(4.0)).expect("no limit");
+        sim.run_until(Time::from_us(4.0));
         let wall_ns = started.elapsed().as_nanos();
         let probe = DispatchProbe {
             events: sim.stats().events_processed,
@@ -227,7 +227,7 @@ fn stage_json(out: &mut String, report: &StageReport) {
             if i == 0 { "" } else { ", " },
             shard.jobs,
             shard.busy_ns,
-            shard.events
+            shard.sim.events_processed
         );
     }
     out.push_str("]}");

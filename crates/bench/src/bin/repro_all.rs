@@ -5,7 +5,7 @@
 //! the remaining sections still execute, partial output is kept, and a
 //! JSON failure report lands on stderr before the (still non-zero)
 //! exit — the experiment-level analogue of the sweep layer's partial
-//! results + failure manifest.
+//! results and sorted failures.
 
 use std::process::ExitCode;
 use std::time::Instant;

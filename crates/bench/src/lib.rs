@@ -75,9 +75,8 @@ impl ReproOptions {
 }
 
 /// Renders the failure half of a multi-section run as deterministic
-/// JSON: which sections failed and why, alongside the totals — the
-/// `repro_all --keep-going` counterpart of the sweep layer's
-/// [`failure_manifest_json`](strentropy::sim::SweepReport::failure_manifest_json).
+/// JSON: which sections failed and why, alongside the totals, for
+/// `repro_all --keep-going`.
 #[must_use]
 pub fn section_failure_report(sections: usize, failures: &[(String, String)]) -> String {
     let mut out = String::from("{\n  \"version\": 1,\n");

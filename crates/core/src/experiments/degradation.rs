@@ -119,8 +119,6 @@ pub struct DegradationRow {
     /// Rising-interval CV after a transient fault cleared (stuck-at
     /// rows only) — the re-lock figure of merit.
     pub relock_cv: Option<f64>,
-    /// Simulator events dispatched for this campaign.
-    pub events_dispatched: u64,
 }
 
 impl DegradationRow {
@@ -341,7 +339,6 @@ pub fn run_with(runner: &ExperimentRunner) -> Result<DegradationResult, Experime
             apt_latency: latency.apt_latency,
             pre_onset_alarms: latency.rct_before_onset + latency.apt_before_onset,
             relock_cv,
-            events_dispatched: run.stats.events_processed,
         })
     })?;
 
@@ -368,8 +365,13 @@ mod tests {
 
     #[test]
     fn every_fault_class_is_detected() {
-        let result = run(Effort::Quick, PAPER_SEED).expect("simulates");
+        let runner = ExperimentRunner::new(Effort::Quick, PAPER_SEED);
+        let result = run_with(&runner).expect("simulates");
         assert_eq!(result.rows.len(), 8, "2 rings x 4 fault classes");
+        let stages = runner.take_stages();
+        assert_eq!(stages.len(), 1, "one stage");
+        assert_eq!(stages[0].stats.jobs, 8);
+        assert!(stages[0].stats.events() > 0, "runs are metered");
         assert_eq!(result.rct_cutoff, 22);
         for row in &result.rows {
             assert_eq!(
@@ -378,7 +380,6 @@ mod tests {
                 row.ring, row.fault
             );
             assert!(row.detected(), "{} / {} undetected", row.ring, row.fault);
-            assert!(row.events_dispatched > 0);
         }
         // Latency bounds per fault class.
         for row in &result.rows {

@@ -68,8 +68,7 @@ pub enum ExperimentError {
     /// A TRNG computation failed.
     Trng(TrngError),
     /// A stage job ended without a result or an error of its own: it
-    /// panicked, and the sweep caught the unwind (or, under a watchdog
-    /// budget, it stalled).
+    /// panicked, and the sweep caught the unwind.
     JobAborted {
         /// The stage label passed to `ExperimentRunner::run_stage`.
         stage: String,
@@ -77,9 +76,7 @@ pub enum ExperimentError {
         index: usize,
         /// The job's seed, enough to replay it alone.
         seed: u64,
-        /// How it ended: `"panicked"` or `"stalled"`.
-        kind: &'static str,
-        /// The panic text, or the exhausted budget.
+        /// The panic text.
         detail: String,
     },
 }
@@ -94,11 +91,10 @@ impl fmt::Display for ExperimentError {
                 stage,
                 index,
                 seed,
-                kind,
                 detail,
             } => write!(
                 f,
-                "stage {stage} job {index} (seed {seed}) {kind}: {detail}"
+                "stage {stage} job {index} (seed {seed}) panicked: {detail}"
             ),
         }
     }
@@ -166,7 +162,6 @@ mod tests {
             stage: "fig8".to_owned(),
             index: 3,
             seed: 99,
-            kind: "panicked",
             detail: "boom".to_owned(),
         };
         assert_eq!(e.to_string(), "stage fig8 job 3 (seed 99) panicked: boom");

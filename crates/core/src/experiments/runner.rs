@@ -26,10 +26,7 @@ use strent_device::Board;
 use strent_rings::measure::{self, RingRun};
 use strent_rings::RingConfig;
 use strent_sim::rng::fnv1a;
-use strent_sim::{
-    FailureKind, JobError, JobFailure, JobMeter, RetryPolicy, RngTree, SweepJob, SweepRunner,
-    SweepStats,
-};
+use strent_sim::{FailureKind, JobFailure, JobMeter, RngTree, SweepJob, SweepRunner, SweepStats};
 
 use super::{Effort, ExperimentError};
 
@@ -44,15 +41,6 @@ pub struct StageReport {
     pub label: String,
     /// Execution statistics of the stage's sweep.
     pub stats: SweepStats,
-}
-
-impl StageReport {
-    /// Dispatch throughput of this stage, events per second of sweep
-    /// wall time.
-    #[must_use]
-    pub fn events_per_sec(&self) -> f64 {
-        self.stats.events_per_sec()
-    }
 }
 
 /// A parallel, deterministically seeded executor for experiment stages.
@@ -162,13 +150,9 @@ impl ExperimentRunner {
         let sweep = SweepRunner::new(stage_seed)
             .with_threads(self.threads)
             .with_chunk_size(self.chunk_for(configs.len()));
-        // The default policy runs each job once without a budget: it
-        // adds panic isolation and nothing else.
-        let report = sweep.run_resilient(configs, RetryPolicy::default(), |job, meter| {
-            f(job, meter).map_err(JobError::Failed)
-        });
-        // The manifest is sorted by index: the first entry is the
-        // lowest failing job, whatever the schedule.
+        let report = sweep.run(configs, f);
+        // Failures are sorted by index: the first is the lowest
+        // failing job, whatever the schedule.
         if let Some(failure) = report.failures.into_iter().next() {
             return Err(stage_error(label, failure));
         }
@@ -206,15 +190,14 @@ impl ExperimentRunner {
 /// The typed error for a stage's failed job: its own error when it
 /// returned one, otherwise [`ExperimentError::JobAborted`].
 fn stage_error(label: &str, failure: JobFailure<ExperimentError>) -> ExperimentError {
-    if let FailureKind::Failed { error } = failure.kind {
-        return error;
-    }
-    ExperimentError::JobAborted {
-        stage: label.to_owned(),
-        index: failure.index,
-        seed: failure.seed,
-        kind: failure.kind.label(),
-        detail: failure.detail(),
+    match failure.kind {
+        FailureKind::Failed { error } => error,
+        FailureKind::Panicked { payload } => ExperimentError::JobAborted {
+            stage: label.to_owned(),
+            index: failure.index,
+            seed: failure.seed,
+            detail: payload,
+        },
     }
 }
 
@@ -241,6 +224,7 @@ pub fn measure_ring(
 mod tests {
     use super::*;
     use crate::calibration;
+    use strent_sim::SimStats;
     use strent_trng::TrngError;
 
     #[test]
@@ -293,7 +277,6 @@ mod tests {
             stage: "panics".to_owned(),
             index: 3,
             seed: seeds[3],
-            kind: "panicked",
             detail: "job 3 blew up".to_owned(),
         };
         for threads in [1, 2] {
@@ -336,7 +319,10 @@ mod tests {
     fn stage_reports_accumulate_and_drain() {
         let runner = ExperimentRunner::new(Effort::Quick, 3);
         let _ = runner.run_stage("one", &[1u8, 2], |_, m| {
-            m.record_events(5);
+            m.record_sim(SimStats {
+                events_processed: 5,
+                ..SimStats::default()
+            });
             Ok(())
         });
         let _ = runner.run_stage("two", &[1u8], |_, _| Ok(()));

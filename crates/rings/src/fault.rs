@@ -112,7 +112,7 @@ pub fn run_degraded(
     let expected = config.predicted_period_ps(&board);
     sim.watch_with_capacity(ring.output(), degraded_capacity(horizon_ps, expected))?;
     sim.arm_faults(&plan.without_supply_faults(), ring.components())?;
-    sim.run_until(Time::from_ps(horizon_ps))?;
+    sim.run_until(Time::from_ps(horizon_ps));
     let trace = sim.trace(ring.output()).expect("watched").clone();
     Ok(DegradedRun {
         trace,

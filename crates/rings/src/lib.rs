@@ -61,7 +61,6 @@
 
 pub mod analytic;
 pub mod charlie;
-pub mod counter;
 pub mod differential;
 pub mod divider;
 pub mod error;

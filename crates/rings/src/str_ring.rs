@@ -420,7 +420,7 @@ mod tests {
         let mut sim = Simulator::new(11);
         let handle = build(config, board, &mut sim).expect("valid");
         sim.watch(handle.output()).expect("net exists");
-        sim.run_until(Time::from_ns(horizon_ns)).expect("no limit");
+        sim.run_until(Time::from_ns(horizon_ns));
         sim.trace(handle.output())
             .expect("watched")
             .periods(strent_sim::Edge::Rising)

@@ -172,7 +172,7 @@ impl PooledSource {
                 let needed_ps = self.cursor_ps + period_ps * count as f64 + window_ps;
                 let now_ps = stream.now().as_ps();
                 if now_ps < needed_ps {
-                    stream.advance_by(needed_ps - now_ps)?;
+                    stream.advance_by(needed_ps - now_ps);
                 }
                 self.sampler.sample_trace_until(
                     stream.trace(),
@@ -300,15 +300,9 @@ impl PooledSource {
             self.spec.backend,
         )?;
         self.meta_rng = RngTree::new(seed).stream(META_RNG_KEY);
-        let warmup = self.config.warmup_periods * self.stream.expected_period_ps();
-        self.monitor.reset();
-        self.conditioner = StreamConditioner::new(self.config.conditioner);
-        self.bit_carry = BitString::new();
-        // A fresh ring starts a fresh stream; stale bits would blend
-        // two generations into one estimate.
-        self.estimator.reset();
-        self.cursor_ps = warmup;
-        self.state = SourceState::Healthy;
+        // A fresh ring starts a fresh stream at time zero; stale bits
+        // would blend two generations into one estimate.
+        self.readmit(0.0);
         Ok(())
     }
 }

@@ -391,7 +391,6 @@ pub struct Simulator {
     slab: CancelSlab,
     rng_tree: RngTree,
     stats: SimStats,
-    step_limit: u64,
     /// Armed fault plan, if any. `None` (the default) keeps the hot
     /// path fault-free: `drive_net` pays one branch, `Context` carries
     /// an empty drift table.
@@ -415,7 +414,6 @@ impl Simulator {
             slab: CancelSlab::default(),
             rng_tree: RngTree::new(master_seed),
             stats: SimStats::default(),
-            step_limit: u64::MAX,
             faults: None,
         }
     }
@@ -568,15 +566,6 @@ impl Simulator {
         self.stats
     }
 
-    /// Limits the total number of dispatched events; [`run_until`] fails
-    /// with [`SimError::StepLimitExceeded`] once the limit is reached.
-    /// The default is effectively unlimited.
-    ///
-    /// [`run_until`]: Simulator::run_until
-    pub fn set_step_limit(&mut self, limit: u64) {
-        self.step_limit = limit;
-    }
-
     /// Current level of a net.
     ///
     /// # Errors
@@ -719,21 +708,11 @@ impl Simulator {
 
     /// Handles one popped event: retires its liveness slot, then either
     /// skips it (cancelled) or advances time and dispatches it.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::StepLimitExceeded`] if the step limit was
-    /// reached.
     #[inline]
-    fn process(&mut self, event: ScheduledEvent) -> Result<(), SimError> {
+    fn process(&mut self, event: ScheduledEvent) {
         if event.slot != NO_SLOT && self.slab.finish(event.slot) {
             self.stats.events_cancelled += 1;
-            return Ok(());
-        }
-        if self.stats.events_processed >= self.step_limit {
-            return Err(SimError::StepLimitExceeded {
-                limit: self.step_limit,
-            });
+            return;
         }
         debug_assert!(event.time >= self.now, "time went backwards");
         self.now = event.time;
@@ -745,7 +724,6 @@ impl Simulator {
             }
             Occurrence::FaultEdge { action } => self.apply_fault_edge(action),
         }
-        Ok(())
     }
 
     /// Runs until the pending-event set is empty or the next event lies
@@ -754,19 +732,13 @@ impl Simulator {
     ///
     /// The loop issues one bounded pop per event instead of a peek +
     /// pop pair, so the wheel locates the minimum once.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::StepLimitExceeded`] if the step limit was
-    /// reached first.
-    pub fn run_until(&mut self, horizon: Time) -> Result<(), SimError> {
+    pub fn run_until(&mut self, horizon: Time) {
         while let Some(event) = self.queue.pop_at_or_before(horizon) {
-            self.process(event)?;
+            self.process(event);
         }
         if self.now < horizon {
             self.now = horizon;
         }
-        Ok(())
     }
 
     /// Applies a net transition and notifies the fan-out, honoring any
@@ -1105,7 +1077,7 @@ mod tests {
         let nets = ring(&mut sim, 3, 100.0);
         sim.watch(nets[0]).expect("net exists");
         sim.inject(nets[0], Bit::High, 0.0).expect("valid");
-        sim.run_until(Time::from_ns(10.0)).expect("no limit");
+        sim.run_until(Time::from_ns(10.0));
         let periods = sim
             .trace(nets[0])
             .expect("watched")
@@ -1126,7 +1098,7 @@ mod tests {
             fired: 0,
         });
         sim.arm_timer(ticker, 50.0, 7).expect("valid");
-        sim.run_until(Time::from_ns(1.0)).expect("no limit");
+        sim.run_until(Time::from_ns(1.0));
         let t = sim.component::<Ticker>(ticker).expect("typed");
         assert_eq!(t.fired, 5);
         assert_eq!(sim.now(), Time::from_ns(1.0));
@@ -1139,7 +1111,7 @@ mod tests {
         sim.watch(net).expect("net exists");
         let id = sim.inject(net, Bit::High, 10.0).expect("valid");
         sim.cancel(id);
-        sim.run_until(Time::from_ps(100.0)).expect("no limit");
+        sim.run_until(Time::from_ps(100.0));
         assert!(sim.trace(net).expect("watched").is_empty());
         assert_eq!(sim.stats().events_cancelled, 1);
     }
@@ -1152,7 +1124,7 @@ mod tests {
 
         // A fired event: cancelling afterwards must be a no-op.
         let fired = sim.inject(net, Bit::High, 1.0).expect("valid");
-        sim.run_until(Time::from_ps(5.0)).expect("no limit");
+        sim.run_until(Time::from_ps(5.0));
         assert_eq!(sim.stats().events_processed, 1);
         sim.cancel(fired); // stale: no effect, ever
         sim.cancel(fired);
@@ -1165,7 +1137,7 @@ mod tests {
         // A later event still fires normally even though the slab may
         // recycle the cancelled event's slot.
         sim.inject(net, Bit::Low, 20.0).expect("valid");
-        sim.run_until(Time::from_ps(100.0)).expect("no limit");
+        sim.run_until(Time::from_ps(100.0));
 
         // The stale handle aimed at the (long fired) first event must
         // not have cancelled anything that reused its slot.
@@ -1198,7 +1170,7 @@ mod tests {
         sim.watch(net).expect("net exists");
         let comp = sim.add_component(Canceller { net, armed: false });
         sim.arm_timer(comp, 1.0, 0).expect("valid");
-        sim.run_until(Time::from_ps(100.0)).expect("no limit");
+        sim.run_until(Time::from_ps(100.0));
         assert_eq!(sim.trace(net).expect("watched").len(), 1, "one drive fired");
         assert_eq!(sim.stats().events_cancelled, 1);
         assert_eq!(sim.net_value(net).expect("known"), Bit::High);
@@ -1212,19 +1184,9 @@ mod tests {
         sim.inject(net, Bit::Low, 5.0).expect("valid");
         sim.inject(net, Bit::High, 10.0).expect("valid");
         sim.inject(net, Bit::High, 15.0).expect("valid");
-        sim.run_until(Time::from_ps(100.0)).expect("no limit");
+        sim.run_until(Time::from_ps(100.0));
         assert_eq!(sim.trace(net).expect("watched").len(), 1);
         assert_eq!(sim.stats().drives_suppressed, 2);
-    }
-
-    #[test]
-    fn step_limit_is_enforced() {
-        let mut sim = Simulator::new(1);
-        let nets = ring(&mut sim, 3, 100.0);
-        sim.inject(nets[0], Bit::High, 0.0).expect("valid");
-        sim.set_step_limit(10);
-        let err = sim.run_until(Time::from_us(1.0)).expect_err("must hit limit");
-        assert_eq!(err, SimError::StepLimitExceeded { limit: 10 });
     }
 
     #[test]
@@ -1283,13 +1245,13 @@ mod tests {
             outs.push(out);
         }
         sim.inject(src, Bit::High, 0.0).expect("valid");
-        sim.run_until(Time::from_ps(50.0)).expect("no limit");
+        sim.run_until(Time::from_ps(50.0));
         for &out in &outs {
             assert_eq!(sim.trace(out).expect("watched").len(), 1);
         }
         // Drive again: the restored spill list must still be intact.
         sim.inject(src, Bit::Low, 0.0).expect("valid");
-        sim.run_until(Time::from_ps(100.0)).expect("no limit");
+        sim.run_until(Time::from_ps(100.0));
         for &out in &outs {
             assert_eq!(sim.trace(out).expect("watched").len(), 2);
         }
@@ -1307,7 +1269,7 @@ mod tests {
         sim.listen(a, comp).expect("net exists");
         sim.listen(a, comp).expect("net exists");
         sim.inject(a, Bit::High, 0.0).expect("valid");
-        sim.run_until(Time::from_ps(10.0)).expect("no limit");
+        sim.run_until(Time::from_ps(10.0));
         assert_eq!(sim.stats().events_processed, 1);
         assert_eq!(sim.nets[a.index()].listeners.as_slice().len(), 1);
     }
@@ -1319,7 +1281,7 @@ mod tests {
             let nets = ring(&mut sim, 5, 100.0);
             sim.watch(nets[0]).expect("net exists");
             sim.inject(nets[0], Bit::High, 0.0).expect("valid");
-            sim.run_until(Time::from_ns(20.0)).expect("no limit");
+            sim.run_until(Time::from_ns(20.0));
             sim.trace(nets[0])
                 .expect("watched")
                 .transitions()
@@ -1430,7 +1392,7 @@ mod tests {
         let b = sim.add_component(Sampler { out: Vec::new() });
         sim.arm_timer(a, 1.0, 0).expect("valid");
         sim.arm_timer(b, 1.0, 0).expect("valid");
-        sim.run_until(Time::from_ps(10.0)).expect("no limit");
+        sim.run_until(Time::from_ps(10.0));
         let xa = sim.component::<Sampler>(a).expect("typed").out[0];
         let xb = sim.component::<Sampler>(b).expect("typed").out[0];
         assert_ne!(xa, xb);

@@ -23,11 +23,6 @@ pub enum SimError {
     },
     /// A delay was negative or non-finite.
     InvalidDelay(f64),
-    /// The run step limit was exhausted before reaching the horizon.
-    StepLimitExceeded {
-        /// The configured limit.
-        limit: u64,
-    },
     /// A fault target named a net that does not exist in this
     /// simulator.
     UnknownNetName(String),
@@ -47,9 +42,6 @@ impl fmt::Display for SimError {
             }
             SimError::InvalidDelay(d) => {
                 write!(f, "delay must be finite and non-negative, got {d}")
-            }
-            SimError::StepLimitExceeded { limit } => {
-                write!(f, "step limit of {limit} events exceeded")
             }
             SimError::UnknownNetName(name) => {
                 write!(f, "fault targets unknown net {name:?}")
@@ -76,8 +68,6 @@ mod tests {
             requested: Time::from_ps(5.0),
         };
         assert!(err.to_string().contains("past"));
-        let err = SimError::StepLimitExceeded { limit: 7 };
-        assert!(err.to_string().contains('7'));
         let err = SimError::UnknownComponent(2);
         assert!(err.to_string().contains("#2"));
         let err = SimError::UnknownNetName("str99".to_owned());

@@ -508,7 +508,7 @@ mod tests {
             .with_stuck_at("osc", Bit::High, 1_000.0, 2_000.0)
             .expect("valid");
         sim.arm_faults(&plan, &[]).expect("arms");
-        sim.run_until(Time::from_ps(3_000.0)).expect("no limit");
+        sim.run_until(Time::from_ps(3_000.0));
         let trace = sim.trace(net).expect("watched");
         // Clamped flat inside the window...
         assert_eq!(trace.value_at(Time::from_ps(1_050.0)), Bit::High);
@@ -537,7 +537,7 @@ mod tests {
             .with_glitch("quiet", Bit::High, 500.0, 100.0)
             .expect("valid");
         sim.arm_faults(&plan, &[]).expect("arms");
-        sim.run_until(Time::from_ps(1_000.0)).expect("no limit");
+        sim.run_until(Time::from_ps(1_000.0));
         let trace = sim.trace(net).expect("watched");
         assert_eq!(trace.value_at(Time::from_ps(499.0)), Bit::Low);
         assert_eq!(trace.value_at(Time::from_ps(550.0)), Bit::High);
@@ -553,7 +553,7 @@ mod tests {
             .with_delay_drift(0, 0.0, 2.0, 0.0)
             .expect("valid");
         sim.arm_faults(&plan, &[stage]).expect("arms");
-        sim.run_until(Time::from_ps(2_000.0)).expect("no limit");
+        sim.run_until(Time::from_ps(2_000.0));
         let trace = sim.trace(net).expect("watched");
         // Delays double instantly: edges at 0, 200, 400, ... instead
         // of every 100 ps.
@@ -572,7 +572,7 @@ mod tests {
             if arm {
                 sim.arm_faults(&FaultPlan::new(9), &[]).expect("arms");
             }
-            sim.run_until(Time::from_ps(5_000.0)).expect("no limit");
+            sim.run_until(Time::from_ps(5_000.0));
             sim.trace(net).expect("watched").transitions().to_vec()
         };
         assert_eq!(run(false), run(true));
@@ -609,7 +609,7 @@ mod tests {
             Err(SimError::InvalidFault(_))
         ));
         // Onset before current time.
-        sim.run_until(Time::from_ps(100.0)).expect("no limit");
+        sim.run_until(Time::from_ps(100.0));
         let plan = FaultPlan::new(1)
             .with_glitch("osc", Bit::High, 50.0, 10.0)
             .expect("valid");

@@ -49,7 +49,7 @@
 //! sim.watch(n)?;
 //! // Kick the loop: raise `osc` at t = 0.
 //! sim.inject(n, Bit::High, 0.0)?;
-//! sim.run_until(2_000.0.into())?;
+//! sim.run_until(2_000.0.into());
 //! // Period = 2 * 100 ps -> rising edges at 0, 200, ..., 2000 ps.
 //! let edges = sim.trace(n).expect("watched").rising_edges();
 //! assert_eq!(edges.len(), 11);
@@ -84,8 +84,8 @@ pub use process::Ar1Process;
 pub use rng::{Normal, RngTree, SimRng};
 pub use signal::{Bit, Edge, NetId};
 pub use sweep::{
-    FailureKind, JobBudget, JobError, JobFailure, JobMeter, RetryPolicy, ShardStats,
-    StallCause, SweepJob, SweepReport, SweepRunner, SweepStats,
+    FailureKind, JobFailure, JobMeter, ShardStats, SweepJob, SweepReport, SweepRunner,
+    SweepStats,
 };
 pub use time::Time;
 pub use trace::{Trace, TraceSet};

@@ -34,20 +34,20 @@
 //!
 //! ## Failures
 //!
-//! A job that panics, stalls or returns a typed error becomes one
-//! [`JobFailure`] in the [`SweepReport`] while the other jobs still
-//! run; the manifest is sorted by job index, so it too is the same at
-//! every thread count.
+//! Each job runs once. A job that panics or returns a typed error
+//! becomes one [`JobFailure`] in the [`SweepReport`] while the other
+//! jobs still run; failures are sorted by job index, so they too are
+//! the same at every thread count. A job is a pure function of
+//! `(config, seed)`, so running a failed job again would fail it the
+//! same way.
 
 use std::any::Any;
-use std::fmt;
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
 use crate::engine::SimStats;
-use crate::error::SimError;
 use crate::rng::RngTree;
 
 /// One unit of work handed to a sweep job function.
@@ -59,13 +59,6 @@ pub struct SweepJob<'a, C> {
     pub config: &'a C,
     /// The job's deterministic seed subtree (`master.fork(index)`).
     pub rng: RngTree,
-    /// Which attempt this is (0 for the first try; retries count up).
-    /// The seed subtree is the same on every attempt — determinism
-    /// comes from the fork, escalation comes from the budget.
-    pub attempt: u32,
-    /// The watchdog budget for this attempt (unlimited under the
-    /// default [`RetryPolicy`]).
-    pub budget: JobBudget,
 }
 
 impl<C> SweepJob<'_, C> {
@@ -84,16 +77,10 @@ pub struct ShardStats {
     pub jobs: usize,
     /// Busy wall-clock time of this shard, nanoseconds.
     pub busy_ns: u128,
-    /// Simulator events dispatched by jobs on this shard, as reported
-    /// through [`SweepJob`]-aware job functions (0 when jobs do not
+    /// Kernel counters of the simulations the jobs on this shard
+    /// reported through their [`JobMeter`] (zero when jobs do not
     /// report).
-    pub events: u64,
-    /// Cancelled events skipped by jobs on this shard (0 when jobs do
-    /// not report full [`SimStats`]).
-    pub cancelled: u64,
-    /// No-change net drives suppressed by jobs on this shard (0 when
-    /// jobs do not report full [`SimStats`]).
-    pub suppressed: u64,
+    pub sim: SimStats,
 }
 
 /// Aggregate statistics of one sweep execution.
@@ -120,19 +107,19 @@ impl SweepStats {
     /// Total simulator events dispatched across shards.
     #[must_use]
     pub fn events(&self) -> u64 {
-        self.shards.iter().map(|s| s.events).sum()
+        self.shards.iter().map(|s| s.sim.events_processed).sum()
     }
 
     /// Total cancelled events skipped across shards.
     #[must_use]
     pub fn cancelled(&self) -> u64 {
-        self.shards.iter().map(|s| s.cancelled).sum()
+        self.shards.iter().map(|s| s.sim.events_cancelled).sum()
     }
 
     /// Total no-change drives suppressed across shards.
     #[must_use]
     pub fn suppressed(&self) -> u64 {
-        self.shards.iter().map(|s| s.suppressed).sum()
+        self.shards.iter().map(|s| s.sim.drives_suppressed).sum()
     }
 
     /// Dispatch throughput over the sweep's wall-clock time, events per
@@ -162,20 +149,16 @@ impl SweepStats {
 /// # Examples
 ///
 /// ```
-/// use strent_sim::sweep::{JobError, JobMeter, RetryPolicy, SweepJob, SweepRunner};
+/// use strent_sim::sweep::{JobMeter, SweepJob, SweepRunner};
 ///
-/// fn double(job: SweepJob<'_, usize>, _: &mut JobMeter) -> Result<usize, JobError<()>> {
+/// fn double(job: SweepJob<'_, usize>, _: &mut JobMeter) -> Result<usize, ()> {
 ///     Ok(job.config * 2 + (job.seed() % 2) as usize)
 /// }
 /// let lengths = [4usize, 8, 16, 32];
-/// let report = SweepRunner::new(2012)
-///     .with_threads(4)
-///     .run_resilient(&lengths, RetryPolicy::default(), double);
+/// let report = SweepRunner::new(2012).with_threads(4).run(&lengths, double);
 /// assert!(report.failures.is_empty(), "no job fails");
 /// // Results arrive in config order, regardless of which worker ran them.
-/// let again = SweepRunner::new(2012)
-///     .with_threads(1)
-///     .run_resilient(&lengths, RetryPolicy::default(), double);
+/// let again = SweepRunner::new(2012).with_threads(1).run(&lengths, double);
 /// assert_eq!(report.results, again.results);
 /// ```
 #[derive(Debug, Clone)]
@@ -214,45 +197,23 @@ impl SweepRunner {
         self
     }
 
-    /// Runs `f` over every config, in parallel, with deterministic
+    /// Runs `f` once over every config, in parallel, with deterministic
     /// per-job seeds, and reports every job's outcome. Each job runs
-    /// inside `catch_unwind`, may carry a watchdog budget and is
-    /// retried per `policy`, so one panicking or stalling config
-    /// yields a [`JobFailure`] entry instead of killing the sweep. `f`
-    /// reports dispatched simulator events into the shard counters
-    /// through the [`JobMeter`] it is handed.
+    /// inside `catch_unwind`, so a job that panics or returns an error
+    /// yields a [`JobFailure`] instead of killing the sweep, and the
+    /// other jobs still run. `f` reports the kernel statistics of its
+    /// simulations into the shard counters through the [`JobMeter`] it
+    /// is handed.
     ///
-    /// Semantics:
-    ///
-    /// * **Panics** are caught, rendered to text and retried up to
-    ///   `policy.attempts` times (a deterministic panic fails every
-    ///   attempt; the bound keeps that cheap).
-    /// * **Stalls** ([`JobError::Stalled`], typically produced by
-    ///   mapping [`SimError::StepLimitExceeded`] through
-    ///   [`JobError::from_sim`]) are retried with the budget escalated
-    ///   by `policy.escalation` per attempt.
-    /// * **Typed errors** ([`JobError::Failed`]) fail fast — jobs are
-    ///   deterministic functions of `(config, seed)`, so re-running an
-    ///   error-returning job cannot change its outcome.
-    ///
-    /// Every attempt of job `i` receives the *same* `tree.fork(i)`
-    /// subtree (only `attempt`/`budget` differ), so the successful
-    /// results are bit-identical across thread counts and retry
-    /// histories; `tests/determinism.rs` pins this.
-    ///
-    /// The returned [`SweepReport`] always carries all partial results;
-    /// a failure never stops the other jobs.
-    pub fn run_resilient<C, R, E, F>(
-        &self,
-        configs: &[C],
-        policy: RetryPolicy,
-        f: F,
-    ) -> SweepReport<R, E>
+    /// Job `i` receives `tree.fork(i)`, so the results and the failures
+    /// are bit-identical across thread counts; `tests/determinism.rs`
+    /// pins this.
+    pub fn run<C, R, E, F>(&self, configs: &[C], f: F) -> SweepReport<R, E>
     where
         C: Sync,
         R: Send,
         E: Send,
-        F: Fn(SweepJob<'_, C>, &mut JobMeter) -> Result<R, JobError<E>> + Sync,
+        F: Fn(SweepJob<'_, C>, &mut JobMeter) -> Result<R, E> + Sync,
     {
         let started = Instant::now();
         let threads = self.threads.min(configs.len()).max(1);
@@ -278,67 +239,35 @@ impl SweepRunner {
                 let end = (start + self.chunk).min(configs.len());
                 for (index, config) in configs.iter().enumerate().take(end).skip(start) {
                     in_flight[shard_id].store(index, Ordering::Relaxed);
-                    let mut attempts = 0u32;
-                    let failure: Option<(FailureKind<E>, u64)> = loop {
-                        let job = SweepJob {
-                            index,
-                            config,
-                            rng: self.tree.fork(index as u64),
-                            attempt: attempts,
-                            budget: policy.budget_for(attempts),
-                        };
-                        let mut meter = JobMeter::new();
-                        // Job state is per-attempt and never observed
-                        // again after an unwind, so suppressing the
-                        // UnwindSafe bound is sound here.
-                        let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                            f(job, &mut meter)
-                        }));
-                        attempts += 1;
-                        let events = meter.events;
-                        shard_stats.events += meter.events;
-                        shard_stats.cancelled += meter.cancelled;
-                        shard_stats.suppressed += meter.suppressed;
-                        match caught {
-                            Ok(Ok(result)) => {
-                                let mut guard =
-                                    slots.lock().expect("no poisoned job slots");
-                                guard[index] = Some(result);
-                                break None;
-                            }
-                            Ok(Err(JobError::Failed(error))) => {
-                                // Deterministic domain error: retrying
-                                // cannot help.
-                                break Some((FailureKind::Failed { error }, events));
-                            }
-                            Ok(Err(JobError::Stalled(cause))) => {
-                                if attempts >= policy.attempts() {
-                                    break Some((FailureKind::Stalled { cause }, events));
-                                }
-                            }
-                            Err(payload) => {
-                                let text = panic_payload_text(payload.as_ref());
-                                if attempts >= policy.attempts() {
-                                    break Some((
-                                        FailureKind::Panicked { payload: text },
-                                        events,
-                                    ));
-                                }
-                            }
-                        }
+                    let job = SweepJob {
+                        index,
+                        config,
+                        rng: self.tree.fork(index as u64),
                     };
+                    let seed = job.seed();
+                    let mut meter = JobMeter {
+                        sim: SimStats::default(),
+                    };
+                    // Job state is never observed again after an
+                    // unwind, so suppressing the UnwindSafe bound is
+                    // sound here.
+                    let caught = std::panic::catch_unwind(AssertUnwindSafe(|| f(job, &mut meter)));
                     shard_stats.jobs += 1;
-                    if let Some((kind, events)) = failure {
-                        let mut guard =
-                            failures.lock().expect("no poisoned failure manifest");
-                        guard.push(JobFailure {
-                            index,
-                            seed: self.tree.fork(index as u64).master_seed(),
-                            attempts,
-                            events,
-                            kind,
-                        });
-                    }
+                    shard_stats.sim.absorb(meter.sim);
+                    let kind = match caught {
+                        Ok(Ok(result)) => {
+                            slots.lock().expect("no poisoned job slots")[index] = Some(result);
+                            continue;
+                        }
+                        Ok(Err(error)) => FailureKind::Failed { error },
+                        Err(payload) => FailureKind::Panicked {
+                            payload: panic_payload_text(payload.as_ref()),
+                        },
+                    };
+                    failures
+                        .lock()
+                        .expect("no poisoned failure list")
+                        .push(JobFailure { index, seed, kind });
                 }
             }
             shard_stats.busy_ns = shard_started.elapsed().as_nanos();
@@ -382,9 +311,9 @@ impl SweepRunner {
         }
 
         let results = slots.into_inner().expect("no poisoned job slots");
-        let mut failures = failures.into_inner().expect("no poisoned failure manifest");
-        // Claiming order is racy; the manifest is not. Sort by job
-        // index so equal runs produce byte-equal manifests.
+        let mut failures = failures.into_inner().expect("no poisoned failure list");
+        // Claiming order is racy; the failure list is not. Sort by job
+        // index so equal runs produce equal lists.
         failures.sort_by_key(|failure| failure.index);
         let jobs = results.len();
         SweepReport {
@@ -400,157 +329,8 @@ impl SweepRunner {
     }
 }
 
-/// Why a job attempt could not produce a result — what job functions
-/// return instead of a bare error.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum JobError<E> {
-    /// A typed domain failure. Not retried: jobs are deterministic in
-    /// `(config, seed)`, so the same error would recur.
-    Failed(E),
-    /// The watchdog budget ran out before the job finished. Retried
-    /// with an escalated budget.
-    Stalled(StallCause),
-}
-
-impl<E> JobError<E> {
-    /// Classifies a simulator error: [`SimError::StepLimitExceeded`]
-    /// becomes a retryable stall (the event-count watchdog tripping),
-    /// everything else a typed failure.
-    pub fn from_sim(error: SimError) -> JobError<E>
-    where
-        E: From<SimError>,
-    {
-        match error {
-            SimError::StepLimitExceeded { limit } => {
-                JobError::Stalled(StallCause::EventBudget { limit })
-            }
-            other => JobError::Failed(other.into()),
-        }
-    }
-}
-
-impl<E: fmt::Display> fmt::Display for JobError<E> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            JobError::Failed(error) => write!(f, "{error}"),
-            JobError::Stalled(cause) => write!(f, "stalled: {cause}"),
-        }
-    }
-}
-
-/// Which watchdog limit a stalled job ran into.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[non_exhaustive]
-pub enum StallCause {
-    /// The event-count budget was exhausted (typically surfaced as
-    /// [`SimError::StepLimitExceeded`] with this limit).
-    EventBudget {
-        /// The exhausted limit.
-        limit: u64,
-    },
-}
-
-impl fmt::Display for StallCause {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            StallCause::EventBudget { limit } => {
-                write!(f, "event budget of {limit} exhausted")
-            }
-        }
-    }
-}
-
-/// A per-attempt watchdog budget: an optional event-count ceiling.
-///
-/// The budget is *cooperative*: a job applies the ceiling to its
-/// simulator ([`JobBudget::apply_to`], backed by the engine's bounded
-/// `run_until` pops). The runner cannot preempt a job that never
-/// yields — but every simulation-shaped job naturally does.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct JobBudget {
-    max_events: Option<u64>,
-}
-
-impl JobBudget {
-    /// The event-count ceiling, if any.
-    #[must_use]
-    pub fn max_events(&self) -> Option<u64> {
-        self.max_events
-    }
-
-    /// Applies the event ceiling to a simulator's step limit (no-op for
-    /// an unlimited budget).
-    pub fn apply_to(&self, sim: &mut crate::Simulator) {
-        if let Some(limit) = self.max_events {
-            sim.set_step_limit(limit);
-        }
-    }
-}
-
-/// Retry/watchdog policy for [`SweepRunner::run_resilient`].
-///
-/// The default is one attempt with no budget — `catch_unwind` panic
-/// isolation only.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryPolicy {
-    attempts: u32,
-    max_events: Option<u64>,
-    escalation: u32,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            attempts: 1,
-            max_events: None,
-            escalation: 2,
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// Total attempts per job (clamped to at least 1).
-    #[must_use]
-    pub fn with_attempts(mut self, attempts: u32) -> Self {
-        self.attempts = attempts.max(1);
-        self
-    }
-
-    /// Base event-count budget per attempt.
-    #[must_use]
-    pub fn with_max_events(mut self, max_events: u64) -> Self {
-        self.max_events = Some(max_events);
-        self
-    }
-
-    /// Budget multiplier applied per retry (clamped to at least 1):
-    /// attempt `n` gets `base * escalation^n`.
-    #[must_use]
-    pub fn with_escalation(mut self, escalation: u32) -> Self {
-        self.escalation = escalation.max(1);
-        self
-    }
-
-    /// The configured attempt count.
-    #[must_use]
-    pub fn attempts(&self) -> u32 {
-        self.attempts
-    }
-
-    /// Arms the budget for attempt `attempt` (0-based), escalating the
-    /// base limit by `escalation^attempt`.
-    #[must_use]
-    pub fn budget_for(&self, attempt: u32) -> JobBudget {
-        let factor = u64::from(self.escalation.max(1)).saturating_pow(attempt);
-        JobBudget {
-            max_events: self.max_events.map(|e| e.saturating_mul(factor)),
-        }
-    }
-}
-
-/// How a job ultimately failed after its retry budget ran out.
+/// How a job failed.
 #[derive(Debug, Clone, PartialEq)]
-#[non_exhaustive]
 pub enum FailureKind<E> {
     /// The job function panicked; the payload rendered as text.
     Panicked {
@@ -558,32 +338,14 @@ pub enum FailureKind<E> {
         /// placeholder).
         payload: String,
     },
-    /// Every attempt exhausted its watchdog budget.
-    Stalled {
-        /// The limit the final attempt ran into.
-        cause: StallCause,
-    },
-    /// The job returned a typed error (not retried).
+    /// The job returned a typed error.
     Failed {
         /// The domain error.
         error: E,
     },
 }
 
-impl<E> FailureKind<E> {
-    /// Stable machine-readable label ("panicked" / "stalled" /
-    /// "failed") used in the JSON manifest.
-    #[must_use]
-    pub fn label(&self) -> &'static str {
-        match self {
-            FailureKind::Panicked { .. } => "panicked",
-            FailureKind::Stalled { .. } => "stalled",
-            FailureKind::Failed { .. } => "failed",
-        }
-    }
-}
-
-/// One abandoned job in a sweep.
+/// One failed job in a sweep.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JobFailure<E> {
     /// The job's position in the config list.
@@ -591,29 +353,13 @@ pub struct JobFailure<E> {
     /// The job's derived scalar seed (`fork(index)`) — enough to replay
     /// the job in isolation.
     pub seed: u64,
-    /// Attempts consumed (1 for fail-fast typed errors).
-    pub attempts: u32,
-    /// Simulator events the final attempt dispatched before failing.
-    pub events: u64,
     /// How the job failed.
     pub kind: FailureKind<E>,
 }
 
-impl<E: fmt::Display> JobFailure<E> {
-    /// Human/JSON detail string for the failure.
-    #[must_use]
-    pub fn detail(&self) -> String {
-        match &self.kind {
-            FailureKind::Panicked { payload } => payload.clone(),
-            FailureKind::Stalled { cause } => cause.to_string(),
-            FailureKind::Failed { error } => error.to_string(),
-        }
-    }
-}
-
-/// The outcome of a sweep: per-config results in config order plus a
-/// failure manifest. It is not behind a `Result`: the sweep completes
-/// either way.
+/// The outcome of a sweep: per-config results in config order plus the
+/// failed jobs. It is not behind a `Result`: the sweep completes either
+/// way.
 #[derive(Debug, Clone)]
 pub struct SweepReport<R, E> {
     /// One slot per input config, in input order; `None` where the job
@@ -624,48 +370,6 @@ pub struct SweepReport<R, E> {
     pub failures: Vec<JobFailure<E>>,
     /// Execution statistics.
     pub stats: SweepStats,
-}
-
-impl<R, E> SweepReport<R, E> {
-    /// Number of jobs that produced a result.
-    #[must_use]
-    pub fn successes(&self) -> usize {
-        self.results.iter().filter(|slot| slot.is_some()).count()
-    }
-}
-
-impl<R, E: fmt::Display> SweepReport<R, E> {
-    /// Renders the failure manifest as deterministic JSON (no wall
-    /// times, stable field order, failures sorted by index) — the
-    /// schema is documented in `docs/robustness.md`.
-    #[must_use]
-    pub fn failure_manifest_json(&self) -> String {
-        let mut out = String::from("{\n  \"version\": 1,\n");
-        out.push_str(&format!("  \"jobs\": {},\n", self.results.len()));
-        out.push_str(&format!("  \"successes\": {},\n", self.successes()));
-        out.push_str("  \"failures\": [");
-        for (i, failure) in self.failures.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "\n    {{\"index\": {}, \"seed\": {}, \"attempts\": {}, \
-                 \"events\": {}, \"kind\": \"{}\", \"detail\": \"{}\"}}",
-                failure.index,
-                failure.seed,
-                failure.attempts,
-                failure.events,
-                failure.kind.label(),
-                escape_json(&failure.detail()),
-            ));
-        }
-        if self.failures.is_empty() {
-            out.push_str("]\n}\n");
-        } else {
-            out.push_str("\n  ]\n}\n");
-        }
-        out
-    }
 }
 
 /// Renders a panic payload to text: string payloads verbatim, anything
@@ -680,52 +384,17 @@ fn panic_payload_text(payload: &(dyn Any + Send)) -> String {
     }
 }
 
-/// Minimal JSON string escaping for the hand-formatted manifest.
-fn escape_json(text: &str) -> String {
-    let mut out = String::with_capacity(text.len());
-    for c in text.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Per-job workload reporter, aggregated into [`ShardStats`].
 #[derive(Debug)]
 pub struct JobMeter {
-    events: u64,
-    cancelled: u64,
-    suppressed: u64,
+    sim: SimStats,
 }
 
 impl JobMeter {
-    /// A zeroed meter (one is created per job attempt).
-    fn new() -> Self {
-        JobMeter {
-            events: 0,
-            cancelled: 0,
-            suppressed: 0,
-        }
-    }
-
-    /// Adds `events` dispatched simulator events to the shard counter.
-    pub fn record_events(&mut self, events: u64) {
-        self.events += events;
-    }
-
-    /// Records a finished simulation's full kernel statistics
-    /// (dispatched, cancelled, suppressed) into the shard counters.
+    /// Records a finished simulation's kernel statistics (dispatched,
+    /// cancelled, suppressed) into the shard counters.
     pub fn record_sim(&mut self, stats: SimStats) {
-        self.events += stats.events_processed;
-        self.cancelled += stats.events_cancelled;
-        self.suppressed += stats.drives_suppressed;
+        self.sim.absorb(stats);
     }
 }
 
@@ -738,24 +407,20 @@ mod tests {
         *job.config as u64 ^ job.seed().rotate_left(7)
     }
 
-    /// Runs `f` once per config under the default policy (panic
-    /// isolation only), its errors typed — how experiment stages sweep.
-    fn sweep<C: Sync, R: Send, E: Send>(
-        runner: SweepRunner,
-        configs: &[C],
-        f: impl Fn(SweepJob<'_, C>, &mut JobMeter) -> Result<R, E> + Sync,
-    ) -> SweepReport<R, E> {
-        runner.run_resilient(configs, RetryPolicy::default(), |job, meter| {
-            f(job, meter).map_err(JobError::Failed)
-        })
+    /// A meter reading of `events` dispatched events.
+    fn dispatched(events: u64) -> SimStats {
+        SimStats {
+            events_processed: events,
+            ..SimStats::default()
+        }
     }
 
     #[test]
     fn results_are_in_config_order() {
         let configs: Vec<usize> = (0..64).collect();
-        let report = sweep(SweepRunner::new(1).with_threads(4), &configs, |job, _| {
-            Ok::<_, ()>((job.index, job_value(job)))
-        });
+        let report = SweepRunner::new(1)
+            .with_threads(4)
+            .run(&configs, |job, _| Ok::<_, ()>((job.index, job_value(job))));
         assert!(report.failures.is_empty());
         for (i, slot) in report.results.iter().enumerate() {
             assert_eq!(slot.map(|(index, _)| index), Some(i));
@@ -772,14 +437,14 @@ mod tests {
     fn thread_count_does_not_change_results() {
         let configs: Vec<usize> = (0..41).collect();
         let value = |job: SweepJob<'_, usize>, _: &mut JobMeter| Ok::<_, ()>(job_value(job));
-        let reference = sweep(SweepRunner::new(9).with_threads(1), &configs, value);
-        assert_eq!(reference.successes(), 41);
+        let reference = SweepRunner::new(9).with_threads(1).run(&configs, value);
+        assert!(reference.failures.is_empty());
         for threads in [2, 3, 8] {
             for chunk in [1, 4] {
                 let runner = SweepRunner::new(9)
                     .with_threads(threads)
                     .with_chunk_size(chunk);
-                let report = sweep(runner, &configs, value);
+                let report = runner.run(&configs, value);
                 assert_eq!(report.results, reference.results, "T={threads} c={chunk}");
             }
         }
@@ -788,9 +453,9 @@ mod tests {
     #[test]
     fn per_job_seeds_are_distinct_and_stable() {
         let configs = [0usize; 16];
-        let report = sweep(SweepRunner::new(77).with_threads(2), &configs, |job, _| {
-            Ok::<_, ()>(job.seed())
-        });
+        let report = SweepRunner::new(77)
+            .with_threads(2)
+            .run(&configs, |job, _| Ok::<_, ()>(job.seed()));
         let seeds: Vec<u64> = report.results.iter().flatten().copied().collect();
         assert_eq!(seeds.len(), 16, "no failures");
         let mut distinct = seeds.clone();
@@ -806,10 +471,10 @@ mod tests {
 
     #[test]
     fn lowest_index_error_wins() {
-        // Every odd job fails; under racy claiming the manifest still
-        // leads with the lowest failing index and its own error.
+        // Every odd job fails; under racy claiming the failure list
+        // still leads with the lowest failing index and its own error.
         let configs: Vec<usize> = (0..32).collect();
-        let report = sweep(SweepRunner::new(3).with_threads(4), &configs, |job, _| {
+        let report = SweepRunner::new(3).with_threads(4).run(&configs, |job, _| {
             if *job.config % 2 == 1 {
                 Err(*job.config)
             } else {
@@ -826,11 +491,12 @@ mod tests {
     #[test]
     fn meter_feeds_shard_event_counters() {
         let configs: Vec<usize> = (0..10).collect();
-        let runner = SweepRunner::new(5).with_threads(2);
-        let report = sweep(runner, &configs, |job, meter| {
-            meter.record_events(*job.config as u64);
-            Ok::<_, ()>(())
-        });
+        let report = SweepRunner::new(5)
+            .with_threads(2)
+            .run(&configs, |job, meter| {
+                meter.record_sim(dispatched(*job.config as u64));
+                Ok::<_, ()>(())
+            });
         assert!(report.failures.is_empty());
         assert_eq!(report.stats.events(), (0..10).sum::<u64>());
         assert!(report.stats.speedup() > 0.0);
@@ -839,15 +505,16 @@ mod tests {
     #[test]
     fn record_sim_feeds_all_counters() {
         let configs: Vec<usize> = (1..=4).collect();
-        let runner = SweepRunner::new(6).with_threads(2);
-        let report = sweep(runner, &configs, |job, meter| {
-            meter.record_sim(SimStats {
-                events_processed: *job.config as u64 * 10,
-                events_cancelled: *job.config as u64,
-                drives_suppressed: *job.config as u64 * 2,
+        let report = SweepRunner::new(6)
+            .with_threads(2)
+            .run(&configs, |job, meter| {
+                meter.record_sim(SimStats {
+                    events_processed: *job.config as u64 * 10,
+                    events_cancelled: *job.config as u64,
+                    drives_suppressed: *job.config as u64 * 2,
+                });
+                Ok::<_, ()>(())
             });
-            Ok::<_, ()>(())
-        });
         assert!(report.failures.is_empty());
         assert_eq!(report.stats.events(), 100);
         assert_eq!(report.stats.cancelled(), 10);
@@ -857,190 +524,57 @@ mod tests {
 
     #[test]
     fn empty_sweep_is_fine() {
-        let report = sweep(SweepRunner::new(1), &[] as &[usize], |_, _| Ok::<_, ()>(()));
+        let report = SweepRunner::new(1).run(&[] as &[usize], |_, _| Ok::<_, ()>(()));
         assert!(report.results.is_empty());
         assert!(report.failures.is_empty());
         assert_eq!(report.stats.jobs, 0);
     }
 
-    /// The 14-job acceptance scenario: 2 panics, 1 stall, 11 results.
-    fn degraded_sweep(threads: usize) -> SweepReport<u64, String> {
+    #[test]
+    fn failed_jobs_leave_the_others_and_match_at_every_thread_count() {
+        // 14 jobs: panics at 3 and 9, a typed error at 6, 11 results.
         let configs: Vec<usize> = (0..14).collect();
-        SweepRunner::new(2012)
-            .with_threads(threads)
-            .run_resilient(
-                &configs,
-                RetryPolicy::default()
-                    .with_attempts(2)
-                    .with_max_events(1_000),
-                |job, meter| {
-                    match *job.config {
-                        3 | 9 => panic!("deliberate panic in config {}", job.config),
-                        6 => {
-                            // Simulate a stall: the job "dispatches"
-                            // its whole event budget without finishing.
-                            let limit = job.budget.max_events().unwrap_or(u64::MAX);
-                            meter.record_events(limit);
-                            Err(JobError::Stalled(StallCause::EventBudget { limit }))
-                        }
-                        c => {
-                            meter.record_events(10);
-                            Ok(c as u64 ^ job.seed())
-                        }
+        let sweep = |threads| {
+            SweepRunner::new(2012)
+                .with_threads(threads)
+                .run(&configs, |job, meter| match *job.config {
+                    3 | 9 => panic!("deliberate panic in config {}", job.config),
+                    6 => Err(format!("bad config {}", job.config)),
+                    c => {
+                        meter.record_sim(dispatched(10));
+                        Ok(c as u64 ^ job.seed())
                     }
+                })
+        };
+        let seed = |index: usize| RngTree::new(2012).fork(index as u64).master_seed();
+        let panicked = |index: usize| JobFailure {
+            index,
+            seed: seed(index),
+            kind: FailureKind::Panicked {
+                payload: format!("deliberate panic in config {index}"),
+            },
+        };
+        let expected_failures = vec![
+            panicked(3),
+            JobFailure {
+                index: 6,
+                seed: seed(6),
+                kind: FailureKind::Failed {
+                    error: "bad config 6".to_owned(),
                 },
-            )
-    }
-
-    #[test]
-    fn resilient_sweep_survives_panics_and_stalls() {
-        let report = degraded_sweep(4);
-        assert_eq!(report.results.len(), 14);
-        assert_eq!(report.successes(), 11);
-        assert_eq!(report.failures.len(), 3);
-        let by_index: Vec<(usize, &str, u32)> = report
-            .failures
-            .iter()
-            .map(|f| (f.index, f.kind.label(), f.attempts))
+            },
+            panicked(9),
+        ];
+        let expected_results: Vec<Option<u64>> = (0..14)
+            .map(|c| (!matches!(c, 3 | 6 | 9)).then(|| c as u64 ^ seed(c)))
             .collect();
-        assert_eq!(
-            by_index,
-            vec![(3, "panicked", 2), (6, "stalled", 2), (9, "panicked", 2)]
-        );
-        for failure in &report.failures {
-            assert_eq!(
-                failure.seed,
-                RngTree::new(2012).fork(failure.index as u64).master_seed()
-            );
+        for threads in [1, 2, 8] {
+            let report = sweep(threads);
+            assert_eq!(report.results, expected_results, "T={threads}");
+            assert_eq!(report.failures, expected_failures, "T={threads}");
+            assert_eq!(report.stats.jobs, 14, "T={threads}");
+            assert_eq!(report.stats.events(), 110, "T={threads}");
         }
-        // The stall detail names the (escalated) exhausted budget.
-        assert!(report.failures[1].detail().contains("2000"));
-        // Failed slots stay empty, successful slots are filled.
-        for (index, slot) in report.results.iter().enumerate() {
-            let failed = matches!(index, 3 | 6 | 9);
-            assert_eq!(slot.is_none(), failed, "slot {index}");
-        }
-    }
-
-    #[test]
-    fn resilient_results_are_thread_count_invariant() {
-        let reference = degraded_sweep(1);
-        for threads in [2, 8] {
-            let report = degraded_sweep(threads);
-            assert_eq!(report.results, reference.results, "T={threads}");
-            assert_eq!(
-                report.failure_manifest_json(),
-                reference.failure_manifest_json(),
-                "manifest T={threads}"
-            );
-        }
-    }
-
-    #[test]
-    fn manifest_json_is_parseable_shape() {
-        let report = degraded_sweep(2);
-        let json = report.failure_manifest_json();
-        assert!(json.contains("\"version\": 1"));
-        assert!(json.contains("\"jobs\": 14"));
-        assert!(json.contains("\"successes\": 11"));
-        assert!(json.contains("\"kind\": \"panicked\""));
-        assert!(json.contains("\"kind\": \"stalled\""));
-        // Panic payloads render verbatim (escaped).
-        assert!(json.contains("deliberate panic in config 3"));
-        // A clean report still renders valid JSON with an empty list.
-        let clean = SweepRunner::new(1)
-            .run_resilient(&[1usize], RetryPolicy::default(), |_, _| {
-                Ok::<_, JobError<String>>(0u64)
-            });
-        assert!(clean.failures.is_empty());
-        assert!(clean.failure_manifest_json().contains("\"failures\": []"));
-        assert_eq!(clean.results, vec![Some(0)]);
-    }
-
-    #[test]
-    fn typed_errors_fail_fast_without_retry() {
-        let configs = [1usize, 2];
-        let report = SweepRunner::new(4).with_threads(1).run_resilient(
-            &configs,
-            RetryPolicy::default().with_attempts(5),
-            |job, _| {
-                if *job.config == 2 {
-                    Err(JobError::Failed("bad config".to_owned()))
-                } else {
-                    Ok(*job.config)
-                }
-            },
-        );
-        assert_eq!(report.failures.len(), 1);
-        assert_eq!(report.failures[0].attempts, 1, "typed errors are not retried");
-        assert_eq!(report.failures[0].kind.label(), "failed");
-    }
-
-    #[test]
-    fn stalls_retry_with_escalating_budget_and_can_recover() {
-        // The job needs 3000 events; the base budget of 1000 escalates
-        // to 2000 then 4000, so the third attempt succeeds.
-        let configs = [(); 1];
-        let report = SweepRunner::new(4).with_threads(1).run_resilient(
-            &configs,
-            RetryPolicy::default()
-                .with_attempts(3)
-                .with_max_events(1_000)
-                .with_escalation(2),
-            |job, _| {
-                let budget = job.budget.max_events().expect("policy sets a budget");
-                if budget < 3_000 {
-                    Err(JobError::<String>::Stalled(StallCause::EventBudget {
-                        limit: budget,
-                    }))
-                } else {
-                    Ok(job.attempt)
-                }
-            },
-        );
-        assert!(report.failures.is_empty());
-        assert_eq!(report.results[0], Some(2), "succeeded on the third attempt");
-    }
-
-    #[test]
-    fn budget_applies_step_limit_and_classifies_stall() {
-        use crate::{Bit, Simulator, Time};
-        // A self-looping driver generates unbounded events; the budget
-        // converts the runaway run into a retryable stall.
-        struct Echo {
-            net: crate::NetId,
-        }
-        impl crate::Component for Echo {
-            fn on_event(&mut self, event: &crate::Event, ctx: &mut crate::Context<'_>) {
-                if let crate::Event::NetChanged { net, value } = *event {
-                    if net == self.net {
-                        ctx.schedule_net(self.net, !value, 1.0);
-                    }
-                }
-            }
-        }
-        let configs = [(); 1];
-        let report = SweepRunner::new(8).with_threads(1).run_resilient(
-            &configs,
-            RetryPolicy::default().with_attempts(2).with_max_events(100),
-            |job, meter| {
-                let mut sim = Simulator::new(job.seed());
-                let net = sim.add_net("echo");
-                let id = sim.add_component(Echo { net });
-                sim.listen(net, id).map_err(JobError::from_sim)?;
-                sim.inject(net, Bit::High, 0.0).map_err(JobError::from_sim)?;
-                job.budget.apply_to(&mut sim);
-                let run = sim.run_until(Time::from_us(1.0));
-                meter.record_sim(sim.stats());
-                run.map_err(JobError::<SimError>::from_sim)?;
-                Ok(())
-            },
-        );
-        assert_eq!(report.failures.len(), 1);
-        assert_eq!(report.failures[0].kind.label(), "stalled");
-        assert_eq!(report.failures[0].attempts, 2);
-        // Both attempts dispatched up to their (escalated) budgets.
-        assert!(report.failures[0].events >= 100);
     }
 
     #[test]
@@ -1050,21 +584,20 @@ mod tests {
         // the payload, and every other job still delivers.
         let configs: Vec<usize> = (0..8).collect();
         for threads in [1, 2] {
-            let runner = SweepRunner::new(1).with_threads(threads);
-            let report = sweep(runner, &configs, |job, _| {
-                if *job.config == 5 {
-                    panic!("boom in job 5");
-                }
-                Ok::<_, ()>(())
-            });
-            assert_eq!(report.successes(), 7, "T={threads}");
+            let report = SweepRunner::new(1)
+                .with_threads(threads)
+                .run(&configs, |job, _| {
+                    if *job.config == 5 {
+                        panic!("boom in job 5");
+                    }
+                    Ok::<_, ()>(())
+                });
+            assert_eq!(report.results.iter().flatten().count(), 7, "T={threads}");
             assert_eq!(
                 report.failures,
                 vec![JobFailure {
                     index: 5,
                     seed: RngTree::new(1).fork(5).master_seed(),
-                    attempts: 1,
-                    events: 0,
                     kind: FailureKind::Panicked {
                         payload: "boom in job 5".to_owned()
                     },

@@ -313,7 +313,7 @@ mod tests {
         let n = sim.add_net("osc");
         sim.watch(n).expect("net exists");
         sim.inject(n, Bit::High, 10.0).expect("valid");
-        sim.run_until(Time::from_ps(20.0)).expect("no limit");
+        sim.run_until(Time::from_ps(20.0));
         let mut out = Vec::new();
         sim.write_vcd(&mut out, "dut").expect("write to Vec");
         let text = String::from_utf8(out).expect("ascii");

@@ -102,7 +102,7 @@ impl Lockstep {
 
     fn run_until(&mut self, horizon_ps: f64) {
         let horizon = Time::from_ps(horizon_ps);
-        self.sim.run_until(horizon).expect("no limit");
+        self.sim.run_until(horizon);
         self.oracle.run_until(horizon);
     }
 
@@ -201,7 +201,7 @@ proptest! {
             let v = Bit::from(flips[i % flips.len()]);
             sim.inject(net, v, t).expect("valid");
         }
-        sim.run_until(Time::from_ps(2e6)).expect("no limit");
+        sim.run_until(Time::from_ps(2e6));
         let trace = sim.trace(net).expect("watched");
         let mut prev_level = trace.initial();
         let mut prev_time = Time::ZERO;
@@ -225,7 +225,7 @@ proptest! {
             level = !level;
             sim.inject(net, level, t).expect("valid");
         }
-        sim.run_until(Time::from_ps(2e6)).expect("no limit");
+        sim.run_until(Time::from_ps(2e6));
         let trace = sim.trace(net).expect("watched");
         let rising = trace.rising_edges().len();
         let falling = trace.falling_edges().len();
@@ -269,7 +269,7 @@ proptest! {
             level = !level;
             sim.inject(net, level, t).expect("valid");
         }
-        sim.run_until(Time::from_ps(2e6)).expect("no limit");
+        sim.run_until(Time::from_ps(2e6));
         let mut out = Vec::new();
         sim.write_vcd(&mut out, "prop").expect("write to Vec");
         let doc = strent_sim::vcd::parse_vcd(&String::from_utf8(out).expect("ascii"))
@@ -294,7 +294,7 @@ proptest! {
                 level = !level;
                 sim.inject(net, level, t).expect("valid");
             }
-            sim.run_until(Time::from_ps(2e6)).expect("no limit");
+            sim.run_until(Time::from_ps(2e6));
             (sim.stats().events_processed, sim.stats().drives_suppressed)
         }
         prop_assert_eq!(run(seed, &ts), run(seed, &ts));

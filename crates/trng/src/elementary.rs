@@ -89,7 +89,7 @@ impl ElementaryTrng {
         let mut sim = Simulator::new(seed);
         let output = self.source.build(board, &mut sim, false)?.output();
         sim.watch(output)?;
-        sim.run_until(Time::from_ps(horizon))?;
+        sim.run_until(Time::from_ps(horizon));
         let trace = sim.trace(output).expect("watched");
         let sampler = Sampler::new(self.reference_period_ps, self.meta_window_ps)?;
         let mut rng = RngTree::new(seed ^ 0x5a5a).stream(1);

@@ -117,7 +117,7 @@ impl MultiphaseTrng {
         for &net in &nets {
             sim.watch(net)?;
         }
-        sim.run_until(Time::from_ps(horizon))?;
+        sim.run_until(Time::from_ps(horizon));
 
         let sampler = Sampler::new(self.reference_period_ps, self.meta_window_ps)?;
         let rng_tree = RngTree::new(seed ^ 0x3b7a);

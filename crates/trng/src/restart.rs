@@ -101,7 +101,7 @@ pub fn run(
         let mut sim = Simulator::new(run_seed);
         let output = source.build(board, &mut sim, false)?.output();
         sim.watch(output)?;
-        sim.run_until(Time::from_ps(horizon))?;
+        sim.run_until(Time::from_ps(horizon));
         let trace = sim.trace(output).expect("watched");
         for (i, &delay) in delays_ps.iter().enumerate() {
             per_delay_bits[i].push(trace.value_at(Time::from_ps(delay)).into());

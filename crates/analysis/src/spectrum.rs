@@ -199,6 +199,9 @@ mod tests {
             .collect();
         let a = self_clocked_lockin_amplitude(&periods, freq).expect("valid");
         assert!((a - 6.0).abs() < 0.5, "lock-in amplitude {a}");
+        // Off-frequency lock-in sees almost nothing.
+        let off = self_clocked_lockin_amplitude(&periods, 0.37 * freq).expect("valid");
+        assert!(off < 0.3, "off-frequency leakage {off}");
         // The same tone in two series evaluated against one clock
         // cancels in their difference.
         let times: Vec<f64> = periods
@@ -273,6 +276,8 @@ mod tests {
         assert!(goertzel_power(&[1.0; 4], 0.1).is_err());
         assert!(goertzel_power(&[1.0; 100], 0.6).is_err());
         assert!(periodogram(&[1.0; 100], 0).is_err());
+        assert!(self_clocked_lockin_amplitude(&[1.0; 8], 1e-4).is_err());
+        assert!(self_clocked_lockin_amplitude(&[1.0; 100], 0.0).is_err());
         assert!(peak_to_median_ratio(&[5.0; 100], 8).is_err()); // zero power
     }
 }

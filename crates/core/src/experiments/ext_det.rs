@@ -11,12 +11,12 @@
 use std::fmt;
 
 use strent_rings::{IroConfig, RingConfig, StrConfig};
-use strent_trng::attack::{probe_response_metered, ModulationResponse};
+use strent_trng::attack::{probe_response, ModulationResponse};
 
 use crate::calibration;
 use crate::report::{fmt_ps, Table};
 
-use super::runner::ExperimentRunner;
+use super::runner::{measure_ring, ExperimentRunner};
 use super::{Effort, ExperimentError};
 
 /// The modulation applied in this experiment: ±1% of the nominal 1.2 V.
@@ -97,13 +97,14 @@ pub fn run_with(runner: &ExperimentRunner) -> Result<ExtDetResult, ExperimentErr
         .collect();
     let mut rows = runner.run_stage("ext_det", &sources, |job, meter| {
         let (label, length, source) = job.config;
-        let (response, stats) = probe_response_metered(
+        let clean = measure_ring(source, &board, job.seed(), periods, meter)?;
+        let (response, stats) = probe_response(
             source,
             &board,
+            &clean,
             SUPPLY_AMPLITUDE_V,
             MODULATION_MHZ,
             job.seed(),
-            periods,
         )?;
         meter.record_sim(stats);
         Ok(ExtDetRow {

@@ -195,10 +195,12 @@ pub fn run_with(runner: &ExperimentRunner) -> Result<ExtEntropyResult, Experimen
     })?;
     let process = GlobalJitterProcess::new(SUPPLY_AMPLITUDE_V, MODULATION_MHZ);
     let pairs = [RingSpec::Str32, RingSpec::Iro32];
-    let differential = runner.run_stage("ext_entropy_diff", &pairs, |job, _meter| {
+    let differential = runner.run_stage("ext_entropy_diff", &pairs, |job, meter| {
         let seeds = (job.seed(), job.seed() ^ 1);
         let ring = job.config.stream_config();
-        Ok(run_differential(&ring, &board, &process, seeds, periods)?)
+        let (outcome, stats) = run_differential(&ring, &board, &process, seeds, periods)?;
+        meter.record_sim(stats);
+        Ok(outcome)
     })?;
     Ok(ExtEntropyResult { rows, differential })
 }

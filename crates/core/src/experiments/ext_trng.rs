@@ -35,7 +35,7 @@ use strent_trng::BitString;
 use crate::calibration;
 use crate::report::Table;
 
-use super::runner::ExperimentRunner;
+use super::runner::{measure_ring, ExperimentRunner};
 use super::{Effort, ExperimentError};
 
 /// Supply attack amplitude, volts (±0.33% of nominal — small enough
@@ -156,7 +156,9 @@ impl fmt::Display for ExtTrngResult {
 
 /// Runs the EXT-TRNG experiment on a caller-provided runner: one
 /// sharded job per source, each evaluating both the quality and the
-/// attack configuration with seeds forked from its job subtree.
+/// attack configuration with seeds forked from its job subtree. One
+/// metered ring run per source calibrates both phase models and is the
+/// clean half of the attack probe.
 ///
 /// # Errors
 ///
@@ -181,10 +183,11 @@ pub fn run_with(runner: &ExperimentRunner) -> Result<ExtTrngResult, ExperimentEr
         ),
     ];
 
-    let rows = runner.run_stage("ext_trng", &sources, |job, _meter| {
+    let rows = runner.run_stage("ext_trng", &sources, |job, meter| {
         let (label, source) = job.config;
         let seed = job.seed();
         let period = source.predicted_period_ps(&board);
+        let run = measure_ring(source, &board, seed, calibration_periods, meter)?;
 
         // Quality configuration: a reference slow enough for q = 0.5.
         // Calibrate the accumulated jitter at a measurable reference,
@@ -193,7 +196,7 @@ pub fn run_with(runner: &ExperimentRunner) -> Result<ExtTrngResult, ExperimentEr
         // phase model, intractable event-by-event).
         let t_ref_probe = period * 20.0;
         let trng = ElementaryTrng::new(source.clone(), t_ref_probe, 0.0)?;
-        let probe_model = trng.calibrated_phase_model(&board, seed, calibration_periods)?;
+        let probe_model = trng.calibrated_phase_model(&run, seed)?;
         let mut model = strent_trng::phase::PhaseModel::new(
             probe_model.period_ps(),
             0.5 * probe_model.period_ps(),
@@ -212,15 +215,10 @@ pub fn run_with(runner: &ExperimentRunner) -> Result<ExtTrngResult, ExperimentEr
         // Attack configuration: fast reference (weak per-bit entropy).
         let t_ref_attack = period * 18.0;
         let trng = ElementaryTrng::new(source.clone(), t_ref_attack, 0.0)?;
-        let weak_model = trng.calibrated_phase_model(&board, seed, calibration_periods)?;
-        let response = probe_response(
-            source,
-            &board,
-            ATTACK_AMPLITUDE_V,
-            ATTACK_MHZ,
-            seed,
-            calibration_periods,
-        )?;
+        let weak_model = trng.calibrated_phase_model(&run, seed)?;
+        let (response, stats) =
+            probe_response(source, &board, &run, ATTACK_AMPLITUDE_V, ATTACK_MHZ, seed)?;
+        meter.record_sim(stats);
         let mod_period_samples = (1e6 / ATTACK_MHZ) / t_ref_attack;
         let clean_bits = weak_model.clone().generate(bits_attack);
         let mut attacked = attacked_phase_model(

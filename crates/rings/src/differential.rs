@@ -31,6 +31,7 @@
 use strent_analysis::{jitter, spectrum};
 use strent_device::noise::GlobalJitterProcess;
 use strent_device::Board;
+use strent_sim::SimStats;
 
 use crate::error::RingError;
 use crate::measure::{run, RingRun};
@@ -165,7 +166,8 @@ fn check_periods(periods: usize) -> Result<(), RingError> {
 /// Runs a differential pair: two rings of the same configuration on
 /// the same globally-modulated board, thermal seeds `seeds.0` and
 /// `seeds.1`. An IRO pair is the control the STR pair is compared
-/// against.
+/// against. The outcome comes with the two runs' kernel statistics,
+/// combined.
 ///
 /// # Errors
 ///
@@ -178,7 +180,7 @@ pub fn run_differential(
     process: &GlobalJitterProcess,
     seeds: (u64, u64),
     periods: usize,
-) -> Result<DifferentialOutcome, RingError> {
+) -> Result<(DifferentialOutcome, SimStats), RingError> {
     check_periods(periods)?;
     check_seeds(seeds)?;
     let modulated = process.modulated(board);
@@ -188,7 +190,9 @@ pub fn run_differential(
         RingConfig::Str(c) => format!("STR {}C pair", c.length()),
         RingConfig::Iro(c) => format!("IRO {}C pair", c.length()),
     };
-    analyze(label, &a, &b, process)
+    let mut stats = a.stats;
+    stats.absorb(b.stats);
+    Ok((analyze(label, &a, &b, process)?, stats))
 }
 
 fn check_seeds(seeds: (u64, u64)) -> Result<(), RingError> {
@@ -231,7 +235,9 @@ mod tests {
     #[test]
     fn iro_pair_rejects_the_common_mode() {
         let process = GlobalJitterProcess::new(0.012, 5.0);
-        let out = run_differential(&iro(25), &board(), &process, (11, 12), 1_200).expect("runs");
+        let (out, stats) =
+            run_differential(&iro(25), &board(), &process, (11, 12), 1_200).expect("runs");
+        assert!(stats.events_processed > 0);
         // The undefended series carries the tone well above the
         // differential residue: measurable rejection.
         assert!(
@@ -264,9 +270,11 @@ mod tests {
             (21, 22),
             1_200,
         )
-        .expect("runs");
-        let iro_out =
-            run_differential(&iro(25), &board(), &process, (21, 22), 1_200).expect("runs");
+        .expect("runs")
+        .0;
+        let iro_out = run_differential(&iro(25), &board(), &process, (21, 22), 1_200)
+            .expect("runs")
+            .0;
         // Both families see a similar ~1.3-1.5% relative tone (global
         // delay modulation is multiplicative) ...
         assert!(str_out.intrinsic_sensitivity() > 0.005);

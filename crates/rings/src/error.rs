@@ -29,7 +29,7 @@ pub enum RingError {
     /// An underlying simulator error.
     Sim(SimError),
     /// The pre-simulation static verifier rejected the netlist or
-    /// configuration under the deny policy (see [`crate::lint`]).
+    /// configuration (see [`crate::lint`]).
     Lint(Vec<Diagnostic>),
     /// A statistical computation over measured series failed (the
     /// differential scenario runs lock-in detection and jitter

@@ -78,7 +78,6 @@ pub mod surrogate;
 pub use charlie::CharlieModel;
 pub use error::RingError;
 pub use iro::IroConfig;
-pub use lint::LintPolicy;
 pub use mode::OscillationMode;
 pub use ring::{RingConfig, RingHandle};
 pub use state::StrState;

@@ -9,13 +9,8 @@
 //! uncancellable-fast-path fan-out budget.
 //!
 //! The verified build step ([`crate::RingConfig::build`]) runs these
-//! checks on every ring it builds, honoring the process-wide
-//! [`LintPolicy`]:
-//! warn-by-default (diagnostics on stderr, simulation proceeds), deny
-//! in CI (`STRENT_LINT=deny`, any finding aborts the run as
-//! [`RingError::Lint`]), or silent.
-
-use std::sync::atomic::{AtomicU8, Ordering};
+//! checks on every ring it builds, and [`enforce`] rejects the ring as
+//! [`RingError::Lint`] on any finding, before any event fires.
 
 use strent_device::Board;
 use strent_sim::{Diagnostic, LintCode, LintReport, NetId, Simulator, INLINE_FANOUT};
@@ -28,86 +23,18 @@ use crate::mode::OscillationMode;
 use crate::state::StrState;
 use crate::str_ring::{StrConfig, StrHandle, TokenLayout};
 
-/// What happens to diagnostics the pre-simulation verifier collects.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LintPolicy {
-    /// Print each finding to stderr and proceed (the default). Stdout
-    /// is untouched, so `repro_all` output stays bit-identical.
-    Warn,
-    /// Abort the run with [`RingError::Lint`] on any finding — the CI
-    /// mode.
-    Deny,
-    /// Discard findings (for callers that inspect reports themselves).
-    Silent,
-}
-
-/// Sentinel: the policy atomic has not been initialized from the
-/// environment yet.
-const POLICY_UNSET: u8 = u8::MAX;
-
-static POLICY: AtomicU8 = AtomicU8::new(POLICY_UNSET);
-
-/// Serializes the tests that set the process-wide policy, which the
-/// test harness would otherwise run on parallel threads.
-#[cfg(test)]
-pub(crate) static POLICY_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-fn policy_from_env() -> LintPolicy {
-    match std::env::var("STRENT_LINT").as_deref() {
-        Ok("deny") => LintPolicy::Deny,
-        Ok("silent") | Ok("off") => LintPolicy::Silent,
-        _ => LintPolicy::Warn,
-    }
-}
-
-/// The process-wide policy, initialized from `STRENT_LINT`
-/// (`deny`/`silent`/`warn`) on first use.
-#[must_use]
-pub fn policy() -> LintPolicy {
-    match POLICY.load(Ordering::Relaxed) {
-        0 => LintPolicy::Warn,
-        1 => LintPolicy::Deny,
-        2 => LintPolicy::Silent,
-        _ => {
-            let resolved = policy_from_env();
-            set_policy(resolved);
-            resolved
-        }
-    }
-}
-
-/// Overrides the process-wide policy (e.g. a test that builds a
-/// deliberately broken netlist).
-pub fn set_policy(policy: LintPolicy) {
-    let raw = match policy {
-        LintPolicy::Warn => 0,
-        LintPolicy::Deny => 1,
-        LintPolicy::Silent => 2,
-    };
-    POLICY.store(raw, Ordering::Relaxed);
-}
-
-/// Applies the current [`LintPolicy`] to a report: warn prints to
-/// stderr, deny turns any finding into [`RingError::Lint`], silent
-/// drops everything.
+/// Turns a report into a verdict: a clean report passes, and any
+/// finding, error or warning, rejects the ring.
 ///
 /// # Errors
 ///
-/// Returns [`RingError::Lint`] under [`LintPolicy::Deny`] when the
-/// report is not clean.
+/// Returns [`RingError::Lint`] carrying every finding when the report
+/// is not clean.
 pub fn enforce(report: &LintReport) -> Result<(), RingError> {
     if report.is_clean() {
-        return Ok(());
-    }
-    match policy() {
-        LintPolicy::Silent => Ok(()),
-        LintPolicy::Warn => {
-            for d in report.diagnostics() {
-                eprintln!("simlint: {d}");
-            }
-            Ok(())
-        }
-        LintPolicy::Deny => Err(RingError::Lint(report.diagnostics().to_vec())),
+        Ok(())
+    } else {
+        Err(RingError::Lint(report.diagnostics().to_vec()))
     }
 }
 
@@ -558,27 +485,19 @@ mod tests {
     }
 
     #[test]
-    fn enforce_deny_surfaces_ring_error() {
-        let _serial = POLICY_LOCK
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let saved = policy();
-        set_policy(LintPolicy::Deny);
+    fn enforce_surfaces_ring_error() {
         let mut report = LintReport::new();
-        assert!(enforce(&report).is_ok(), "clean report passes deny");
+        assert!(enforce(&report).is_ok(), "a clean report passes");
         report.push(Diagnostic::new(
             LintCode::OrphanNet,
             "net 0",
             "dangling",
         ));
-        let err = enforce(&report).expect_err("deny rejects findings");
+        let err = enforce(&report).expect_err("any finding rejects");
         match &err {
             RingError::Lint(diags) => assert_eq!(diags.len(), 1),
             other => panic!("expected Lint error, got {other:?}"),
         }
         assert!(err.to_string().contains("SL001"), "{err}");
-        set_policy(LintPolicy::Silent);
-        assert!(enforce(&report).is_ok(), "silent swallows findings");
-        set_policy(saved);
     }
 }

@@ -124,11 +124,8 @@ impl RingConfig {
 
 #[cfg(test)]
 mod tests {
-    use std::sync::PoisonError;
-
     use super::*;
     use crate::fault::run_degraded;
-    use crate::lint::{LintPolicy, POLICY_LOCK};
     use crate::measure::{self, run_str_full};
     use crate::mode::OscillationMode;
     use crate::str_ring::TokenLayout;
@@ -164,15 +161,11 @@ mod tests {
         );
         let ring = RingConfig::Str(config.clone());
         let plan = FaultPlan::new(1);
-        let _serial = POLICY_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
-        let saved = lint::policy();
-        lint::set_policy(LintPolicy::Deny);
         let measured = measure::run(&ring, &board, 1, 100);
         let stream = RingStream::build(&ring, &board, 1, None);
         let full = run_str_full(&config, &board, 1, 100);
         let degraded = run_degraded(&ring, &board, 1, 50_000.0, &plan);
         let armed_stream = RingStream::build(&ring, &board, 1, Some(&plan));
-        lint::set_policy(saved);
         assert!(names_sl012(&measured), "{measured:?}");
         assert!(names_sl012(&stream), "{stream:?}");
         assert!(full.is_ok(), "{:?}", full.err());

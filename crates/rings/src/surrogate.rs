@@ -604,7 +604,8 @@ impl SurrogateStream {
 /// 1. an armed [`FaultPlan`] always forces the full simulation — the
 ///    surrogate models a healthy locked ring only;
 /// 2. an STR whose Eq. 1 prediction ([`lint::predicted_mode`], the
-///    SL012 rule) is not evenly-spaced is ineligible;
+///    SL012 rule) is not evenly-spaced is ineligible, and the full
+///    simulation's verified build refuses it when no fault is armed;
 /// 3. an STR in a drafting-capable technology whose design-rule
 ///    deviation exceeds [`BOUNDARY_DEVIATION`] is *near* the mode
 ///    boundary and ineligible even though SL012 has not fired yet;

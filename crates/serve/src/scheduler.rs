@@ -366,6 +366,10 @@ impl EntropyService {
             .collect();
         let quarantined: Arc<Vec<AtomicBool>> =
             Arc::new((0..shard_count).map(|_| AtomicBool::new(false)).collect());
+        // The shards' control channels: their senders live on the event
+        // loop and must never block, and admission control (shed_limit,
+        // max_in_flight) bounds their depth upstream.
+        // simlint: allow(SL203) control channels, bounded upstream by admission
         let (senders, receivers): (Vec<_>, Vec<_>) =
             (0..shard_count).map(|_| mpsc::channel()).unzip();
         // Built before the first spawn: if a later spawn fails, dropping

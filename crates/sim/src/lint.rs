@@ -1,10 +1,10 @@
 //! Typed static-verification diagnostics (the netlist half of
 //! `simlint`).
 //!
-//! Every diagnostic carries a stable `SL0xx` code so experiment logs,
-//! CI filters and the allowlist can refer to a check without parsing
-//! prose. Codes are never reused; `docs/static_analysis.md` is the
-//! catalog. The checks themselves live in two places:
+//! Every diagnostic carries a stable `SL0xx` code so experiment logs
+//! and CI filters can refer to a check without parsing prose. Codes
+//! are never reused; `docs/static_analysis.md` is the catalog. The
+//! checks themselves live in two places:
 //!
 //! * [`Simulator::lint_netlist`](crate::Simulator::lint_netlist) —
 //!   structural checks any netlist can fail (orphan nets, unreachable
@@ -23,8 +23,8 @@ use std::fmt;
 /// Warnings flag constructions that simulate correctly but deviate
 /// from the paper's assumptions (e.g. a ring predicted to run in burst
 /// mode); errors flag netlists whose results would be meaningless
-/// (broken connectivity, conservation violations). Deny-mode policies
-/// treat both as fatal.
+/// (broken connectivity, conservation violations). The verified ring
+/// build treats both as fatal.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Severity {
     /// Suspicious but simulatable.

@@ -215,6 +215,7 @@ impl SweepRunner {
         E: Send,
         F: Fn(SweepJob<'_, C>, &mut JobMeter) -> Result<R, E> + Sync,
     {
+        // simlint: allow(SL102) wall-clock sweep stats only; results carry simulated time
         let started = Instant::now();
         let threads = self.threads.min(configs.len()).max(1);
 
@@ -230,6 +231,7 @@ impl SweepRunner {
             .collect();
 
         let run_shard = |shard_id: usize, shard_stats: &mut ShardStats| {
+            // simlint: allow(SL102) wall-clock shard stats only; results carry simulated time
             let shard_started = Instant::now();
             loop {
                 let start = cursor.fetch_add(self.chunk, Ordering::Relaxed);

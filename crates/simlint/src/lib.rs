@@ -28,22 +28,18 @@
 //!
 //! Diagnostic codes are stable; [`RULES`] is the registry and
 //! `docs/static_analysis.md` the human catalog — a unit test asserts
-//! the two agree. Vetted sites are excused
-//! inline (`// simlint: allow(SL102)` on the offending or preceding
-//! line), via the allowlist file `scripts/simlint.allow`, or
-//! grandfathered with a count in `scripts/simlint.baseline`
-//! ([`Baseline`]; deny mode then fails only on new findings).
+//! the two agree. A vetted site is excused only inline, with
+//! `// simlint: allow(<code>) <reason>` on the offending or preceding
+//! line; every other finding fails the scan.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod baseline;
 pub mod lexer;
 pub mod rules_sl2xx;
 pub mod symbols;
 pub mod tree;
 
-pub use baseline::{Baseline, BaselineOutcome};
 pub use rules_sl2xx::{lock_conflicts, scan_semantic, LockPair, SemanticScan};
 
 use std::collections::{BTreeMap, BTreeSet};
@@ -60,7 +56,7 @@ use tree::FileTree;
 pub struct RuleInfo {
     /// Stable diagnostic code (`SL101`..).
     pub code: &'static str,
-    /// `"error"` or `"warning"` (both fatal under `--deny`).
+    /// `"error"` or `"warning"` (both fatal).
     pub severity: &'static str,
     /// Where the rule applies (matched verbatim against the docs
     /// tables): `deterministic-src`, `workspace`, `crate-roots`,
@@ -208,7 +204,7 @@ pub const DETERMINISTIC_CRATES: [&str; 6] = [
 pub struct SourceDiagnostic {
     /// Stable code (`SL101`..`SL107`).
     pub code: &'static str,
-    /// `"error"` or `"warning"` (both fatal under `--deny`).
+    /// `"error"` or `"warning"` (both fatal).
     pub severity: &'static str,
     /// Path relative to the scanned root, `/`-separated.
     pub path: String,
@@ -235,8 +231,6 @@ pub struct ScanReport {
     pub files_scanned: usize,
     /// Wall time of the scan in milliseconds.
     pub scan_ms: u128,
-    /// Findings suppressed by the baseline (grandfathered, not shown).
-    pub suppressed: usize,
     /// All findings, in path/line order.
     pub diagnostics: Vec<SourceDiagnostic>,
 }
@@ -263,17 +257,16 @@ impl ScanReport {
             .collect()
     }
 
-    /// Hand-formatted machine-readable JSON (`{"version":2,...}`) —
+    /// Hand-formatted machine-readable JSON (`{"version":3,...}`) —
     /// no serializer crate in the closure, so the shape is tested
-    /// against `python3 -c "json.load"` in CI. Version 2 adds
-    /// `scan_ms`, `suppressed` and the per-rule `rule_counts` block.
+    /// against `python3 -c "json.load"` in CI. It carries `scan_ms`
+    /// and the per-rule `rule_counts` block.
     #[must_use]
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\n");
-        out.push_str("  \"version\": 2,\n");
+        out.push_str("  \"version\": 3,\n");
         out.push_str(&format!("  \"files_scanned\": {},\n", self.files_scanned));
         out.push_str(&format!("  \"scan_ms\": {},\n", self.scan_ms));
-        out.push_str(&format!("  \"suppressed\": {},\n", self.suppressed));
         out.push_str("  \"rule_counts\": {");
         for (i, (code, n)) in self.rule_counts().into_iter().enumerate() {
             if i > 0 {
@@ -318,74 +311,6 @@ fn json_escape(s: &str) -> String {
         }
     }
     out
-}
-
-/// File-level allowlist for vetted sites (`scripts/simlint.allow`).
-///
-/// Line format: `<path-suffix> <code> [justification...]`; `#` starts a
-/// comment. A diagnostic is excused when its code matches and its path
-/// ends with the entry's path suffix.
-#[derive(Debug, Default, Clone)]
-pub struct Allowlist {
-    entries: Vec<(String, String)>,
-}
-
-impl Allowlist {
-    /// An empty allowlist (nothing excused).
-    #[must_use]
-    pub fn empty() -> Self {
-        Allowlist::default()
-    }
-
-    /// Parses the allowlist format; unknown lines are rejected so typos
-    /// cannot silently excuse nothing.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message naming the malformed line.
-    pub fn parse(text: &str) -> Result<Self, String> {
-        let mut entries = Vec::new();
-        for (i, raw) in text.lines().enumerate() {
-            let line = raw.split('#').next().unwrap_or("").trim();
-            if line.is_empty() {
-                continue;
-            }
-            let mut parts = line.split_whitespace();
-            let (Some(path), Some(code)) = (parts.next(), parts.next()) else {
-                return Err(format!(
-                    "allowlist line {}: expected '<path> <code> [reason]', got {raw:?}",
-                    i + 1
-                ));
-            };
-            if !code.starts_with("SL") {
-                return Err(format!(
-                    "allowlist line {}: {code:?} is not an SLxxx code",
-                    i + 1
-                ));
-            }
-            entries.push((path.replace('\\', "/"), code.to_owned()));
-        }
-        Ok(Allowlist { entries })
-    }
-
-    /// Loads and parses an allowlist file.
-    ///
-    /// # Errors
-    ///
-    /// Returns the IO or parse failure as a message.
-    pub fn load(path: &Path) -> Result<Self, String> {
-        let text = fs::read_to_string(path)
-            .map_err(|e| format!("cannot read allowlist {}: {e}", path.display()))?;
-        Self::parse(&text)
-    }
-
-    /// Whether `(path, code)` is excused.
-    #[must_use]
-    pub fn allows(&self, path: &str, code: &str) -> bool {
-        self.entries
-            .iter()
-            .any(|(p, c)| c == code && (path == p || path.ends_with(&format!("/{p}")) || path.ends_with(p.as_str())))
-    }
 }
 
 /// Blanks comments and string/char literal *contents* with spaces,
@@ -601,16 +526,11 @@ fn has_safety_comment(raw: &[&str], idx: usize) -> bool {
 
 /// Scans one file's source text. `deterministic` enables the SL101-104
 /// rules (hot-path files); the `unsafe` audit (SL105) always runs.
-/// Returns findings not excused inline or by the allowlist.
+/// Returns the findings not excused inline.
 #[must_use]
-pub fn scan_source(
-    path: &str,
-    source: &str,
-    deterministic: bool,
-    allowlist: &Allowlist,
-) -> Vec<SourceDiagnostic> {
+pub fn scan_source(path: &str, source: &str, deterministic: bool) -> Vec<SourceDiagnostic> {
     let stripped = strip_source(source);
-    scan_stripped(path, source, &stripped, deterministic, allowlist).0
+    scan_stripped(path, source, &stripped, deterministic).0
 }
 
 /// [`scan_source`] over the file's `stripped` lines (its source passed
@@ -622,7 +542,6 @@ fn scan_stripped(
     source: &str,
     stripped: &[String],
     deterministic: bool,
-    allowlist: &Allowlist,
 ) -> (Vec<SourceDiagnostic>, Vec<LockPair>) {
     let raw: Vec<&str> = source.lines().collect();
     let tree = FileTree::parse(stripped);
@@ -636,7 +555,7 @@ fn scan_stripped(
                     idx: usize,
                     message: String,
                     out: &mut Vec<SourceDiagnostic>| {
-        if !inline_allowed(&raw, idx, code) && !allowlist.allows(path, code) {
+        if !inline_allowed(&raw, idx, code) {
             out.push(SourceDiagnostic {
                 code,
                 severity,
@@ -764,10 +683,8 @@ fn scan_stripped(
     }
     // Semantic findings (provenance-aware SL107, the guard rules and
     // SL2xx) and intra-file lock-order conflicts go through the same
-    // inline-directive and allowlist filters as the line rules.
-    let keep = |d: &SourceDiagnostic| {
-        !inline_allowed(&raw, d.line.saturating_sub(1), d.code) && !allowlist.allows(path, d.code)
-    };
+    // inline-directive filter as the line rules.
+    let keep = |d: &SourceDiagnostic| !inline_allowed(&raw, d.line.saturating_sub(1), d.code);
     for d in sem.diagnostics {
         if keep(&d) {
             out.push(d);
@@ -790,9 +707,8 @@ fn check_crate_gate(
     root_path: &str,
     root_lines: &[String],
     crate_has_unsafe: bool,
-    allowlist: &Allowlist,
 ) -> Option<SourceDiagnostic> {
-    if crate_has_unsafe || allowlist.allows(root_path, "SL106") {
+    if crate_has_unsafe {
         return None;
     }
     let gated = root_lines.iter().any(|l| {
@@ -868,7 +784,7 @@ fn crate_dirs(root: &Path) -> io::Result<Vec<PathBuf>> {
 /// # Errors
 ///
 /// Propagates filesystem errors (unreadable directories or files).
-pub fn scan_workspace(root: &Path, allowlist: &Allowlist) -> io::Result<ScanReport> {
+pub fn scan_workspace(root: &Path) -> io::Result<ScanReport> {
     // simlint itself is not a deterministic crate: wall-clock timing
     // here feeds the report's `scan_ms`, nothing else.
     let started = std::time::Instant::now();
@@ -891,7 +807,7 @@ pub fn scan_workspace(root: &Path, allowlist: &Allowlist) -> io::Result<ScanRepo
             report.files_scanned += 1;
             let stripped = strip_source(&source);
             saw_unsafe |= stripped.iter().any(|l| has_token(l, "unsafe"));
-            let (diags, pairs) = scan_stripped(&label, &source, &stripped, deterministic, allowlist);
+            let (diags, pairs) = scan_stripped(&label, &source, &stripped, deterministic);
             report.diagnostics.extend(diags);
             lock_pairs.extend(pairs);
             if file == gate_root {
@@ -934,7 +850,6 @@ pub fn scan_workspace(root: &Path, allowlist: &Allowlist) -> io::Result<ScanRepo
                 &rel_label(root, &gate_root),
                 &lines,
                 crate_has_unsafe,
-                allowlist,
             ));
         }
     }
@@ -950,7 +865,7 @@ pub fn scan_workspace(root: &Path, allowlist: &Allowlist) -> io::Result<ScanRepo
         intra_keys.extend(lock_conflicts(pairs).into_iter().map(|(_, k)| k));
     }
     for (d, key) in lock_conflicts(&lock_pairs) {
-        if !intra_keys.contains(&key) && !allowlist.allows(&d.path, d.code) {
+        if !intra_keys.contains(&key) {
             report.diagnostics.push(d);
         }
     }
@@ -966,7 +881,7 @@ mod tests {
     use super::*;
 
     fn scan_det(source: &str) -> Vec<SourceDiagnostic> {
-        scan_source("crates/sim/src/x.rs", source, true, &Allowlist::empty())
+        scan_source("crates/sim/src/x.rs", source, true)
     }
 
     #[test]
@@ -1000,8 +915,8 @@ mod tests {
     #[test]
     fn unsafe_without_safety_fires_sl105_everywhere() {
         let source = "fn f() { unsafe { core::hint::unreachable_unchecked() } }\n";
-        let det = scan_source("crates/sim/src/x.rs", source, true, &Allowlist::empty());
-        let non_det = scan_source("crates/bench/src/x.rs", source, false, &Allowlist::empty());
+        let det = scan_source("crates/sim/src/x.rs", source, true);
+        let non_det = scan_source("crates/bench/src/x.rs", source, false);
         assert_eq!(det.iter().filter(|d| d.code == "SL105").count(), 1);
         assert_eq!(non_det.iter().filter(|d| d.code == "SL105").count(), 1);
     }
@@ -1013,12 +928,7 @@ mod tests {
         let diags = scan_det("let stats = handle.join().expect(\"worker died\");\n");
         assert_eq!(diags.iter().filter(|d| d.code == "SL107").count(), 1);
         // SL107 is not a determinism rule: it fires in any crate's src/.
-        let bench = scan_source(
-            "crates/bench/src/x.rs",
-            "handle.join().unwrap();\n",
-            false,
-            &Allowlist::empty(),
-        );
+        let bench = scan_source("crates/bench/src/x.rs", "handle.join().unwrap();\n", false);
         assert_eq!(bench.iter().filter(|d| d.code == "SL107").count(), 1);
     }
 
@@ -1033,7 +943,6 @@ mod tests {
             "crates/sim/tests/determinism.rs",
             "handle.join().unwrap();\n",
             false,
-            &Allowlist::empty(),
         );
         assert!(outside.is_empty());
         // #[cfg(test)] regions inside src/ may unwrap joins freely.
@@ -1051,9 +960,7 @@ mod tests {
 
     #[test]
     fn unguarded_blocking_reads_fire_sl108_only_in_the_serving_layer() {
-        let scan_serve = |source: &str| {
-            scan_source("crates/serve/src/x.rs", source, false, &Allowlist::empty())
-        };
+        let scan_serve = |source: &str| scan_source("crates/serve/src/x.rs", source, false);
         for bad in [
             "fn f() {\n    let msg = rx.recv().map_err(drop);\n}\n",
             "fn f() {\n    let (stream, _) = listener.accept()?;\n}\n",
@@ -1087,14 +994,12 @@ mod tests {
             "crates/core/src/x.rs",
             "fn f() {\n    let msg = rx.recv().unwrap_or(0);\n}\n",
             false,
-            &Allowlist::empty(),
         );
         assert!(elsewhere.iter().all(|d| d.code != "SL108"));
         let in_tests = scan_source(
             "crates/serve/tests/x.rs",
             "fn f() {\n    let msg = rx.recv().unwrap_or(0);\n}\n",
             false,
-            &Allowlist::empty(),
         );
         assert!(in_tests.iter().all(|d| d.code != "SL108"));
         let in_test_mod = scan_serve(concat!(
@@ -1110,7 +1015,7 @@ mod tests {
     fn ring_stream_bypass_fires_sl109_in_the_selector_scoped_crates() {
         let bad = "let s = RingStream::build(&config, &board, seed, None)?;\n";
         for scoped in ["crates/serve/src/source.rs", "crates/core/src/pool.rs"] {
-            let diags = scan_source(scoped, bad, false, &Allowlist::empty());
+            let diags = scan_source(scoped, bad, false);
             assert_eq!(
                 diags.iter().filter(|d| d.code == "SL109").count(),
                 1,
@@ -1124,7 +1029,7 @@ mod tests {
             "crates/serve/tests/pool.rs",
             "crates/core/benches/x.rs",
         ] {
-            let diags = scan_source(exempt, bad, false, &Allowlist::empty());
+            let diags = scan_source(exempt, bad, false);
             assert!(diags.iter().all(|d| d.code != "SL109"), "{exempt}: {diags:?}");
         }
         let in_test_mod = scan_source(
@@ -1136,19 +1041,17 @@ mod tests {
                 "}\n",
             ),
             false,
-            &Allowlist::empty(),
         );
         assert!(in_test_mod.is_empty(), "{in_test_mod:?}");
         // Going through the selector is exactly what the rule wants.
         let good = "let s = EntropySource::build(&config, &board, seed, None, backend)?;\n";
-        assert!(scan_source("crates/serve/src/source.rs", good, false, &Allowlist::empty())
-            .is_empty());
+        assert!(scan_source("crates/serve/src/source.rs", good, false).is_empty());
     }
 
     #[test]
     fn thread_spawn_fires_sl110_in_the_serving_layer() {
         let scan_serve = |src: &str| {
-            scan_source("crates/serve/src/server.rs", src, false, &Allowlist::empty())
+            scan_source("crates/serve/src/server.rs", src, false)
                 .into_iter()
                 .filter(|d| d.code == "SL110")
                 .collect::<Vec<_>>()
@@ -1177,14 +1080,12 @@ mod tests {
             "crates/bench/src/bin/serve_load.rs",
             "fn f() {\n    std::thread::spawn(move || handle(stream));\n}\n",
             false,
-            &Allowlist::empty(),
         );
         assert!(elsewhere.iter().all(|d| d.code != "SL110"));
         let in_tests = scan_source(
             "crates/serve/tests/sharding.rs",
             "fn f() {\n    std::thread::spawn(move || handle(stream));\n}\n",
             false,
-            &Allowlist::empty(),
         );
         assert!(in_tests.iter().all(|d| d.code != "SL110"));
         let in_test_mod = scan_serve(concat!(
@@ -1199,15 +1100,10 @@ mod tests {
     #[test]
     fn naked_catch_unwind_fires_sl111_in_the_serving_layer() {
         let scan_serve = |src: &str| {
-            scan_source(
-                "crates/serve/src/supervisor.rs",
-                src,
-                false,
-                &Allowlist::empty(),
-            )
-            .into_iter()
-            .filter(|d| d.code == "SL111")
-            .collect::<Vec<_>>()
+            scan_source("crates/serve/src/supervisor.rs", src, false)
+                .into_iter()
+                .filter(|d| d.code == "SL111")
+                .collect::<Vec<_>>()
         };
         // The naked catch: the panic is swallowed with no discipline.
         for bad in [
@@ -1238,14 +1134,12 @@ mod tests {
             "crates/bench/src/bin/serve_load.rs",
             "fn f() {\n    let r = std::panic::catch_unwind(body);\n}\n",
             false,
-            &Allowlist::empty(),
         );
         assert!(elsewhere.iter().all(|d| d.code != "SL111"));
         let in_tests = scan_source(
             "crates/serve/tests/hardening.rs",
             "fn f() {\n    let r = std::panic::catch_unwind(body);\n}\n",
             false,
-            &Allowlist::empty(),
         );
         assert!(in_tests.iter().all(|d| d.code != "SL111"));
         let in_test_mod = scan_serve(concat!(
@@ -1260,7 +1154,7 @@ mod tests {
     #[test]
     fn unacknowledged_entropy_estimate_fires_sl112_in_the_serving_layer() {
         let scan_serve = |src: &str| {
-            scan_source("crates/serve/src/pool.rs", src, false, &Allowlist::empty())
+            scan_source("crates/serve/src/pool.rs", src, false)
                 .into_iter()
                 .filter(|d| d.code == "SL112")
                 .collect::<Vec<_>>()
@@ -1294,14 +1188,12 @@ mod tests {
             "crates/core/src/experiments/ext_entropy.rs",
             "fn f() {\n    let h = markov_min_entropy(&bits, 2)?;\n}\n",
             false,
-            &Allowlist::empty(),
         );
         assert!(elsewhere.iter().all(|d| d.code != "SL112"));
         let in_tests = scan_source(
             "crates/serve/tests/sharding.rs",
             "fn f() {\n    let h = est.entropy_rate();\n}\n",
             false,
-            &Allowlist::empty(),
         );
         assert!(in_tests.iter().all(|d| d.code != "SL112"));
         let in_test_mod = scan_serve(concat!(
@@ -1382,42 +1274,17 @@ mod tests {
     }
 
     #[test]
-    fn allowlist_excuses_by_path_suffix_and_code() {
-        let allow = Allowlist::parse(
-            "# vetted sites\ncrates/sim/src/x.rs SL102 wall-clock stats only\n",
-        )
-        .expect("parses");
-        let diags = scan_source(
-            "crates/sim/src/x.rs",
-            "let t = Instant::now();\n",
-            true,
-            &allow,
-        );
-        assert!(diags.is_empty());
-        let other = scan_source(
-            "crates/sim/src/y.rs",
-            "let t = Instant::now();\n",
-            true,
-            &allow,
-        );
-        assert_eq!(other.len(), 1, "different file is not excused");
-        assert!(Allowlist::parse("whatever NOTACODE\n").is_err());
-    }
-
-    #[test]
     fn crate_gate_check_fires_only_without_unsafe_and_without_gate() {
-        let allow = Allowlist::empty();
         let plain = strip_source("pub fn f() {}\n");
-        let missing = check_crate_gate("crates/x/src/lib.rs", &plain, false, &allow);
+        let missing = check_crate_gate("crates/x/src/lib.rs", &plain, false);
         assert_eq!(missing.expect("fires").code, "SL106");
         let gated = check_crate_gate(
             "crates/x/src/lib.rs",
             &strip_source("#![forbid(unsafe_code)]\npub fn f() {}\n"),
             false,
-            &allow,
         );
         assert!(gated.is_none());
-        let has_unsafe = check_crate_gate("crates/x/src/lib.rs", &plain, true, &allow);
+        let has_unsafe = check_crate_gate("crates/x/src/lib.rs", &plain, true);
         assert!(has_unsafe.is_none(), "crates with unsafe use SL105 instead");
     }
 
@@ -1426,7 +1293,6 @@ mod tests {
         let report = ScanReport {
             files_scanned: 3,
             scan_ms: 12,
-            suppressed: 2,
             diagnostics: vec![SourceDiagnostic {
                 code: "SL101",
                 severity: "error",
@@ -1436,10 +1302,10 @@ mod tests {
             }],
         };
         let json = report.to_json();
-        assert!(json.contains("\"version\": 2"));
+        assert!(json.contains("\"version\": 3"));
         assert!(json.contains("\"files_scanned\": 3"));
         assert!(json.contains("\"scan_ms\": 12"));
-        assert!(json.contains("\"suppressed\": 2"));
+        assert!(!json.contains("suppressed"));
         assert!(json.contains("\"SL101\": 1"));
         // Every registry code is counted, zero or not, and nothing else.
         assert_eq!(report.rule_counts().len(), RULES.len());
@@ -1496,13 +1362,12 @@ mod tests {
                     "fixtures/missing_gate/src/lib.rs",
                     &strip_source(&source),
                     false,
-                    &Allowlist::empty(),
                 );
                 assert_eq!(diag.expect("fires").code, "SL106");
                 continue;
             }
             let label = format!("crates/{}/src/{}", r.fixture_crate, r.fixture);
-            let diags = scan_source(&label, &source, true, &Allowlist::empty());
+            let diags = scan_source(&label, &source, true);
             assert!(
                 diags.iter().any(|d| d.code == r.code),
                 "{} must fire {}, got {diags:?}",
@@ -1518,7 +1383,7 @@ mod tests {
             ("clean_sl2xx.rs", "crates/serve/src/clean_sl2xx.rs"),
         ] {
             let clean = fs::read_to_string(fixtures.join(file)).expect(file);
-            let diags = scan_source(label, &clean, true, &Allowlist::empty());
+            let diags = scan_source(label, &clean, true);
             assert!(diags.is_empty(), "{file} fired: {diags:?}");
         }
         // The fixture set and the registry agree: every `.rs` file is a
@@ -1542,27 +1407,20 @@ mod tests {
     }
 
     #[test]
-    fn workspace_is_clean_under_the_checked_in_allowlist_and_baseline() {
+    fn workspace_is_clean() {
         let root = Path::new(env!("CARGO_MANIFEST_DIR"))
             .parent()
             .and_then(Path::parent)
             .expect("workspace root");
-        let allowlist =
-            Allowlist::load(&root.join("scripts/simlint.allow")).expect("allowlist loads");
-        let baseline =
-            Baseline::load(&root.join("scripts/simlint.baseline")).expect("baseline loads");
-        let mut report = scan_workspace(root, &allowlist).expect("scan succeeds");
-        let outcome = baseline.apply(&mut report);
-        report.suppressed = outcome.suppressed;
-        assert!(report.files_scanned > 40, "only {} files", report.files_scanned);
+        let report = scan_workspace(root).expect("scan succeeds");
         assert!(
-            outcome.stale.is_empty(),
-            "stale baseline entries (fixed sites — delete them): {:?}",
-            outcome.stale
+            report.files_scanned > 40,
+            "only {} files",
+            report.files_scanned
         );
         assert!(
             report.is_clean(),
-            "workspace has simlint findings beyond the baseline:\n{}",
+            "workspace has simlint findings:\n{}",
             report
                 .diagnostics
                 .iter()

@@ -2,44 +2,32 @@
 //! and `unsafe`-code hygiene violations (see `docs/static_analysis.md`).
 //!
 //! ```text
-//! simlint [--root DIR] [--allowlist FILE] [--baseline FILE]
-//!         [--write-baseline FILE] [--deny] [--json]
+//! simlint [--root DIR] [--json]
 //! ```
 //!
-//! - `--root DIR`             workspace root to scan (default: `.`)
-//! - `--allowlist FILE`       vetted-site allowlist (default: `<root>/scripts/simlint.allow` if present)
-//! - `--baseline FILE`        grandfathered findings to subtract (default: `<root>/scripts/simlint.baseline` if present); deny mode then fails only on NEW findings
-//! - `--write-baseline FILE`  write the current findings in baseline format and exit
-//! - `--deny`                 exit 1 on any non-grandfathered diagnostic (CI mode; default exits 0 and just prints)
-//! - `--json`                 emit the machine-readable report on stdout (version 2: per-rule counts + scan timing)
+//! - `--root DIR`  workspace root to scan (default: `.`)
+//! - `--json`      emit the machine-readable report on stdout (version 3: per-rule counts + scan timing)
 //!
-//! Exit codes: 0 clean (or warn mode), 1 findings under `--deny`, 2
-//! usage/IO error. The fixture proof (every registered code fires) and
-//! the docs-drift check are unit tests: `cargo test -p simlint`.
+//! Exit codes: 0 clean, 1 any finding, 2 usage/IO error. A vetted site
+//! is excused only by an inline `// simlint: allow(<code>) <reason>`
+//! directive. The fixture proof (every registered code fires) and the
+//! docs-drift check are unit tests: `cargo test -p simlint`.
 
 #![forbid(unsafe_code)]
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use simlint::{scan_workspace, Allowlist, Baseline};
+use simlint::scan_workspace;
 
 struct Options {
     root: PathBuf,
-    allowlist: Option<PathBuf>,
-    baseline: Option<PathBuf>,
-    write_baseline: Option<PathBuf>,
-    deny: bool,
     json: bool,
 }
 
 fn parse_args() -> Result<Options, String> {
     let mut opts = Options {
         root: PathBuf::from("."),
-        allowlist: None,
-        baseline: None,
-        write_baseline: None,
-        deny: false,
         json: false,
     };
     let mut args = std::env::args().skip(1);
@@ -50,25 +38,6 @@ fn parse_args() -> Result<Options, String> {
                     args.next().ok_or_else(|| "--root needs a value".to_owned())?,
                 );
             }
-            "--allowlist" => {
-                opts.allowlist = Some(PathBuf::from(
-                    args.next()
-                        .ok_or_else(|| "--allowlist needs a value".to_owned())?,
-                ));
-            }
-            "--baseline" => {
-                opts.baseline = Some(PathBuf::from(
-                    args.next()
-                        .ok_or_else(|| "--baseline needs a value".to_owned())?,
-                ));
-            }
-            "--write-baseline" => {
-                opts.write_baseline = Some(PathBuf::from(
-                    args.next()
-                        .ok_or_else(|| "--write-baseline needs a value".to_owned())?,
-                ));
-            }
-            "--deny" => opts.deny = true,
             "--json" => opts.json = true,
             other => return Err(format!("unknown argument {other:?}")),
         }
@@ -78,70 +47,25 @@ fn parse_args() -> Result<Options, String> {
 
 fn run() -> Result<ExitCode, String> {
     let opts = parse_args()?;
-    let allowlist = match &opts.allowlist {
-        Some(path) => Allowlist::load(path)?,
-        None => {
-            let default = opts.root.join("scripts/simlint.allow");
-            if default.is_file() {
-                Allowlist::load(&default)?
-            } else {
-                Allowlist::empty()
-            }
-        }
-    };
-    let baseline = match &opts.baseline {
-        Some(path) => Baseline::load(path)?,
-        None => {
-            let default = opts.root.join("scripts/simlint.baseline");
-            if default.is_file() {
-                Baseline::load(&default)?
-            } else {
-                Baseline::empty()
-            }
-        }
-    };
-    let mut report = scan_workspace(&opts.root, &allowlist)
-        .map_err(|e| format!("scan failed: {e}"))?;
-    if let Some(path) = &opts.write_baseline {
-        let text = Baseline::render(&report.diagnostics);
-        std::fs::write(path, &text)
-            .map_err(|e| format!("cannot write baseline {}: {e}", path.display()))?;
-        eprintln!(
-            "simlint: wrote {} grandfathered finding(s) to {}",
-            report.diagnostics.len(),
-            path.display()
-        );
-        return Ok(ExitCode::SUCCESS);
-    }
-    let outcome = baseline.apply(&mut report);
-    report.suppressed = outcome.suppressed;
+    let report = scan_workspace(&opts.root).map_err(|e| format!("scan failed: {e}"))?;
     if opts.json {
         print!("{}", report.to_json());
     } else {
         for d in &report.diagnostics {
             eprintln!("simlint: {d}");
         }
-        for (path, code, unused) in &outcome.stale {
-            eprintln!(
-                "simlint: stale baseline entry {path} {code}: {unused} grandfathered \
-                 finding(s) no longer occur — shrink the entry"
-            );
-        }
         eprintln!(
-            "simlint: {} file(s) scanned in {} ms, {} finding(s), {} grandfathered",
+            "simlint: {} file(s) scanned in {} ms, {} finding(s)",
             report.files_scanned,
             report.scan_ms,
-            report.diagnostics.len(),
-            report.suppressed
+            report.diagnostics.len()
         );
     }
-    // Stale baseline entries fail deny mode too: the baseline must
-    // shrink as sites get fixed, or it quietly grandfathers future
-    // regressions.
-    if opts.deny && (!report.is_clean() || !outcome.stale.is_empty()) {
-        return Ok(ExitCode::FAILURE);
+    if report.is_clean() {
+        Ok(ExitCode::SUCCESS)
+    } else {
+        Ok(ExitCode::FAILURE)
     }
-    Ok(ExitCode::SUCCESS)
 }
 
 fn main() -> ExitCode {

@@ -13,8 +13,8 @@
 //! | SL204 | seed material in deterministic crates not derived from the `RngTree` |
 //!
 //! `scan_semantic` returns diagnostics *unfiltered* — the caller (the
-//! crate root) applies inline `simlint: allow` directives and the
-//! allowlist, exactly as for the SL1xx line rules — plus the raw lock
+//! crate root) applies inline `simlint: allow` directives, exactly as
+//! for the SL1xx line rules — plus the raw lock
 //! acquisition pairs so the workspace scanner can detect cross-file
 //! order conflicts, and the set of lines the semantic SL107 pass
 //! claimed (so the text fallback stays out of its way).
@@ -444,7 +444,7 @@ fn sl203_channel_topology(
                 message: "unbounded mpsc::channel() in the serving layer: the \
                           backpressure contract is bounded queues end to end — use \
                           sync_channel with an explicit depth, or justify the \
-                          unbounded edge in the baseline"
+                          unbounded edge inline"
                     .to_owned(),
             });
         }

@@ -8,51 +8,14 @@
 //! through the phase model.
 
 use serde::{Deserialize, Serialize};
-use strent_analysis::jitter;
+use strent_analysis::{jitter, spectrum};
 use strent_device::{Board, Supply};
-use strent_rings::{measure, RingConfig};
+use strent_rings::measure::{self, RingRun};
+use strent_rings::RingConfig;
 use strent_sim::SimStats;
 
 use crate::error::TrngError;
 use crate::phase::PhaseModel;
-
-/// Lock-in detection: the amplitude of a sinusoidal component of known
-/// frequency in a period series.
-///
-/// The series' sample instants are reconstructed by accumulating the
-/// periods themselves (self-clocked sampling, like a real counter).
-///
-/// # Errors
-///
-/// Returns [`TrngError::InvalidParameter`] for a non-positive frequency
-/// or [`TrngError::NotEnoughBits`] for fewer than 16 periods.
-pub fn lockin_amplitude_ps(periods_ps: &[f64], freq_mhz: f64) -> Result<f64, TrngError> {
-    if !(freq_mhz.is_finite() && freq_mhz > 0.0) {
-        return Err(TrngError::InvalidParameter {
-            name: "freq_mhz",
-            constraint: "finite and positive",
-        });
-    }
-    if periods_ps.len() < 16 {
-        return Err(TrngError::NotEnoughBits {
-            needed: 16,
-            got: periods_ps.len(),
-        });
-    }
-    let omega = std::f64::consts::TAU * freq_mhz * 1e-6; // rad per ps
-    let mean = periods_ps.iter().sum::<f64>() / periods_ps.len() as f64;
-    let mut t = 0.0;
-    let mut i_sum = 0.0;
-    let mut q_sum = 0.0;
-    for &p in periods_ps {
-        let centered = p - mean;
-        i_sum += centered * (omega * t).sin();
-        q_sum += centered * (omega * t).cos();
-        t += p;
-    }
-    let n = periods_ps.len() as f64;
-    Ok(2.0 * (i_sum * i_sum + q_sum * q_sum).sqrt() / n)
-}
 
 /// A ring's measured response to sinusoidal supply modulation.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -92,8 +55,11 @@ impl ModulationResponse {
     }
 }
 
-/// Measures a ring's modulation response: one run with a sine supply
-/// (lock-in) and one clean run (random jitter floor).
+/// Measures a ring's modulation response: `clean`, a [`measure::run`]
+/// of `source` on `board`, gives the random jitter floor, and one run
+/// of the same length and `seed` with a sine supply gives the lock-in
+/// amplitude. Only the attacked run is simulated here; its kernel
+/// statistics come back with the response.
 ///
 /// # Errors
 ///
@@ -101,39 +67,17 @@ impl ModulationResponse {
 pub fn probe_response(
     source: &RingConfig,
     board: &Board,
+    clean: &RingRun,
     supply_amplitude_v: f64,
     freq_mhz: f64,
     seed: u64,
-    periods: usize,
-) -> Result<ModulationResponse, TrngError> {
-    probe_response_metered(source, board, supply_amplitude_v, freq_mhz, seed, periods)
-        .map(|(response, _)| response)
-}
-
-/// Like [`probe_response`], also returning the combined simulator
-/// kernel statistics of the clean and attacked runs — callers inside a
-/// metered sweep feed these to their `JobMeter`.
-///
-/// # Errors
-///
-/// Propagates ring simulation and analysis errors.
-pub fn probe_response_metered(
-    source: &RingConfig,
-    board: &Board,
-    supply_amplitude_v: f64,
-    freq_mhz: f64,
-    seed: u64,
-    periods: usize,
 ) -> Result<(ModulationResponse, SimStats), TrngError> {
-    let clean = measure::run(source, board, seed, periods)?;
     let sigma_random = jitter::period_jitter(&clean.periods_ps)?;
     let mut attacked_board = board.clone();
     let dc = board.supply().dc_level();
     attacked_board.set_supply(Supply::sine(dc, supply_amplitude_v, freq_mhz));
-    let attacked = measure::run(source, &attacked_board, seed, periods)?;
-    let det = lockin_amplitude_ps(&attacked.periods_ps, freq_mhz)?;
-    let mut stats = clean.stats;
-    stats.absorb(attacked.stats);
+    let attacked = measure::run(source, &attacked_board, seed, clean.periods_ps.len())?;
+    let det = spectrum::self_clocked_lockin_amplitude(&attacked.periods_ps, freq_mhz * 1e-6)?;
     Ok((
         ModulationResponse {
             freq_mhz,
@@ -142,7 +86,7 @@ pub fn probe_response_metered(
             det_amplitude_ps: det,
             sigma_random_ps: sigma_random,
         },
-        stats,
+        attacked.stats,
     ))
 }
 
@@ -174,37 +118,13 @@ mod tests {
     use strent_rings::{IroConfig, StrConfig};
 
     #[test]
-    fn lockin_recovers_known_sinusoid() {
-        // Period series with a 3 ps sinusoid at 10 MHz riding on 1000 ps.
-        let freq = 10.0; // MHz
-        let omega = std::f64::consts::TAU * freq * 1e-6;
-        let mut t = 0.0;
-        let periods: Vec<f64> = (0..5000)
-            .map(|_| {
-                let p = 1000.0 + 3.0 * (omega * t).sin();
-                t += p;
-                p
-            })
-            .collect();
-        let a = lockin_amplitude_ps(&periods, freq).expect("valid");
-        assert!((a - 3.0).abs() < 0.1, "amplitude {a}");
-        // Off-frequency lock-in sees almost nothing.
-        let off = lockin_amplitude_ps(&periods, 3.7).expect("valid");
-        assert!(off < 0.3, "off-frequency leakage {off}");
-    }
-
-    #[test]
-    fn lockin_rejects_bad_input() {
-        assert!(lockin_amplitude_ps(&[1.0; 8], 1.0).is_err());
-        assert!(lockin_amplitude_ps(&[1.0; 100], 0.0).is_err());
-    }
-
-    #[test]
     fn iro_response_shows_deterministic_component() {
         let board = Board::new(Technology::cyclone_iii(), 0, 3);
         let source = RingConfig::Iro(IroConfig::new(5).expect("valid"));
-        let resp =
-            probe_response(&source, &board, 0.012, 20.0, 5, 2000).expect("simulates");
+        let clean = measure::run(&source, &board, 5, 2000).expect("simulates");
+        let (resp, stats) =
+            probe_response(&source, &board, &clean, 0.012, 20.0, 5).expect("simulates");
+        assert!(stats.events_processed > 0);
         // ~1% supply swing moves the ~2.66 ns period by tens of ps:
         // far above the 6.3 ps random jitter.
         assert!(
@@ -224,10 +144,13 @@ mod tests {
         let board = Board::new(Technology::cyclone_iii(), 0, 3);
         let iro = RingConfig::Iro(IroConfig::new(25).expect("valid"));
         let strr = RingConfig::Str(StrConfig::new(24, 12).expect("valid"));
-        let r_iro =
-            probe_response(&iro, &board, 0.012, 20.0, 5, 1500).expect("simulates");
-        let r_str =
-            probe_response(&strr, &board, 0.012, 20.0, 5, 1500).expect("simulates");
+        let probe = |ring: &RingConfig| {
+            let clean = measure::run(ring, &board, 5, 1500).expect("simulates");
+            probe_response(ring, &board, &clean, 0.012, 20.0, 5)
+                .expect("simulates")
+                .0
+        };
+        let (r_iro, r_str) = (probe(&iro), probe(&strr));
         assert!(
             r_str.det_amplitude_ps < r_iro.det_amplitude_ps / 2.0,
             "STR det {} vs IRO det {}",

@@ -5,19 +5,21 @@
 //! reference period relative to the ring period.
 //!
 //! The source is any [`RingConfig`]. Two execution paths are provided,
-//! and both build the ring through its verified build step
-//! ([`RingConfig::build`]), with the Eq. 1 burst prediction a finding:
+//! and both rest on a ring built through its verified build step
+//! ([`RingConfig::build`]), which refuses an STR that Eq. 1 predicts to
+//! run in burst mode:
 //!
 //! * [`ElementaryTrng::generate_simulated`] — bit-exact: builds the ring
 //!   in the event-driven simulator and samples its trace. Expensive but
 //!   fully physical; used for validation and attack demonstrations.
-//! * [`ElementaryTrng::calibrated_phase_model`] — runs a *short*
-//!   event-driven simulation ([`measure::run`]) to measure the ring's
-//!   period and accumulated jitter, then returns a [`PhaseModel`]
-//!   reproducing those statistics for megabit-scale studies.
+//! * [`ElementaryTrng::calibrated_phase_model`] — takes a *short*
+//!   event-driven run of the ring ([`strent_rings::measure::run`]),
+//!   measures its period and accumulated jitter, and returns a
+//!   [`PhaseModel`] reproducing those statistics for megabit-scale
+//!   studies.
 
 use strent_device::Board;
-use strent_rings::{measure, RingConfig};
+use strent_rings::{measure::RingRun, RingConfig};
 use strent_sim::{RngTree, Simulator, Time};
 
 use strent_analysis::jitter;
@@ -96,28 +98,24 @@ impl ElementaryTrng {
         sampler.sample_trace(trace, Time::from_ps(warmup_ps), count, &mut rng)
     }
 
-    /// Measures the source and returns a [`PhaseModel`] with the same
-    /// period, per-sample accumulated jitter and duty cycle.
-    ///
-    /// `calibration_periods` ring periods are simulated to estimate the
-    /// statistics (2000 or more recommended).
+    /// Returns a [`PhaseModel`] with the period and per-sample
+    /// accumulated jitter of `run`, a [`strent_rings::measure::run`] of
+    /// the source (2000 or more periods recommended).
     ///
     /// # Errors
     ///
-    /// Propagates ring simulation and statistics errors.
+    /// Propagates statistics and phase-model parameter errors.
     pub fn calibrated_phase_model(
         &self,
-        board: &Board,
+        run: &RingRun,
         seed: u64,
-        calibration_periods: usize,
     ) -> Result<PhaseModel, TrngError> {
-        let run = measure::run(&self.source, board, seed, calibration_periods)?;
         let mean_period = 1e6 / run.frequency_mhz;
         // Periods per reference interval (need not be integral).
         let n_ratio = self.reference_period_ps / mean_period;
         // Accumulated jitter: measure at a block size we can afford and
         // extrapolate by the white-noise sqrt law.
-        let m_meas = ((calibration_periods / 8).max(2)).min(n_ratio.ceil() as usize);
+        let m_meas = ((run.periods_ps.len() / 8).max(2)).min(n_ratio.ceil() as usize);
         let sigma_m = jitter::accumulated_jitter(&run.periods_ps, m_meas)?;
         let sigma_acc = sigma_m * (n_ratio / m_meas as f64).sqrt();
         PhaseModel::new(mean_period, sigma_acc, seed ^ 0x9e37)
@@ -128,7 +126,7 @@ impl ElementaryTrng {
 mod tests {
     use super::*;
     use strent_device::Technology;
-    use strent_rings::{IroConfig, StrConfig};
+    use strent_rings::{measure, IroConfig, StrConfig};
 
     fn board() -> Board {
         Board::new(Technology::cyclone_iii(), 0, 3)
@@ -165,9 +163,8 @@ mod tests {
     fn phase_model_calibration_matches_source() {
         let source = RingConfig::Str(StrConfig::new(16, 8).expect("valid"));
         let trng = ElementaryTrng::new(source.clone(), 50_000.0, 0.0).expect("valid");
-        let model = trng
-            .calibrated_phase_model(&board(), 2, 2000)
-            .expect("calibrates");
+        let run = measure::run(&source, &board(), 2, 2000).expect("simulates");
+        let model = trng.calibrated_phase_model(&run, 2).expect("calibrates");
         let predicted = source.predicted_period_ps(&board());
         assert!(
             (model.period_ps() / predicted - 1.0).abs() < 0.05,
@@ -176,16 +173,14 @@ mod tests {
         );
         // Accumulated jitter grows with the reference period.
         let slow = ElementaryTrng::new(source, 200_000.0, 0.0).expect("valid");
-        let slow_model = slow
-            .calibrated_phase_model(&board(), 2, 2000)
-            .expect("calibrates");
+        let slow_model = slow.calibrated_phase_model(&run, 2).expect("calibrates");
         assert!(slow_model.sigma_acc_ps() > model.sigma_acc_ps());
     }
 
     #[test]
-    fn every_simulated_path_rejects_a_burst_ring_under_deny() {
+    fn every_simulated_path_rejects_a_burst_ring() {
         use crate::{multiphase::MultiphaseTrng, restart};
-        use strent_rings::lint::{self, LintPolicy};
+        use strent_rings::lint;
         use strent_rings::str_ring::TokenLayout;
         use strent_rings::{OscillationMode, RingError};
         // EXT-MODE's clustered STR-16/6 at Dcharlie 0 and drafting 5 ps.
@@ -201,8 +196,6 @@ mod tests {
             OscillationMode::Burst
         );
         let ring = RingConfig::Str(config.clone());
-        let saved = lint::policy();
-        lint::set_policy(LintPolicy::Deny);
         let errors = [
             ElementaryTrng::new(ring.clone(), 5_000.0, 0.0)
                 .and_then(|trng| trng.generate_simulated(&board, 1, 16))
@@ -212,7 +205,6 @@ mod tests {
                 .and_then(|trng| trng.generate(&board, 1, 16))
                 .err(),
         ];
-        lint::set_policy(saved);
         for error in errors {
             assert!(
                 matches!(error, Some(TrngError::Ring(RingError::Lint(_)))),

@@ -16,12 +16,13 @@ fn main() -> Result<(), Box<dyn Error>> {
     // is slow enough that the jitter accumulated per sample is a large
     // fraction of the ring period.
     let source = RingConfig::Str(StrConfig::new(96, 48)?);
-    let trng = ElementaryTrng::new(source, 20.0 * 3_125.0, 10.0)?;
+    let trng = ElementaryTrng::new(source.clone(), 20.0 * 3_125.0, 10.0)?;
 
     // Calibrate the fast phase model from an event-driven run, then
     // crank its accumulated jitter to the q = 0.45 operating point
     // (a slower reference; see EXT-TRNG for the scaling law).
-    let probe = trng.calibrated_phase_model(&board, 3, 3_000)?;
+    let run = measure::run(&source, &board, 3, 3_000)?;
+    let probe = trng.calibrated_phase_model(&run, 3)?;
     println!(
         "calibrated source: T = {:.1} ps, sigma_acc(20T) = {:.1} ps",
         probe.period_ps(),

@@ -24,7 +24,8 @@ fn main() -> Result<(), Box<dyn Error>> {
 
     for l in [5usize, 25, 80] {
         let source = RingConfig::Iro(IroConfig::new(l)?);
-        let r = probe_response(&source, &board, 0.012, freq_mhz, 11, 3_000)?;
+        let clean = measure::run(&source, &board, 11, 3_000)?;
+        let (r, _) = probe_response(&source, &board, &clean, 0.012, freq_mhz, 11)?;
         println!(
             "{:<10} {:>10.0} {:>12.1} {:>14.2} {:>12.2}",
             format!("IRO {l}C"),
@@ -36,7 +37,8 @@ fn main() -> Result<(), Box<dyn Error>> {
     }
     for l in [8usize, 32, 96] {
         let source = RingConfig::Str(StrConfig::new(l, l / 2)?);
-        let r = probe_response(&source, &board, 0.012, freq_mhz, 11, 3_000)?;
+        let clean = measure::run(&source, &board, 11, 3_000)?;
+        let (r, _) = probe_response(&source, &board, &clean, 0.012, freq_mhz, 11)?;
         println!(
             "{:<10} {:>10.0} {:>12.1} {:>14.2} {:>12.2}",
             format!("STR {l}C"),

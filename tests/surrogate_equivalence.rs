@@ -27,8 +27,8 @@ use strent_rings::surrogate::{
     surrogate_eligible, Calibrator, EntropySource, SourceBackend, SurrogateModel,
     SurrogateStream, BOUNDARY_DEVIATION,
 };
-use strent_rings::{analytic, RingConfig, StrConfig};
-use strent_sim::{RngTree, Time};
+use strent_rings::{analytic, lint, RingConfig, RingError, StrConfig};
+use strent_sim::{LintCode, RngTree, Time};
 use strent_trng::phase::PhaseModel;
 use strent_trng::sampler::Sampler;
 use strent_trng::{battery, entropy, health, BitString};
@@ -550,7 +550,8 @@ proptest! {
     /// Boundary configurations provably select the `FullSim` fallback:
     /// any STR whose Eq. 1 deviation exceeds the margin on a
     /// drafting-capable technology is ineligible, and a `Surrogate`
-    /// request resolves to the full stream.
+    /// request resolves to the full stream — unless Eq. 1 predicts
+    /// burst mode, where the verified build refuses the ring (SL012).
     #[test]
     fn boundary_configs_select_the_full_sim_fallback(
         len in 10usize..=24,
@@ -563,11 +564,20 @@ proptest! {
         let deviation = (actual / target).max(target / actual);
         prop_assume!(deviation > BOUNDARY_DEVIATION);
         let board = Board::new(Technology::asic_like(), 0, 7);
+        let burst = lint::predicted_mode(&config, &board) == OscillationMode::Burst;
         let stream_config = RingConfig::Str(config);
         prop_assert!(!surrogate_eligible(&stream_config, &board, false));
         let source =
-            EntropySource::build(&stream_config, &board, SEED, None, SourceBackend::Surrogate)
-                .expect("fallback builds");
-        prop_assert_eq!(source.selected_backend(), SourceBackend::FullSim);
+            EntropySource::build(&stream_config, &board, SEED, None, SourceBackend::Surrogate);
+        if burst {
+            prop_assert!(
+                matches!(&source, Err(RingError::Lint(diags))
+                    if diags.iter().any(|d| d.code == LintCode::BurstModePredicted)),
+                "L={} NT={}: {:?}", len, tokens, source.as_ref().err()
+            );
+        } else {
+            let source = source.expect("fallback builds");
+            prop_assert_eq!(source.selected_backend(), SourceBackend::FullSim);
+        }
     }
 }

@@ -113,7 +113,7 @@ fn engine_json(options: &Options, threads: usize, stages: &[StageReport]) -> Str
 
     let mut json = String::new();
     json.push_str("{\n");
-    let _ = writeln!(json, "  \"schema\": \"strentropy-bench-engine/2\",");
+    let _ = writeln!(json, "  \"schema\": \"strentropy-bench-engine/3\",");
     let _ = writeln!(
         json,
         "  \"effort\": \"{}\",",
@@ -170,12 +170,7 @@ fn engine_json(options: &Options, threads: usize, stages: &[StageReport]) -> Str
                 s.events_per_sec(),
             );
         }
-        let _ = write!(
-            json,
-            ", \"cancelled\": {}, \"suppressed\": {}}}",
-            s.cancelled(),
-            s.suppressed()
-        );
+        let _ = write!(json, ", \"suppressed\": {}}}", s.suppressed());
         json.push_str(if i + 1 == stages.len() { "\n" } else { ",\n" });
     }
     json.push_str("  ]\n}\n");

@@ -32,8 +32,8 @@ use super::{Effort, ExperimentError};
 
 /// One executed stage: its label and the sweep's execution statistics.
 ///
-/// `stats` carries the full kernel counters (dispatched, cancelled and
-/// suppressed events) alongside wall/busy time, so per-experiment
+/// `stats` carries the full kernel counters (dispatched and suppressed
+/// events) alongside wall/busy time, so per-experiment
 /// dispatch throughput is visible in every bench report.
 #[derive(Debug, Clone)]
 pub struct StageReport {
@@ -202,8 +202,8 @@ fn stage_error(label: &str, failure: JobFailure<ExperimentError>) -> ExperimentE
 }
 
 /// Measures `ring` on `board` ([`measure::run`]) and reports the run's
-/// full kernel statistics (dispatched, cancelled, suppressed events)
-/// into `meter`.
+/// full kernel statistics (dispatched and suppressed events) into
+/// `meter`.
 ///
 /// # Errors
 ///

@@ -34,7 +34,7 @@ impl Component for EdgeCounter {
                     // An ideal counter: the flip-flop delay is constant,
                     // so it cancels out of every period difference; use
                     // zero for clarity.
-                    ctx.schedule_net_uncancellable(self.output, !current, 0.0);
+                    ctx.schedule_net(self.output, !current, 0.0);
                 }
             }
         }

@@ -145,7 +145,7 @@ impl IroStage {
         let rng = ctx.rng();
         let delay = (self.cached_ds_ps * factor + rng.normal(0.0, self.cell.sigma_g_ps()))
             .max(0.01);
-        ctx.schedule_net_uncancellable(self.output, out, delay);
+        ctx.schedule_net(self.output, out, delay);
     }
 }
 

@@ -5,15 +5,14 @@
 //! that need the ring builders' vocabulary: oscillation conditions and
 //! token conservation (Sec. II-C.2 of the paper), the Eq. 1
 //! evenly-spaced vs. burst-mode prediction, ring connectivity of a
-//! *built* netlist, measurement-divider reachability and the
-//! uncancellable-fast-path fan-out budget.
+//! *built* netlist and measurement-divider reachability.
 //!
 //! The verified build step ([`crate::RingConfig::build`]) runs these
 //! checks on every ring it builds, and [`enforce`] rejects the ring as
 //! [`RingError::Lint`] on any finding, before any event fires.
 
 use strent_device::Board;
-use strent_sim::{Diagnostic, LintCode, LintReport, NetId, Simulator, INLINE_FANOUT};
+use strent_sim::{Diagnostic, LintCode, LintReport, NetId, Simulator};
 
 use crate::analytic;
 use crate::divider::DividerHandle;
@@ -187,36 +186,9 @@ fn expect_listener(
     }
 }
 
-/// Records `SL015` for ring nets whose fan-out spilled the inline
-/// listener storage, costing the uncancellable fast path its
-/// zero-allocation property.
-fn check_fast_path(
-    sim: &Simulator,
-    nets: &[NetId],
-    family: &str,
-    report: &mut LintReport,
-) {
-    for (i, &net) in nets.iter().enumerate() {
-        if let Ok(listeners) = sim.listeners(net) {
-            if listeners.len() > INLINE_FANOUT {
-                report.push(Diagnostic::new(
-                    LintCode::FastPathIneligible,
-                    format!("{family} stage {i} output"),
-                    format!(
-                        "fan-out {} exceeds the inline capacity {INLINE_FANOUT}; \
-                         dispatch leaves the zero-allocation fast path",
-                        listeners.len()
-                    ),
-                ));
-            }
-        }
-    }
-}
-
 /// Verifies the listener graph of a built STR (`SL013`): stage `i` must
 /// subscribe to its forward net `C[i-1]`, reverse net `C[i+1]` and its
-/// own output `C[i]` — the closed ring of Fig. 2. Also audits the
-/// fast-path fan-out budget (`SL015`).
+/// own output `C[i]` — the closed ring of Fig. 2.
 #[must_use]
 pub fn verify_built_str(sim: &Simulator, handle: &StrHandle) -> LintReport {
     let mut report = LintReport::new();
@@ -237,13 +209,12 @@ pub fn verify_built_str(sim: &Simulator, handle: &StrHandle) -> LintReport {
         expect_listener(sim, nets[(i + 1) % l], component, "reverse", &subject, &mut report);
         expect_listener(sim, nets[i], component, "output", &subject, &mut report);
     }
-    check_fast_path(sim, nets, "STR", &mut report);
     report
 }
 
 /// Verifies the listener graph of a built IRO (`SL013`): stage `i` must
 /// subscribe to the previous stage's output — the single loop of
-/// Fig. 1. Also audits the fast-path fan-out budget (`SL015`).
+/// Fig. 1.
 #[must_use]
 pub fn verify_built_iro(
     sim: &Simulator,
@@ -270,7 +241,6 @@ pub fn verify_built_iro(
         let subject = format!("IRO stage {i}");
         expect_listener(sim, nets[(i + l - 1) % l], component, "input", &subject, &mut report);
     }
-    check_fast_path(sim, nets, "IRO", &mut report);
     report
 }
 
@@ -432,26 +402,31 @@ mod tests {
     }
 
     #[test]
-    fn oversubscribed_ring_net_fires_fast_path_warning() {
+    fn oversubscribed_ring_net_is_refused_as_spilled_fanout() {
         // A well-formed ring keeps every net at fan-out 3 (forward,
-        // reverse, own stage) — inside the inline budget. Attaching two
-        // dividers to one ring net pushes it to 5 > INLINE_FANOUT and
-        // the uncancellable fast path degrades to spill storage there.
+        // reverse, own stage), inside the inline listener storage.
+        // Attaching two dividers to one ring net pushes it to 5: the
+        // netlist check reports that net once, as SL003, and any
+        // finding refuses the ring.
         let mut sim = Simulator::new(5);
         let config = StrConfig::new(8, 4).expect("valid");
         let handle = str_ring::build(&config, &fpga_board(), &mut sim).expect("wires");
         let tap = handle.nets()[0];
         divider::build(&mut sim, tap, 4).expect("valid");
         divider::build(&mut sim, tap, 16).expect("valid");
-        let report = verify_built_str(&sim, &handle);
-        assert!(report.has_code(LintCode::FastPathIneligible), "{report}");
-        let diag = report
-            .diagnostics()
-            .iter()
-            .find(|d| d.code == LintCode::FastPathIneligible)
-            .expect("present");
-        assert_eq!(diag.severity, strent_sim::Severity::Warning);
-        assert!(!report.has_errors(), "SL015 alone must not be fatal");
+        let report = sim.lint_netlist();
+        let name = sim.net_name(tap).expect("known");
+        let subject = format!("net {} ({name})", tap.index());
+        assert!(
+            report
+                .diagnostics()
+                .iter()
+                .any(|d| d.code == LintCode::SpilledFanout && d.subject == subject),
+            "{report}"
+        );
+        let wiring = verify_built_str(&sim, &handle);
+        assert!(wiring.is_clean(), "reported once, not again by the ring verifier");
+        assert!(matches!(enforce(&report), Err(RingError::Lint(_))));
     }
 
     #[test]

@@ -27,8 +27,8 @@ pub struct RingRun {
     pub half_periods_ps: Vec<f64>,
     /// Mean frequency over the steady-state periods, MHz.
     pub frequency_mhz: f64,
-    /// Full kernel statistics of the run (dispatched, cancelled,
-    /// suppressed), for per-experiment perf reporting.
+    /// Full kernel statistics of the run (dispatched and suppressed
+    /// events), for per-experiment perf reporting.
     pub stats: SimStats,
 }
 

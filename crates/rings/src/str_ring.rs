@@ -267,7 +267,7 @@ impl StrStage {
         t_fire += ctx.rng().normal(0.0, self.cell.sigma_g_ps());
         // Causality clamp (noise or drafting cannot fire in the past).
         let delay = (t_fire - now).max(0.01);
-        ctx.schedule_net_uncancellable(self.output, f, delay);
+        ctx.schedule_net(self.output, f, delay);
         self.pending = true;
     }
 }

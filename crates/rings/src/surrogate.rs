@@ -384,7 +384,7 @@ impl SurrogateStream {
 
     /// Surrogate statistics in kernel vocabulary: each emitted trace
     /// transition counts as one processed event (nothing is ever
-    /// cancelled or suppressed — there is no event queue). This is what
+    /// suppressed — there is no event queue). This is what
     /// makes surrogate and full-sim workloads comparable in the perf
     /// reports.
     #[must_use]

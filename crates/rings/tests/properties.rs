@@ -63,7 +63,8 @@ proptest! {
     }
 
     /// Enabled stages are never adjacent (the structural fact that lets
-    /// the event-driven simulator skip cancellation logic).
+    /// a stage's scheduled firing stand: no neighbour can disable it
+    /// before it fires, so the simulator never retracts an event).
     #[test]
     fn enabled_stages_are_never_adjacent(
         (len, nt) in ring_counts(),

@@ -1,22 +1,24 @@
 //! The simulation kernel: nets, components, scheduling and dispatch.
 //!
+//! Events are fire-and-forget: once scheduled, an occurrence fires at
+//! its `(time, sequence)` turn and cannot be taken back, as the paper's
+//! temporal model never retracts a scheduled transition.
+//!
 //! The dispatch hot path is allocation-free in steady state: the
 //! pending-event set is a timing wheel whose buckets retain capacity
-//! (`queue::WheelQueue`), event liveness lives in a generation-stamped slab
-//! ([`CancelSlab`](crate::slab)), net fan-out is stored inline for the
-//! common small case, and trace recording is a dense indexed lookup.
+//! (`queue::WheelQueue`), net fan-out is stored inline for the common
+//! small case, and trace recording is a dense indexed lookup.
 //! `docs/engine_perf.md` documents the design and the measured effect.
 
 use std::any::Any;
 
 use crate::error::SimError;
-use crate::event::{Event, EventId, Occurrence, TimerTag};
+use crate::event::{Event, Occurrence, TimerTag};
 use crate::fault::{self, DriftState, FaultAction, FaultKind, FaultPlan, FaultRuntime, FaultTarget, ForceState};
 use crate::lint::{Diagnostic, LintCode, LintReport};
 use crate::queue::{ScheduledEvent, WheelQueue};
 use crate::rng::{RngTree, SimRng};
 use crate::signal::{Bit, NetId};
-use crate::slab::{CancelSlab, NO_SLOT};
 use crate::trace::{Trace, TraceSet};
 use crate::Time;
 
@@ -39,10 +41,10 @@ impl ComponentId {
 /// through the [`Context`].
 ///
 /// The `Any` supertrait allows typed access to a component after the run
-/// via [`Simulator::component`] / [`Simulator::component_mut`]. The
-/// `Send` supertrait lets a whole built simulator move across threads
-/// (the serving layer hands long-running rings to worker threads);
-/// components are plain state machines, so the bound costs nothing.
+/// via [`Simulator::component`]. The `Send` supertrait lets a whole
+/// built simulator move across threads (the serving layer hands
+/// long-running rings to worker threads); components are plain state
+/// machines, so the bound costs nothing.
 pub trait Component: Any + Send {
     /// Handles one event. Called by the simulator during dispatch.
     fn on_event(&mut self, event: &Event, ctx: &mut Context<'_>);
@@ -81,10 +83,8 @@ enum Fanout {
 }
 
 /// Number of listeners a net stores inline before spilling to the
-/// heap. Published so static verifiers ([`Simulator::lint_netlist`],
-/// `strent_rings::lint`) can flag fan-outs that leave the
-/// zero-allocation dispatch fast path.
-pub const INLINE_FANOUT: usize = 4;
+/// heap; [`Simulator::lint_netlist`] flags fan-outs beyond it.
+const INLINE_FANOUT: usize = 4;
 
 impl Listeners {
     const INLINE: usize = INLINE_FANOUT;
@@ -157,65 +157,33 @@ struct NetState {
     listeners: Listeners,
 }
 
-/// Schedules one occurrence: allocates its liveness slot, stamps the
-/// tie-break sequence number and enqueues it.
+/// Schedules one occurrence: stamps the tie-break sequence number and
+/// enqueues it.
 ///
 /// This is the single push path shared by [`Simulator`] (`inject`,
-/// `arm_timer`) and [`Context`] (`schedule_net`, `schedule_timer`), so
-/// sequence numbering and slab accounting cannot drift apart.
+/// `arm_timer`, `arm_faults`) and [`Context`] (`schedule_net`,
+/// `schedule_timer`), so sequence numbering cannot drift apart.
 #[inline]
-fn push_event(
-    queue: &mut WheelQueue,
-    next_seq: &mut u64,
-    slab: &mut CancelSlab,
-    time: Time,
-    occurrence: Occurrence,
-) -> EventId {
-    let seq = *next_seq;
-    *next_seq += 1;
-    let (slot, generation) = slab.alloc();
-    queue.push(ScheduledEvent {
-        time,
-        seq,
-        slot,
-        occurrence,
-    });
-    EventId::pack(slot, generation)
-}
-
-/// Schedules one fire-and-forget occurrence: same sequence numbering as
-/// [`push_event`], but no cancellation slot — the event cannot be
-/// cancelled and the dispatch path skips the liveness check. This is
-/// the ring-oscillator hot path (stages never cancel their own
-/// firings).
-#[inline]
-fn push_event_uncancellable(
-    queue: &mut WheelQueue,
-    next_seq: &mut u64,
-    time: Time,
-    occurrence: Occurrence,
-) {
+fn push_event(queue: &mut WheelQueue, next_seq: &mut u64, time: Time, occurrence: Occurrence) {
     let seq = *next_seq;
     *next_seq += 1;
     queue.push(ScheduledEvent {
         time,
         seq,
-        slot: NO_SLOT,
         occurrence,
     });
 }
 
 /// The component's view of the simulator during event dispatch.
 ///
-/// Provides the current time, net reads, scheduling, cancellation and the
-/// component's private random stream.
+/// Provides the current time, net reads, scheduling and the component's
+/// private random stream.
 pub struct Context<'a> {
     now: Time,
     component: usize,
     nets: &'a [NetState],
     queue: &'a mut WheelQueue,
     next_seq: &'a mut u64,
-    slab: &'a mut CancelSlab,
     rngs: &'a mut [SimRng],
     /// Armed delay-drift (aging) records; empty unless a fault plan
     /// with drift specs is armed, so the hot path pays one emptiness
@@ -228,12 +196,6 @@ impl<'a> Context<'a> {
     #[must_use]
     pub fn now(&self) -> Time {
         self.now
-    }
-
-    /// The id of the component being dispatched.
-    #[must_use]
-    pub fn component_id(&self) -> ComponentId {
-        ComponentId(self.component)
     }
 
     /// Reads the current level of a net.
@@ -253,7 +215,7 @@ impl<'a> Context<'a> {
     /// Panics if the delay is negative or non-finite, or the net is
     /// unknown. These are component logic errors, not runtime conditions.
     #[inline]
-    pub fn schedule_net(&mut self, net: NetId, value: Bit, delay_ps: f64) -> EventId {
+    pub fn schedule_net(&mut self, net: NetId, value: Bit, delay_ps: f64) {
         assert!(
             delay_ps.is_finite() && delay_ps >= 0.0,
             "delay must be finite and non-negative, got {delay_ps}"
@@ -261,38 +223,6 @@ impl<'a> Context<'a> {
         assert!(net.index() < self.nets.len(), "unknown {net}");
         let delay_ps = self.aged_delay(delay_ps);
         push_event(
-            self.queue,
-            self.next_seq,
-            self.slab,
-            self.now + delay_ps,
-            Occurrence::DriveNet { net, value },
-        )
-    }
-
-    /// Schedules `net` to be driven to `value` after `delay_ps`,
-    /// without a cancellation handle.
-    ///
-    /// Semantically identical to [`schedule_net`] for an event that is
-    /// never cancelled — same `(time, sequence)` ordering, same
-    /// statistics — but skips the cancellation-slab bookkeeping on both
-    /// the schedule and dispatch paths. Ring stages fire tens of
-    /// millions of these and never cancel one.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the delay is negative or non-finite, or the net is
-    /// unknown.
-    ///
-    /// [`schedule_net`]: Context::schedule_net
-    #[inline]
-    pub fn schedule_net_uncancellable(&mut self, net: NetId, value: Bit, delay_ps: f64) {
-        assert!(
-            delay_ps.is_finite() && delay_ps >= 0.0,
-            "delay must be finite and non-negative, got {delay_ps}"
-        );
-        assert!(net.index() < self.nets.len(), "unknown {net}");
-        let delay_ps = self.aged_delay(delay_ps);
-        push_event_uncancellable(
             self.queue,
             self.next_seq,
             self.now + delay_ps,
@@ -307,7 +237,7 @@ impl<'a> Context<'a> {
     ///
     /// Panics if the delay is negative or non-finite.
     #[inline]
-    pub fn schedule_timer(&mut self, delay_ps: f64, tag: TimerTag) -> EventId {
+    pub fn schedule_timer(&mut self, delay_ps: f64, tag: TimerTag) {
         assert!(
             delay_ps.is_finite() && delay_ps >= 0.0,
             "delay must be finite and non-negative, got {delay_ps}"
@@ -315,19 +245,12 @@ impl<'a> Context<'a> {
         push_event(
             self.queue,
             self.next_seq,
-            self.slab,
             self.now + delay_ps,
             Occurrence::FireTimer {
                 component: self.component,
                 tag,
             },
-        )
-    }
-
-    /// Cancels a previously scheduled event. Cancelling an event that has
-    /// already fired is a no-op, as is cancelling twice.
-    pub fn cancel(&mut self, id: EventId) {
-        self.slab.cancel(id.slot(), id.generation());
+        );
     }
 
     /// This component's private deterministic random stream.
@@ -354,8 +277,6 @@ impl<'a> Context<'a> {
 pub struct SimStats {
     /// Events dispatched (including suppressed no-change net drives).
     pub events_processed: u64,
-    /// Events skipped because they had been cancelled.
-    pub events_cancelled: u64,
     /// Net drives suppressed because the net already held the value.
     pub drives_suppressed: u64,
 }
@@ -365,7 +286,6 @@ impl SimStats {
     /// harnesses aggregating per-shard totals).
     pub fn absorb(&mut self, other: SimStats) {
         self.events_processed += other.events_processed;
-        self.events_cancelled += other.events_cancelled;
         self.drives_suppressed += other.drives_suppressed;
     }
 }
@@ -388,7 +308,6 @@ pub struct Simulator {
     timer_armed: Vec<bool>,
     rngs: Vec<SimRng>,
     traces: TraceSet,
-    slab: CancelSlab,
     rng_tree: RngTree,
     stats: SimStats,
     /// Armed fault plan, if any. `None` (the default) keeps the hot
@@ -411,7 +330,6 @@ impl Simulator {
             timer_armed: Vec::new(),
             rngs: Vec::new(),
             traces: TraceSet::new(),
-            slab: CancelSlab::default(),
             rng_tree: RngTree::new(master_seed),
             stats: SimStats::default(),
             faults: None,
@@ -502,20 +420,20 @@ impl Simulator {
     ///
     /// Returns [`SimError::UnknownNet`] for an unknown net or
     /// [`SimError::InvalidDelay`] for a negative/non-finite delay.
-    pub fn inject(&mut self, net: NetId, value: Bit, delay_ps: f64) -> Result<EventId, SimError> {
+    pub fn inject(&mut self, net: NetId, value: Bit, delay_ps: f64) -> Result<(), SimError> {
         if net.index() >= self.nets.len() {
             return Err(SimError::UnknownNet(net));
         }
         if !delay_ps.is_finite() || delay_ps < 0.0 {
             return Err(SimError::InvalidDelay(delay_ps));
         }
-        Ok(push_event(
+        push_event(
             &mut self.queue,
             &mut self.next_seq,
-            &mut self.slab,
             self.now + delay_ps,
             Occurrence::DriveNet { net, value },
-        ))
+        );
+        Ok(())
     }
 
     /// Arms a timer on behalf of `component` (typically to bootstrap it).
@@ -528,7 +446,7 @@ impl Simulator {
         component: ComponentId,
         delay_ps: f64,
         tag: TimerTag,
-    ) -> Result<EventId, SimError> {
+    ) -> Result<(), SimError> {
         if component.0 >= self.components.len() {
             return Err(SimError::UnknownComponent(component.0));
         }
@@ -536,22 +454,16 @@ impl Simulator {
             return Err(SimError::InvalidDelay(delay_ps));
         }
         self.timer_armed[component.0] = true;
-        Ok(push_event(
+        push_event(
             &mut self.queue,
             &mut self.next_seq,
-            &mut self.slab,
             self.now + delay_ps,
             Occurrence::FireTimer {
                 component: component.0,
                 tag,
             },
-        ))
-    }
-
-    /// Cancels a scheduled event. Cancelling an event that already
-    /// fired is a no-op, as is cancelling twice.
-    pub fn cancel(&mut self, id: EventId) {
-        self.slab.cancel(id.slot(), id.generation());
+        );
+        Ok(())
     }
 
     /// The current simulation time.
@@ -566,18 +478,6 @@ impl Simulator {
         self.stats
     }
 
-    /// Current level of a net.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::UnknownNet`] if the net is unknown.
-    pub fn net_value(&self, net: NetId) -> Result<Bit, SimError> {
-        self.nets
-            .get(net.index())
-            .map(|s| s.value)
-            .ok_or(SimError::UnknownNet(net))
-    }
-
     /// Name of a net.
     ///
     /// # Errors
@@ -588,12 +488,6 @@ impl Simulator {
             .get(net.index())
             .map(|s| s.name.as_str())
             .ok_or(SimError::UnknownNet(net))
-    }
-
-    /// Number of nets.
-    #[must_use]
-    pub fn net_count(&self) -> usize {
-        self.nets.len()
     }
 
     /// The components subscribed to `net`, in subscription order.
@@ -698,22 +592,9 @@ impl Simulator {
         (boxed.as_ref() as &dyn Any).downcast_ref::<T>()
     }
 
-    /// Typed exclusive access to a registered component.
-    ///
-    /// Returns `None` if the id is unknown or the component is not a `T`.
-    pub fn component_mut<T: Component>(&mut self, id: ComponentId) -> Option<&mut T> {
-        let boxed = self.components.get_mut(id.0)?.as_mut()?;
-        (boxed.as_mut() as &mut dyn Any).downcast_mut::<T>()
-    }
-
-    /// Handles one popped event: retires its liveness slot, then either
-    /// skips it (cancelled) or advances time and dispatches it.
+    /// Handles one popped event: advances time and dispatches it.
     #[inline]
     fn process(&mut self, event: ScheduledEvent) {
-        if event.slot != NO_SLOT && self.slab.finish(event.slot) {
-            self.stats.events_cancelled += 1;
-            return;
-        }
         debug_assert!(event.time >= self.now, "time went backwards");
         self.now = event.time;
         self.stats.events_processed += 1;
@@ -778,7 +659,6 @@ impl Simulator {
             nets: &self.nets,
             queue: &mut self.queue,
             next_seq: &mut self.next_seq,
-            slab: &mut self.slab,
             rngs: &mut self.rngs,
             drift: self.faults.as_deref().map_or(&[], FaultRuntime::drift_table),
         };
@@ -821,7 +701,6 @@ impl Simulator {
             nets: &self.nets,
             queue: &mut self.queue,
             next_seq: &mut self.next_seq,
-            slab: &mut self.slab,
             rngs: &mut self.rngs,
             drift: self.faults.as_deref().map_or(&[], FaultRuntime::drift_table),
         };
@@ -973,7 +852,6 @@ impl Simulator {
             push_event(
                 &mut self.queue,
                 &mut self.next_seq,
-                &mut self.slab,
                 Time::from_ps(at_ps),
                 Occurrence::FaultEdge { action },
             );
@@ -1102,78 +980,6 @@ mod tests {
         let t = sim.component::<Ticker>(ticker).expect("typed");
         assert_eq!(t.fired, 5);
         assert_eq!(sim.now(), Time::from_ns(1.0));
-    }
-
-    #[test]
-    fn cancellation_suppresses_events() {
-        let mut sim = Simulator::new(1);
-        let net = sim.add_net("n");
-        sim.watch(net).expect("net exists");
-        let id = sim.inject(net, Bit::High, 10.0).expect("valid");
-        sim.cancel(id);
-        sim.run_until(Time::from_ps(100.0));
-        assert!(sim.trace(net).expect("watched").is_empty());
-        assert_eq!(sim.stats().events_cancelled, 1);
-    }
-
-    #[test]
-    fn cancellation_edge_cases_count_exactly() {
-        let mut sim = Simulator::new(3);
-        let net = sim.add_net("n");
-        sim.watch(net).expect("net exists");
-
-        // A fired event: cancelling afterwards must be a no-op.
-        let fired = sim.inject(net, Bit::High, 1.0).expect("valid");
-        sim.run_until(Time::from_ps(5.0));
-        assert_eq!(sim.stats().events_processed, 1);
-        sim.cancel(fired); // stale: no effect, ever
-        sim.cancel(fired);
-
-        // A pending event cancelled twice counts once.
-        let pending = sim.inject(net, Bit::Low, 10.0).expect("valid");
-        sim.cancel(pending);
-        sim.cancel(pending);
-
-        // A later event still fires normally even though the slab may
-        // recycle the cancelled event's slot.
-        sim.inject(net, Bit::Low, 20.0).expect("valid");
-        sim.run_until(Time::from_ps(100.0));
-
-        // The stale handle aimed at the (long fired) first event must
-        // not have cancelled anything that reused its slot.
-        assert_eq!(sim.trace(net).expect("watched").len(), 2);
-        assert_eq!(sim.stats().events_cancelled, 1, "cancel-twice counts once");
-        assert_eq!(sim.stats().events_processed, 2);
-    }
-
-    #[test]
-    fn cancel_from_context_is_honoured() {
-        /// Schedules two future drives and cancels one of them.
-        struct Canceller {
-            net: NetId,
-            armed: bool,
-        }
-        impl Component for Canceller {
-            fn on_event(&mut self, event: &Event, ctx: &mut Context<'_>) {
-                if matches!(event, Event::Timer { .. }) && !self.armed {
-                    self.armed = true;
-                    let keep = ctx.schedule_net(self.net, Bit::High, 10.0);
-                    let drop = ctx.schedule_net(self.net, Bit::Low, 20.0);
-                    ctx.cancel(drop);
-                    ctx.cancel(drop); // twice: still one cancellation
-                    let _ = keep;
-                }
-            }
-        }
-        let mut sim = Simulator::new(5);
-        let net = sim.add_net("n");
-        sim.watch(net).expect("net exists");
-        let comp = sim.add_component(Canceller { net, armed: false });
-        sim.arm_timer(comp, 1.0, 0).expect("valid");
-        sim.run_until(Time::from_ps(100.0));
-        assert_eq!(sim.trace(net).expect("watched").len(), 1, "one drive fired");
-        assert_eq!(sim.stats().events_cancelled, 1);
-        assert_eq!(sim.net_value(net).expect("known"), Bit::High);
     }
 
     #[test]

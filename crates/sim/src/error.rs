@@ -4,7 +4,6 @@ use std::error::Error;
 use std::fmt;
 
 use crate::signal::NetId;
-use crate::Time;
 
 /// Errors reported by the simulation engine.
 #[derive(Debug, Clone, PartialEq)]
@@ -14,13 +13,6 @@ pub enum SimError {
     UnknownNet(NetId),
     /// A component id did not belong to this simulator.
     UnknownComponent(usize),
-    /// An event was scheduled before the current simulation time.
-    ScheduleInPast {
-        /// Current simulation time.
-        now: Time,
-        /// Requested (earlier) event time.
-        requested: Time,
-    },
     /// A delay was negative or non-finite.
     InvalidDelay(f64),
     /// A fault target named a net that does not exist in this
@@ -37,9 +29,6 @@ impl fmt::Display for SimError {
         match self {
             SimError::UnknownNet(net) => write!(f, "unknown net {net}"),
             SimError::UnknownComponent(id) => write!(f, "unknown component #{id}"),
-            SimError::ScheduleInPast { now, requested } => {
-                write!(f, "event scheduled in the past ({requested} < now {now})")
-            }
             SimError::InvalidDelay(d) => {
                 write!(f, "delay must be finite and non-negative, got {d}")
             }
@@ -63,11 +52,6 @@ mod tests {
         assert_eq!(err.to_string(), "unknown net net#3");
         let err = SimError::InvalidDelay(-1.0);
         assert!(err.to_string().contains("-1"));
-        let err = SimError::ScheduleInPast {
-            now: Time::from_ps(10.0),
-            requested: Time::from_ps(5.0),
-        };
-        assert!(err.to_string().contains("past"));
         let err = SimError::UnknownComponent(2);
         assert!(err.to_string().contains("#2"));
         let err = SimError::UnknownNetName("str99".to_owned());

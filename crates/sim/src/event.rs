@@ -1,51 +1,10 @@
 //! Event payloads delivered to components.
 
-use serde::{Deserialize, Serialize};
-
 use crate::signal::{Bit, NetId};
 
 /// Opaque tag attached to timer events so a component can distinguish
 /// several concurrent timers it has armed.
 pub type TimerTag = u64;
-
-/// Unique identifier of a scheduled event, usable for cancellation.
-///
-/// Returned by the scheduling methods on [`Context`] and [`Simulator`].
-/// Internally it packs the event's cancellation-slab slot with the
-/// slot's generation stamp, so a handle held after its event fired can
-/// never cancel a later event that happens to reuse the slot.
-///
-/// [`Context`]: crate::Context
-/// [`Simulator`]: crate::Simulator
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
-pub struct EventId(pub(crate) u64);
-
-impl EventId {
-    /// Packs a slab slot and its generation into a handle.
-    #[inline]
-    pub(crate) fn pack(slot: u32, generation: u32) -> Self {
-        EventId((u64::from(generation) << 32) | u64::from(slot))
-    }
-
-    /// The slab slot this handle refers to.
-    #[inline]
-    pub(crate) fn slot(self) -> u32 {
-        self.0 as u32
-    }
-
-    /// The slot generation at scheduling time.
-    #[inline]
-    pub(crate) fn generation(self) -> u32 {
-        (self.0 >> 32) as u32
-    }
-
-    /// Returns the raw packed value of this handle (opaque; useful only
-    /// for logging and as a map key).
-    #[must_use]
-    pub fn raw(self) -> u64 {
-        self.0
-    }
-}
 
 /// An event delivered to a [`Component`].
 ///
@@ -83,14 +42,6 @@ pub(crate) enum Occurrence {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn event_id_round_trips_slot_and_generation() {
-        let id = EventId::pack(42, 7);
-        assert_eq!(id.slot(), 42);
-        assert_eq!(id.generation(), 7);
-        assert_eq!(id.raw(), (7u64 << 32) | 42);
-    }
 
     #[test]
     fn events_compare() {

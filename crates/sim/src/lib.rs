@@ -69,15 +69,14 @@ pub mod process;
 mod queue;
 pub mod rng;
 pub mod signal;
-mod slab;
 pub mod sweep;
 pub mod time;
 pub mod trace;
 pub mod vcd;
 
-pub use engine::{Component, ComponentId, Context, SimStats, Simulator, INLINE_FANOUT};
+pub use engine::{Component, ComponentId, Context, SimStats, Simulator};
 pub use error::SimError;
-pub use event::{Event, EventId, TimerTag};
+pub use event::{Event, TimerTag};
 pub use fault::{FaultKind, FaultPlan, FaultSpec, FaultTarget};
 pub use lint::{Diagnostic, LintCode, LintReport, Severity};
 pub use process::Ar1Process;

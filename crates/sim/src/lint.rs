@@ -3,8 +3,9 @@
 //!
 //! Every diagnostic carries a stable `SL0xx` code so experiment logs
 //! and CI filters can refer to a check without parsing prose. Codes
-//! are never reused; `docs/static_analysis.md` is the catalog. The
-//! checks themselves live in two places:
+//! are never reused (SL015, once a ring-net copy of SL003, stays
+//! retired); `docs/static_analysis.md` is the catalog. The checks
+//! themselves live in two places:
 //!
 //! * [`Simulator::lint_netlist`](crate::Simulator::lint_netlist) —
 //!   structural checks any netlist can fail (orphan nets, unreachable
@@ -74,10 +75,6 @@ pub enum LintCode {
     /// `SL014`: a measurement divider whose input is not a ring net or
     /// whose output is not watched — Eq. 6 would measure nothing.
     DividerUnreachable,
-    /// `SL015`: a ring stage output whose fan-out spilled inline
-    /// storage, so the uncancellable fast path loses its
-    /// zero-allocation property.
-    FastPathIneligible,
 }
 
 impl LintCode {
@@ -93,7 +90,6 @@ impl LintCode {
             LintCode::BurstModePredicted => "SL012",
             LintCode::RingConnectivity => "SL013",
             LintCode::DividerUnreachable => "SL014",
-            LintCode::FastPathIneligible => "SL015",
         }
     }
 
@@ -104,8 +100,7 @@ impl LintCode {
             LintCode::OrphanNet
             | LintCode::UnreachableComponent
             | LintCode::SpilledFanout
-            | LintCode::BurstModePredicted
-            | LintCode::FastPathIneligible => Severity::Warning,
+            | LintCode::BurstModePredicted => Severity::Warning,
             LintCode::InvalidRingConfig
             | LintCode::TokenConservation
             | LintCode::RingConnectivity
@@ -259,7 +254,6 @@ mod tests {
             LintCode::BurstModePredicted,
             LintCode::RingConnectivity,
             LintCode::DividerUnreachable,
-            LintCode::FastPathIneligible,
         ];
         let mut seen: Vec<&str> = all.iter().map(|c| c.code()).collect();
         seen.sort_unstable();

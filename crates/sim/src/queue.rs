@@ -18,8 +18,6 @@ pub(crate) struct ScheduledEvent {
     pub(crate) time: Time,
     /// Insertion sequence number — the deterministic tie-break.
     pub(crate) seq: u64,
-    /// Cancellation-slab slot holding this event's liveness state.
-    pub(crate) slot: u32,
     /// What happens.
     pub(crate) occurrence: Occurrence,
 }
@@ -300,7 +298,6 @@ mod tests {
         ScheduledEvent {
             time: Time::from_ps(time),
             seq,
-            slot: 0,
             occurrence: Occurrence::DriveNet {
                 net: NetId(0),
                 value: Bit::High,

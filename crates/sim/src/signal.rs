@@ -37,12 +37,6 @@ impl Bit {
         self == Bit::High
     }
 
-    /// Returns `true` if the level is [`Bit::Low`].
-    #[must_use]
-    pub fn is_low(self) -> bool {
-        self == Bit::Low
-    }
-
     /// The edge that a transition *to* this level represents.
     #[must_use]
     pub fn arriving_edge(self) -> Edge {

@@ -110,12 +110,6 @@ impl SweepStats {
         self.shards.iter().map(|s| s.sim.events_processed).sum()
     }
 
-    /// Total cancelled events skipped across shards.
-    #[must_use]
-    pub fn cancelled(&self) -> u64 {
-        self.shards.iter().map(|s| s.sim.events_cancelled).sum()
-    }
-
     /// Total no-change drives suppressed across shards.
     #[must_use]
     pub fn suppressed(&self) -> u64 {
@@ -393,8 +387,8 @@ pub struct JobMeter {
 }
 
 impl JobMeter {
-    /// Records a finished simulation's kernel statistics (dispatched,
-    /// cancelled, suppressed) into the shard counters.
+    /// Records a finished simulation's kernel statistics (dispatched and
+    /// suppressed events) into the shard counters.
     pub fn record_sim(&mut self, stats: SimStats) {
         self.sim.absorb(stats);
     }
@@ -512,14 +506,12 @@ mod tests {
             .run(&configs, |job, meter| {
                 meter.record_sim(SimStats {
                     events_processed: *job.config as u64 * 10,
-                    events_cancelled: *job.config as u64,
                     drives_suppressed: *job.config as u64 * 2,
                 });
                 Ok::<_, ()>(())
             });
         assert!(report.failures.is_empty());
         assert_eq!(report.stats.events(), 100);
-        assert_eq!(report.stats.cancelled(), 10);
         assert_eq!(report.stats.suppressed(), 20);
         assert!(report.stats.events_per_sec() > 0.0);
     }

@@ -75,12 +75,6 @@ impl Time {
         self.0 * 1e-3
     }
 
-    /// Returns the instant as seconds.
-    #[must_use]
-    pub fn as_secs(self) -> f64 {
-        self.0 * 1e-12
-    }
-
     /// Returns the later of two instants.
     #[must_use]
     pub fn max(self, other: Time) -> Time {
@@ -183,7 +177,6 @@ mod tests {
         assert_eq!(t.as_ps(), 1_500.0);
         assert_eq!(t.as_ns(), 1.5);
         assert_eq!(Time::from_us(2.0).as_ps(), 2e6);
-        assert_eq!(Time::ZERO.as_secs(), 0.0);
     }
 
     #[test]

@@ -65,7 +65,7 @@ echo "BENCH_sweep.json: valid JSON"
 python3 - "$engine_out" <<'PY'
 import json, sys
 report = json.load(open(sys.argv[1]))
-assert report["schema"] == "strentropy-bench-engine/2", report["schema"]
+assert report["schema"] == "strentropy-bench-engine/3", report["schema"]
 micro = report["str32_dispatch_microbench"]
 # The probe seeds its own board and simulator, so its event count is a
 # fixed property of the kernel: any change means dispatch changed.

@@ -137,13 +137,6 @@ pub struct SourceSpec {
     /// full simulation near mode boundaries or when `fault` is armed
     /// (`strent_rings::surrogate::surrogate_eligible`).
     pub backend: SourceBackend,
-    /// Chaos-drill hook: the producing worker panics once after this
-    /// source has delivered exactly this many batches. `None` (the
-    /// default) disables the trigger; it exists so the supervision
-    /// layer's recovery path can be exercised deterministically, and
-    /// has no effect on the bytes the source produces (streams are
-    /// rebuilt and fast-forwarded on restart).
-    pub panic_after_batches: Option<u64>,
 }
 
 impl SourceSpec {
@@ -157,7 +150,6 @@ impl SourceSpec {
             board_seed: seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(1),
             fault: None,
             backend: SourceBackend::FullSim,
-            panic_after_batches: None,
         }
     }
 
@@ -180,16 +172,6 @@ impl SourceSpec {
     #[must_use]
     pub fn with_backend(mut self, backend: SourceBackend) -> Self {
         self.backend = backend;
-        self
-    }
-
-    /// Arms the chaos-drill worker panic after `batches` delivered
-    /// batches (must be ≥ 1; validation rejects 0 because "panic
-    /// before the first batch" would make delivered-count fast-forward
-    /// on restart degenerate).
-    #[must_use]
-    pub fn with_panic_after(mut self, batches: u64) -> Self {
-        self.panic_after_batches = Some(batches);
         self
     }
 
@@ -309,12 +291,6 @@ impl PoolConfig {
         }
         if self.sources.is_empty() {
             return Err(bad("sources", "at least one source"));
-        }
-        if self.sources.iter().any(|s| s.panic_after_batches == Some(0)) {
-            return Err(bad(
-                "panic_after_batches",
-                "chaos trigger needs at least one delivered batch",
-            ));
         }
         let h = self.claimed_min_entropy;
         if !(h.is_finite() && h > 0.0 && h <= 1.0) {
@@ -558,10 +534,6 @@ mod tests {
                 max_relock_windows: 0,
                 ..good.clone()
             }),
-            ("panic_after_batches", PoolConfig {
-                sources: vec![SourceSpec::new(RingSpec::Str32, 1).with_panic_after(0)],
-                ..good.clone()
-            }),
         ];
         for (field, config) in cases {
             let err = config.validate().expect_err(field);
@@ -728,19 +700,6 @@ mod tests {
         assert_eq!(spec.board_seed, 77);
         assert_eq!(spec.fault, Some(plan));
         assert_eq!(spec.board(4).id(), 4);
-    }
-
-    #[test]
-    fn panic_trigger_defaults_off_and_round_trips() {
-        let spec = SourceSpec::new(RingSpec::Iro32, 5);
-        assert_eq!(spec.panic_after_batches, None);
-        let spec = spec.with_panic_after(3);
-        assert_eq!(spec.panic_after_batches, Some(3));
-        // Arming the trigger never perturbs the stream-defining fields.
-        let base = SourceSpec::new(RingSpec::Iro32, 5);
-        assert_eq!(spec.ring, base.ring);
-        assert_eq!(spec.seed, base.seed);
-        assert_eq!(spec.board_seed, base.board_seed);
     }
 
     #[test]

@@ -33,11 +33,13 @@
 //! * [`server`] — the Unix-domain-socket frontend: a single-threaded,
 //!   readiness-driven event loop (no thread per connection);
 //! * [`mux`] — the multiplexed closed/open-loop load-generation client;
-//! * [`supervisor`] — restart policies with deterministic jittered
-//!   backoff, typed incident records, and the `supervise` loop every
-//!   long-lived service thread runs under (panic → restart → escalate
-//!   → quarantine). A test drives it by queueing a [`ChaosAction`]
-//!   (panic or stall) into a live shard with [`EntropyService::inject`].
+//! * [`supervisor`] — typed incident records and the resilient
+//!   client's [`Deadline`]. A serving thread fails one way: a pool
+//!   worker's failure ends its slots with a typed
+//!   [`ServeError::SourceFailed`], and a panicked scheduler shard is
+//!   quarantined at once (panic → quarantine → reroute). A test drives
+//!   the shard path by queueing a [`ChaosAction`] (panic or stall) into
+//!   a live shard with [`EntropyService::inject`].
 //!
 //! See `docs/serving.md` for the architecture and the determinism
 //! contract, and `BENCH_serve.json` (emitted by the `serve_load` bench)
@@ -72,6 +74,4 @@ pub use scheduler::{
 };
 pub use server::{ServerOptions, ServerStats, UdsClient, UdsServer};
 pub use source::PooledSource;
-pub use supervisor::{
-    Deadline, Incident, IncidentKind, IncidentLog, RestartPolicy, SupervisionOutcome,
-};
+pub use supervisor::{Deadline, Incident, IncidentKind, IncidentLog};

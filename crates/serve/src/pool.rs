@@ -32,19 +32,15 @@
 //! round-robin in ascending global-slot order. The full pool is the
 //! special case `S = 1`.
 //!
-//! ## Supervision
+//! ## Failure
 //!
-//! Every worker runs its producer loop under
-//! [`supervise`](crate::supervisor::supervise): a panic (injected by a
-//! chaos drill via `SourceSpec::panic_after_batches`, or a genuine
-//! simulator bug) is caught, and before the restart the panicked slot
-//! is **rebuilt from its spec and fast-forwarded** by its
-//! already-delivered batch count — per-source streams are pure
-//! functions of `(SourceSpec, PoolConfig)`, so the rebuilt source
-//! resumes at exactly the next undelivered batch and the consumer
-//! never sees a duplicated, dropped or reordered byte. Exhausting the
-//! restart budget escalates: the worker's senders drop and the
-//! consumer sees a typed `SourceFailed`, never a silent stall.
+//! Each worker runs its producer loop once. A source error or a panic
+//! (a simulator bug) ends the loop and drops the senders of every slot
+//! the worker owns, so the consumer's next read of such a slot is the
+//! typed [`ServeError::SourceFailed`], never a silent stall. Nothing
+//! rebuilds the slot: its stream is a pure function of
+//! `(SourceSpec, PoolConfig)`, so a rebuilt slot would replay into the
+//! same failure.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -53,11 +49,10 @@ use std::sync::{mpsc, Arc};
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
-use strentropy::pool::{EntropyEstimate, PoolConfig, SourceSpec, SourceState, SourceStats};
+use strentropy::pool::{EntropyEstimate, PoolConfig, SourceState, SourceStats};
 
 use crate::error::ServeError;
 use crate::source::PooledSource;
-use crate::supervisor::{supervise, IncidentLog, RestartPolicy};
 
 /// Batches a source may run ahead of the consumer: a slot's room count
 /// starts here and its channel holds this many, so a send made with a
@@ -172,7 +167,6 @@ pub struct SourcePool {
     status: Vec<SourceStatus>,
     buffer: VecDeque<u8>,
     finished: bool,
-    incidents: IncidentLog,
 }
 
 impl SourcePool {
@@ -192,8 +186,6 @@ impl SourcePool {
     /// Starts shard `shard` of `shards`: builds only the global slots
     /// `{ i | i % shards == shard }`, each with its global index, so
     /// per-slot byte streams are identical at every shard count.
-    /// Workers run under the default [`RestartPolicy`] with a fresh
-    /// incident log.
     ///
     /// # Errors
     ///
@@ -204,31 +196,6 @@ impl SourcePool {
         shards: usize,
         shard: usize,
         workers: usize,
-    ) -> Result<Self, ServeError> {
-        SourcePool::start_partition_supervised(
-            config,
-            shards,
-            shard,
-            workers,
-            &RestartPolicy::default(),
-            &IncidentLog::new(),
-        )
-    }
-
-    /// [`SourcePool::start_partition`] with an explicit worker restart
-    /// policy and a shared incident log (the scheduler passes its own
-    /// log so shard and worker incidents land in one place).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`SourcePool::start_partition`].
-    pub fn start_partition_supervised(
-        config: &PoolConfig,
-        shards: usize,
-        shard: usize,
-        workers: usize,
-        policy: &RestartPolicy,
-        incidents: &IncidentLog,
     ) -> Result<Self, ServeError> {
         config.validate()?;
         if shards == 0 || shard >= shards {
@@ -262,15 +229,10 @@ impl SourcePool {
             let room = Arc::new(AtomicUsize::new(CHANNEL_DEPTH));
             receivers.push(rx);
             rooms.push(Arc::clone(&room));
-            let global = slots[i];
-            let spec = config.sources[global].clone();
             groups[i % worker_count].push(WorkerSlot {
-                panic_pending: spec.panic_after_batches.is_some(),
                 source,
                 tx,
                 room,
-                global,
-                spec,
                 delivered: 0,
             });
         }
@@ -278,29 +240,12 @@ impl SourcePool {
         let mut handles = Vec::with_capacity(worker_count);
         for (w, group) in groups.into_iter().enumerate() {
             let flag = Arc::clone(&shutdown);
-            let policy = policy.clone();
-            let log = incidents.clone();
-            let mut state = WorkerState {
-                slots: group,
-                config: config.clone(),
-                active: None,
-            };
+            // The loop runs once: when it returns or panics, the group's
+            // senders drop with it, and a consumer still reading sees
+            // SourceFailed.
             let handle = thread::Builder::new()
                 .name(format!("strent-serve-worker-{w}"))
-                .spawn(move || {
-                    let unit = format!("worker-{w}");
-                    // Escalation drops the state (and with it every
-                    // sender), so the consumer sees SourceFailed — a
-                    // typed end, never a silent stall.
-                    let _ = supervise(
-                        &unit,
-                        &policy,
-                        &log,
-                        &mut state,
-                        |s| repair_worker(s, &flag),
-                        |s| produce_loop(s, &flag),
-                    );
-                })
+                .spawn(move || produce_loop(group, &flag))
                 .map_err(ServeError::Io)?;
             handles.push(handle);
         }
@@ -319,14 +264,7 @@ impl SourcePool {
             status,
             buffer: VecDeque::new(),
             finished: false,
-            incidents: incidents.clone(),
         })
-    }
-
-    /// The incident log this pool's workers record into.
-    #[must_use]
-    pub fn incident_log(&self) -> &IncidentLog {
-        &self.incidents
     }
 
     /// Number of pool slots owned by this pool (partition).
@@ -531,67 +469,34 @@ impl Drop for SourcePool {
 }
 
 /// One pool slot as a worker sees it: the live source, its outbound
-/// channel and room count, and the bookkeeping the repair path needs
-/// to rebuild the source after a panic.
+/// channel and room count.
 struct WorkerSlot {
     source: PooledSource,
     tx: SyncSender<PoolChunk>,
     /// Batches the consumer has room for (see [`SourcePool`]'s rooms).
     room: Arc<AtomicUsize>,
-    /// Global pool slot index (streams are keyed by it).
-    global: usize,
-    /// The spec the slot was built from — rebuilt verbatim on repair.
-    spec: SourceSpec,
-    /// Batches already handed to the consumer channel; the repair path
-    /// fast-forwards a rebuilt source by exactly this count.
+    /// Batches already handed to the consumer channel; numbers the
+    /// next chunk's `round`.
     delivered: u64,
-    /// One-shot chaos trigger state (`SourceSpec::panic_after_batches`):
-    /// cleared *before* the panic fires so a restarted body does not
-    /// re-panic forever.
-    panic_pending: bool,
 }
 
-/// A worker's whole mutable state, held outside the supervision unwind
-/// boundary so a restart resumes exactly where the panic interrupted.
-struct WorkerState {
-    slots: Vec<WorkerSlot>,
-    config: PoolConfig,
-    /// Slot being produced when the body panicked — the only slot whose
-    /// internal stream state may be mid-batch and needs a rebuild.
-    active: Option<usize>,
-}
-
-/// Supervised producer body: round-robin over the worker's slots that
-/// have room, pushing each batch into that slot's channel, and parking
-/// when no slot has room. Returning normally (shutdown, consumer gone,
-/// unrecoverable source) completes the supervision loop.
-fn produce_loop(state: &mut WorkerState, shutdown: &AtomicBool) {
-    while !shutdown.load(Ordering::Relaxed) && !state.slots.is_empty() {
+/// A worker's producer loop: round-robin over its slots that have room,
+/// pushing each batch into that slot's channel, and parking when no
+/// slot has room. It runs once; returning (shutdown, consumer gone,
+/// failed source) or a panic drops `slots` and every sender with them.
+fn produce_loop(mut slots: Vec<WorkerSlot>, shutdown: &AtomicBool) {
+    while !shutdown.load(Ordering::Relaxed) {
         let mut produced = false;
-        for k in 0..state.slots.len() {
+        for slot in &mut slots {
             if shutdown.load(Ordering::Relaxed) {
                 return;
             }
-            if state.slots[k].room.load(Ordering::Acquire) == 0 {
+            if slot.room.load(Ordering::Acquire) == 0 {
                 continue;
             }
-            state.active = Some(k);
-            let slot = &mut state.slots[k];
-            let trigger = slot.spec.panic_after_batches.unwrap_or(u64::MAX);
-            if slot.panic_pending && slot.delivered >= trigger {
-                // Chaos drill: fire once, at the clean between-batches
-                // boundary, so the repair path's rebuild-and-fast-forward
-                // provably reproduces the stream position.
-                slot.panic_pending = false;
-                panic!(
-                    "injected worker panic: slot {} after {} delivered batches",
-                    slot.global, slot.delivered
-                );
-            }
             let Ok(bytes) = slot.source.next_batch() else {
-                // Unrecoverable simulator error: drop every sender so
-                // the consumer sees the disconnect as SourceFailed.
-                state.active = None;
+                // Unrecoverable source error: drop every sender so the
+                // consumer sees the disconnect as SourceFailed.
                 return;
             };
             let chunk = PoolChunk {
@@ -610,50 +515,12 @@ fn produce_loop(state: &mut WorkerState, shutdown: &AtomicBool) {
                 return;
             }
             slot.delivered += 1;
-            state.active = None;
             produced = true;
         }
         if !produced {
             // No slot has room: sleep until the consumer wakes us with
             // rooms given back, or shutdown unparks the worker.
             thread::park();
-        }
-    }
-}
-
-/// Pre-restart repair: rebuild the slot the panic interrupted and
-/// fast-forward it past every batch already delivered. Streams are pure
-/// functions of `(SourceSpec, PoolConfig)`, so the replayed source is
-/// byte-identical to the lost one — including its health/quarantine
-/// lifecycle position. A slot that cannot be rebuilt is removed, which
-/// drops its sender and surfaces as a typed `SourceFailed`.
-fn repair_worker(state: &mut WorkerState, shutdown: &AtomicBool) {
-    let Some(k) = state.active.take() else {
-        return;
-    };
-    if k >= state.slots.len() {
-        return;
-    }
-    let slot = &state.slots[k];
-    match PooledSource::build(slot.global, &slot.spec, &state.config) {
-        Ok(mut fresh) => {
-            let mut replayed = 0u64;
-            while replayed < state.slots[k].delivered {
-                if shutdown.load(Ordering::Relaxed) {
-                    // Mid-repair shutdown: leave the stale source in
-                    // place; the restarted body exits immediately.
-                    return;
-                }
-                if fresh.next_batch().is_err() {
-                    state.slots.remove(k);
-                    return;
-                }
-                replayed += 1;
-            }
-            state.slots[k].source = fresh;
-        }
-        Err(_) => {
-            state.slots.remove(k);
         }
     }
 }
@@ -859,31 +726,29 @@ mod tests {
     }
 
     #[test]
-    fn worker_panic_recovery_is_byte_transparent() {
-        let config = small_config(2);
-        let mut clean = SourcePool::start(&config, 1).expect("starts");
-        let expected = clean.read_bytes(64).expect("reads");
-        clean.shutdown();
+    fn a_failed_source_ends_its_slot_with_a_typed_error() {
+        use strent_rings::surrogate::SourceBackend;
+        use strentropy::pool::{RingSpec, SourceSpec};
 
-        // Same pool, but slot 0's worker panics after one delivered
-        // batch; supervision must rebuild, fast-forward and resume
-        // without perturbing a single byte.
-        let mut chaotic = config.clone();
-        chaotic.sources[0] = chaotic.sources[0].clone().with_panic_after(1);
-        let log = IncidentLog::new();
-        let policy = RestartPolicy {
-            initial_backoff: Duration::from_micros(100),
-            ..RestartPolicy::default()
-        };
-        let mut pool =
-            SourcePool::start_partition_supervised(&chaotic, 1, 0, 2, &policy, &log)
-                .expect("starts");
-        let bytes = pool.read_bytes(64).expect("reads through the panic");
+        // At 2.021 periods per sample every batch alarms, so the one
+        // source fails its bounded discard streak: the worker's loop
+        // ends, and the slot reads as a typed failure, not a stall.
+        let mut config = small_config(1);
+        config.sources[0] =
+            SourceSpec::new(RingSpec::Str32, 2012).with_backend(SourceBackend::Surrogate);
+        config.sample_period_factor = 2.021;
+        config.claimed_min_entropy = 1.0;
+        config.batch_raw_bits = 256;
+        config.max_relock_windows = 3;
+        let mut pool = SourcePool::start(&config, 1).expect("starts");
+        for _ in 0..2 {
+            let err = pool.next_chunk().expect_err("the source failed");
+            assert!(
+                matches!(err, ServeError::SourceFailed { source: 0 }),
+                "{err}"
+            );
+        }
         pool.shutdown();
-        assert_eq!(bytes, expected, "recovery perturbed the stream");
-        assert_eq!(log.count_of("panic"), 1, "the trigger is one-shot");
-        assert_eq!(log.count_of("restarted"), 1);
-        assert_eq!(pool.incident_log().count_of("escalated"), 0);
     }
 
     #[test]
@@ -891,7 +756,7 @@ mod tests {
         use strent_sim::{Bit, FaultPlan};
         use strent_trng::bits::BitString;
         use strent_trng::health;
-        use strentropy::pool::RingSpec;
+        use strentropy::pool::{RingSpec, SourceSpec};
 
         // Slot 0 (STR-32) is clamped low for good from the end of its
         // warmup: it must alarm and be replaced while the pooled stream

@@ -43,6 +43,14 @@
 //! ([`EntropyService::inject`]) are messages too: they fire when the
 //! shard handles them, between messages, never mid-grant.
 //!
+//! ## Failure
+//!
+//! Each shard thread runs its loop once, under the crate's one
+//! `catch_unwind`. A panic records a `panic` and then a `quarantined`
+//! incident, sets the shard's quarantine flag so [`Connector`] routes
+//! new clients to the next healthy sibling, and refuses what the shard
+//! still holds with typed errors. A shard is never restarted.
+//!
 //! ## Backpressure classes (fair mode)
 //!
 //! Admission is checked in severity order and every rejection is a
@@ -63,17 +71,19 @@ use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::io::{ErrorKind, Write};
 use std::os::unix::net::UnixStream;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender, SyncSender};
 use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
+use strent_sim::sweep::panic_payload_text;
 use strentropy::pool::PoolConfig;
 
 use crate::error::ServeError;
 use crate::pool::{ConsumptionPolicy, SourcePool, SourceStatus};
-use crate::supervisor::{supervise, IncidentKind, IncidentLog, RestartPolicy, SupervisionOutcome};
+use crate::supervisor::{IncidentKind, IncidentLog};
 
 /// How long a client waits for its grant. Generous: a pool rebuilding a
 /// dead ring mid-request stays well under this.
@@ -135,15 +145,11 @@ pub struct ServeConfig {
     /// flag and always consumes strictly, so its byte-allocation digest
     /// stays identical at every shard count with or without weighting.
     pub entropy_weighting: bool,
-    /// Restart policy every supervised unit (scheduler shards, pool
-    /// workers) runs under.
-    pub restart: RestartPolicy,
 }
 
 impl ServeConfig {
-    /// A configuration with one worker, one shard, no rate limiting or
-    /// shedding and the default restart policy — override fields as
-    /// needed.
+    /// A configuration with one worker, one shard and no rate limiting
+    /// or shedding — override fields as needed.
     #[must_use]
     pub fn new(pool: PoolConfig, mode: SchedulerMode) -> Self {
         ServeConfig {
@@ -154,7 +160,6 @@ impl ServeConfig {
             rate_limit: None,
             shed_limit: None,
             entropy_weighting: false,
-            restart: RestartPolicy::default(),
         }
     }
 }
@@ -342,14 +347,7 @@ impl EntropyService {
         let fair = barrier.is_none();
         let mut pools = Vec::with_capacity(shard_count);
         for k in 0..shard_count {
-            let mut pool = SourcePool::start_partition_supervised(
-                &config.pool,
-                shard_count,
-                k,
-                workers,
-                &config.restart,
-                &incidents,
-            )?;
+            let mut pool = SourcePool::start_partition(&config.pool, shard_count, k, workers)?;
             if fair && config.entropy_weighting {
                 // Each shard weights its own partition by the estimates
                 // riding on its delivered chunks — a pure function of
@@ -396,29 +394,34 @@ impl EntropyService {
                 draining: false,
                 log: incidents.clone(),
             };
-            let policy = config.restart.clone();
             let log = incidents.clone();
             let flags = Arc::clone(&quarantined);
             // Startup spawn: one thread per scheduler shard.
             let handle = thread::Builder::new()
                 .name(format!("strent-serve-shard-{k}"))
                 .spawn(move || {
+                    // The escalation boundary: the loop runs once, and a
+                    // panic quarantines the shard at once, since a rerun
+                    // would replay into the same panic.
+                    let Err(payload) = catch_unwind(AssertUnwindSafe(|| shard.run(&rx))) else {
+                        return;
+                    };
                     let unit = format!("shard-{k}");
-                    let outcome =
-                        supervise(&unit, &policy, &log, &mut shard, |_| {}, |s| s.run(&rx));
-                    if let SupervisionOutcome::Escalated { .. } = outcome {
-                        // Quarantine: new registrations reroute to the
-                        // next healthy sibling; what was already queued
-                        // is refused typed (or was stolen by siblings
-                        // first).
-                        flags[k].store(true, Ordering::SeqCst);
-                        log.record(
-                            &unit,
-                            IncidentKind::Quarantined,
-                            "restart budget exhausted; queued requests refused, clients rerouted",
-                        );
-                        shard.shutdown();
-                    }
+                    log.record(
+                        &unit,
+                        IncidentKind::Panic,
+                        panic_payload_text(payload.as_ref()),
+                    );
+                    log.record(
+                        &unit,
+                        IncidentKind::Quarantined,
+                        "shard panicked; queued requests refused, clients rerouted",
+                    );
+                    // Quarantine: new registrations reroute to the next
+                    // healthy sibling; what is still queued is refused
+                    // typed (or was stolen by siblings first).
+                    flags[k].store(true, Ordering::SeqCst);
+                    shard.shutdown();
                 })
                 .map_err(ServeError::Io)?;
             service.handles.push(handle);
@@ -426,15 +429,15 @@ impl EntropyService {
         Ok(service)
     }
 
-    /// The incident log every supervised unit of this service (shards,
-    /// workers) records into.
+    /// The incident log every scheduler shard of this service records
+    /// into.
     #[must_use]
     pub fn incidents(&self) -> &IncidentLog {
         &self.incidents
     }
 
-    /// Per-shard quarantine flags (true once a shard exhausted its
-    /// restart budget and was taken out of rotation).
+    /// Per-shard quarantine flags (true once a shard panicked and was
+    /// taken out of rotation).
     #[must_use]
     pub fn quarantined(&self) -> Vec<bool> {
         self.quarantined
@@ -475,8 +478,7 @@ impl EntropyService {
 
     /// Queues a chaos fault for scheduler shard `unit` (deterministic
     /// mode has the one shard 0). It fires when the shard handles the
-    /// message — between messages, never mid-grant — so a supervised
-    /// restart resumes byte-transparently.
+    /// message — between messages, never mid-grant.
     ///
     /// # Errors
     ///
@@ -494,7 +496,7 @@ impl EntropyService {
     /// (refusing them with [`ServeError::Draining`]), serves what is
     /// already queued until `budget` elapses, and refuses the
     /// remainder typed. Returns whether every shard fully drained in
-    /// time; a shard that already escalated counts as not drained.
+    /// time; a quarantined shard counts as not drained.
     pub fn drain(&self, budget: Duration) -> bool {
         let deadline = Instant::now() + budget;
         let mut all = true;
@@ -563,7 +565,7 @@ impl Drop for EntropyService {
 
 /// A cloneable client-registration handle (used by the socket event
 /// loop). Routes client `id` to its home shard `id % shards` — or,
-/// when that shard has been quarantined by escalation, walks forward
+/// when that shard has been quarantined after a panic, walks forward
 /// to the first healthy sibling so registration keeps working through
 /// a shard loss.
 #[derive(Debug, Clone)]
@@ -1108,14 +1110,14 @@ impl Shard {
 /// A scheduler fault, queued by [`EntropyService::inject`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ChaosAction {
-    /// Panic with an "injected" payload — the supervised restart path.
+    /// Panic with an "injected" payload — the quarantine path.
     Panic,
     /// Sleep for the given duration — the wedged-unit/liveness path.
     Stall(Duration),
 }
 
 /// Fires a chaos fault the unit just dequeued: a panic for the
-/// supervised-restart path, or a stall for the liveness path.
+/// quarantine path, or a stall for the liveness path.
 fn fire(unit: &str, action: ChaosAction) {
     match action {
         ChaosAction::Panic => panic!("injected {unit} panic"),
@@ -1325,54 +1327,15 @@ mod tests {
     }
 
     #[test]
-    fn scheduler_panic_restart_preserves_served_bytes() {
-        let mode = SchedulerMode::Deterministic {
-            expected_clients: 1,
-        };
-        let serve = |chaos: bool| {
-            let mut config = small_serve_config(2, mode);
-            config.restart.initial_backoff = Duration::from_micros(100);
-            let service = EntropyService::start(&config).expect("starts");
-            let client = service.connect(0).expect("registers");
-            let mut served = Vec::new();
-            for (k, n) in [8usize, 16, 8].into_iter().enumerate() {
-                if chaos && k == 1 {
-                    // Queued ahead of the next request, so it fires
-                    // between the two grants.
-                    service.inject(0, ChaosAction::Panic).expect("queued");
-                }
-                served.extend(client.request(n).expect("granted"));
-            }
-            client.close();
-            let log = service.incidents().clone();
-            service.shutdown().expect("clean shutdown");
-            (served, log.count_of("panic"), log.count_of("restarted"))
-        };
-        let (clean, _, _) = serve(false);
-        let (chaotic, panics, restarts) = serve(true);
-        assert_eq!(chaotic, clean, "supervised restart perturbed served bytes");
-        assert_eq!((panics, restarts), (1, 1), "one panic, one restart");
-    }
-
-    #[test]
-    fn escalated_shard_quarantines_and_reroutes_new_clients() {
+    fn panicked_shard_quarantines_and_reroutes_new_clients() {
         let mut config = small_serve_config(4, SchedulerMode::Fair { max_in_flight: 8 });
         config.shards = 2;
-        config.restart = RestartPolicy {
-            initial_backoff: Duration::from_micros(50),
-            max_backoff: Duration::from_micros(200),
-            max_restarts: 2,
-            window: Duration::from_secs(60),
-            jitter_seed: 5,
-        };
         let service = EntropyService::start(&config).expect("starts");
-        // One panic more than the restart budget escalates shard 0.
-        for _ in 0..=config.restart.max_restarts {
-            service.inject(0, ChaosAction::Panic).expect("queued");
-        }
+        // One panic quarantines shard 0 at once.
+        service.inject(0, ChaosAction::Panic).expect("queued");
         let deadline = Instant::now() + Duration::from_secs(30);
         while !service.quarantined()[0] {
-            assert!(Instant::now() < deadline, "shard 0 never escalated");
+            assert!(Instant::now() < deadline, "shard 0 was never quarantined");
             thread::sleep(Duration::from_millis(1));
         }
         assert!(!service.quarantined()[1], "sibling stays healthy");
@@ -1380,8 +1343,13 @@ mod tests {
         let client = service.connect(0).expect("reroutes to the healthy sibling");
         let grant = client.request(16).expect("granted by the sibling");
         assert_eq!(grant.len(), 16);
-        assert!(service.incidents().count_of("quarantined") >= 1);
-        assert!(service.incidents().count_of("escalated") >= 1);
+        assert_eq!(service.incidents().count_of("panic"), 1);
+        assert_eq!(service.incidents().count_of("quarantined"), 1);
+        // The panic incident comes first and carries the payload text.
+        let first = &service.incidents().snapshot()[0];
+        assert_eq!(first.unit, "shard-0");
+        assert_eq!(first.kind, IncidentKind::Panic);
+        assert_eq!(first.detail, "injected shard-0 panic");
         client.close();
         service.shutdown().expect("clean shutdown");
     }

@@ -8,7 +8,7 @@ use strentropy::pool::PoolConfig;
 pub const SEED: u64 = 42;
 
 /// The drill pool: raw conditioner (the stream content is what is
-/// digested) and small batches, so a worker panic fires early.
+/// digested) and small batches.
 pub fn drill_pool(sources: usize, backend: SourceBackend) -> PoolConfig {
     let mut config = PoolConfig::mixed_default(sources, SEED);
     config.conditioner = ConditionerKind::Raw;

@@ -1,15 +1,15 @@
 //! Integration tests for the sharded service, through the public
 //! `EntropyService` API end to end: the deterministic-mode contract
 //! (served bytes pinned to exact digests and invariant to the shard
-//! count, the frontend and injected chaos), bounded supervised recovery
-//! in fair mode, and the fair-mode shard/steal path and pass order.
+//! count, the frontend and an injected stall), and the fair-mode
+//! shard/steal path and pass order.
 
 use std::collections::BTreeMap;
 use std::io::Read;
 use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 mod common;
 
@@ -63,12 +63,6 @@ fn uneven_trace() -> Vec<Vec<usize>> {
 /// identically run after run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct ChaosPlan {
-    /// Pool slot (modulo the pool size) whose worker panics once.
-    worker_panic_source: usize,
-    /// Batches that slot delivers before its worker panics.
-    worker_panic_after_batches: u64,
-    /// Request index a client queues a scheduler panic ahead of.
-    scheduler_panic_after_request: u64,
     /// Request index a client queues a scheduler stall ahead of.
     scheduler_stall_after_request: u64,
     /// Length of the stall, milliseconds.
@@ -82,47 +76,21 @@ impl ChaosPlan {
             state = splitmix64(state);
             state
         };
-        let worker_panic_source = (next() % 4) as usize;
-        let worker_panic_after_batches = 1 + next() % 3;
-        let scheduler_panic_after_request = 2 + next() % 5;
-        let scheduler_stall_after_request = scheduler_panic_after_request + 3 + next() % 5;
+        let scheduler_stall_after_request = 2 + next() % 10;
         let stall_ms = 10 + next() % 25;
         ChaosPlan {
-            worker_panic_source,
-            worker_panic_after_batches,
-            scheduler_panic_after_request,
             scheduler_stall_after_request,
             stall_ms,
         }
     }
 
-    /// Arms the one-shot worker panic on the plan's pool slot.
-    fn arm_worker_panic(&self, pool: &mut PoolConfig) {
-        let slot = self.worker_panic_source % pool.sources.len();
-        pool.sources[slot] = pool.sources[slot]
-            .clone()
-            .with_panic_after(self.worker_panic_after_batches);
-    }
-
-    /// The scheduler faults as `(request index, fault)` pairs. An index
-    /// past a trace of `requests` lands before its last request, so a
-    /// short trace still injects both.
-    fn scheduler_faults(&self, requests: usize) -> [(usize, ChaosAction); 2] {
-        let at = |after: u64| usize::try_from(after).map_or(requests - 1, |k| k.min(requests - 1));
-        [
-            (at(self.scheduler_panic_after_request), ChaosAction::Panic),
-            (
-                at(self.scheduler_stall_after_request),
-                ChaosAction::Stall(Duration::from_millis(self.stall_ms)),
-            ),
-        ]
-    }
-}
-
-/// Queues into shard 0 every fault due before request `round`.
-fn inject_due(service: &EntropyService, faults: &[(usize, ChaosAction)], round: usize) {
-    for &(_, fault) in faults.iter().filter(|&&(at, _)| at == round) {
-        service.inject(0, fault).expect("fault queued");
+    /// The stall as a `(request index, fault)` pair. An index past a
+    /// trace of `requests` lands before its last request, so a short
+    /// trace still injects it.
+    fn scheduler_stall(&self, requests: usize) -> (usize, ChaosAction) {
+        let at = usize::try_from(self.scheduler_stall_after_request)
+            .map_or(requests - 1, |k| k.min(requests - 1));
+        (at, ChaosAction::Stall(Duration::from_millis(self.stall_ms)))
     }
 }
 
@@ -157,9 +125,8 @@ impl Client {
 
 /// Serves `trace` (client `c` asks for `trace[c]` in order, then
 /// closes) in deterministic mode at `shards` and returns each client's
-/// received stream, in client order. With a `plan`, the plan's worker
-/// panic is armed and client 0 queues the plan's scheduler panic and
-/// stall ahead of their requests; the run must then record a panic.
+/// received stream, in client order. With a `plan`, client 0 queues
+/// the plan's scheduler stall ahead of its request.
 fn deterministic_streams(
     pool: &PoolConfig,
     trace: &[Vec<usize>],
@@ -168,14 +135,9 @@ fn deterministic_streams(
     plan: Option<&ChaosPlan>,
 ) -> Vec<Vec<u8>> {
     static SOCKETS: AtomicUsize = AtomicUsize::new(0);
-    let mut pool = pool.clone();
-    let mut faults = Vec::new();
-    if let Some(plan) = plan {
-        plan.arm_worker_panic(&mut pool);
-        faults.extend(plan.scheduler_faults(trace[0].len()));
-    }
+    let stall = plan.map(|plan| plan.scheduler_stall(trace[0].len()));
     let mut config = ServeConfig::new(
-        pool,
+        pool.clone(),
         SchedulerMode::Deterministic {
             expected_clients: trace.len(),
         },
@@ -198,7 +160,7 @@ fn deterministic_streams(
             .iter()
             .enumerate()
             .map(|(id, sizes)| {
-                let faults = if id == 0 { &faults[..] } else { &[] };
+                let stall = stall.filter(|_| id == 0);
                 let (service, path) = (&service, &path);
                 // One thread per client; joined below. Every request is
                 // bounded by the client's reply timeout.
@@ -214,7 +176,9 @@ fn deterministic_streams(
                     };
                     let mut stream = Vec::new();
                     for (round, &nbytes) in sizes.iter().enumerate() {
-                        inject_due(service, faults, round);
+                        if let Some((_, fault)) = stall.filter(|&(at, _)| at == round) {
+                            service.inject(0, fault).expect("fault queued");
+                        }
                         stream.extend(client.request(nbytes));
                     }
                     client.close();
@@ -231,14 +195,7 @@ fn deterministic_streams(
         server.shutdown().expect("server stops");
         assert!(!path.exists(), "server left its socket behind");
     }
-    let panics = service.incidents().count_of("panic");
     service.shutdown().expect("clean shutdown");
-    if plan.is_some() {
-        assert!(
-            panics >= 1,
-            "chaos-on run injected nothing: the drill is vacuous"
-        );
-    }
     streams
 }
 
@@ -271,19 +228,13 @@ fn chaos_plans_are_seed_deterministic_and_distinct() {
         ChaosPlan::derive(8),
         "different seeds diverge"
     );
-    for seed in 0..64u64 {
-        let plan = ChaosPlan::derive(seed);
-        assert!(plan.scheduler_stall_after_request > plan.scheduler_panic_after_request);
-        assert!(plan.worker_panic_after_batches >= 1);
-    }
 }
 
 /// The served bytes themselves, not just their invariance: the drill
 /// trace yields one pinned digest per backend, at shards 1, 2 and 8
 /// (so 1, 2 and 8 producer workers), in process and over the socket,
-/// and with chaos on (a worker panic plus a scheduler panic and stall)
-/// under three plan seeds. Supervised recovery may cost time, never
-/// bytes.
+/// and with a scheduler stall injected under three plan seeds. A stall
+/// may cost time, never bytes.
 #[test]
 fn served_bytes_match_the_pinned_digests() {
     let trace = drill_trace();
@@ -358,39 +309,6 @@ fn deterministic_allocation_replays_from_the_pool() {
     let trace = uneven_trace();
     let streams = deterministic_streams(&small_pool(4), &trace, Frontend::InProcess, 1, None);
     assert_eq!(streams, replay_allocation(&small_pool(4), &trace));
-}
-
-/// Recovery in fair mode is bounded and loses nothing: a one-shard
-/// service sent the seed-42 plan's scheduler panic and stall grants all
-/// 24 requests of a timed train at full length, the worst grant under
-/// 5 s, and records the panic and its restart.
-#[test]
-fn fair_shard_recovers_from_a_panic_and_a_stall_within_bound() {
-    const REQUESTS: usize = 24;
-    let mut config = ServeConfig::new(
-        drill_pool(2, SourceBackend::Surrogate),
-        SchedulerMode::Fair { max_in_flight: 8 },
-    );
-    config.shards = 1;
-    let service = EntropyService::start(&config).expect("service starts");
-    let client = service.connect(0).expect("registers");
-    let faults = ChaosPlan::derive(SEED).scheduler_faults(REQUESTS);
-    let mut worst = Duration::ZERO;
-    for round in 0..REQUESTS {
-        inject_due(&service, &faults, round);
-        let nbytes = drill_request(0, round);
-        let begin = Instant::now();
-        let grant = client.request(nbytes).expect("granted through the outage");
-        worst = worst.max(begin.elapsed());
-        assert_eq!(grant.len(), nbytes, "request {round} granted short");
-    }
-    client.close();
-    let panics = service.incidents().count_of("panic");
-    let restarts = service.incidents().count_of("restarted");
-    service.shutdown().expect("clean shutdown");
-    assert!(worst < Duration::from_secs(5), "worst grant took {worst:?}");
-    assert!(panics >= 1, "the injected panic never fired");
-    assert!(restarts >= 1, "the panicked shard never restarted");
 }
 
 /// Fair mode shards real work: with more clients than shards, every

@@ -161,8 +161,8 @@ struct NetState {
 /// enqueues it.
 ///
 /// This is the single push path shared by [`Simulator`] (`inject`,
-/// `arm_timer`, `arm_faults`) and [`Context`] (`schedule_net`,
-/// `schedule_timer`), so sequence numbering cannot drift apart.
+/// `arm_timer`, `arm_faults`) and [`Context`] (`schedule_net`), so
+/// sequence numbering cannot drift apart.
 #[inline]
 fn push_event(queue: &mut WheelQueue, next_seq: &mut u64, time: Time, occurrence: Occurrence) {
     let seq = *next_seq;
@@ -227,29 +227,6 @@ impl<'a> Context<'a> {
             self.next_seq,
             self.now + delay_ps,
             Occurrence::DriveNet { net, value },
-        );
-    }
-
-    /// Arms a timer that will deliver [`Event::Timer`] with `tag` back to
-    /// this component after `delay_ps`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the delay is negative or non-finite.
-    #[inline]
-    pub fn schedule_timer(&mut self, delay_ps: f64, tag: TimerTag) {
-        assert!(
-            delay_ps.is_finite() && delay_ps >= 0.0,
-            "delay must be finite and non-negative, got {delay_ps}"
-        );
-        push_event(
-            self.queue,
-            self.next_seq,
-            self.now + delay_ps,
-            Occurrence::FireTimer {
-                component: self.component,
-                tag,
-            },
         );
     }
 
@@ -866,7 +843,7 @@ impl Simulator {
     /// # Errors
     ///
     /// Returns [`SimError::UnknownNetName`] if no net has that name.
-    pub fn resolve_net(&self, name: &str) -> Result<NetId, SimError> {
+    fn resolve_net(&self, name: &str) -> Result<NetId, SimError> {
         self.nets
             .iter()
             .position(|n| n.name == name)
@@ -908,21 +885,15 @@ mod tests {
         }
     }
 
-    /// Counts timer firings and re-arms itself `repeats` times.
+    /// Counts its timer firings.
     struct Ticker {
-        period: f64,
-        remaining: u32,
         fired: u32,
     }
 
     impl Component for Ticker {
-        fn on_event(&mut self, event: &Event, ctx: &mut Context<'_>) {
-            if let Event::Timer { tag } = *event {
+        fn on_event(&mut self, event: &Event, _ctx: &mut Context<'_>) {
+            if let Event::Timer { .. } = event {
                 self.fired += 1;
-                if self.remaining > 0 {
-                    self.remaining -= 1;
-                    ctx.schedule_timer(self.period, tag);
-                }
             }
         }
     }
@@ -968,14 +939,13 @@ mod tests {
     }
 
     #[test]
-    fn timers_fire_and_rearm() {
+    fn armed_timers_fire() {
         let mut sim = Simulator::new(1);
-        let ticker = sim.add_component(Ticker {
-            period: 50.0,
-            remaining: 4,
-            fired: 0,
-        });
-        sim.arm_timer(ticker, 50.0, 7).expect("valid");
+        let ticker = sim.add_component(Ticker { fired: 0 });
+        for k in 1..=5 {
+            sim.arm_timer(ticker, 50.0 * f64::from(k), 7)
+                .expect("valid");
+        }
         sim.run_until(Time::from_ns(1.0));
         let t = sim.component::<Ticker>(ticker).expect("typed");
         assert_eq!(t.fired, 5);
@@ -999,11 +969,7 @@ mod tests {
     fn unknown_ids_are_rejected() {
         let mut sim = Simulator::new(1);
         let net = sim.add_net("n");
-        let comp = sim.add_component(Ticker {
-            period: 1.0,
-            remaining: 0,
-            fired: 0,
-        });
+        let comp = sim.add_component(Ticker { fired: 0 });
         assert!(matches!(
             sim.listen(NetId(9), comp),
             Err(SimError::UnknownNet(_))
@@ -1067,11 +1033,7 @@ mod tests {
     fn duplicate_listen_registers_once() {
         let mut sim = Simulator::new(1);
         let a = sim.add_net("a");
-        let comp = sim.add_component(Ticker {
-            period: 0.0,
-            remaining: 0,
-            fired: 0,
-        });
+        let comp = sim.add_component(Ticker { fired: 0 });
         sim.listen(a, comp).expect("net exists");
         sim.listen(a, comp).expect("net exists");
         sim.inject(a, Bit::High, 0.0).expect("valid");
@@ -1106,11 +1068,7 @@ mod tests {
         // Orphan: no listeners, not watched -> SL001.
         let orphan = sim.add_net("dangling");
         // Unreachable: no subscriptions, no timer -> SL002.
-        let _idle = sim.add_component(Ticker {
-            period: 1.0,
-            remaining: 0,
-            fired: 0,
-        });
+        let _idle = sim.add_component(Ticker { fired: 0 });
         // Spilled fan-out: INLINE + 1 listeners -> SL003 (and the net
         // itself has listeners, so no SL001 for it).
         let wide = sim.add_net("wide");
@@ -1145,11 +1103,7 @@ mod tests {
         let mut sim = Simulator::new(1);
         let nets = ring(&mut sim, 3, 100.0);
         sim.watch(nets[0]).expect("net exists");
-        let ticker = sim.add_component(Ticker {
-            period: 50.0,
-            remaining: 1,
-            fired: 0,
-        });
+        let ticker = sim.add_component(Ticker { fired: 0 });
         sim.arm_timer(ticker, 50.0, 7).expect("valid");
         let report = sim.lint_netlist();
         assert!(report.is_clean(), "unexpected findings:\n{report}");
@@ -1169,11 +1123,7 @@ mod tests {
     fn listeners_accessor_reports_subscriptions() {
         let mut sim = Simulator::new(1);
         let net = sim.add_net("n");
-        let comp = sim.add_component(Ticker {
-            period: 1.0,
-            remaining: 0,
-            fired: 0,
-        });
+        let comp = sim.add_component(Ticker { fired: 0 });
         assert_eq!(sim.listeners(net).expect("known"), vec![]);
         sim.listen(net, comp).expect("net exists");
         assert_eq!(sim.listeners(net).expect("known"), vec![comp]);

@@ -603,16 +603,17 @@ const GUARD_RULES: [GuardRule; 4] = [
         advice: "connections are multiplexed by the event loop, never given threads; \
                  name the worker/scheduler/shard/event-loop startup thread or say so",
     },
-    // The only legitimate catch_unwind is a supervision loop's restart
-    // boundary: a caught panic that is neither restarted nor escalated
-    // leaves a silently dead unit.
+    // The only legitimate catch_unwind is a shard's quarantine
+    // boundary: a caught panic that is not escalated (recorded, the
+    // unit quarantined, its work refused typed) leaves a silently dead
+    // unit.
     GuardRule {
         code: "SL111",
         calls: &[("", "catch_unwind")],
         guards: &["restart", "backoff", "escalat", "supervis", "resume"],
         what: "panic catch",
-        advice: "route the recovery through the supervise loop (restart, backoff, \
-                 escalate) or say which discipline applies",
+        advice: "escalate the panic at the quarantine boundary (record it, quarantine \
+                 the unit, refuse its work typed) or say which discipline applies",
     },
     // An underfed estimator window is "no verdict yet", never zero
     // entropy: a consumer that conflates the two demotes every freshly

@@ -1,13 +1,13 @@
 //! Load bench for `strent-serve`: drives the sharded, readiness-driven
 //! service and emits `BENCH_serve.json` (schema
-//! `strentropy-bench-serve/3`) with three measured sections:
+//! `strentropy-bench-serve/4`) with three measured sections:
 //!
 //! * `closed_loop` — saturation throughput vs client count (1, 16,
 //!   128, 1024 multiplexed UDS connections, one outstanding request
 //!   each): p50/p99/p999 grant latency and requests/s per point;
 //! * `open_loop` — fixed-arrival-rate runs at fractions of the
 //!   measured closed-loop saturation: achieved rate, tail latency and
-//!   typed backpressure counts (the closed-loop numbers hide
+//!   typed `busy` counts (the closed-loop numbers hide
 //!   coordinated omission; these do not — see `docs/engine_perf.md`);
 //! * `shard_scaling` — closed-loop saturation at 1/2/4/8 shards for
 //!   both waveform backends (`full_sim`, `surrogate`), measured with
@@ -17,7 +17,7 @@
 //!
 //! The socket sections send 32 B per request, the scaling sweep 16 B.
 //! The pass/fail properties of the serving tier (served-byte digests,
-//! backpressure classes, fault containment, the 1024-connection
+//! the typed `BUSY` refusal, fault containment, the 1024-connection
 //! frontend drill) are tests in `crates/serve`; `scripts/ci.sh`
 //! validates this report's shape and scaling gate.
 //! The JSON is hand-formatted — the workspace builds offline against
@@ -410,14 +410,11 @@ fn push_load_points(json: &mut String, label_key: &str, points: &[LoadPoint], la
         let _ = write!(
             json,
             "{sep}\n      {{\"{label_key}\": {label}, \"grants\": {}, \"busy\": {}, \
-             \"rate_limited\": {}, \"shed\": {}, \"errors\": {}, \
-             \"throughput_rps\": {:.1}, \"throughput_bytes_per_sec\": {:.0}, \
+             \"errors\": {}, \"throughput_rps\": {:.1}, \"throughput_bytes_per_sec\": {:.0}, \
              \"wall_ms\": {:.1}, \"latency_p50_us\": {:.1}, \"latency_p99_us\": {:.1}, \
              \"latency_p999_us\": {:.1}, \"peak_outstanding\": {}, \"deadline_hit\": {}}}",
             point.report.grants,
             point.report.busy,
-            point.report.rate_limited,
-            point.report.shed,
             point.report.errors,
             point.throughput_rps(),
             point.throughput_bytes_per_sec(),
@@ -440,7 +437,7 @@ fn emit_json(
     let host_cpus = thread::available_parallelism().map_or(0, std::num::NonZero::get);
     let mut json = String::new();
     json.push_str("{\n");
-    let _ = writeln!(json, "  \"schema\": \"strentropy-bench-serve/3\",");
+    let _ = writeln!(json, "  \"schema\": \"strentropy-bench-serve/4\",");
     let _ = writeln!(
         json,
         "  \"effort\": \"{}\",",

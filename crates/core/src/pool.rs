@@ -210,7 +210,7 @@ pub struct PoolConfig {
     /// Expected ring periods to discard at startup and after a
     /// quarantine before sampling resumes (the lock transient).
     pub warmup_periods: f64,
-    /// Re-admission threshold on [`rising_interval_cv`]
+    /// Re-admission threshold on the rising-edge interval CV
     /// (`strent_rings::fault::rising_interval_cv`): a quarantined
     /// source rejoins only once its CV over the re-lock window drops
     /// below this. The fault experiments use 0.05 for "phase-locked".

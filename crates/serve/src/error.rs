@@ -17,27 +17,12 @@ pub enum ServeError {
     Ring(RingError),
     /// Sampling or conditioning failed.
     Trng(TrngError),
-    /// The request was rejected because the shard's in-flight budget is
-    /// exhausted — the mildest typed backpressure class. Clients retry
-    /// later.
+    /// The request was rejected because the home shard's in-flight
+    /// budget is exhausted — the service's one typed backpressure
+    /// refusal. No bytes were consumed; clients retry later.
     Busy {
         /// Requests already queued when the rejection was issued.
         in_flight: usize,
-    },
-    /// The request was rejected because the client's token bucket is
-    /// empty — the per-client rate limit, not service load. Retry after
-    /// the indicated delay.
-    RateLimited {
-        /// Microseconds until the bucket holds enough tokens for the
-        /// rejected request.
-        retry_after_us: u64,
-    },
-    /// The request was rejected because the whole service is over its
-    /// global queue watermark — overload shedding, the most severe
-    /// backpressure class. Back off substantially.
-    Shedding {
-        /// Requests queued service-wide when the rejection was issued.
-        queued: usize,
     },
     /// The socket frontend failed to accept or register a connection.
     /// Carried by [`ServerStats`](crate::server::ServerStats) counters
@@ -75,12 +60,6 @@ impl fmt::Display for ServeError {
             ServeError::Trng(e) => write!(f, "sampling/conditioning failed: {e}"),
             ServeError::Busy { in_flight } => {
                 write!(f, "busy: {in_flight} requests already in flight")
-            }
-            ServeError::RateLimited { retry_after_us } => {
-                write!(f, "rate limited: retry in {retry_after_us} us")
-            }
-            ServeError::Shedding { queued } => {
-                write!(f, "shedding load: {queued} requests queued service-wide")
             }
             ServeError::Accept(e) => write!(f, "frontend accept/register failed: {e}"),
             ServeError::Shutdown => write!(f, "service is shutting down"),
@@ -134,34 +113,13 @@ impl From<std::io::Error> for ServeError {
     }
 }
 
-/// The three typed backpressure classes a request can be rejected
-/// with, ordered by severity. A rejection is a *reply*, never a stalled
-/// socket; the class tells the client how to react.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum BackpressureClass {
-    /// Shard in-flight budget exhausted — retry shortly.
-    Busy,
-    /// Per-client token bucket empty — wait out the advertised delay.
-    RateLimited,
-    /// Service-wide overload — back off substantially.
-    Shedding,
-}
-
 impl ServeError {
-    /// Whether this is the in-flight-budget backpressure rejection.
+    /// The in-flight count of a [`ServeError::Busy`] refusal — the one
+    /// typed backpressure reply — or `None` for a failure.
     #[must_use]
-    pub fn is_busy(&self) -> bool {
-        matches!(self, ServeError::Busy { .. })
-    }
-
-    /// The backpressure class, if this error is a typed rejection
-    /// rather than a failure.
-    #[must_use]
-    pub fn backpressure(&self) -> Option<BackpressureClass> {
+    pub fn backpressure(&self) -> Option<usize> {
         match self {
-            ServeError::Busy { .. } => Some(BackpressureClass::Busy),
-            ServeError::RateLimited { .. } => Some(BackpressureClass::RateLimited),
-            ServeError::Shedding { .. } => Some(BackpressureClass::Shedding),
+            ServeError::Busy { in_flight } => Some(*in_flight),
             _ => None,
         }
     }

@@ -5,7 +5,8 @@
 //! bits (exactly what consumers receive — never discarded or
 //! quarantined bits) re-scored with the order-`k` Markov min-entropy
 //! estimator from `strent_analysis::markov` after each batch. The
-//! resulting [`EntropyEstimate`] rides on every [`PoolChunk`] and
+//! resulting [`EntropyEstimate`] rides on every
+//! [`PoolChunk`](crate::pool::PoolChunk) and
 //! [`SourceStatus`](crate::pool::SourceStatus), which keeps the whole
 //! path a pure function of the delivered stream: the estimate — and
 //! everything scheduled from it, like the pool's weighted consumption

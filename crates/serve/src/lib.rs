@@ -23,23 +23,24 @@
 //!   both modes. Deterministic mode is one shard behind a round barrier
 //!   (reproducible byte allocation across clients, bit-identical at
 //!   every shard count); fair mode is one shard per core (deficit
-//!   round-robin with work stealing, per-client token-bucket rate
-//!   limiting and the typed backpressure classes [`ServeError::Busy`] /
-//!   [`ServeError::RateLimited`] / [`ServeError::Shedding`]);
+//!   round-robin with work stealing behind a per-shard in-flight
+//!   budget, whose one typed refusal is [`ServeError::Busy`]);
 //! * [`wire`] — the length-prefixed frame codec of the socket protocol,
 //!   blocking and incremental (nonblocking) flavors;
 //! * [`sys`] — the one-syscall FFI shim (`poll(2)`) the event loops
 //!   multiplex on;
 //! * [`server`] — the Unix-domain-socket frontend: a single-threaded,
 //!   readiness-driven event loop (no thread per connection);
-//! * [`mux`] — the multiplexed closed/open-loop load-generation client;
-//! * [`supervisor`] — typed incident records and the resilient
-//!   client's [`Deadline`]. A serving thread fails one way: a pool
-//!   worker's failure ends its slots with a typed
-//!   [`ServeError::SourceFailed`], and a panicked scheduler shard is
-//!   quarantined at once (panic → quarantine → reroute). A test drives
-//!   the shard path by queueing a [`ChaosAction`] (panic or stall) into
-//!   a live shard with [`EntropyService::inject`].
+//! * [`mux`] — the multiplexed closed/open-loop load-generation client.
+//!
+//! A serving thread fails one way. A pool worker's failure ends its
+//! slots with a typed [`ServeError::SourceFailed`], and a scheduler
+//! shard whose loop panics, or whose pool read returns that error, is
+//! quarantined at once (quarantine → refuse its queue typed → reroute
+//! new clients). [`EntropyService::quarantined`] is the record of a
+//! failed shard. A test drives the panic path by queueing a
+//! [`ChaosAction`] (panic or stall) into a live shard with
+//! [`EntropyService::inject`].
 //!
 //! See `docs/serving.md` for the architecture and the determinism
 //! contract, and `BENCH_serve.json` (emitted by the `serve_load` bench)
@@ -61,17 +62,15 @@ pub mod pool;
 pub mod scheduler;
 pub mod server;
 pub mod source;
-pub mod supervisor;
 pub mod sys;
 pub mod wire;
 
-pub use error::{BackpressureClass, ServeError};
+pub use error::ServeError;
 pub use estimator::RateEstimator;
 pub use pool::{ConsumptionPolicy, PoolChunk, SourcePool, SourceStatus};
 pub use scheduler::{
-    ChaosAction, CompletionQueue, Connector, EntropyClient, EntropyService, RateLimit,
-    SchedulerMode, ServeConfig,
+    ChaosAction, CompletionQueue, Connector, EntropyClient, EntropyService, SchedulerMode,
+    ServeConfig,
 };
-pub use server::{ServerOptions, ServerStats, UdsClient, UdsServer};
+pub use server::{ServerStats, UdsClient, UdsServer};
 pub use source::PooledSource;
-pub use supervisor::{Deadline, Incident, IncidentKind, IncidentLog};

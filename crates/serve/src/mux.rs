@@ -2,7 +2,7 @@
 //!
 //! `serve_load` needs to hold a thousand concurrent connections open
 //! against the server without burning a thread per connection on the
-//! *client* side either. [`MuxClient`] drives N connections through one
+//! *client* side either. [`run`] drives N connections through one
 //! `poll(2)` loop ([`crate::sys`]), each running the HELLO → REQ/grant
 //! → CLOSE session over the incremental [`wire::FrameDecoder`] — the
 //! mirror image of the server's event loop.
@@ -39,10 +39,7 @@ use std::time::{Duration, Instant};
 
 use crate::error::ServeError;
 use crate::sys::{poll_fds, PollFd, POLLIN, POLLOUT};
-use crate::wire::{
-    self, OP_BUSY, OP_CLOSE, OP_ERR, OP_HELLO, OP_HELLO_OK, OP_OK, OP_RATE_LIMITED, OP_REQ,
-    OP_SHEDDING,
-};
+use crate::wire::{self, OP_BUSY, OP_CLOSE, OP_ERR, OP_HELLO, OP_HELLO_OK, OP_OK, OP_REQ};
 
 /// How request arrivals are generated; see the module docs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -72,8 +69,8 @@ pub struct MuxConfig {
     /// Client id of connection 0; connection `i` registers as
     /// `first_client_id + i`.
     pub first_client_id: u32,
-    /// In closed loop, whether a typed backpressure reply re-issues the
-    /// request (after counting it) instead of consuming the slot.
+    /// In closed loop, whether a `BUSY` reply re-issues the request
+    /// (after counting it) instead of consuming the slot.
     pub retry_backpressure: bool,
     /// Abort the run (reporting `deadline_hit`) after this long.
     pub deadline: Duration,
@@ -88,10 +85,6 @@ pub struct MuxReport {
     pub grants: u64,
     /// `BUSY` rejections observed.
     pub busy: u64,
-    /// `RATE_LIMITED` rejections observed.
-    pub rate_limited: u64,
-    /// `SHEDDING` rejections observed.
-    pub shed: u64,
     /// Terminal `ERR` frames and dead connections.
     pub errors: u64,
     /// Granted payload bytes.
@@ -377,12 +370,8 @@ fn handle_reply(
             report.bytes += payload.len() as u64;
             conn.resolved += 1;
         }
-        OP_BUSY | OP_RATE_LIMITED | OP_SHEDDING => {
-            match op {
-                OP_BUSY => report.busy += 1,
-                OP_RATE_LIMITED => report.rate_limited += 1,
-                _ => report.shed += 1,
-            }
+        OP_BUSY => {
+            report.busy += 1;
             let _ = conn.outstanding.pop_front();
             if config.retry_backpressure && matches!(config.mode, LoadMode::Closed) {
                 // Re-issue the same request; `sent` already counts it,

@@ -46,26 +46,24 @@
 //! ## Failure
 //!
 //! Each shard thread runs its loop once, under the crate's one
-//! `catch_unwind`. A panic records a `panic` and then a `quarantined`
-//! incident, sets the shard's quarantine flag so [`Connector`] routes
-//! new clients to the next healthy sibling, and refuses what the shard
-//! still holds with typed errors. A shard is never restarted.
+//! `catch_unwind`. A panic, or a grant whose pool read returns
+//! [`ServeError::SourceFailed`], quarantines the shard: its flag is set
+//! so [`Connector`] routes new clients to the next healthy sibling, its
+//! loop ends, and what it still holds or still receives is refused
+//! with typed errors until the service shuts down. A failed source
+//! fails every later read of its partition (strict and weighted
+//! consumption both stop at the dead slot), so quarantine loses
+//! nothing. A shard is never restarted.
 //!
-//! ## Backpressure classes (fair mode)
+//! ## Admission (fair mode)
 //!
-//! Admission is checked in severity order and every rejection is a
-//! typed *reply*, never a stalled socket:
-//!
-//! 1. [`ServeError::Shedding`] — the service-wide queued count is at or
-//!    over the operator-set [`ServeConfig::shed_limit`] watermark;
-//! 2. [`ServeError::RateLimited`] — the per-client token bucket
-//!    ([`RateLimit`]) lacks tokens for the request, with the refill
-//!    wait advertised in microseconds;
-//! 3. [`ServeError::Busy`] — the home shard's `max_in_flight` budget is
-//!    exhausted.
-//!
-//! Deterministic mode serves a closed, pre-registered client set and
-//! applies none of these (the round barrier is its admission control).
+//! The one typed refusal is [`ServeError::Busy`]: the home shard's
+//! `max_in_flight` budget is full. It is a *reply*, never a stalled
+//! socket, and it consumes no bytes. The budgets cap queued work at
+//! `shards × max_in_flight`, and deficit round-robin keeps a greedy
+//! client from starving the others. Deterministic mode serves a
+//! closed, pre-registered client set behind the round barrier, which is
+//! its admission control.
 
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
@@ -78,12 +76,10 @@ use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-use strent_sim::sweep::panic_payload_text;
 use strentropy::pool::PoolConfig;
 
 use crate::error::ServeError;
 use crate::pool::{ConsumptionPolicy, SourcePool, SourceStatus};
-use crate::supervisor::{IncidentKind, IncidentLog};
 
 /// How long a client waits for its grant. Generous: a pool rebuilding a
 /// dead ring mid-request stays well under this.
@@ -107,16 +103,6 @@ pub enum SchedulerMode {
     },
 }
 
-/// Per-client token-bucket rate limit (fair mode only).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RateLimit {
-    /// Steady-state refill rate, in granted bytes per second.
-    pub bytes_per_sec: f64,
-    /// Bucket capacity — the largest burst a client can draw after
-    /// idling.
-    pub burst_bytes: f64,
-}
-
 /// Full service configuration.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
@@ -129,14 +115,6 @@ pub struct ServeConfig {
     pub shards: usize,
     /// Scheduling mode.
     pub mode: SchedulerMode,
-    /// Per-client token-bucket rate limit; `None` disables the
-    /// `RateLimited` class. Fair mode only.
-    pub rate_limit: Option<RateLimit>,
-    /// Service-wide queued-request watermark for overload shedding;
-    /// `None` disables the `Shedding` class. Operators set this below
-    /// `shards * max_in_flight` to cap aggregate queueing independent
-    /// of shard count. Fair mode only.
-    pub shed_limit: Option<usize>,
     /// Weight pool consumption by each source's online Markov
     /// min-entropy estimate: sources whose published estimate falls
     /// below `pool.demotion_threshold()` are demoted to a
@@ -148,8 +126,8 @@ pub struct ServeConfig {
 }
 
 impl ServeConfig {
-    /// A configuration with one worker, one shard and no rate limiting
-    /// or shedding — override fields as needed.
+    /// A configuration with one worker, one shard and no entropy
+    /// weighting — override fields as needed.
     #[must_use]
     pub fn new(pool: PoolConfig, mode: SchedulerMode) -> Self {
         ServeConfig {
@@ -157,8 +135,6 @@ impl ServeConfig {
             workers: 1,
             shards: 1,
             mode,
-            rate_limit: None,
-            shed_limit: None,
             entropy_weighting: false,
         }
     }
@@ -310,7 +286,6 @@ enum Msg {
 pub struct EntropyService {
     shards: Vec<Sender<Msg>>,
     handles: Vec<JoinHandle<()>>,
-    incidents: IncidentLog,
     quarantined: Arc<Vec<AtomicBool>>,
 }
 
@@ -325,7 +300,6 @@ impl EntropyService {
     pub fn start(config: &ServeConfig) -> Result<Self, ServeError> {
         config.pool.validate()?;
         let slots = config.pool.sources.len();
-        let incidents = IncidentLog::new();
         // Deterministic mode is one shard over the whole pool behind the
         // round barrier: a single consumer keeps the interleave and the
         // allocation identical at every shard count, so `shards` only
@@ -365,8 +339,8 @@ impl EntropyService {
         let quarantined: Arc<Vec<AtomicBool>> =
             Arc::new((0..shard_count).map(|_| AtomicBool::new(false)).collect());
         // The shards' control channels: their senders live on the event
-        // loop and must never block, and admission control (shed_limit,
-        // max_in_flight) bounds their depth upstream.
+        // loop and must never block, and admission control
+        // (max_in_flight) bounds their depth upstream.
         // simlint: allow(SL203) control channels, bounded upstream by admission
         let (senders, receivers): (Vec<_>, Vec<_>) =
             (0..shard_count).map(|_| mpsc::channel()).unzip();
@@ -376,7 +350,6 @@ impl EntropyService {
         let mut service = EntropyService {
             shards: senders,
             handles: Vec::with_capacity(shard_count),
-            incidents: incidents.clone(),
             quarantined: Arc::clone(&quarantined),
         };
         for (k, (pool, rx)) in pools.into_iter().zip(receivers).enumerate() {
@@ -386,16 +359,11 @@ impl EntropyService {
                 shared: shared.clone(),
                 peers: service.shards.clone(),
                 max_in_flight,
-                shed_limit: config.shed_limit.filter(|_| fair),
-                rate: config.rate_limit.filter(|_| fair),
                 barrier,
-                buckets: BTreeMap::new(),
                 registered: BTreeSet::new(),
                 draining: false,
-                log: incidents.clone(),
+                quarantined: Arc::clone(&quarantined),
             };
-            let log = incidents.clone();
-            let flags = Arc::clone(&quarantined);
             // Startup spawn: one thread per scheduler shard.
             let handle = thread::Builder::new()
                 .name(format!("strent-serve-shard-{k}"))
@@ -403,25 +371,14 @@ impl EntropyService {
                     // The escalation boundary: the loop runs once, and a
                     // panic quarantines the shard at once, since a rerun
                     // would replay into the same panic.
-                    let Err(payload) = catch_unwind(AssertUnwindSafe(|| shard.run(&rx))) else {
-                        return;
-                    };
-                    let unit = format!("shard-{k}");
-                    log.record(
-                        &unit,
-                        IncidentKind::Panic,
-                        panic_payload_text(payload.as_ref()),
-                    );
-                    log.record(
-                        &unit,
-                        IncidentKind::Quarantined,
-                        "shard panicked; queued requests refused, clients rerouted",
-                    );
-                    // Quarantine: new registrations reroute to the next
-                    // healthy sibling; what is still queued is refused
-                    // typed (or was stolen by siblings first).
-                    flags[k].store(true, Ordering::SeqCst);
+                    if catch_unwind(AssertUnwindSafe(|| shard.run(&rx))).is_err() {
+                        // The default hook already printed the payload.
+                        shard.quarantine();
+                    }
                     shard.shutdown();
+                    if shard.is_quarantined() {
+                        refuse_until_shutdown(&rx);
+                    }
                 })
                 .map_err(ServeError::Io)?;
             service.handles.push(handle);
@@ -429,15 +386,8 @@ impl EntropyService {
         Ok(service)
     }
 
-    /// The incident log every scheduler shard of this service records
-    /// into.
-    #[must_use]
-    pub fn incidents(&self) -> &IncidentLog {
-        &self.incidents
-    }
-
-    /// Per-shard quarantine flags (true once a shard panicked and was
-    /// taken out of rotation).
+    /// Per-shard quarantine flags (true once a shard panicked or its
+    /// pool partition lost a source, and it was taken out of rotation).
     #[must_use]
     pub fn quarantined(&self) -> Vec<bool> {
         self.quarantined
@@ -565,9 +515,8 @@ impl Drop for EntropyService {
 
 /// A cloneable client-registration handle (used by the socket event
 /// loop). Routes client `id` to its home shard `id % shards` — or,
-/// when that shard has been quarantined after a panic, walks forward
-/// to the first healthy sibling so registration keeps working through
-/// a shard loss.
+/// when that shard has been quarantined, walks forward to the first
+/// healthy sibling so registration keeps working through a shard loss.
 #[derive(Debug, Clone)]
 pub struct Connector {
     shards: Vec<Sender<Msg>>,
@@ -584,8 +533,8 @@ impl Connector {
                 return &self.shards[k];
             }
         }
-        // Every shard quarantined: send to the home shard and let the
-        // dead channel surface as a typed Shutdown.
+        // Every shard quarantined: send to the home shard, which
+        // refuses with a typed Shutdown.
         &self.shards[home]
     }
 
@@ -660,10 +609,10 @@ impl EntropyClient {
     ///
     /// # Errors
     ///
-    /// A typed backpressure rejection ([`ServeError::Busy`],
-    /// [`ServeError::RateLimited`], [`ServeError::Shedding`]) when
-    /// admission refused the request; [`ServeError::Shutdown`] /
-    /// [`ServeError::Timeout`] when the service went away.
+    /// [`ServeError::Busy`] when admission refused the request;
+    /// [`ServeError::SourceFailed`] when the shard's pool partition lost
+    /// a source; [`ServeError::Shutdown`] / [`ServeError::Timeout`] when
+    /// the service (or a quarantined shard) went away.
     pub fn request(&self, nbytes: usize) -> Result<Vec<u8>, ServeError> {
         if nbytes == 0 {
             return Ok(Vec::new());
@@ -745,38 +694,6 @@ struct ShardShared {
     idle: AtomicBool,
 }
 
-/// Per-client token bucket.
-struct TokenBucket {
-    tokens: f64,
-    last: Instant,
-}
-
-impl TokenBucket {
-    fn new(limit: &RateLimit) -> Self {
-        TokenBucket {
-            tokens: limit.burst_bytes,
-            last: Instant::now(),
-        }
-    }
-
-    /// Takes `nbytes` tokens, or reports the refill wait in µs.
-    fn try_take(&mut self, nbytes: usize, limit: &RateLimit) -> Result<(), u64> {
-        let now = Instant::now();
-        let elapsed = now.duration_since(self.last).as_secs_f64();
-        self.last = now;
-        self.tokens = (self.tokens + elapsed * limit.bytes_per_sec).min(limit.burst_bytes);
-        #[allow(clippy::cast_precision_loss)]
-        let need = nbytes as f64;
-        if self.tokens >= need {
-            self.tokens -= need;
-            return Ok(());
-        }
-        let wait_s = (need - self.tokens) / limit.bytes_per_sec.max(f64::MIN_POSITIVE);
-        #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-        Err((wait_s * 1e6).min(1e15) as u64 + 1)
-    }
-}
-
 /// One scheduler shard, in either mode; [`EntropyService::start`]
 /// picks the per-mode values.
 struct Shard {
@@ -787,24 +704,22 @@ struct Shard {
     /// like `shared` — how an idle sibling is sent `Steal`.
     peers: Vec<Sender<Msg>>,
     max_in_flight: usize,
-    shed_limit: Option<usize>,
-    rate: Option<RateLimit>,
     /// The round barrier: in deterministic mode, the registrations
     /// still awaited before the first pass; `None` in fair mode.
     barrier: Option<usize>,
-    buckets: BTreeMap<u32, TokenBucket>,
     /// The registered clients that are still open.
     registered: BTreeSet<u32>,
     draining: bool,
-    log: IncidentLog,
+    /// Every shard's quarantine flag, indexed like `shared`.
+    quarantined: Arc<Vec<AtomicBool>>,
 }
 
 impl Shard {
     /// The shard's loop. The shard holds a sender to its own channel
     /// (in `peers`), so the channel never disconnects: the shutdown
-    /// message is the only way a shard exits.
+    /// message or a quarantine is the only way the loop ends.
     fn run(&mut self, rx: &Receiver<Msg>) {
-        loop {
+        while !self.is_quarantined() {
             // Messages first, so every registration and close is
             // visible to the barrier; then one serving pass per empty
             // inbox.
@@ -832,7 +747,16 @@ impl Shard {
                 break;
             }
         }
-        self.shutdown();
+    }
+
+    /// Takes the shard out of rotation: new clients route to a healthy
+    /// sibling, and `run` ends after the current message.
+    fn quarantine(&self) {
+        self.quarantined[self.shard_id].store(true, Ordering::SeqCst);
+    }
+
+    fn is_quarantined(&self) -> bool {
+        self.quarantined[self.shard_id].load(Ordering::SeqCst)
     }
 
     fn shutdown(&mut self) {
@@ -880,7 +804,6 @@ impl Shard {
             } => self.admit(client_id, nbytes, sink),
             Msg::Close { client_id } => {
                 self.registered.remove(&client_id);
-                self.buckets.remove(&client_id);
                 // Drop the client's still-queued jobs; anything already
                 // stolen or granted completes into a stale token.
                 let mut queue = self.own_queue();
@@ -908,15 +831,7 @@ impl Shard {
             }
             Msg::Drain { deadline, reply } => {
                 self.draining = true;
-                let drained = self.drain_until(deadline);
-                if !drained {
-                    self.log.record(
-                        &format!("shard-{}", self.shard_id),
-                        IncidentKind::DrainTimedOut,
-                        "drain deadline hit; remainder refused",
-                    );
-                }
-                let _ = reply.send(drained);
+                let _ = reply.send(self.drain_until(deadline));
             }
             Msg::Chaos(action) => fire(&format!("shard-{}", self.shard_id), action),
             // Only wakes the loop; its idle path then steals.
@@ -929,9 +844,13 @@ impl Shard {
     /// Serves the local queue until it is empty or the deadline
     /// passes; admission is already closed, and siblings may keep
     /// stealing concurrently. Anything left at the deadline is refused
-    /// with [`ServeError::Draining`] — typed, never dropped.
+    /// with [`ServeError::Draining`] — typed, never dropped. A shard
+    /// quarantined mid-drain has not drained.
     fn drain_until(&mut self, deadline: Instant) -> bool {
         loop {
+            if self.is_quarantined() {
+                return false;
+            }
             if Instant::now() >= deadline {
                 let jobs = std::mem::take(&mut *self.own_queue());
                 if jobs.is_empty() {
@@ -953,7 +872,7 @@ impl Shard {
         }
     }
 
-    /// Admission control, most severe class first; see module docs.
+    /// Admission control; see module docs.
     fn admit(&mut self, client_id: u32, nbytes: usize, sink: Sink) {
         if self.draining {
             sink.send(Err(ServeError::Draining));
@@ -964,27 +883,6 @@ impl Shard {
                 "client {client_id} sent a request before registering"
             ))));
             return;
-        }
-        let queued: usize = self
-            .shared
-            .iter()
-            .map(|s| s.in_flight.load(Ordering::Relaxed))
-            .sum();
-        if let Some(limit) = self.shed_limit {
-            if queued >= limit {
-                sink.send(Err(ServeError::Shedding { queued }));
-                return;
-            }
-        }
-        if let Some(limit) = self.rate {
-            let bucket = self
-                .buckets
-                .entry(client_id)
-                .or_insert_with(|| TokenBucket::new(&limit));
-            if let Err(retry_after_us) = bucket.try_take(nbytes, &limit) {
-                sink.send(Err(ServeError::RateLimited { retry_after_us }));
-                return;
-            }
         }
         let mine = self.shared[self.shard_id].in_flight.load(Ordering::Relaxed);
         if mine >= self.max_in_flight {
@@ -1101,9 +999,35 @@ impl Shard {
             }
         }
         let _guard = InFlightGuard(&self.shared[job.home].in_flight);
+        if self.is_quarantined() {
+            // The rest of a pass after a source failed: refused without
+            // another pool read.
+            job.sink.send(Err(ServeError::Shutdown));
+            return;
+        }
         let result = self.pool.read_bytes(job.nbytes);
+        if matches!(result, Err(ServeError::SourceFailed { .. })) {
+            // Flagged before the reply goes out, so the client that
+            // sees the failure also sees the quarantine.
+            self.quarantine();
+        }
         job.sink.send(result);
         self.pool.wake_workers();
+    }
+}
+
+/// A quarantined shard's thread until the service shuts down: a request
+/// that still reaches it is refused typed, since a dropped completion
+/// sink would leave its socket client waiting forever. Every other
+/// message's reply sender is dropped, which its caller reads as
+/// [`ServeError::Shutdown`].
+fn refuse_until_shutdown(rx: &Receiver<Msg>) {
+    for msg in rx {
+        match msg {
+            Msg::Request { sink, .. } => sink.send(Err(ServeError::Shutdown)),
+            Msg::Shutdown => return,
+            _ => {}
+        }
     }
 }
 
@@ -1172,9 +1096,8 @@ mod tests {
         let service = EntropyService::start(&config).expect("starts");
         let client = service.connect(1).expect("registers");
         let err = client.request(8).expect_err("budget 0 rejects everything");
-        assert!(err.is_busy(), "{err}");
-        assert!(matches!(err, ServeError::Busy { in_flight: 0 }));
-        assert_eq!(err.backpressure(), Some(crate::error::BackpressureClass::Busy));
+        assert!(matches!(err, ServeError::Busy { in_flight: 0 }), "{err}");
+        assert_eq!(err.backpressure(), Some(0));
         service.shutdown().expect("clean shutdown");
     }
 
@@ -1207,59 +1130,6 @@ mod tests {
         }
         let status = service.status().expect("answers");
         assert_eq!(status.len(), 4, "all slots visible through the merge");
-        service.shutdown().expect("clean shutdown");
-    }
-
-    #[test]
-    fn token_bucket_rejects_with_rate_limited_then_refills() {
-        let mut config = small_serve_config(2, SchedulerMode::Fair { max_in_flight: 8 });
-        // The slow refill keeps the bucket empty for 80 ms — wide
-        // enough that scheduling hiccups between the burst grant and
-        // the follow-up cannot refill it under a loaded test host.
-        config.rate_limit = Some(RateLimit {
-            bytes_per_sec: 200.0,
-            burst_bytes: 16.0,
-        });
-        let service = EntropyService::start(&config).expect("starts");
-        let client = service.connect(5).expect("registers");
-        // The burst covers the first 16 bytes; the immediate follow-up
-        // finds an empty bucket.
-        let first = client.request(16).expect("burst granted");
-        assert_eq!(first.len(), 16);
-        let err = client.request(16).expect_err("bucket drained");
-        let ServeError::RateLimited { retry_after_us } = err else {
-            panic!("expected RateLimited, got {err}");
-        };
-        assert!(retry_after_us > 0);
-        assert_eq!(
-            err.backpressure(),
-            Some(crate::error::BackpressureClass::RateLimited)
-        );
-        // 16 bytes at 200 B/s refill in 80 ms; wait it out and retry.
-        thread::sleep(Duration::from_micros(retry_after_us) + Duration::from_millis(2));
-        let retried = client.request(16).expect("refilled");
-        assert_eq!(retried.len(), 16);
-        service.shutdown().expect("clean shutdown");
-    }
-
-    #[test]
-    fn shed_limit_zero_rejects_with_shedding_before_any_other_class() {
-        let mut config = small_serve_config(2, SchedulerMode::Fair { max_in_flight: 8 });
-        config.shed_limit = Some(0);
-        // Even with a rate limiter configured, shedding wins: it is the
-        // most severe class and is checked first.
-        config.rate_limit = Some(RateLimit {
-            bytes_per_sec: 1e9,
-            burst_bytes: 1e9,
-        });
-        let service = EntropyService::start(&config).expect("starts");
-        let client = service.connect(2).expect("registers");
-        let err = client.request(8).expect_err("shedding everything");
-        assert!(matches!(err, ServeError::Shedding { queued: 0 }), "{err}");
-        assert_eq!(
-            err.backpressure(),
-            Some(crate::error::BackpressureClass::Shedding)
-        );
         service.shutdown().expect("clean shutdown");
     }
 
@@ -1343,13 +1213,72 @@ mod tests {
         let client = service.connect(0).expect("reroutes to the healthy sibling");
         let grant = client.request(16).expect("granted by the sibling");
         assert_eq!(grant.len(), 16);
-        assert_eq!(service.incidents().count_of("panic"), 1);
-        assert_eq!(service.incidents().count_of("quarantined"), 1);
-        // The panic incident comes first and carries the payload text.
-        let first = &service.incidents().snapshot()[0];
-        assert_eq!(first.unit, "shard-0");
-        assert_eq!(first.kind, IncidentKind::Panic);
-        assert_eq!(first.detail, "injected shard-0 panic");
+        client.close();
+        service.shutdown().expect("clean shutdown");
+    }
+
+    #[test]
+    fn a_quarantined_shard_answers_requests_still_in_its_channel() {
+        let config = small_serve_config(2, SchedulerMode::Fair { max_in_flight: 4 });
+        let service = EntropyService::start(&config).expect("starts");
+        let client = service.connect(0).expect("registers");
+        let (wake_tx, mut wake_rx) = UnixStream::pair().expect("socketpair");
+        wake_tx.set_nonblocking(true).expect("nonblocking");
+        wake_rx
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .expect("read timeout");
+        let queue = Arc::new(CompletionQueue::new(wake_tx));
+        // The stall holds the shard while a panic and then a socket-style
+        // request queue up behind it, so the request is still in the
+        // channel when the panic quarantines the shard.
+        service
+            .inject(0, ChaosAction::Stall(Duration::from_millis(200)))
+            .expect("queued");
+        service.inject(0, ChaosAction::Panic).expect("queued");
+        client.request_queued(8, &queue, 0xB1).expect("queued");
+        wake_rx
+            .read_exact(&mut [0u8; 1])
+            .expect("the request behind the panic is answered");
+        let done = queue.drain();
+        assert_eq!(done.len(), 1);
+        assert_eq!(done[0].token, 0xB1);
+        assert!(
+            matches!(done[0].result, Err(ServeError::Shutdown)),
+            "{done:?}"
+        );
+        assert_eq!(service.quarantined(), [true]);
+        client.close();
+        service.shutdown().expect("clean shutdown");
+    }
+
+    #[test]
+    fn a_failed_source_quarantines_its_shard() {
+        use strent_rings::surrogate::SourceBackend;
+        use strentropy::pool::{RingSpec, SourceSpec};
+
+        // The pool of `pool::tests::a_failed_source_ends_its_slot_with_a_typed_error`:
+        // at 2.021 periods per sample every batch alarms, so the one
+        // source fails its bounded discard streak.
+        let mut config = small_serve_config(1, SchedulerMode::Fair { max_in_flight: 4 });
+        config.pool.sources[0] =
+            SourceSpec::new(RingSpec::Str32, 2012).with_backend(SourceBackend::Surrogate);
+        config.pool.sample_period_factor = 2.021;
+        config.pool.claimed_min_entropy = 1.0;
+        config.pool.batch_raw_bits = 256;
+        config.pool.max_relock_windows = 3;
+        let service = EntropyService::start(&config).expect("starts");
+        let client = service.connect(0).expect("registers");
+        let err = client.request(8).expect_err("the source failed");
+        assert!(
+            matches!(err, ServeError::SourceFailed { source: 0 }),
+            "{err}"
+        );
+        // Flagged before the failed reply went out.
+        assert_eq!(service.quarantined(), [true]);
+        // A read of the dead partition would be `SourceFailed` again;
+        // the quarantined shard refuses instead.
+        let err = client.request(8).expect_err("the shard is quarantined");
+        assert!(matches!(err, ServeError::Shutdown), "{err}");
         client.close();
         service.shutdown().expect("clean shutdown");
     }

@@ -25,19 +25,16 @@
 //!
 //! ## Hardening
 //!
-//! Three defenses keep one bad peer from degrading the loop for
-//! everyone else ([`ServerOptions`] tunes them):
+//! Two defenses keep one bad peer from degrading the loop for everyone
+//! else:
 //!
 //! * **Error budget** — a decodable but invalid frame (unknown opcode,
 //!   malformed payload, protocol-order violation) is answered with a
 //!   typed `ERR` frame and *charged* against the connection's strike
-//!   budget; the connection survives until the budget is spent.
-//!   Unrecoverable framing (an oversized length prefix) still closes
-//!   immediately — past that point the byte stream cannot be re-synced.
-//! * **Idle reaping** — a connection with no outstanding request, no
-//!   buffered reply and no frame activity for [`ServerOptions::idle_timeout`]
-//!   is closed and counted in [`ServerStats::idle_reaped`]; a slowloris
-//!   peer holds a descriptor only until the reaper's next pass.
+//!   budget of [`ERROR_BUDGET`]; the connection survives until the
+//!   budget is spent. Unrecoverable framing (an oversized length
+//!   prefix) still closes immediately — past that point the byte stream
+//!   cannot be re-synced.
 //! * **Graceful drain** — [`UdsServer::shutdown_graceful`] walks the
 //!   shutdown state machine: stop accepting, deliver every in-flight
 //!   grant, flush write buffers, then close sockets and join — bounded
@@ -57,11 +54,9 @@ use strentropy::pool::EntropyEstimate;
 use crate::error::ServeError;
 use crate::pool::SourceStatus;
 use crate::scheduler::{CompletionQueue, Connector, EntropyClient};
-use crate::supervisor::Deadline;
 use crate::sys::{poll_fds, PollFd, POLLIN, POLLOUT};
 use crate::wire::{
-    self, FrameDecoder, OP_BUSY, OP_CLOSE, OP_ERR, OP_HELLO, OP_HELLO_OK, OP_OK,
-    OP_RATE_LIMITED, OP_REQ, OP_SHEDDING,
+    self, FrameDecoder, OP_BUSY, OP_CLOSE, OP_ERR, OP_HELLO, OP_HELLO_OK, OP_OK, OP_REQ,
 };
 
 /// Poll timeout — the upper bound on how long a shutdown request waits
@@ -79,6 +74,10 @@ const READ_CHUNK: usize = 16 * 1024;
 /// the descriptor limit, far above the 1024-client acceptance drill).
 const MAX_CONNS: usize = 16 * 1024;
 
+/// Decodable-but-invalid frames a connection may send before it is
+/// closed; each one is answered with a typed `ERR` frame first.
+pub const ERROR_BUDGET: u32 = 4;
+
 /// Monotone counters of the socket frontend, shared with the event
 /// loop. Accept/register failures are *counted*, never silently
 /// swallowed — the fix for the old spawn-failure connection drop.
@@ -89,7 +88,6 @@ pub struct ServerStats {
     register_errors: AtomicU64,
     protocol_errors: AtomicU64,
     active: AtomicU64,
-    idle_reaped: AtomicU64,
     wake_full: AtomicU64,
     wake_errors: AtomicU64,
     /// Pool slots whose online entropy estimate has a verdict (the
@@ -134,14 +132,6 @@ impl ServerStats {
     #[must_use]
     pub fn active(&self) -> u64 {
         self.active.load(Ordering::Relaxed)
-    }
-
-    /// Idle connections reaped by [`ServerOptions::idle_timeout`] —
-    /// each one had no outstanding request and no frame activity for
-    /// the full timeout (the slowloris defense).
-    #[must_use]
-    pub fn idle_reaped(&self) -> u64 {
-        self.idle_reaped.load(Ordering::Relaxed)
     }
 
     /// Wake-pipe writes absorbed because the pipe was already full —
@@ -208,27 +198,6 @@ impl ServerStats {
     }
 }
 
-/// Tunables of the socket frontend's hardening layer.
-#[derive(Debug, Clone)]
-pub struct ServerOptions {
-    /// Close a connection with no outstanding request and no frame
-    /// activity for this long (`None` disables the reaper). Reaped
-    /// connections are counted in [`ServerStats::idle_reaped`].
-    pub idle_timeout: Option<Duration>,
-    /// Decodable-but-invalid frames a connection may send before it is
-    /// closed; each one is answered with a typed `ERR` frame first.
-    pub error_budget: u32,
-}
-
-impl Default for ServerOptions {
-    fn default() -> Self {
-        ServerOptions {
-            idle_timeout: None,
-            error_budget: 4,
-        }
-    }
-}
-
 /// A running socket frontend.
 #[derive(Debug)]
 pub struct UdsServer {
@@ -255,20 +224,6 @@ impl UdsServer {
     /// [`ServeError::Accept`] if the socket cannot be bound, configured
     /// or the wake channel cannot be created.
     pub fn start(connector: Connector, path: impl AsRef<Path>) -> Result<Self, ServeError> {
-        Self::start_with_options(connector, path, ServerOptions::default())
-    }
-
-    /// [`UdsServer::start`] with explicit hardening tunables.
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::Accept`] if the socket cannot be bound, configured
-    /// or the wake channel cannot be created.
-    pub fn start_with_options(
-        connector: Connector,
-        path: impl AsRef<Path>,
-        options: ServerOptions,
-    ) -> Result<Self, ServeError> {
         let path = path.as_ref().to_path_buf();
         // A stale socket file from a crashed predecessor would make
         // bind fail; removing a *live* server's socket is the
@@ -300,7 +255,6 @@ impl UdsServer {
                     completions,
                     connector,
                     stats: counters,
-                    options,
                     epoch,
                     drain: drain_word,
                     drained_clean: drained_flag,
@@ -406,11 +360,8 @@ struct Conn {
     /// Flush the write buffer, then close.
     closing: bool,
     /// Requests submitted to the scheduler whose grants have not come
-    /// back yet — the drain and the idle reaper both key on zero.
+    /// back yet — the drain keys on zero.
     outstanding: u32,
-    /// Last complete frame (or accept) on this connection; the idle
-    /// reaper's staleness clock.
-    last_frame: Instant,
     /// Decodable-but-invalid frames charged against the error budget.
     strikes: u32,
 }
@@ -465,7 +416,6 @@ struct EventLoop {
     completions: Arc<CompletionQueue>,
     connector: Connector,
     stats: Arc<ServerStats>,
-    options: ServerOptions,
     epoch: Instant,
     drain: Arc<AtomicU64>,
     drained_clean: Arc<AtomicBool>,
@@ -537,7 +487,6 @@ impl EventLoop {
             self.stats
                 .wake_errors
                 .store(self.completions.wake_errors(), Ordering::Relaxed);
-            self.reap_idle();
             if draining {
                 if self.quiescent() {
                     // Every grant delivered, every write buffer
@@ -567,31 +516,6 @@ impl EventLoop {
         self.conns.iter().flatten().all(|conn| {
             conn.outstanding == 0 && !conn.has_backlog()
         })
-    }
-
-    /// Closes connections with nothing outstanding, nothing buffered
-    /// and no frame activity within the idle timeout (the slowloris
-    /// defense). Disabled when no timeout is configured.
-    fn reap_idle(&mut self) {
-        let Some(timeout) = self.options.idle_timeout else {
-            return;
-        };
-        let stale: Vec<usize> = self
-            .conns
-            .iter()
-            .enumerate()
-            .filter_map(|(slot, conn)| {
-                let conn = conn.as_ref()?;
-                let idle = conn.outstanding == 0
-                    && !conn.has_backlog()
-                    && conn.last_frame.elapsed() >= timeout;
-                idle.then_some(slot)
-            })
-            .collect();
-        for slot in stale {
-            self.stats.idle_reaped.fetch_add(1, Ordering::Relaxed);
-            self.close_slot(slot);
-        }
     }
 
     /// Swallows pending wake bytes (level-triggered readiness: one
@@ -624,14 +548,6 @@ impl EventLoop {
                 Err(ServeError::Busy { in_flight }) => {
                     let count = u32::try_from(in_flight).unwrap_or(u32::MAX);
                     conn.send_frame(OP_BUSY, &count.to_le_bytes())
-                }
-                Err(ServeError::RateLimited { retry_after_us }) => {
-                    let us = u32::try_from(retry_after_us).unwrap_or(u32::MAX);
-                    conn.send_frame(OP_RATE_LIMITED, &us.to_le_bytes())
-                }
-                Err(ServeError::Shedding { queued }) => {
-                    let count = u32::try_from(queued).unwrap_or(u32::MAX);
-                    conn.send_frame(OP_SHEDDING, &count.to_le_bytes())
                 }
                 Err(e) => {
                     // Terminal failure: answer, flush, close.
@@ -666,7 +582,6 @@ impl EventLoop {
                         generation: 0,
                         closing: false,
                         outstanding: 0,
-                        last_frame: Instant::now(),
                         strikes: 0,
                     };
                     match self.free.pop() {
@@ -736,7 +651,6 @@ impl EventLoop {
                 };
                 match conn.decoder.next_frame() {
                     Ok(Some((op, payload))) => {
-                        conn.last_frame = Instant::now();
                         if matches!(self.handle_frame(slot, op, &payload), ConnFate::Close) {
                             self.close_slot(slot);
                             return;
@@ -844,11 +758,10 @@ impl EventLoop {
     /// never tears down the event loop.
     fn protocol_error(&mut self, slot: usize, msg: &str) -> ConnFate {
         self.stats.protocol_errors.fetch_add(1, Ordering::Relaxed);
-        let budget = self.options.error_budget;
         if let Some(Some(conn)) = self.conns.get_mut(slot) {
             conn.strikes += 1;
             let alive = conn.send_frame(OP_ERR, format!("protocol violation: {msg}").as_bytes());
-            if alive && conn.strikes <= budget {
+            if alive && conn.strikes <= ERROR_BUDGET {
                 return ConnFate::Keep;
             }
         }
@@ -870,24 +783,12 @@ impl EventLoop {
 
 /// A minimal synchronous client for the socket protocol — used by the
 /// integration tests. Load generation at scale goes through
-/// [`crate::mux::MuxClient`], which multiplexes many connections
-/// without a thread each.
+/// [`crate::mux::run`], which multiplexes many connections without a
+/// thread each.
 #[derive(Debug)]
 pub struct UdsClient {
     stream: UnixStream,
-    path: PathBuf,
-    client_id: u32,
 }
-
-/// First reconnect backoff; doubles per attempt up to
-/// [`RECONNECT_BACKOFF_CAP`].
-const RECONNECT_BACKOFF: Duration = Duration::from_micros(200);
-
-/// Reconnect backoff ceiling.
-const RECONNECT_BACKOFF_CAP: Duration = Duration::from_millis(20);
-
-/// Reconnect attempts before giving up.
-const RECONNECT_ATTEMPTS: u32 = 50;
 
 impl UdsClient {
     /// Connects to the server socket and registers `client_id`.
@@ -897,19 +798,13 @@ impl UdsClient {
     /// Transport errors, or [`ServeError::Protocol`] if the server
     /// rejected the registration.
     pub fn connect(path: impl AsRef<Path>, client_id: u32) -> Result<Self, ServeError> {
-        let path = path.as_ref().to_path_buf();
-        let stream = UnixStream::connect(&path)?;
+        let mut stream = UnixStream::connect(path)?;
         stream.set_read_timeout(Some(CLIENT_READ_TIMEOUT))?;
-        let mut client = UdsClient {
-            stream,
-            path,
-            client_id,
-        };
-        wire::write_frame(&mut client.stream, OP_HELLO, &client_id.to_le_bytes())?;
+        wire::write_frame(&mut stream, OP_HELLO, &client_id.to_le_bytes())?;
         // Reply reads are bounded by the read timeout set above.
-        let (op, payload) = wire::read_frame(&mut client.stream)?;
+        let (op, payload) = wire::read_frame(&mut stream)?;
         match op {
-            OP_HELLO_OK => Ok(client),
+            OP_HELLO_OK => Ok(UdsClient { stream }),
             OP_ERR => Err(ServeError::Protocol(
                 String::from_utf8_lossy(&payload).into_owned(),
             )),
@@ -919,118 +814,20 @@ impl UdsClient {
         }
     }
 
-    /// Drops the current connection and dials a fresh one under the
-    /// same client id, with capped exponential backoff across attempts.
-    /// The old socket is shut down *first* so the server observes EOF
-    /// and releases the registration before the new `HELLO` arrives;
-    /// the retry loop rides out the unregister/re-register race.
-    ///
-    /// # Errors
-    ///
-    /// The last connect error once the attempt budget is spent.
-    pub fn reconnect(&mut self) -> Result<(), ServeError> {
-        let _ = self.stream.shutdown(std::net::Shutdown::Both);
-        let mut backoff = RECONNECT_BACKOFF;
-        let mut last = ServeError::Timeout;
-        for _ in 0..RECONNECT_ATTEMPTS {
-            match Self::connect(&self.path, self.client_id) {
-                Ok(fresh) => {
-                    self.stream = fresh.stream;
-                    return Ok(());
-                }
-                Err(e) => last = e,
-            }
-            thread::sleep(backoff);
-            backoff = (backoff * 2).min(RECONNECT_BACKOFF_CAP);
-        }
-        Err(last)
-    }
-
     /// Requests `nbytes` bytes over the socket.
     ///
     /// # Errors
     ///
-    /// A typed backpressure rejection ([`ServeError::Busy`],
-    /// [`ServeError::RateLimited`], [`ServeError::Shedding`]) when the
-    /// scheduler refused the request; transport or protocol errors
-    /// otherwise.
+    /// [`ServeError::Busy`] when the scheduler refused the request;
+    /// transport or protocol errors otherwise.
     pub fn request(&mut self, nbytes: u32) -> Result<Vec<u8>, ServeError> {
         wire::write_frame(&mut self.stream, OP_REQ, &nbytes.to_le_bytes())?;
-        self.read_reply()
-    }
-
-    /// [`UdsClient::request`] with retry semantics that cannot
-    /// duplicate or drop entropy bytes, bounded by a deadline.
-    ///
-    /// The write/read split decides what is safe to retry:
-    ///
-    /// * a failed **write** cannot have reached the scheduler — the
-    ///   client reconnects (capped backoff) and resends;
-    /// * a typed backpressure **reply** ([`ServeError::Busy`],
-    ///   [`ServeError::RateLimited`], [`ServeError::Shedding`]) means
-    ///   the scheduler refused the request without consuming bytes —
-    ///   the client waits (honoring the `retry_after_us` hint, backing
-    ///   off harder on shedding) and resends;
-    /// * a transport error **after** a fully-written request is
-    ///   terminal: the grant may already have consumed bytes from the
-    ///   deterministic allocation, and resending would double-spend it.
-    ///
-    /// # Errors
-    ///
-    /// The last rejection once `budget` expires; terminal transport,
-    /// protocol, or service errors immediately.
-    pub fn request_resilient(
-        &mut self,
-        nbytes: u32,
-        budget: Duration,
-    ) -> Result<Vec<u8>, ServeError> {
-        let deadline = Deadline::after(budget);
-        let mut backoff = RECONNECT_BACKOFF;
-        loop {
-            if let Err(e) = wire::write_frame(&mut self.stream, OP_REQ, &nbytes.to_le_bytes()) {
-                // Nothing reached the scheduler: reconnect and resend.
-                if deadline.expired() {
-                    return Err(e.into());
-                }
-                self.reconnect()?;
-                continue;
-            }
-            let err = match self.read_reply() {
-                Ok(bytes) => return Ok(bytes),
-                Err(err) => err,
-            };
-            let wait = match &err {
-                ServeError::RateLimited { retry_after_us } => {
-                    Duration::from_micros((*retry_after_us).max(1))
-                }
-                ServeError::Shedding { .. } => backoff * 4,
-                ServeError::Busy { .. } => backoff,
-                // Anything else after a fully-written REQ is terminal:
-                // retrying could double-spend served bytes.
-                _ => return Err(err),
-            };
-            if deadline.expired() {
-                return Err(err);
-            }
-            thread::sleep(wait.min(deadline.remaining()));
-            backoff = (backoff * 2).min(RECONNECT_BACKOFF_CAP);
-        }
-    }
-
-    /// Reads and classifies one reply frame.
-    fn read_reply(&mut self) -> Result<Vec<u8>, ServeError> {
         // Reply reads are bounded by the connect-time read timeout.
         let (op, payload) = wire::read_frame(&mut self.stream)?;
         match op {
             OP_OK => Ok(payload),
             OP_BUSY => Err(ServeError::Busy {
                 in_flight: wire::parse_u32(&payload).unwrap_or(0) as usize,
-            }),
-            OP_RATE_LIMITED => Err(ServeError::RateLimited {
-                retry_after_us: u64::from(wire::parse_u32(&payload).unwrap_or(0)),
-            }),
-            OP_SHEDDING => Err(ServeError::Shedding {
-                queued: wire::parse_u32(&payload).unwrap_or(0) as usize,
             }),
             OP_ERR => Err(ServeError::Protocol(
                 String::from_utf8_lossy(&payload).into_owned(),

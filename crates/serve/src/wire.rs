@@ -12,8 +12,7 @@
 //! | `OK` (0x82)    | ←  | the granted bytes |
 //! | `BUSY` (0x83)  | ←  | `u32` in-flight count at rejection |
 //! | `ERR` (0x84)   | ←  | UTF-8 message |
-//! | `RATE_LIMITED` (0x85) | ← | `u32` microseconds until retry |
-//! | `SHEDDING` (0x86) | ← | `u32` queued requests at rejection |
+//! | 0x85, 0x86 | — | retired; never sent |
 //!
 //! Frames are capped at [`MAX_FRAME`] bytes; an oversized length field
 //! is a protocol error, not an allocation. The codec is transport
@@ -39,11 +38,11 @@ pub const OP_OK: u8 = 0x82;
 pub const OP_BUSY: u8 = 0x83;
 /// Terminal error; the server closes the session after sending it.
 pub const OP_ERR: u8 = 0x84;
-/// Typed backpressure: the client's token bucket is empty; the payload
-/// says how long to wait before retrying.
+/// Retired: the per-client rate-limit refusal. The server never sends
+/// it; the code stays reserved so no later opcode reuses it.
 pub const OP_RATE_LIMITED: u8 = 0x85;
-/// Typed backpressure: the whole service is over its global queue
-/// watermark and shedding load regardless of per-client budgets.
+/// Retired: the service-wide shedding refusal. The server never sends
+/// it; the code stays reserved so no later opcode reuses it.
 pub const OP_SHEDDING: u8 = 0x86;
 
 /// Maximum payload size accepted or sent (1 MiB).

@@ -5,7 +5,7 @@
 //! delay drift (aging) and supply-droop windows — that a caller builds
 //! up front and arms on a [`Simulator`] before running it. Arming
 //! translates the plan into ordinary queue events (a crate-private
-//! [`Occurrence`] variant), so injection rides the same `(time, seq)`
+//! `Occurrence` variant), so injection rides the same `(time, seq)`
 //! ordering as every other event and the run stays bit-reproducible
 //! under a fixed seed.
 //!
@@ -25,7 +25,6 @@
 //! [`Simulator`]: crate::Simulator
 //! [`Simulator::arm_faults`]: crate::Simulator::arm_faults
 //! [`Context`]: crate::Context
-//! [`Occurrence`]: crate::event::Occurrence
 
 use crate::error::SimError;
 use crate::rng::RngTree;

@@ -370,8 +370,7 @@ pub struct SweepReport<R, E> {
 
 /// Renders a panic payload to text: string payloads verbatim, anything
 /// else a placeholder.
-#[must_use]
-pub fn panic_payload_text(payload: &(dyn Any + Send)) -> String {
+fn panic_payload_text(payload: &(dyn Any + Send)) -> String {
     if let Some(text) = payload.downcast_ref::<&'static str>() {
         (*text).to_owned()
     } else if let Some(text) = payload.downcast_ref::<String>() {

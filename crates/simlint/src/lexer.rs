@@ -54,8 +54,8 @@ impl Tok {
 /// Multi-character operators lexed as one token.
 const JOINED: [&str; 10] = ["::", "->", "=>", "..", "&&", "||", "<=", ">=", "==", "!="];
 
-/// Lexes stripped source lines (see [`crate::strip_source`]) into a
-/// flat token stream.
+/// Lexes stripped source lines (see `strip_source` in the crate root)
+/// into a flat token stream.
 #[must_use]
 pub fn lex(stripped: &[String]) -> Vec<Tok> {
     let mut toks = Vec::new();

@@ -1100,7 +1100,7 @@ mod tests {
     #[test]
     fn naked_catch_unwind_fires_sl111_in_the_serving_layer() {
         let scan_serve = |src: &str| {
-            scan_source("crates/serve/src/supervisor.rs", src, false)
+            scan_source("crates/serve/src/scheduler.rs", src, false)
                 .into_iter()
                 .filter(|d| d.code == "SL111")
                 .collect::<Vec<_>>()

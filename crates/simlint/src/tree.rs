@@ -77,8 +77,8 @@ pub struct FileTree {
 }
 
 impl FileTree {
-    /// Parses a file's stripped lines (see [`crate::strip_source`])
-    /// into a tree.
+    /// Parses a file's stripped lines (see `strip_source` in the crate
+    /// root) into a tree.
     #[must_use]
     pub fn parse(stripped: &[String]) -> FileTree {
         let toks = lex(stripped);

@@ -30,6 +30,10 @@ cargo test -q --workspace --offline
 echo "== clippy (deny warnings) =="
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
+echo "== rustdoc (deny warnings) =="
+# Broken or private intra-doc links fail the gate.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 echo "== simlint =="
 # Any finding fails; the only excuse is an inline
 # `// simlint: allow(<code>) <reason>` at the site.
@@ -162,7 +166,7 @@ cargo run -q --release -p strent-bench --bin serve_load --offline -- \
 cat > "$serve_check" <<'PY'
 import json, sys
 report = json.load(open(sys.argv[1]))
-assert report["schema"] == "strentropy-bench-serve/3", report["schema"]
+assert report["schema"] == "strentropy-bench-serve/4", report["schema"]
 assert report["host_cpus"] >= 1, report
 closed = report["closed_loop"]
 assert [p["clients"] for p in closed["points"]] == [1, 16, 128, 1024], closed
